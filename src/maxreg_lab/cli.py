@@ -76,11 +76,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"ok: {cfg.experiment} config is valid")
             return 0
         cfg = _apply_overrides(cfg, args)
+        # some config errors surface only once the runner reads its params
+        record = run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
-    record = run_experiment(cfg)
     paths = write_results(record, cfg.output_dir)
     for key, value in sorted(record.metrics.items()):
         print(f"{key} = {value}")

@@ -72,8 +72,6 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
     "desimon": {
         "time": {"horizon": 8.0, "num_nodes": 257},
         "params": {
-            "p": 2.0,
-            "q": 2.0,
             "ensemble_size": 20,
             "band_limit": 4,
             "modes_per_member": 6,
@@ -362,7 +360,6 @@ class ResultRecord:
     config: dict[str, Any]
     metrics: dict[str, Any]
     series: dict[str, dict[str, Any]]
-    reports: dict[str, Any]
     wall_time_s: float
     schema_version: int = SCHEMA_VERSION
 
@@ -373,7 +370,6 @@ class ResultRecord:
             "status": self.status,
             "config": self.config,
             "metrics": self.metrics,
-            "reports": self.reports,
             "wall_time_s": self.wall_time_s,
         }
 
@@ -414,7 +410,7 @@ def write_results(record: ResultRecord, out_dir: str | Path) -> list[Path]:
 # -- runners -----------------------------------------------------------
 
 
-def _run_maxreg(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_maxreg(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     p = cfg.params
     params = norms.MixedNormParams(p=float(p["p"]), q=float(p["q"]))
     op = spectral.laplacian_multiplier()
@@ -463,10 +459,10 @@ def _run_maxreg(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
             "rows": rows,
         }
     }
-    return status, metrics, series, {"C_estimate": report.C_estimate}
+    return status, metrics, series
 
 
-def _run_weighted_maxreg(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_weighted_maxreg(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     p = cfg.params
     params = norms.MixedNormParams(p=float(p["p"]), q=float(p["q"]))
     op = spectral.laplacian_multiplier()
@@ -505,10 +501,12 @@ def _run_weighted_maxreg(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
             "rows": rows,
         }
     }
-    return status, metrics, series, {}
+    return status, metrics, series
 
 
-def _run_desimon(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_desimon(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+    # The L^2(L^2) (Plancherel) case of De Simon's theorem: the multiplier
+    # bound, and so the ratio and sup gates below, hold only there.
     p = cfg.params
     params = norms.MixedNormParams(p=2.0, q=2.0)
     op = spectral.laplacian_multiplier()
@@ -540,10 +538,10 @@ def _run_desimon(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
             "rows": [[i, r] for i, r in enumerate(ratios)],
         }
     }
-    return status, metrics, series, {}
+    return status, metrics, series
 
 
-def _run_resolvent(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_resolvent(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     p = cfg.params
     grid = cfg.make_grid()
     op = spectral.laplacian_multiplier()
@@ -568,10 +566,10 @@ def _run_resolvent(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
             "rows": rows,
         }
     }
-    return status, metrics, series, {}
+    return status, metrics, series
 
 
-def _run_hormander(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_hormander(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     p = cfg.params
     grid = cfg.make_grid()
     shifts = [float(s) for s in p["shifts"]]
@@ -604,10 +602,10 @@ def _run_hormander(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
             "rows": [[s, v] for s, v in zip(report.shifts, report.integrals)],
         }
     }
-    return status, metrics, series, {}
+    return status, metrics, series
 
 
-def _run_rbound(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_rbound(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     p = cfg.params
     grid = cfg.make_grid()
     kind = str(p["kind"])
@@ -653,7 +651,7 @@ def _run_rbound(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
             "rows": [[est.estimate, est.uniform_bound]],
         }
     }
-    return status, metrics, series, {}
+    return status, metrics, series
 
 
 def _scaling_law_from(p: dict[str, Any]) -> norms.ScalingLaw:
@@ -664,7 +662,7 @@ def _scaling_law_from(p: dict[str, Any]) -> norms.ScalingLaw:
     raise ConfigError("params.law must be 'nlhe' or 'ns'")
 
 
-def _run_scaling(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_scaling(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     p = cfg.params
     law = _scaling_law_from(p)
     n = int(cfg.grid["dimension"])
@@ -695,7 +693,7 @@ def _run_scaling(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
             ],
         }
     }
-    return status, metrics, series, {}
+    return status, metrics, series
 
 
 def _existence_series(report: problems.ExistenceReport) -> dict[str, dict[str, Any]]:
@@ -750,20 +748,11 @@ def _contraction_bound_ok(report: problems.ExistenceReport) -> bool:
     return True
 
 
-def _run_nlhe_exist(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_existence(
+    cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsProblem
+) -> tuple[str, dict, dict]:
     p = cfg.params
-    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
-    u0 = problems.random_mean_free_field(
-        grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"])
-    )
-    prob = problems.NlheProblem(
-        nu=float(p["nu"]),
-        params=norms.MixedNormParams(p=float(p["p"]), q=float(p["q"])),
-        u0=u0,
-        time_grid=tgrid,
-        variant=str(p["variant"]),
-        critical=bool(p["critical"]),
-    )
+    # one sweep serves both problems; ns_existence_experiment is the same function
     report = problems.nlhe_existence_experiment(
         prob,
         [float(e) for e in p["eta_grid"]],
@@ -780,17 +769,42 @@ def _run_nlhe_exist(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
         "threshold": report.threshold,
         "monotone": report.monotone,
         "best_residual": best,
-        "existence_regime": prob.existence_regime,
         "contraction_bound_ok": _contraction_bound_ok(report),
     }
     ok = (
         report.threshold > 0
         and best <= 1e-8
         and report.monotone
-        and _contraction_bound_ok(report)
+        and metrics["contraction_bound_ok"]
     )
-    status = "pass" if ok else "fail"
-    return status, metrics, _existence_series(report), {}
+    series = _existence_series(report)
+    if isinstance(prob, problems.NsProblem):
+        worst_div = max(e.max_divergence for e in report.entries)
+        metrics["max_divergence"] = worst_div
+        ok = ok and worst_div <= 1e-10
+        series["eta_sweep"]["columns"].append("max_divergence")
+        for row, e in zip(series["eta_sweep"]["rows"], report.entries):
+            row.append(e.max_divergence)
+    else:
+        metrics["existence_regime"] = prob.existence_regime
+    return ("pass" if ok else "fail"), metrics, series
+
+
+def _run_nlhe_exist(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+    p = cfg.params
+    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
+    u0 = problems.random_mean_free_field(
+        grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"])
+    )
+    prob = problems.NlheProblem(
+        nu=float(p["nu"]),
+        params=norms.MixedNormParams(p=float(p["p"]), q=float(p["q"])),
+        u0=u0,
+        time_grid=tgrid,
+        variant=str(p["variant"]),
+        critical=bool(p["critical"]),
+    )
+    return _run_existence(cfg, prob)
 
 
 def _taylor_green_type_field(
@@ -817,7 +831,7 @@ def _taylor_green_type_field(
     return u0
 
 
-def _run_ns_exist(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_ns_exist(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     p = cfg.params
     grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
     u0 = _taylor_green_type_field(grid, float(p["perturbation"]), cfg.rng_seed)
@@ -827,39 +841,7 @@ def _run_ns_exist(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
         time_grid=tgrid,
         critical=bool(p["critical"]),
     )
-    report = problems.ns_existence_experiment(
-        prob,
-        [float(e) for e in p["eta_grid"]],
-        tol=float(p["picard_tol"]),
-        max_iter=int(p["max_iter"]),
-        seed=cfg.rng_seed,
-    )
-    best = min(
-        (e.certificate.residual for e in report.entries if e.certificate.converged and e.eta > 0),
-        default=float("inf"),
-    )
-    worst_div = max(e.max_divergence for e in report.entries)
-    metrics = {
-        "M_used": report.M_used,
-        "threshold": report.threshold,
-        "monotone": report.monotone,
-        "best_residual": best,
-        "max_divergence": worst_div,
-        "contraction_bound_ok": _contraction_bound_ok(report),
-    }
-    ok = (
-        report.threshold > 0
-        and best <= 1e-8
-        and worst_div <= 1e-10
-        and report.monotone
-        and _contraction_bound_ok(report)
-    )
-    status = "pass" if ok else "fail"
-    series = _existence_series(report)
-    series["eta_sweep"]["columns"].append("max_divergence")
-    for row, e in zip(series["eta_sweep"]["rows"], report.entries):
-        row.append(e.max_divergence)
-    return status, metrics, series, {}
+    return _run_existence(cfg, prob)
 
 
 def _unique_series(report: problems.UniquenessReport) -> dict[str, dict[str, Any]]:
@@ -894,7 +876,7 @@ def _unique_series(report: problems.UniquenessReport) -> dict[str, dict[str, Any
     }
 
 
-def _run_unique(cfg: ExperimentConfig, make_prob) -> tuple[str, dict, dict, dict]:
+def _run_unique(cfg: ExperimentConfig, make_prob) -> tuple[str, dict, dict]:
     p = cfg.params
     tol = float(p["picard_tol"])
     prob, smoothing_q = make_prob()
@@ -905,7 +887,6 @@ def _run_unique(cfg: ExperimentConfig, make_prob) -> tuple[str, dict, dict, dict
         return (
             "inconclusive",
             {"route_a_converged": cert_u.converged, "route_b_converged": cert_v.converged},
-            {},
             {},
         )
     report = problems.uniqueness_bootstrap(
@@ -935,10 +916,10 @@ def _run_unique(cfg: ExperimentConfig, make_prob) -> tuple[str, dict, dict, dict
         and smoothing.max_spread <= 3.0
     )
     status = "pass" if ok else ("inconclusive" if report.status == "inconclusive" else "fail")
-    return status, metrics, _unique_series(report), {}
+    return status, metrics, _unique_series(report)
 
 
-def _run_nlhe_unique(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_nlhe_unique(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     p = cfg.params
     grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
 
@@ -960,7 +941,7 @@ def _run_nlhe_unique(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
     return _run_unique(cfg, make)
 
 
-def _run_ns_unique(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_ns_unique(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     p = cfg.params
     grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
 
@@ -978,7 +959,7 @@ def _run_ns_unique(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
     return _run_unique(cfg, make)
 
 
-def _run_lipschitz(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_lipschitz(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     p = cfg.params
     rows = []
     worst = -math.inf
@@ -991,10 +972,10 @@ def _run_lipschitz(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
     metrics = {"max_violation": worst}
     status = "pass" if worst <= 0.0 else "fail"
     series = {"violations": {"columns": ["nu", "max_violation"], "rows": rows}}
-    return status, metrics, series, {}
+    return status, metrics, series
 
 
-def _run_smoothing(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
+def _run_smoothing(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     p = cfg.params
     grid = cfg.make_grid()
     r_values = problems.default_smoothing_radii(grid, int(p["octaves"]))
@@ -1012,10 +993,10 @@ def _run_smoothing(cfg: ExperimentConfig) -> tuple[str, dict, dict, dict]:
         for r, value in zip(report.r_values, row):
             rows.append([i, r, value])
     series = {"ratios": {"columns": ["field", "r", "ratio"], "rows": rows}}
-    return status, metrics, series, {}
+    return status, metrics, series
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig], tuple[str, dict, dict, dict]]] = {
+_RUNNERS: dict[str, Callable[[ExperimentConfig], tuple[str, dict, dict]]] = {
     "maxreg": _run_maxreg,
     "weighted-maxreg": _run_weighted_maxreg,
     "desimon": _run_desimon,
@@ -1037,7 +1018,7 @@ def run_experiment(config: ExperimentConfig | str | Path | dict) -> ResultRecord
     cfg = config if isinstance(config, ExperimentConfig) else load_config(config)
     runner = _RUNNERS[cfg.experiment]
     start = time.perf_counter()
-    status, metrics, series, reports = runner(cfg)
+    status, metrics, series = runner(cfg)
     elapsed = time.perf_counter() - start
     return ResultRecord(
         experiment=cfg.experiment,
@@ -1045,6 +1026,5 @@ def run_experiment(config: ExperimentConfig | str | Path | dict) -> ResultRecord
         config=cfg.to_dict(),
         metrics=metrics,
         series=series,
-        reports=reports,
         wall_time_s=elapsed,
     )

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate, special
 
-from .spectral import SpectralField, TorusGrid
+from .spectral import SpectralField, TorusGrid, _CoefficientArithmetic, _physical_values
 
 __all__ = [
     "TimeGrid",
@@ -127,7 +127,7 @@ def log_time_grid(
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_CoefficientArithmetic):
     """Time-indexed stack of spectral fields on a shared grid.
 
     ``coefficients`` has shape ``(num_nodes, m) + grid.shape``.  The
@@ -184,22 +184,6 @@ class Trajectory:
             or not self.time_grid.same_nodes(other.time_grid)
         ):
             raise ValueError("trajectories live on different grids")
-
-    def __add__(self, other: "Trajectory") -> "Trajectory":
-        self._check_compatible(other)
-        return Trajectory(self.time_grid, self.grid, self.coefficients + other.coefficients)
-
-    def __sub__(self, other: "Trajectory") -> "Trajectory":
-        self._check_compatible(other)
-        return Trajectory(self.time_grid, self.grid, self.coefficients - other.coefficients)
-
-    def __mul__(self, scalar: complex) -> "Trajectory":
-        return Trajectory(self.time_grid, self.grid, self.coefficients * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Trajectory":
-        return Trajectory(self.time_grid, self.grid, -self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -265,26 +249,25 @@ def ns_scaling_law() -> ScalingLaw:
 # -- discrete norms ----------------------------------------------------
 
 
+def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
+    """``L^q`` norms of the Euclidean magnitude of ``(..., m) + grid.shape`` samples."""
+    n = grid.dimension
+    mag = np.sqrt(np.sum(np.abs(values) ** 2, axis=-(n + 1)))
+    flat = mag.reshape(mag.shape[:-n] + (-1,))
+    if math.isinf(q):
+        return np.max(flat, axis=-1)
+    return (np.sum(flat**q, axis=-1) * grid.cell_volume) ** (1.0 / q)
+
+
 def spatial_lq_norm(field: SpectralField, q: float) -> float:
     """``L^q`` norm of the pointwise Euclidean magnitude, by grid quadrature."""
     if q < 1:
         raise ValueError("spatial exponent q must be at least 1")
-    values = field.to_physical()
-    mag = np.sqrt(np.sum(np.abs(values) ** 2, axis=0))
-    if math.isinf(q):
-        return float(np.max(mag))
-    return float((np.sum(mag**q) * field.grid.cell_volume) ** (1.0 / q))
+    return float(_lq_magnitude(field.to_physical(), field.grid, q))
 
 
 def _node_spatial_norms(traj: Trajectory, q: float) -> np.ndarray:
-    n = traj.grid.dimension
-    values = np.fft.ifftn(traj.coefficients, axes=tuple(range(2, n + 2)))
-    values *= traj.grid.points_per_axis**n
-    mag = np.sqrt(np.sum(np.abs(values) ** 2, axis=1))
-    flat = mag.reshape(traj.time_grid.num_nodes, -1)
-    if math.isinf(q):
-        return np.max(flat, axis=1)
-    return (np.sum(flat**q, axis=1) * traj.grid.cell_volume) ** (1.0 / q)
+    return _lq_magnitude(_physical_values(traj.coefficients, traj.grid), traj.grid, q)
 
 
 def bochner_mixed_norm(traj: Trajectory, params: MixedNormParams) -> float:

@@ -27,10 +27,13 @@ from .norms import (
     ScalingLaw,
     TimeGrid,
     Trajectory,
+    _trapezoid_weights,
     besov_heat_norm,
     bochner_mixed_norm,
     continuum_mixed_norm,
     heat_extension,
+    nlhe_scaling_law,
+    ns_scaling_law,
     scaling_transform,
     spatial_lq_norm,
 )
@@ -43,8 +46,12 @@ from .picard import (
 from .spectral import (
     SpectralField,
     TorusGrid,
+    divergence,
     heat_semigroup_apply,
+    helmholtz_project,
     laplacian_multiplier,
+    pointwise_power_nonlinearity,
+    tensor_divergence,
 )
 
 __all__ = [
@@ -137,7 +144,7 @@ class NsProblem:
             raise ValueError("momentum problem needs dimension at least 2")
         if self.u0.components != grid.dimension:
             raise ValueError("initial field must have one component per dimension")
-        div = _divergence_coefficients(self.u0.coefficients[np.newaxis], grid)
+        div = divergence(self.u0).coefficients
         div_norm = float(np.sqrt(grid.volume * np.sum(np.abs(div) ** 2)))
         scale = max(1.0, float(np.sqrt(grid.volume * np.sum(np.abs(self.u0.coefficients) ** 2))))
         if div_norm > 1e-10 * scale:
@@ -161,78 +168,24 @@ class NsProblem:
         return 1.0
 
 
-def nlhe_law(nu: float) -> ScalingLaw:
-    return ScalingLaw(alpha=2.0, beta=0.0, gamma=nu)
-
-
-def ns_law() -> ScalingLaw:
-    return ScalingLaw(alpha=2.0, beta=1.0, gamma=2.0)
+nlhe_law = nlhe_scaling_law
+ns_law = ns_scaling_law
 
 
 # -- right-hand-side maps ----------------------------------------------
-
-
-def _batch_power(
-    coeffs: np.ndarray, grid: TorusGrid, nu: float, variant: str
-) -> np.ndarray:
-    """Dealiased pointwise power applied to every node of a scalar stack."""
-    n = grid.dimension
-    axes = tuple(range(2, n + 2))
-    mask = grid.dealias_mask[np.newaxis, np.newaxis]
-    values = np.fft.ifftn(coeffs * mask, axes=axes) * grid.points_per_axis**n
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if float(np.max(np.abs(values.imag))) > 1e-10 * scale:
-        raise ValueError("field is not real: conjugate symmetry is broken")
-    real = values.real
-    if variant == "signed":
-        w = np.abs(real) ** (nu - 1.0) * real
-    else:
-        w = np.abs(real) ** nu
-    out = np.fft.fftn(w, axes=axes) / grid.points_per_axis**n
-    return out * mask
-
-
-def _divergence_coefficients(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """``i sum_j xi_j c_j`` for a stacked (nodes, n, ...) coefficient array."""
-    return 1j * np.einsum("j...,tj...->t...", grid.xi, coeffs)
-
-
-def _tensor_divergence_batch(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Nodewise ``div(u (x) u)`` for a stacked vector coefficient array."""
-    n = grid.dimension
-    axes = tuple(range(2, n + 2))
-    mask = grid.dealias_mask
-    values = np.fft.ifftn(coeffs * mask[np.newaxis, np.newaxis], axes=axes)
-    values *= grid.points_per_axis**n
-    out = np.empty_like(coeffs)
-    for j in range(n):
-        prod = values * values[:, j][:, np.newaxis]
-        pc = np.fft.fftn(prod, axes=axes) / grid.points_per_axis**n
-        pc *= mask[np.newaxis, np.newaxis]
-        out[:, j] = 1j * np.einsum("i...,ti...->t...", grid.xi, pc)
-    return out
-
-
-def _leray_batch(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    inv = np.zeros_like(grid.xi_sq)
-    nz = grid.xi_sq > 0
-    inv[nz] = 1.0 / grid.xi_sq[nz]
-    xi_dot = np.einsum("i...,ti...->t...", grid.xi, coeffs)
-    return coeffs - grid.xi[np.newaxis] * (xi_dot * inv)[:, np.newaxis]
 
 
 def nlhe_rhs_map(u: Trajectory, prob: NlheProblem) -> Trajectory:
     """Duhamel term ``F(u)(t) = int_0^t e^{(t-s) Lap} |u|**(nu-1) u (s) ds``."""
     if u.components != 1:
         raise ValueError("nlhe trajectory must be scalar")
-    w = _batch_power(u.coefficients, u.grid, prob.nu, prob.variant)
-    forcing = Trajectory(u.time_grid, u.grid, w)
+    forcing = pointwise_power_nonlinearity(u, prob.nu, prob.variant)
     return solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing), u.time_grid)
 
 
 def max_node_divergence(u: Trajectory) -> float:
     """Largest nodewise ``L^2`` norm of the divergence along a trajectory."""
-    div = _divergence_coefficients(u.coefficients, u.grid)
+    div = divergence(u).coefficients
     per_node = np.sqrt(u.grid.volume * np.sum(np.abs(div) ** 2, axis=tuple(range(1, div.ndim))))
     return float(np.max(per_node))
 
@@ -248,10 +201,16 @@ def ns_rhs_map(u: Trajectory, prob: NsProblem) -> Trajectory:
     amp = float(np.max(np.sqrt(u.grid.volume * np.sum(np.abs(u.coefficients) ** 2, axis=tuple(range(1, u.coefficients.ndim))))))
     if max_node_divergence(u) > 1e-8 * max(1.0, amp):
         raise ValueError("input trajectory is not divergence-free")
-    g = _leray_batch(_tensor_divergence_batch(u.coefficients, u.grid), u.grid)
-    forcing = Trajectory(u.time_grid, u.grid, g)
+    forcing = helmholtz_project(tensor_divergence(u, u))
     sol = solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing), u.time_grid)
     return -sol
+
+
+def _rhs_map(prob: NlheProblem | NsProblem) -> Callable[[Trajectory], Trajectory]:
+    """The problem's Duhamel map ``u -> F(u)``."""
+    if isinstance(prob, NlheProblem):
+        return lambda traj: nlhe_rhs_map(traj, prob)
+    return lambda traj: ns_rhs_map(traj, prob)
 
 
 # -- criticality and rescaling -----------------------------------------
@@ -472,7 +431,7 @@ def random_mean_free_field(
     coeff[(slice(None),) + (0,) * grid.dimension] = 0.0
     out = SpectralField(grid, coeff)
     if divergence_free:
-        out = SpectralField(grid, _leray_batch(out.coefficients[np.newaxis], grid)[0])
+        out = helmholtz_project(out)
     return out
 
 
@@ -538,17 +497,20 @@ class ExistenceReport:
 
 
 def _sample_trajectory_pairs(
-    grid: TorusGrid,
-    time_grid: TimeGrid,
+    prob: NlheProblem | NsProblem,
     norm: Callable[[Trajectory], float],
     *,
-    components: int = 1,
-    divergence_free: bool = False,
     seed: int = 0,
     count: int = 4,
     amplitude: float = 1.0,
 ) -> list[tuple[Trajectory, Trajectory]]:
-    """Pairs of random heat-flow trajectories at a 10x range of amplitudes."""
+    """Pairs of random heat-flow trajectories at a 10x range of amplitudes.
+
+    The trajectories have the problem's component count and, for the
+    incompressible problem, are divergence-free.
+    """
+    grid = prob.u0.grid
+    vector = isinstance(prob, NsProblem)
     pairs = []
     scales = np.geomspace(0.1, 1.0, count) * amplitude
     for i, scale in enumerate(scales):
@@ -558,11 +520,11 @@ def _sample_trajectory_pairs(
                 grid,
                 seed=seed,
                 stream=100 + 2 * i + j,
-                components=components,
+                components=grid.dimension if vector else 1,
                 band_limit=max(2, grid.points_per_axis // 8),
-                divergence_free=divergence_free,
+                divergence_free=vector,
             )
-            traj = heat_extension(f, time_grid)
+            traj = heat_extension(f, prob.time_grid)
             size = norm(traj)
             fields.append(traj * (scale / size))
         pairs.append((fields[0], fields[1]))
@@ -574,27 +536,14 @@ def measured_lipschitz_M(
 ) -> float:
     """Contraction constant of the problem's Duhamel map from sampled pairs."""
     norm = lambda traj: bochner_mixed_norm(traj, prob.params)
-    if isinstance(prob, NlheProblem):
-        rhs = lambda traj: nlhe_rhs_map(traj, prob)
-        components, div_free = 1, False
-    else:
-        rhs = lambda traj: ns_rhs_map(traj, prob)
-        components, div_free = prob.dimension, True
-    pairs = _sample_trajectory_pairs(
-        prob.u0.grid,
-        prob.time_grid,
-        norm,
-        components=components,
-        divergence_free=div_free,
-        seed=seed,
-    )
+    pairs = _sample_trajectory_pairs(prob, norm, seed=seed)
     return estimate_lipschitz_M(
-        rhs, norm, prob.epsilon, pairs, safety_factor=safety_factor
+        _rhs_map(prob), norm, prob.epsilon, pairs, safety_factor=safety_factor
     )
 
 
-def nlhe_existence_experiment(
-    prob: NlheProblem,
+def _existence_sweep(
+    prob: NlheProblem | NsProblem,
     eta_grid: Sequence[float],
     *,
     tol: float = 1e-9,
@@ -602,60 +551,23 @@ def nlhe_existence_experiment(
     seed: int = 0,
     safety_factor: float = 1.5,
 ) -> ExistenceReport:
-    """Small-data sweep for the nonlinear heat problem.
+    """Small-data sweep for the nonlinear heat or the incompressible problem.
 
     The initial field is rescaled so its heat-extension norm equals each
     ``eta``; the Picard gate uses an empirical contraction constant
     measured once on sampled trajectory pairs (the ratio is invariant
     under amplitude rescaling for the homogeneous power nonlinearity).
+    For the incompressible problem the worst nodewise divergence over all
+    Picard iterates of each run is tracked alongside the certificate.
     """
     base_size = besov_heat_norm(prob.u0, prob.params)
     if base_size == 0.0:
         raise ValueError("initial field must be nonzero")
     u0_hat = prob.u0 * (1.0 / base_size)
     norm = lambda traj: bochner_mixed_norm(traj, prob.params)
-    rhs = lambda traj: nlhe_rhs_map(traj, prob)
+    rhs = _rhs_map(prob)
     M = measured_lipschitz_M(prob, seed=seed, safety_factor=safety_factor)
-    entries = []
-    for eta in sorted(float(e) for e in eta_grid):
-        if eta < 0:
-            raise ValueError("data sizes must be nonnegative")
-        a = heat_extension(u0_hat * eta, prob.time_grid)
-        fp = FixedPointProblem(base=a, map_F=rhs, norm=norm, epsilon=prob.epsilon)
-        _, cert = run_picard(fp, max_iter, tol, lipschitz_M=M)
-        entries.append(
-            ExistenceEntry(
-                eta=eta,
-                a_norm=norm(a),
-                delta=cert.delta,
-                smallness_ok=cert.smallness_ok,
-                certificate=cert,
-            )
-        )
-    return ExistenceReport(epsilon=prob.epsilon, M_used=M, entries=tuple(entries))
-
-
-def ns_existence_experiment(
-    prob: NsProblem,
-    eta_grid: Sequence[float],
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 60,
-    seed: int = 0,
-    safety_factor: float = 1.5,
-) -> ExistenceReport:
-    """Small-data sweep for the incompressible problem.
-
-    Tracks the worst nodewise divergence over all Picard iterates of each
-    run alongside the usual certificate.
-    """
-    base_size = besov_heat_norm(prob.u0, prob.params)
-    if base_size == 0.0:
-        raise ValueError("initial field must be nonzero")
-    u0_hat = prob.u0 * (1.0 / base_size)
-    norm = lambda traj: bochner_mixed_norm(traj, prob.params)
-    rhs = lambda traj: ns_rhs_map(traj, prob)
-    M = measured_lipschitz_M(prob, seed=seed, safety_factor=safety_factor)
+    track_divergence = isinstance(prob, NsProblem)
     entries = []
     for eta in sorted(float(e) for e in eta_grid):
         if eta < 0:
@@ -668,7 +580,11 @@ def ns_existence_experiment(
             worst_div[0] = max(worst_div[0], max_node_divergence(traj))
 
         _, cert = run_picard(
-            fp, max_iter, tol, lipschitz_M=M, iterate_callback=track
+            fp,
+            max_iter,
+            tol,
+            lipschitz_M=M,
+            iterate_callback=track if track_divergence else None,
         )
         entries.append(
             ExistenceEntry(
@@ -677,10 +593,14 @@ def ns_existence_experiment(
                 delta=cert.delta,
                 smallness_ok=cert.smallness_ok,
                 certificate=cert,
-                max_divergence=worst_div[0],
+                max_divergence=worst_div[0] if track_divergence else None,
             )
         )
     return ExistenceReport(epsilon=prob.epsilon, M_used=M, entries=tuple(entries))
+
+
+nlhe_existence_experiment = _existence_sweep
+ns_existence_experiment = _existence_sweep
 
 
 # -- uniqueness bootstrap ----------------------------------------------
@@ -705,13 +625,9 @@ def two_route_solutions(
     """
     if lipschitz_M is None:
         lipschitz_M = measured_lipschitz_M(prob, seed=seed)
-    if isinstance(prob, NlheProblem):
-        rhs = lambda traj: nlhe_rhs_map(traj, prob)
-    else:
-        rhs = lambda traj: ns_rhs_map(traj, prob)
     norm = lambda traj: bochner_mixed_norm(traj, prob.params)
     a = heat_extension(prob.u0, prob.time_grid)
-    fp = FixedPointProblem(base=a, map_F=rhs, norm=norm, epsilon=prob.epsilon)
+    fp = FixedPointProblem(base=a, map_F=_rhs_map(prob), norm=norm, epsilon=prob.epsilon)
     u, cert_u = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M)
     v, cert_v = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M, start=a * 1.001)
     return u, v, cert_u, cert_v
@@ -794,11 +710,7 @@ def _segment_lp_norm(
     g = np.array(
         [spatial_lq_norm(u.state(i) - v.state(i), q) for i in range(i0, i1 + 1)]
     )
-    w = np.empty_like(nodes)
-    w[1:-1] = (nodes[2:] - nodes[:-2]) / 2.0
-    w[0] = (nodes[1] - nodes[0]) / 2.0
-    w[-1] = (nodes[-1] - nodes[-2]) / 2.0
-    return float(np.sum(w * g**p) ** (1.0 / p))
+    return float(np.sum(_trapezoid_weights(nodes) * g**p) ** (1.0 / p))
 
 
 def _mollify_by_cutoff(
@@ -826,7 +738,6 @@ def _mollify_by_cutoff(
 
 def _measure_bootstrap_constant(
     prob: NlheProblem | NsProblem,
-    rhs: Callable[[Trajectory], Trajectory],
     p: float,
     q: float,
     *,
@@ -843,15 +754,9 @@ def _measure_bootstrap_constant(
     nu = prob.nu
     params = MixedNormParams(p=p, q=q)
     norm = lambda traj: bochner_mixed_norm(traj, params)
-    vec = isinstance(prob, NsProblem)
+    rhs = _rhs_map(prob)
     pairs = _sample_trajectory_pairs(
-        grid,
-        prob.time_grid,
-        norm,
-        components=n if vec else 1,
-        divergence_free=vec,
-        seed=seed,
-        amplitude=max(spatial_lq_norm(prob.u0, q), 1e-3),
+        prob, norm, seed=seed, amplitude=max(spatial_lq_norm(prob.u0, q), 1e-3)
     )
     last = prob.time_grid.num_nodes - 1
     c1 = 0.0
@@ -903,12 +808,7 @@ def uniqueness_bootstrap(
     q = prob.params.q
     nu = prob.nu
     n = prob.dimension
-    if isinstance(prob, NlheProblem):
-        rhs = lambda traj: nlhe_rhs_map(traj, prob)
-        q_endpoint = n * (nu - 1.0) / 2.0
-    else:
-        rhs = lambda traj: ns_rhs_map(traj, prob)
-        q_endpoint = float(n)
+    q_endpoint = n * (nu - 1.0) / 2.0 if isinstance(prob, NlheProblem) else float(n)
     dim_ok = math.isclose(q, q_endpoint, rel_tol=1e-12)
     u0_gap = spatial_lq_norm(u.state(0) - v.state(0), q)
     scale = max(1.0, spatial_lq_norm(u.state(0), q))
@@ -925,7 +825,7 @@ def uniqueness_bootstrap(
             dimension_restriction_met=dim_ok,
         )
     if C is None:
-        C = _measure_bootstrap_constant(prob, rhs, p, q, seed=seed)
+        C = _measure_bootstrap_constant(prob, p, q, seed=seed)
     aux_q = n / (nu - 1.0)
     nodes = u.time_grid.nodes
     last = len(nodes) - 1

@@ -9,16 +9,21 @@ physical sample array ``u`` and its coefficients are related by
 coefficient and Parseval reads ``||u||_L2 = L**(n/2) * ||c||_2``.
 
 Products (tensor divergence, pointwise powers) are formed in physical
-space with two-thirds dealiasing applied before and after.
+space with two-thirds dealiasing applied before and after.  The Leray
+projection, divergence, tensor divergence and pointwise power take a
+single field or a ``norms.Trajectory`` and act on every time node at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .norms import Trajectory
 
 __all__ = [
     "TorusGrid",
@@ -43,6 +48,10 @@ __all__ = [
 
 #: Relative tolerance used when a nominally-real physical field is checked.
 _REALITY_TOL = 1e-10
+
+#: A single field or a time-node stack; the operators that accept either
+#: work over coefficient arrays shaped ``(..., m) + grid.shape``.
+_FieldOrStack = TypeVar("_FieldOrStack", "SpectralField", "Trajectory")
 
 
 @dataclass(frozen=True)
@@ -126,8 +135,68 @@ class TorusGrid:
         return np.stack(np.meshgrid(*([x1] * self.dimension), indexing="ij"))
 
 
+def _physical_values(
+    coefficients: np.ndarray, grid: TorusGrid, *, require_real: bool = False
+) -> np.ndarray:
+    """Physical samples of coefficients shaped ``(..., m) + grid.shape``.
+
+    With ``require_real`` the imaginary part of the whole array must be
+    negligible (conjugate symmetry), otherwise a ``ValueError`` is raised.
+    """
+    values = np.fft.ifftn(coefficients, axes=tuple(range(-grid.dimension, 0)))
+    values *= grid.points_per_axis**grid.dimension
+    if require_real:
+        scale = max(1.0, float(np.max(np.abs(values))))
+        if np.max(np.abs(values.imag)) > _REALITY_TOL * scale:
+            raise ValueError("field is not real: conjugate symmetry is broken")
+        return values.real
+    return values
+
+
+def _fourier_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Inverse of :func:`_physical_values` on samples shaped ``(..., m) + grid.shape``."""
+    coeff = np.fft.fftn(values, axes=tuple(range(-grid.dimension, 0)))
+    coeff /= grid.points_per_axis**grid.dimension
+    return coeff
+
+
+def _xi_dot(grid: TorusGrid, coefficients: np.ndarray) -> np.ndarray:
+    """``sum_j xi_j c_j`` over the component axis of ``(..., n) + grid.shape``."""
+    space = list(range(1, grid.dimension + 1))
+    return np.einsum(grid.xi, [0, *space], coefficients, [..., 0, *space], [..., *space])
+
+
+def _with_component_axis(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """``values`` shaped ``(...,) + grid.shape`` with a unit component axis."""
+    return np.expand_dims(values, -(grid.dimension + 1))
+
+
+class _CoefficientArithmetic:
+    """Linear structure of a dataclass holding a ``coefficients`` array.
+
+    Shared by :class:`SpectralField` and ``norms.Trajectory``; each defines
+    ``_check_compatible`` for its own notion of a matching operand.
+    """
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return replace(self, coefficients=self.coefficients + other.coefficients)
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        return replace(self, coefficients=self.coefficients - other.coefficients)
+
+    def __mul__(self, scalar: complex):
+        return replace(self, coefficients=self.coefficients * scalar)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return replace(self, coefficients=-self.coefficients)
+
+
 @dataclass(frozen=True, eq=False)
-class SpectralField:
+class SpectralField(_CoefficientArithmetic):
     """Fourier-side representation of an ``m``-component field.
 
     ``coefficients`` has shape ``(m,) + grid.shape`` and is complex.  Real
@@ -155,10 +224,6 @@ class SpectralField:
     def components(self) -> int:
         return self.coefficients.shape[0]
 
-    @property
-    def spatial_axes(self) -> tuple[int, ...]:
-        return tuple(range(1, self.grid.dimension + 1))
-
     def is_mean_free(self, tol: float = 1e-12) -> bool:
         zero_mode = self.coefficients[(slice(None),) + (0,) * self.grid.dimension]
         scale = max(1.0, float(np.max(np.abs(self.coefficients))))
@@ -176,9 +241,7 @@ class SpectralField:
             raise ValueError(
                 f"sample shape {values.shape} incompatible with grid shape {grid.shape}"
             )
-        coeff = np.fft.fftn(values, axes=tuple(range(1, grid.dimension + 1)))
-        coeff /= grid.points_per_axis**grid.dimension
-        return cls(grid, coeff)
+        return cls(grid, _fourier_coefficients(values, grid))
 
     @classmethod
     def zeros(cls, grid: TorusGrid, components: int = 1) -> "SpectralField":
@@ -190,37 +253,13 @@ class SpectralField:
         With ``require_real`` the imaginary part must be negligible
         (conjugate symmetry), otherwise a ``ValueError`` is raised.
         """
-        n = self.grid.dimension
-        values = np.fft.ifftn(self.coefficients, axes=self.spatial_axes)
-        values *= self.grid.points_per_axis**n
-        if require_real:
-            scale = max(1.0, float(np.max(np.abs(values))))
-            if np.max(np.abs(values.imag)) > _REALITY_TOL * scale:
-                raise ValueError("field is not real: conjugate symmetry is broken")
-            return values.real
-        return values
+        return _physical_values(self.coefficients, self.grid, require_real=require_real)
 
     # -- linear structure ----------------------------------------------
 
     def _check_compatible(self, other: "SpectralField") -> None:
         if self.grid != other.grid or self.components != other.components:
             raise ValueError("fields live on different grids or component counts")
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_compatible(other)
-        return SpectralField(self.grid, self.coefficients + other.coefficients)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_compatible(other)
-        return SpectralField(self.grid, self.coefficients - other.coefficients)
-
-    def __mul__(self, scalar: complex) -> "SpectralField":
-        return SpectralField(self.grid, self.coefficients * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -337,7 +376,7 @@ def fractional_laplacian_apply(field: SpectralField, s: float) -> SpectralField:
     return SpectralField(field.grid, field.coefficients * sym[np.newaxis])
 
 
-def helmholtz_project(field: SpectralField) -> SpectralField:
+def helmholtz_project(field: _FieldOrStack) -> _FieldOrStack:
     """Leray projection onto divergence-free fields.
 
     Modewise ``P = I - xi xi^T / |xi|**2``; the zero mode (spatial mean)
@@ -348,13 +387,12 @@ def helmholtz_project(field: SpectralField) -> SpectralField:
         raise ValueError(
             f"projection needs {grid.dimension} components, field has {field.components}"
         )
-    xi = grid.xi
     inv = np.zeros_like(grid.xi_sq)
     nonzero = grid.xi_sq > 0
     inv[nonzero] = 1.0 / grid.xi_sq[nonzero]
-    xi_dot_u = np.einsum("i...,i...->...", xi, field.coefficients)
-    out = field.coefficients - xi * (xi_dot_u * inv)[np.newaxis]
-    return SpectralField(grid, out)
+    xi_dot_u = _xi_dot(grid, field.coefficients)
+    out = field.coefficients - grid.xi * _with_component_axis(xi_dot_u * inv, grid)
+    return replace(field, coefficients=out)
 
 
 def gradient(field: SpectralField) -> SpectralField:
@@ -365,12 +403,12 @@ def gradient(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, out)
 
 
-def divergence(field: SpectralField) -> SpectralField:
+def divergence(field: _FieldOrStack) -> _FieldOrStack:
     """Divergence of a vector field: ``i * sum_j xi_j c_j``."""
     if field.components != field.grid.dimension:
         raise ValueError("divergence expects one component per dimension")
-    out = 1j * np.einsum("i...,i...->...", field.grid.xi, field.coefficients)
-    return SpectralField(field.grid, out[np.newaxis])
+    out = 1j * _xi_dot(field.grid, field.coefficients)
+    return replace(field, coefficients=_with_component_axis(out, field.grid))
 
 
 def dealias(field: SpectralField) -> SpectralField:
@@ -379,11 +417,12 @@ def dealias(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, field.coefficients * mask[np.newaxis])
 
 
-def tensor_divergence(u: SpectralField, v: SpectralField) -> SpectralField:
+def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
     """``div(u (x) v)``, the vector with components ``sum_i d_i (u_i v_j)``.
 
     The tensor product is formed in physical space with dealiasing before
-    and after, then differentiated spectrally.
+    and after, then differentiated spectrally.  ``v`` is transformed only
+    when it is not ``u`` itself.
     """
     u._check_compatible(v)
     grid = u.grid
@@ -391,22 +430,21 @@ def tensor_divergence(u: SpectralField, v: SpectralField) -> SpectralField:
     if u.components != n:
         raise ValueError("tensor divergence expects one component per dimension")
     mask = grid.dealias_mask
-    u_phys = SpectralField(grid, u.coefficients * mask[np.newaxis]).to_physical()
-    v_phys = SpectralField(grid, v.coefficients * mask[np.newaxis]).to_physical()
+    u_phys = _physical_values(u.coefficients * mask, grid)
+    v_phys = u_phys if v is u else _physical_values(v.coefficients * mask, grid)
     # m_ij = u_i v_j, transformed and dealiased rowwise
-    out = np.zeros((n,) + grid.shape, dtype=np.complex128)
+    out = np.empty_like(u.coefficients)
     for j in range(n):
-        prod = u_phys * v_phys[j][np.newaxis]
-        coeff = np.fft.fftn(prod, axes=tuple(range(1, n + 1)))
-        coeff /= grid.points_per_axis**n
-        coeff *= mask[np.newaxis]
-        out[j] = 1j * np.einsum("i...,i...->...", grid.xi, coeff)
-    return SpectralField(grid, out)
+        row = (Ellipsis, j) + (slice(None),) * n
+        coeff = _fourier_coefficients(u_phys * _with_component_axis(v_phys[row], grid), grid)
+        coeff *= mask
+        out[row] = 1j * _xi_dot(grid, coeff)
+    return replace(u, coefficients=out)
 
 
 def pointwise_power_nonlinearity(
-    u: SpectralField, nu: float, variant: str = "signed"
-) -> SpectralField:
+    u: _FieldOrStack, nu: float, variant: str = "signed"
+) -> _FieldOrStack:
     """Dealiased pointwise power of a real scalar field.
 
     ``signed`` produces ``|u|**(nu-1) * u`` and ``unsigned`` produces
@@ -421,12 +459,9 @@ def pointwise_power_nonlinearity(
         raise ValueError(f"unknown variant {variant!r}; use 'signed' or 'unsigned'")
     grid = u.grid
     mask = grid.dealias_mask
-    values = SpectralField(grid, u.coefficients * mask[np.newaxis]).to_physical(
-        require_real=True
-    )
+    values = _physical_values(u.coefficients * mask, grid, require_real=True)
     if variant == "signed":
         w = np.abs(values) ** (nu - 1.0) * values
     else:
         w = np.abs(values) ** nu
-    out = SpectralField.from_physical(grid, w)
-    return SpectralField(grid, out.coefficients * mask[np.newaxis])
+    return replace(u, coefficients=_fourier_coefficients(w, grid) * mask)

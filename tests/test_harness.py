@@ -123,6 +123,12 @@ class TestConfigLoading:
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
 
+    def test_desimon_rejects_exponent_keys(self):
+        """The De Simon route is fixed to L^2(L^2); p and q are not settable."""
+        for key in ("p", "q"):
+            with pytest.raises(ConfigError, match="unknown config key params."):
+                load_config({"experiment": "desimon", "params": {key: 7.0}})
+
     def test_all_experiments_listed(self):
         names = experiment_names()
         assert len(names) == 13
@@ -252,3 +258,18 @@ class TestCli:
     def test_usage_error_folds_to_three(self, capsys):
         assert cli.main([]) == 3
         assert cli.main(["frobnicate"]) == 3
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "rbound", "params": {"kind": "bogus"}},
+            {"experiment": "scaling", "params": {"law": "bogus"}},
+        ],
+    )
+    def test_config_error_during_run_exits_three(self, tmp_path, capsys, config):
+        """A bad value found only by the runner is still a config error."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "config error:" in capsys.readouterr().err
