@@ -13,6 +13,7 @@ from dataclasses import replace
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    check_config,
     experiment_names,
     load_config,
     run_experiment,
@@ -73,10 +74,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "validate":
+            check_config(cfg)
             print(f"ok: {cfg.experiment} config is valid")
             return 0
         cfg = _apply_overrides(cfg, args)
-        # some config errors surface only once the runner reads its params
+        # the domain objects are built here, and a few params are read only
+        # by the runner; either can still find a config error
         record = run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

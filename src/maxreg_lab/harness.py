@@ -5,9 +5,13 @@ An experiment is described by a single JSON config (see
 per-experiment parameter blocks).  Loading fills defaults and rejects
 unknown keys; ``run_experiment`` dispatches to a registered runner and
 returns a :class:`ResultRecord` whose status reflects the experiment's
-own acceptance predicate.  All randomness flows from the config seed
-through named substreams, so a rerun of the same config writes
-byte-identical CSV series regardless of the worker-thread count.
+own acceptance predicate.  A run first builds the experiment's domain
+objects (grids, problems, initial data, forcing ensembles); a value they
+reject is a :class:`ConfigError`, raised by :func:`check_config` as well,
+while an error from the numerics that follow is not.  All randomness
+flows from the config seed through named substreams, so a rerun of the
+same config writes byte-identical CSV series regardless of the
+worker-thread count.  Non-finite metrics are written as JSON ``null``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "ExperimentConfig",
     "ResultRecord",
     "load_config",
+    "check_config",
     "experiment_names",
     "run_experiment",
     "write_results",
@@ -181,6 +186,23 @@ def experiment_names() -> list[str]:
     return sorted(EXPERIMENT_DEFAULTS)
 
 
+def _check_type(default: Any, value: Any, name: str) -> None:
+    """Reject a value whose JSON type differs from that of its default."""
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, (int, float)):
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    else:
+        ok, kind = isinstance(value, list), "a list"
+    if not ok:
+        raise ConfigError(f"config key {name} must be {kind}")
+    if isinstance(default, list) and default:
+        for item in value:
+            _check_type(default[0], item, f"{name} entry")
+
+
 def _merge_checked(defaults: dict, user: dict, path: str) -> dict:
     out = copy.deepcopy(defaults)
     for key, value in user.items():
@@ -191,6 +213,7 @@ def _merge_checked(defaults: dict, user: dict, path: str) -> dict:
                 raise ConfigError(f"config key {path}{key!r} must be a table")
             out[key] = _merge_checked(defaults[key], value, f"{path}{key}.")
         else:
+            _check_type(defaults[key], value, f"{path}{key!r}")
             out[key] = value
     return out
 
@@ -325,6 +348,8 @@ def synthetic_forcing_ensemble(
     band_limit]^n`` and time envelopes are damped sinusoids — so
     regenerating on a refined grid samples the same continuum forcing.
     """
+    if size < 1:
+        raise ValueError("ensemble size must be at least 1")
     members = []
     t = time_grid.nodes
     for member in range(size):
@@ -384,17 +409,32 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _finite_or_null(value: Any) -> Any:
+    """``value`` with every non-finite float, nested or not, replaced by ``None``."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_results(record: ResultRecord, out_dir: str | Path) -> list[Path]:
     """Write the JSON record plus one CSV file per series; returns paths.
 
     CSV content is a pure function of the config, so reruns are
-    byte-identical; the JSON record carries wall time and is not.
+    byte-identical; the JSON record carries wall time and is not.  The
+    record is strict JSON: ``inf`` and ``nan`` are written as ``null``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     record_path = out / f"{record.experiment}_record.json"
-    record_path.write_text(json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(
+        _finite_or_null(record.to_json_dict()), indent=2, sort_keys=True, allow_nan=False
+    )
+    record_path.write_text(text + "\n")
     paths.append(record_path)
     for name, table in record.series.items():
         path = out / f"{record.experiment}_{name}.csv"
@@ -407,28 +447,42 @@ def write_results(record: ResultRecord, out_dir: str | Path) -> list[Path]:
     return paths
 
 
-# -- runners -----------------------------------------------------------
+# -- set-ups and runners -----------------------------------------------
+#
+# A set-up builds an experiment's domain objects from the config; its
+# runner takes the config plus what the set-up returned.  Experiments that
+# need no set-up are not listed in _SET_UPS.
 
 
-def _run_maxreg(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+def _ensemble(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> list[norms.Trajectory]:
+    p = cfg.params
+    return synthetic_forcing_ensemble(
+        grid,
+        tgrid,
+        int(p["ensemble_size"]),
+        band_limit=int(p["band_limit"]),
+        modes_per_member=int(p["modes_per_member"]),
+        seed=cfg.rng_seed,
+    )
+
+
+def _set_up_ensemble(cfg: ExperimentConfig) -> tuple[list[norms.Trajectory]]:
+    return (_ensemble(cfg, cfg.make_grid(), cfg.make_time_grid()),)
+
+
+def _run_maxreg(
+    cfg: ExperimentConfig, ensemble: list[norms.Trajectory]
+) -> tuple[str, dict, dict]:
     p = cfg.params
     params = norms.MixedNormParams(p=float(p["p"]), q=float(p["q"]))
     op = spectral.laplacian_multiplier()
 
-    def measure(grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> maxreg.MaxRegReport:
-        ensemble = synthetic_forcing_ensemble(
-            grid,
-            tgrid,
-            int(p["ensemble_size"]),
-            band_limit=int(p["band_limit"]),
-            modes_per_member=int(p["modes_per_member"]),
-            seed=cfg.rng_seed,
-        )
-        return maxreg.estimate_maxreg_constant(
-            op, params, ensemble, threads=cfg.threads
-        )
+    def measure(members: list[norms.Trajectory]) -> maxreg.MaxRegReport:
+        return maxreg.estimate_maxreg_constant(op, params, members, threads=cfg.threads)
 
-    report = measure(cfg.make_grid(), cfg.make_time_grid())
+    report = measure(ensemble)
     metrics: dict[str, Any] = {
         "C_estimate": report.C_estimate,
         "ensemble_size": report.ensemble_size,
@@ -443,7 +497,7 @@ def _run_maxreg(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
         fine_time = norms.uniform_time_grid(
             float(cfg.time["horizon"]), 2 * int(cfg.time["num_nodes"]) - 1
         )
-        fine = measure(fine_grid, fine_time)
+        fine = measure(_ensemble(cfg, fine_grid, fine_time))
         rel = abs(fine.C_estimate - report.C_estimate) / report.C_estimate
         metrics["C_estimate_refined"] = fine.C_estimate
         metrics["refinement_rel_change"] = rel
@@ -462,29 +516,31 @@ def _run_maxreg(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     return status, metrics, series
 
 
-def _run_weighted_maxreg(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+def _set_up_weighted_maxreg(
+    cfg: ExperimentConfig,
+) -> tuple[list[norms.Trajectory], norms.MixedNormParams, norms.WeightParams]:
     p = cfg.params
     params = norms.MixedNormParams(p=float(p["p"]), q=float(p["q"]))
+    weight = norms.WeightParams(mu=float(p["mu"]))
+    weight.validate_against(params)
+    return (*_set_up_ensemble(cfg), params, weight)
+
+
+def _run_weighted_maxreg(
+    cfg: ExperimentConfig,
+    ensemble: list[norms.Trajectory],
+    params: norms.MixedNormParams,
+    weight: norms.WeightParams,
+) -> tuple[str, dict, dict]:
     op = spectral.laplacian_multiplier()
-    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
-    ensemble = synthetic_forcing_ensemble(
-        grid,
-        tgrid,
-        int(p["ensemble_size"]),
-        band_limit=int(p["band_limit"]),
-        modes_per_member=int(p["modes_per_member"]),
-        seed=cfg.rng_seed,
-    )
-    weighted = maxreg.weighted_maxreg_check(
-        op, params, norms.WeightParams(mu=float(p["mu"])), ensemble, threads=cfg.threads
-    )
+    weighted = maxreg.weighted_maxreg_check(op, params, weight, ensemble, threads=cfg.threads)
     unit_weight = maxreg.weighted_maxreg_check(
         op, params, norms.WeightParams(mu=1.0), ensemble, threads=cfg.threads
     )
     plain = maxreg.estimate_maxreg_constant(op, params, ensemble, threads=cfg.threads)
     mu1_exact = unit_weight.C_estimate == plain.C_estimate
     metrics = {
-        "mu": float(p["mu"]),
+        "mu": weight.mu,
         "C_weighted": weighted.C_estimate,
         "C_mu1": unit_weight.C_estimate,
         "C_unweighted": plain.C_estimate,
@@ -504,21 +560,14 @@ def _run_weighted_maxreg(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     return status, metrics, series
 
 
-def _run_desimon(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+def _run_desimon(
+    cfg: ExperimentConfig, ensemble: list[norms.Trajectory]
+) -> tuple[str, dict, dict]:
     # The L^2(L^2) (Plancherel) case of De Simon's theorem: the multiplier
     # bound, and so the ratio and sup gates below, hold only there.
     p = cfg.params
     params = norms.MixedNormParams(p=2.0, q=2.0)
     op = spectral.laplacian_multiplier()
-    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
-    ensemble = synthetic_forcing_ensemble(
-        grid,
-        tgrid,
-        int(p["ensemble_size"]),
-        band_limit=int(p["band_limit"]),
-        modes_per_member=int(p["modes_per_member"]),
-        seed=cfg.rng_seed,
-    )
     ratios = []
     for f in ensemble:
         au = maxreg.de_simon_multiplier_solve(maxreg.LinearProblem(op, f))
@@ -526,7 +575,7 @@ def _run_desimon(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
             norms.bochner_mixed_norm(au, params) / norms.bochner_mixed_norm(f, params)
         )
     sigma = np.linspace(0.0, float(p["sigma_max"]), int(p["sigma_points"]))
-    sup = maxreg.multiplier_sup_norm(op, sigma, grid)
+    sup = maxreg.multiplier_sup_norm(op, sigma, cfg.make_grid())
     metrics = {
         "ratio_max": max(ratios),
         "multiplier_sup_norm": sup,
@@ -541,14 +590,16 @@ def _run_desimon(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     return status, metrics, series
 
 
-def _run_resolvent(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
-    p = cfg.params
-    grid = cfg.make_grid()
-    op = spectral.laplacian_multiplier()
+def _set_up_resolvent(cfg: ExperimentConfig) -> tuple[spectral.SpectralField]:
     x = problems.random_mean_free_field(
-        grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"])
+        cfg.make_grid(), seed=cfg.rng_seed, band_limit=int(cfg.params["band_limit"])
     )
-    x = x * (1.0 / norms.spatial_lq_norm(x, 2))
+    return (x * (1.0 / norms.spatial_lq_norm(x, 2)),)
+
+
+def _run_resolvent(cfg: ExperimentConfig, x: spectral.SpectralField) -> tuple[str, dict, dict]:
+    p = cfg.params
+    op = spectral.laplacian_multiplier()
     rows = []
     worst_dev = 0.0
     worst_bound = 0.0
@@ -790,21 +841,20 @@ def _run_existence(
     return ("pass" if ok else "fail"), metrics, series
 
 
-def _run_nlhe_exist(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+def _set_up_nlhe_exist(cfg: ExperimentConfig) -> tuple[problems.NlheProblem]:
     p = cfg.params
-    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
     u0 = problems.random_mean_free_field(
-        grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"])
+        cfg.make_grid(), seed=cfg.rng_seed, band_limit=int(p["band_limit"])
     )
     prob = problems.NlheProblem(
         nu=float(p["nu"]),
         params=norms.MixedNormParams(p=float(p["p"]), q=float(p["q"])),
         u0=u0,
-        time_grid=tgrid,
+        time_grid=cfg.make_time_grid(),
         variant=str(p["variant"]),
         critical=bool(p["critical"]),
     )
-    return _run_existence(cfg, prob)
+    return (prob,)
 
 
 def _taylor_green_type_field(
@@ -831,17 +881,16 @@ def _taylor_green_type_field(
     return u0
 
 
-def _run_ns_exist(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+def _set_up_ns_exist(cfg: ExperimentConfig) -> tuple[problems.NsProblem]:
     p = cfg.params
-    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
-    u0 = _taylor_green_type_field(grid, float(p["perturbation"]), cfg.rng_seed)
+    u0 = _taylor_green_type_field(cfg.make_grid(), float(p["perturbation"]), cfg.rng_seed)
     prob = problems.NsProblem(
         params=norms.MixedNormParams(p=float(p["p"]), q=float(p["q"])),
         u0=u0,
-        time_grid=tgrid,
+        time_grid=cfg.make_time_grid(),
         critical=bool(p["critical"]),
     )
-    return _run_existence(cfg, prob)
+    return (prob,)
 
 
 def _unique_series(report: problems.UniquenessReport) -> dict[str, dict[str, Any]]:
@@ -876,10 +925,11 @@ def _unique_series(report: problems.UniquenessReport) -> dict[str, dict[str, Any
     }
 
 
-def _run_unique(cfg: ExperimentConfig, make_prob) -> tuple[str, dict, dict]:
+def _run_unique(
+    cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsProblem
+) -> tuple[str, dict, dict]:
     p = cfg.params
     tol = float(p["picard_tol"])
-    prob, smoothing_q = make_prob()
     u, v, cert_u, cert_v = problems.two_route_solutions(
         prob, tol=tol, max_iter=int(p["max_iter"]), seed=cfg.rng_seed
     )
@@ -895,7 +945,7 @@ def _run_unique(cfg: ExperimentConfig, make_prob) -> tuple[str, dict, dict]:
     grid = prob.u0.grid
     smoothing = problems.smoothing_estimate_check(
         grid,
-        smoothing_q,
+        prob.params.q,
         problems.default_smoothing_radii(grid),
         num_fields=3,
         seed=cfg.rng_seed,
@@ -919,44 +969,36 @@ def _run_unique(cfg: ExperimentConfig, make_prob) -> tuple[str, dict, dict]:
     return status, metrics, _unique_series(report)
 
 
-def _run_nlhe_unique(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+def _scaled_to_eta(cfg: ExperimentConfig, u0: spectral.SpectralField) -> spectral.SpectralField:
+    """``u0`` rescaled to heat-extension data norm ``params.eta``."""
     p = cfg.params
-    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
-
-    def make():
-        u0 = problems.random_mean_free_field(
-            grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"])
-        )
-        size = norms.besov_heat_norm(u0, norms.MixedNormParams(float(p["p"]), float(p["q"])))
-        u0 = u0 * (float(p["eta"]) / size)
-        prob = problems.NlheProblem(
-            nu=float(p["nu"]),
-            params=norms.MixedNormParams(p=float(p["p"]), q=float(p["q"])),
-            u0=u0,
-            time_grid=tgrid,
-            variant=str(p["variant"]),
-        )
-        return prob, float(p["q"])
-
-    return _run_unique(cfg, make)
+    size = norms.besov_heat_norm(u0, norms.MixedNormParams(float(p["p"]), float(p["q"])))
+    return u0 * (float(p["eta"]) / size)
 
 
-def _run_ns_unique(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+def _set_up_nlhe_unique(cfg: ExperimentConfig) -> tuple[problems.NlheProblem]:
     p = cfg.params
-    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
+    u0 = problems.random_mean_free_field(
+        cfg.make_grid(), seed=cfg.rng_seed, band_limit=int(p["band_limit"])
+    )
+    prob = problems.NlheProblem(
+        nu=float(p["nu"]),
+        params=norms.MixedNormParams(p=float(p["p"]), q=float(p["q"])),
+        u0=_scaled_to_eta(cfg, u0),
+        time_grid=cfg.make_time_grid(),
+        variant=str(p["variant"]),
+    )
+    return (prob,)
 
-    def make():
-        u0 = problems.taylor_green_field(grid)
-        size = norms.besov_heat_norm(u0, norms.MixedNormParams(float(p["p"]), float(p["q"])))
-        u0 = u0 * (float(p["eta"]) / size)
-        prob = problems.NsProblem(
-            params=norms.MixedNormParams(p=float(p["p"]), q=float(p["q"])),
-            u0=u0,
-            time_grid=tgrid,
-        )
-        return prob, float(p["q"])
 
-    return _run_unique(cfg, make)
+def _set_up_ns_unique(cfg: ExperimentConfig) -> tuple[problems.NsProblem]:
+    p = cfg.params
+    prob = problems.NsProblem(
+        params=norms.MixedNormParams(p=float(p["p"]), q=float(p["q"])),
+        u0=_scaled_to_eta(cfg, problems.taylor_green_field(cfg.make_grid())),
+        time_grid=cfg.make_time_grid(),
+    )
+    return (prob,)
 
 
 def _run_lipschitz(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
@@ -996,7 +1038,18 @@ def _run_smoothing(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     return status, metrics, series
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig], tuple[str, dict, dict]]] = {
+_SET_UPS: dict[str, Callable[[ExperimentConfig], tuple]] = {
+    "maxreg": _set_up_ensemble,
+    "weighted-maxreg": _set_up_weighted_maxreg,
+    "desimon": _set_up_ensemble,
+    "resolvent": _set_up_resolvent,
+    "nlhe-exist": _set_up_nlhe_exist,
+    "ns-exist": _set_up_ns_exist,
+    "nlhe-unique": _set_up_nlhe_unique,
+    "ns-unique": _set_up_ns_unique,
+}
+
+_RUNNERS: dict[str, Callable[..., tuple[str, dict, dict]]] = {
     "maxreg": _run_maxreg,
     "weighted-maxreg": _run_weighted_maxreg,
     "desimon": _run_desimon,
@@ -1004,21 +1057,45 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig], tuple[str, dict, dict]]] = {
     "hormander": _run_hormander,
     "rbound": _run_rbound,
     "scaling": _run_scaling,
-    "nlhe-exist": _run_nlhe_exist,
-    "ns-exist": _run_ns_exist,
-    "nlhe-unique": _run_nlhe_unique,
-    "ns-unique": _run_ns_unique,
+    "nlhe-exist": _run_existence,
+    "ns-exist": _run_existence,
+    "nlhe-unique": _run_unique,
+    "ns-unique": _run_unique,
     "lipschitz": _run_lipschitz,
     "smoothing": _run_smoothing,
 }
 
 
+def _set_up(cfg: ExperimentConfig) -> tuple:
+    """The experiment's domain objects; a value they reject is a config error."""
+    set_up = _SET_UPS.get(cfg.experiment)
+    if set_up is None:
+        return ()
+    try:
+        return set_up(cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{cfg.experiment} set-up rejected the config: {exc}") from exc
+
+
+def check_config(cfg: ExperimentConfig) -> None:
+    """Build the experiment's domain objects without running it.
+
+    Raises :class:`ConfigError` for a value that :func:`load_config`
+    accepts but a grid, problem, initial field or forcing ensemble rejects.
+    """
+    _set_up(cfg)
+
+
 def run_experiment(config: ExperimentConfig | str | Path | dict) -> ResultRecord:
-    """Run one experiment and collect its structured result."""
+    """Run one experiment and collect its structured result.
+
+    Errors from building the domain objects are raised as
+    :class:`ConfigError`; errors from the run itself propagate unchanged.
+    """
     cfg = config if isinstance(config, ExperimentConfig) else load_config(config)
-    runner = _RUNNERS[cfg.experiment]
     start = time.perf_counter()
-    status, metrics, series = runner(cfg)
+    built = _set_up(cfg)
+    status, metrics, series = _RUNNERS[cfg.experiment](cfg, *built)
     elapsed = time.perf_counter() - start
     return ResultRecord(
         experiment=cfg.experiment,

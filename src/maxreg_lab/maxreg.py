@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
 
 from .norms import (
     MixedNormParams,
@@ -384,10 +385,11 @@ def hormander_check(
 def de_simon_multiplier_solve(prob: LinearProblem, *, pad_factor: int = 4) -> Trajectory:
     """``A u`` through the bounded time-Fourier multiplier ``lam/(i tau + lam)``.
 
-    The forcing samples (uniform grid required) are zero-padded to
-    ``pad_factor`` times their length, transformed in time, multiplied
-    modewise and transformed back.  Independent of the time-stepping
-    route; agreement between the two validates both.
+    The forcing samples (uniform grid required) are zero-padded to at
+    least ``pad_factor`` times their length, rounded up to a length with
+    small prime factors (``scipy.fft.next_fast_len``), transformed in
+    time, multiplied modewise and transformed back.  Independent of the
+    time-stepping route; agreement between the two validates both.
     """
     if not prob.forcing.time_grid.is_uniform:
         raise ValueError("multiplier route requires a uniform time grid")
@@ -400,17 +402,17 @@ def de_simon_multiplier_solve(prob: LinearProblem, *, pad_factor: int = 4) -> Tr
     k1 = f.shape[0]
     if pad_factor < 2:
         raise ValueError("pad_factor must be at least 2")
-    n_pad = pad_factor * k1
+    n_pad = scipy.fft.next_fast_len(pad_factor * k1)
     h = float(prob.forcing.time_grid.nodes[1] - prob.forcing.time_grid.nodes[0])
     padded = np.zeros((n_pad,) + f.shape[1:], dtype=np.complex128)
     padded[:k1] = f
-    spectrum = np.fft.fft(padded, axis=0)
+    spectrum = scipy.fft.fft(padded, axis=0, overwrite_x=True)
     tau = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=h)
     shape = (n_pad,) + (1,) * (f.ndim - 1)
     denom = 1j * tau.reshape(shape) + lam[np.newaxis, np.newaxis]
     with np.errstate(divide="ignore", invalid="ignore"):
-        mult = np.where(lam[np.newaxis, np.newaxis] == 0.0, 0.0, lam / denom)
-    au = np.fft.ifft(spectrum * mult, axis=0)[:k1]
+        spectrum *= np.where(lam[np.newaxis, np.newaxis] == 0.0, 0.0, lam / denom)
+    au = scipy.fft.ifft(spectrum, axis=0, overwrite_x=True)[:k1]
     return Trajectory(prob.forcing.time_grid, prob.forcing.grid, au)
 
 

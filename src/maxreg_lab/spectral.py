@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
+import scipy.fft
 
 if TYPE_CHECKING:
     from .norms import Trajectory
@@ -143,8 +144,7 @@ def _physical_values(
     With ``require_real`` the imaginary part of the whole array must be
     negligible (conjugate symmetry), otherwise a ``ValueError`` is raised.
     """
-    values = np.fft.ifftn(coefficients, axes=tuple(range(-grid.dimension, 0)))
-    values *= grid.points_per_axis**grid.dimension
+    values = scipy.fft.ifftn(coefficients, axes=tuple(range(-grid.dimension, 0)), norm="forward")
     if require_real:
         scale = max(1.0, float(np.max(np.abs(values))))
         if np.max(np.abs(values.imag)) > _REALITY_TOL * scale:
@@ -155,9 +155,7 @@ def _physical_values(
 
 def _fourier_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Inverse of :func:`_physical_values` on samples shaped ``(..., m) + grid.shape``."""
-    coeff = np.fft.fftn(values, axes=tuple(range(-grid.dimension, 0)))
-    coeff /= grid.points_per_axis**grid.dimension
-    return coeff
+    return scipy.fft.fftn(values, axes=tuple(range(-grid.dimension, 0)), norm="forward")
 
 
 def _xi_dot(grid: TorusGrid, coefficients: np.ndarray) -> np.ndarray:
@@ -421,8 +419,10 @@ def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
     """``div(u (x) v)``, the vector with components ``sum_i d_i (u_i v_j)``.
 
     The tensor product is formed in physical space with dealiasing before
-    and after, then differentiated spectrally.  ``v`` is transformed only
-    when it is not ``u`` itself.
+    and after, then differentiated spectrally.  All products ``u_i v_j``
+    are transformed in one stacked call.  When ``v`` is ``u`` itself it is
+    not transformed again, and only the products with ``i <= j`` are
+    formed: ``u_j u_i`` is read from ``u_i u_j``.
     """
     u._check_compatible(v)
     grid = u.grid
@@ -430,15 +430,23 @@ def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
     if u.components != n:
         raise ValueError("tensor divergence expects one component per dimension")
     mask = grid.dealias_mask
+    space = (slice(None),) * n
     u_phys = _physical_values(u.coefficients * mask, grid)
-    v_phys = u_phys if v is u else _physical_values(v.coefficients * mask, grid)
-    # m_ij = u_i v_j, transformed and dealiased rowwise
-    out = np.empty_like(u.coefficients)
-    for j in range(n):
-        row = (Ellipsis, j) + (slice(None),) * n
-        coeff = _fourier_coefficients(u_phys * _with_component_axis(v_phys[row], grid), grid)
-        coeff *= mask
-        out[row] = 1j * _xi_dot(grid, coeff)
+    if v is u:
+        v_phys = u_phys
+        rows, cols = np.triu_indices(n)
+    else:
+        v_phys = _physical_values(v.coefficients * mask, grid)
+        rows, cols = np.indices((n, n)).reshape(2, -1)
+    products = u_phys[(Ellipsis, rows) + space] * v_phys[(Ellipsis, cols) + space]
+    coeff = _fourier_coefficients(products, grid)
+    coeff *= mask
+    # slot[j, i] is the stack position of m_ij = u_i v_j
+    slot = np.empty((n, n), dtype=np.intp)
+    slot[cols, rows] = np.arange(rows.size)
+    if v is u:
+        slot[rows, cols] = slot[cols, rows]
+    out = 1j * _xi_dot(grid, coeff[(Ellipsis, slot) + space])
     return replace(u, coefficients=out)
 
 

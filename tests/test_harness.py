@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from maxreg_lab import cli
+from maxreg_lab import cli, maxreg
 from maxreg_lab.harness import (
     ConfigError,
+    check_config,
     experiment_names,
     load_config,
     run_experiment,
@@ -273,3 +274,83 @@ class TestCli:
         assert cli.main(["validate", str(path)]) == 0
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "config error:" in capsys.readouterr().err
+
+
+class TestDomainChecks:
+    """A config that only the domain objects reject is a config error, for
+    ``validate`` and ``run`` alike."""
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"experiment": "ns-exist", "grid": {"dimension": 1}}, "dimensions 2 and 3"),
+            ({"experiment": "ns-exist", "params": {"p": "abc"}}, "params.'p' must be a number"),
+            ({"experiment": "maxreg", "params": {"ensemble_size": 0}}, "ensemble size"),
+        ],
+    )
+    def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 3
+        assert message in capsys.readouterr().err
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_wrong_value_types_rejected_at_load(self):
+        with pytest.raises(ConfigError, match="params.'refine' must be true or false"):
+            load_config({"experiment": "maxreg", "params": {"refine": 1}})
+        with pytest.raises(ConfigError, match="params.'eta_grid' must be a list"):
+            load_config({"experiment": "ns-exist", "params": {"eta_grid": 0.5}})
+        with pytest.raises(ConfigError, match="must be a number"):
+            load_config({"experiment": "nlhe-exist", "params": {"eta_grid": ["x"]}})
+        with pytest.raises(ConfigError, match="params.'variant' must be a string"):
+            load_config({"experiment": "nlhe-exist", "params": {"variant": 2}})
+
+    def test_check_config_builds_without_running(self):
+        check_config(load_config(TINY_MAXREG))
+        with pytest.raises(ConfigError, match="dimensions 2 and 3"):
+            check_config(load_config({"experiment": "ns-unique", "grid": {"dimension": 1}}))
+
+    def test_numerical_value_error_is_not_a_config_error(self, monkeypatch):
+        """Only set-up errors become config errors; a failure inside the
+        numerics still propagates as the error it is."""
+
+        def broken(*args, **kwargs):
+            raise ValueError("numerics broke")
+
+        monkeypatch.setattr(maxreg, "estimate_maxreg_constant", broken)
+        with pytest.raises(ValueError, match="numerics broke") as info:
+            run_experiment(load_config(TINY_MAXREG))
+        assert not isinstance(info.value, ConfigError)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-strict JSON constant {name}")
+
+
+class TestStrictJsonRecords:
+    def test_non_finite_metrics_written_as_null(self, tmp_path):
+        record = run_experiment(load_config(TINY_LIPSCHITZ))
+        record.metrics.update(best=math.inf, worst=-math.inf, missing=math.nan)
+        write_results(record, tmp_path)
+        text = (tmp_path / "lipschitz_record.json").read_text()
+        loaded = json.loads(text, parse_constant=_refuse_constant)
+        assert loaded["metrics"]["best"] is None
+        assert loaded["metrics"]["worst"] is None
+        assert loaded["metrics"]["missing"] is None
+        assert loaded["metrics"]["max_violation"] == record.metrics["max_violation"]
+
+    def test_sweep_without_convergence_writes_strict_json(self, tmp_path):
+        config = {
+            "experiment": "ns-exist",
+            "time": {"num_nodes": 17},
+            "grid": {"points_per_axis": 16},
+            "params": {"eta_grid": [500.0]},
+        }
+        record = run_experiment(load_config(config))
+        assert record.metrics["best_residual"] == math.inf
+        write_results(record, tmp_path)
+        text = (tmp_path / "ns-exist_record.json").read_text()
+        loaded = json.loads(text, parse_constant=_refuse_constant)
+        assert loaded["metrics"]["best_residual"] is None
