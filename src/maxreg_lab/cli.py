@@ -78,8 +78,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"ok: {cfg.experiment} config is valid")
             return 0
         cfg = _apply_overrides(cfg, args)
-        # the domain objects are built here, and a few params are read only
-        # by the runner; either can still find a config error
         record = run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -656,21 +656,21 @@ def _run_hormander(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     return status, metrics, series
 
 
-def _run_rbound(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+def _set_up_rbound(cfg: ExperimentConfig) -> tuple[list]:
+    p = cfg.params
+    if p["kind"] == "scalar":
+        return ([spectral.constant_multiplier(float(c)) for c in p["coefficients"]],)
+    if p["kind"] == "identity":
+        return ([spectral.identity_multiplier() for _ in range(len(p["coefficients"]))],)
+    if p["kind"] == "resolvent":
+        return ([spectral.resolvent_scalar_multiplier(float(s)) for s in p["sigmas"]],)
+    raise ValueError("params.kind must be 'scalar', 'identity' or 'resolvent'")
+
+
+def _run_rbound(cfg: ExperimentConfig, family: list) -> tuple[str, dict, dict]:
     p = cfg.params
     grid = cfg.make_grid()
     kind = str(p["kind"])
-    if kind == "scalar":
-        family = [spectral.constant_multiplier(float(c)) for c in p["coefficients"]]
-        expected = max(abs(float(c)) for c in p["coefficients"])
-    elif kind == "identity":
-        family = [spectral.identity_multiplier() for _ in range(len(p["coefficients"]))]
-        expected = 1.0
-    elif kind == "resolvent":
-        family = [spectral.resolvent_scalar_multiplier(float(s)) for s in p["sigmas"]]
-        expected = None
-    else:
-        raise ConfigError("params.kind must be 'scalar', 'identity' or 'resolvent'")
     est = maxreg.rbound_estimate(
         family,
         int(p["trials"]),
@@ -693,6 +693,7 @@ def _run_rbound(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     elif kind == "identity":
         ok = abs(est.estimate - 1.0) <= 0.02
     else:
+        expected = max(abs(float(c)) for c in p["coefficients"])
         metrics["expected"] = expected
         ok = abs(est.estimate - expected) <= 0.05 * expected
     status = "pass" if ok else "fail"
@@ -705,17 +706,17 @@ def _run_rbound(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     return status, metrics, series
 
 
-def _scaling_law_from(p: dict[str, Any]) -> norms.ScalingLaw:
-    if p["law"] == "nlhe":
-        return problems.nlhe_law(float(p["nu"]))
-    if p["law"] == "ns":
-        return problems.ns_law()
-    raise ConfigError("params.law must be 'nlhe' or 'ns'")
-
-
-def _run_scaling(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+def _set_up_scaling(cfg: ExperimentConfig) -> tuple[norms.ScalingLaw]:
     p = cfg.params
-    law = _scaling_law_from(p)
+    if p["law"] == "nlhe":
+        return (problems.nlhe_law(float(p["nu"])),)
+    if p["law"] == "ns":
+        return (problems.ns_law(),)
+    raise ValueError("params.law must be 'nlhe' or 'ns'")
+
+
+def _run_scaling(cfg: ExperimentConfig, law: norms.ScalingLaw) -> tuple[str, dict, dict]:
+    p = cfg.params
     n = int(cfg.grid["dimension"])
     params = norms.MixedNormParams(p=float(p["p"]), q=float(p["q"]))
     lams = [float(l) for l in p["lambda_set"]]
@@ -988,7 +989,7 @@ def _set_up_nlhe_unique(cfg: ExperimentConfig) -> tuple[problems.NlheProblem]:
         time_grid=cfg.make_time_grid(),
         variant=str(p["variant"]),
     )
-    return (prob,)
+    return _unique_set_up(prob)
 
 
 def _set_up_ns_unique(cfg: ExperimentConfig) -> tuple[problems.NsProblem]:
@@ -998,6 +999,14 @@ def _set_up_ns_unique(cfg: ExperimentConfig) -> tuple[problems.NsProblem]:
         u0=_scaled_to_eta(cfg, problems.taylor_green_field(cfg.make_grid())),
         time_grid=cfg.make_time_grid(),
     )
+    return _unique_set_up(prob)
+
+
+def _unique_set_up(prob: problems.NlheProblem | problems.NsProblem) -> tuple:
+    """``(prob,)`` once the smoothing probe of the run accepts its ``q``."""
+    n, q = prob.dimension, prob.params.q
+    if n * q / (n + q) <= 1:
+        raise ValueError(f"params.q = {q} in dimension {n}: source exponent nq/(n+q) must exceed 1")
     return (prob,)
 
 
@@ -1043,6 +1052,8 @@ _SET_UPS: dict[str, Callable[[ExperimentConfig], tuple]] = {
     "weighted-maxreg": _set_up_weighted_maxreg,
     "desimon": _set_up_ensemble,
     "resolvent": _set_up_resolvent,
+    "rbound": _set_up_rbound,
+    "scaling": _set_up_scaling,
     "nlhe-exist": _set_up_nlhe_exist,
     "ns-exist": _set_up_ns_exist,
     "nlhe-unique": _set_up_nlhe_unique,

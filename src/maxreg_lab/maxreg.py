@@ -412,7 +412,9 @@ def de_simon_multiplier_solve(prob: LinearProblem, *, pad_factor: int = 4) -> Tr
     denom = 1j * tau.reshape(shape) + lam[np.newaxis, np.newaxis]
     with np.errstate(divide="ignore", invalid="ignore"):
         spectrum *= np.where(lam[np.newaxis, np.newaxis] == 0.0, 0.0, lam / denom)
-    au = scipy.fft.ifft(spectrum, axis=0, overwrite_x=True)[:k1]
+    # own the k1 rows; astype, unlike copy, also drops the in-place result's
+    # non-canonical dtype, for which Trajectory would store a view instead
+    au = scipy.fft.ifft(spectrum, axis=0, overwrite_x=True)[:k1].astype(np.complex128)
     return Trajectory(prob.forcing.time_grid, prob.forcing.grid, au)
 
 

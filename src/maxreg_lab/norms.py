@@ -259,6 +259,12 @@ def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
     return (np.sum(flat**q, axis=-1) * grid.cell_volume) ** (1.0 / q)
 
 
+def _parseval_l2(coefficients: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """``L^2`` norms by Parseval over the last ``n + 1`` axes of ``(..., m) + grid.shape``."""
+    axes = tuple(range(-(grid.dimension + 1), 0))
+    return np.sqrt(grid.volume * np.sum(np.abs(coefficients) ** 2, axis=axes))
+
+
 def spatial_lq_norm(field: SpectralField, q: float) -> float:
     """``L^q`` norm of the pointwise Euclidean magnitude, by grid quadrature."""
     if q < 1:

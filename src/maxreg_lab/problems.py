@@ -27,6 +27,8 @@ from .norms import (
     ScalingLaw,
     TimeGrid,
     Trajectory,
+    _node_spatial_norms,
+    _parseval_l2,
     _trapezoid_weights,
     besov_heat_norm,
     bochner_mixed_norm,
@@ -144,9 +146,8 @@ class NsProblem:
             raise ValueError("momentum problem needs dimension at least 2")
         if self.u0.components != grid.dimension:
             raise ValueError("initial field must have one component per dimension")
-        div = divergence(self.u0).coefficients
-        div_norm = float(np.sqrt(grid.volume * np.sum(np.abs(div) ** 2)))
-        scale = max(1.0, float(np.sqrt(grid.volume * np.sum(np.abs(self.u0.coefficients) ** 2))))
+        div_norm = float(_parseval_l2(divergence(self.u0).coefficients, grid))
+        scale = max(1.0, float(_parseval_l2(self.u0.coefficients, grid)))
         if div_norm > 1e-10 * scale:
             raise ValueError(f"initial field is not divergence-free: ||div u0|| = {div_norm:.3e}")
         if self.critical:
@@ -185,9 +186,7 @@ def nlhe_rhs_map(u: Trajectory, prob: NlheProblem) -> Trajectory:
 
 def max_node_divergence(u: Trajectory) -> float:
     """Largest nodewise ``L^2`` norm of the divergence along a trajectory."""
-    div = divergence(u).coefficients
-    per_node = np.sqrt(u.grid.volume * np.sum(np.abs(div) ** 2, axis=tuple(range(1, div.ndim))))
-    return float(np.max(per_node))
+    return float(np.max(_parseval_l2(divergence(u).coefficients, u.grid)))
 
 
 def ns_rhs_map(u: Trajectory, prob: NsProblem) -> Trajectory:
@@ -198,7 +197,7 @@ def ns_rhs_map(u: Trajectory, prob: NsProblem) -> Trajectory:
     n = u.grid.dimension
     if u.components != n:
         raise ValueError("momentum trajectory needs one component per dimension")
-    amp = float(np.max(np.sqrt(u.grid.volume * np.sum(np.abs(u.coefficients) ** 2, axis=tuple(range(1, u.coefficients.ndim))))))
+    amp = float(np.max(_parseval_l2(u.coefficients, u.grid)))
     if max_node_divergence(u) > 1e-8 * max(1.0, amp):
         raise ValueError("input trajectory is not divergence-free")
     forcing = helmholtz_project(tensor_divergence(u, u))
@@ -665,18 +664,18 @@ class UniquenessReport:
 def _sup_time_norm(
     evaluate: Callable[[float], SpectralField],
     nodes: np.ndarray,
+    vals: np.ndarray,
     q: float,
 ) -> float:
     """Sup over a time interval of a continuously evaluable field norm.
 
-    Takes the max over the nodes, then refines around the argmax with a
-    golden-section pass.
+    Takes the max of the nodal norms ``vals``, then refines around the
+    argmax with a golden-section pass.
     """
-    vals = [spatial_lq_norm(evaluate(t), q) for t in nodes]
     i = int(np.argmax(vals))
     lo = nodes[max(i - 1, 0)]
     hi = nodes[min(i + 1, len(nodes) - 1)]
-    best = vals[i]
+    best = float(vals[i])
     if hi > lo:
         inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = lo, hi
@@ -695,22 +694,6 @@ def _sup_time_norm(
                 fd = spatial_lq_norm(evaluate(d), q)
         best = max(best, fc, fd)
     return best
-
-
-def _node_sup_norm(traj: Trajectory, i0: int, i1: int, q: float) -> float:
-    return max(
-        spatial_lq_norm(traj.state(i), q) for i in range(i0, i1 + 1)
-    )
-
-
-def _segment_lp_norm(
-    u: Trajectory, v: Trajectory, i0: int, i1: int, p: float, q: float
-) -> float:
-    nodes = u.time_grid.nodes[i0 : i1 + 1]
-    g = np.array(
-        [spatial_lq_norm(u.state(i) - v.state(i), q) for i in range(i0, i1 + 1)]
-    )
-    return float(np.sum(_trapezoid_weights(nodes) * g**p) ** (1.0 / p))
 
 
 def _mollify_by_cutoff(
@@ -758,23 +741,18 @@ def _measure_bootstrap_constant(
     pairs = _sample_trajectory_pairs(
         prob, norm, seed=seed, amplitude=max(spatial_lq_norm(prob.u0, q), 1e-3)
     )
-    last = prob.time_grid.num_nodes - 1
     c1 = 0.0
     for uu, vv in pairs:
         denom = norm(uu - vv) * (
-            _node_sup_norm(uu, 0, last, q) ** (nu - 1.0)
-            + _node_sup_norm(vv, 0, last, q) ** (nu - 1.0)
+            float(np.max(_node_spatial_norms(uu, q))) ** (nu - 1.0)
+            + float(np.max(_node_spatial_norms(vv, q))) ** (nu - 1.0)
         )
         if denom > 0:
             c1 = max(c1, norm(rhs(uu) - rhs(vv)) / denom)
-    q_src = n * q / (n + q)
-    if q_src > 1:
-        smoothing = smoothing_estimate_check(
-            grid, q, default_smoothing_radii(grid), num_fields=3, seed=seed
-        )
-        c3 = smoothing.max_ratio
-    else:
-        c3 = 0.0
+    c3 = 0.0
+    if n * q / (n + q) > 1:
+        radii = default_smoothing_radii(grid)
+        c3 = smoothing_estimate_check(grid, q, radii, num_fields=3, seed=seed).max_ratio
     return 2.0 * max(c1, c3, 1e-6)
 
 
@@ -810,9 +788,9 @@ def uniqueness_bootstrap(
     n = prob.dimension
     q_endpoint = n * (nu - 1.0) / 2.0 if isinstance(prob, NlheProblem) else float(n)
     dim_ok = math.isclose(q, q_endpoint, rel_tol=1e-12)
-    u0_gap = spatial_lq_norm(u.state(0) - v.state(0), q)
-    scale = max(1.0, spatial_lq_norm(u.state(0), q))
-    if u0_gap > max(10.0 * tol, 1e-9) * scale:
+    u_q = _node_spatial_norms(u, q)
+    gap_q = _node_spatial_norms(u - v, q)
+    if gap_q[0] > max(10.0 * tol, 1e-9) * max(1.0, u_q[0]):
         return UniquenessReport(
             status="refused",
             C_used=float("nan"),
@@ -824,6 +802,7 @@ def uniqueness_bootstrap(
             separations=(),
             dimension_restriction_met=dim_ok,
         )
+    v_q = _node_spatial_norms(v, q)
     if C is None:
         C = _measure_bootstrap_constant(prob, p, q, seed=seed)
     aux_q = n / (nu - 1.0)
@@ -842,36 +821,37 @@ def uniqueness_bootstrap(
             u.state(i0), 1.0 / (8.0 * C), nu, q
         )
         t0 = nodes[i0]
-        cap = last
+        i1 = last
         if tau_max is not None:
-            cap = i0 + max(1, int(np.searchsorted(nodes, t0 + tau_max, side="right") - 1 - i0))
-            cap = min(cap, last)
-        i1 = cap
-        accepted = None
+            reach = int(np.searchsorted(nodes, t0 + tau_max, side="right")) - 1
+            i1 = min(max(reach, i0 + 1), last)
+        shifted = nodes[i0 : i1 + 1] - t0
+        flow = heat_extension(u0_eps, TimeGrid(shifted, _trapezoid_weights(shifted)))
+        flow_q = _node_spatial_norms(flow, q)
+        flow_aux = _node_spatial_norms(flow, aux_q)
+        evaluate = lambda t: heat_semigroup_apply(u0_eps, t - t0)
         while True:
             tau = nodes[i1] - t0
-            seg_nodes = nodes[i0 : i1 + 1]
-            flow = lambda t: heat_semigroup_apply(u0_eps, t - t0)
-            sup_flow_q = _sup_time_norm(flow, seg_nodes, q)
-            q1 = abs(_node_sup_norm(u, i0, i1, q) ** (nu - 1.0) - sup_flow_q ** (nu - 1.0))
-            q2 = abs(_node_sup_norm(v, i0, i1, q) ** (nu - 1.0) - sup_flow_q ** (nu - 1.0))
-            q3 = math.sqrt(tau) * _sup_time_norm(flow, seg_nodes, aux_q) ** (nu - 1.0)
-            if max(q1, q2, q3) <= 1.0 / (4.0 * C):
-                accepted = (i1, tau, (q1, q2, q3))
-                break
-            if i1 == i0 + 1:
+            seg, k = slice(i0, i1 + 1), i1 - i0 + 1
+            sup_flow_q = _sup_time_norm(evaluate, nodes[seg], flow_q[:k], q)
+            q1 = abs(float(np.max(u_q[seg])) ** (nu - 1.0) - sup_flow_q ** (nu - 1.0))
+            q2 = abs(float(np.max(v_q[seg])) ** (nu - 1.0) - sup_flow_q ** (nu - 1.0))
+            sup_flow_aux = _sup_time_norm(evaluate, nodes[seg], flow_aux[:k], aux_q)
+            q3 = math.sqrt(tau) * sup_flow_aux ** (nu - 1.0)
+            accepted = max(q1, q2, q3) <= 1.0 / (4.0 * C)
+            if accepted or i1 == i0 + 1:
                 break
             i1 = i0 + (i1 - i0) // 2
-        if accepted is None:
+        if not accepted:
             status = "inconclusive"
             break
-        i1, tau, (q1, q2, q3) = accepted
         segments.append((float(t0), float(nodes[i1])))
         moll_errs.append(moll_err)
         radii.append(radius)
         quantities.append((q1, q2, q3))
         factors.append(C * (q1 + q2 + q3))
-        separations.append(_segment_lp_norm(u, v, i0, i1, p, q))
+        weights = _trapezoid_weights(nodes[seg])
+        separations.append(float(np.sum(weights * gap_q[seg] ** p) ** (1.0 / p)))
         i0 = i1
     return UniquenessReport(
         status=status,

@@ -5,6 +5,7 @@ import pytest
 
 from maxreg_lab import (
     SpectralField,
+    TorusGrid,
     Trajectory,
     divergence,
     helmholtz_project,
@@ -58,3 +59,20 @@ class TestStackedOperators:
         u = random_trajectory(grid, rng, grid.dimension)
         expected = [spatial_lq_norm(u.state(i), q) for i in range(u.time_grid.num_nodes)]
         assert np.array_equal(_node_spatial_norms(u, q), expected)
+
+
+@pytest.mark.parametrize("shape", [(33, 3, 16), (65, 2, 64)], ids=["33x3x16^3", "65x2x64^2"])
+@pytest.mark.parametrize("q", [3.0, 4.0])
+def test_nodewise_norm_on_long_stacks(rng, shape, q):
+    """On long stacks the stacked and per-node norms agree to rounding only.
+
+    ``_lq_magnitude`` ends in ``** (1/q)``: numpy's array ``pow`` on a stack,
+    the scalar ``pow`` on one field.  The two differ by one ulp at some
+    nodes, which the 3-node stacks above happen not to hit.
+    """
+    nodes, components, points = shape
+    grid = TorusGrid(dimension=components, points_per_axis=points)
+    coefficients = rng.standard_normal((nodes, components) + grid.shape) + 0j
+    u = Trajectory(uniform_time_grid(1.0, nodes), grid, coefficients)
+    expected = [spatial_lq_norm(u.state(i), q) for i in range(nodes)]
+    np.testing.assert_allclose(_node_spatial_norms(u, q), expected, rtol=1e-15, atol=0)

@@ -268,10 +268,11 @@ class TestCli:
         ],
     )
     def test_config_error_during_run_exits_three(self, tmp_path, capsys, config):
-        """A bad value found only by the runner is still a config error."""
+        """An unknown ``kind`` or ``law`` is rejected by the set-up, so
+        ``validate`` and ``run`` both report it as a config error."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
-        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["validate", str(path)]) == 3
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "config error:" in capsys.readouterr().err
 
@@ -286,6 +287,8 @@ class TestDomainChecks:
             ({"experiment": "ns-exist", "grid": {"dimension": 1}}, "dimensions 2 and 3"),
             ({"experiment": "ns-exist", "params": {"p": "abc"}}, "params.'p' must be a number"),
             ({"experiment": "maxreg", "params": {"ensemble_size": 0}}, "ensemble size"),
+            ({"experiment": "nlhe-unique", "params": {"q": 2.0}}, "nq/(n+q) must exceed 1"),
+            ({"experiment": "ns-unique", "params": {"q": 1.5}}, "nq/(n+q) must exceed 1"),
         ],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):

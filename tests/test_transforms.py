@@ -75,6 +75,11 @@ class TestDeSimonPadding:
         ratio = bochner_mixed_norm(coarse, params) / bochner_mixed_norm(fine, params)
         assert ratio == pytest.approx(1.0, rel=1e-6)
 
+    def test_result_owns_its_rows(self, problem):
+        """``A u`` holds its own rows, not a view that keeps the padded buffer alive."""
+        au = de_simon_multiplier_solve(problem)
+        assert au.coefficients.base is None
+
     def test_pad_factor_one_rejected(self, problem):
         with pytest.raises(ValueError, match="pad_factor must be at least 2"):
             de_simon_multiplier_solve(problem, pad_factor=1)
