@@ -52,8 +52,6 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
     if args.seed is not None:
         cfg = replace(cfg, rng_seed=args.seed)
     if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("threads must be at least 1")
         cfg = replace(cfg, threads=args.threads)
     return cfg
 

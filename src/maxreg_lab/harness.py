@@ -3,15 +3,17 @@
 An experiment is described by a single JSON config (see
 :data:`BASE_DEFAULTS` and :data:`EXPERIMENT_DEFAULTS` for the schema and
 per-experiment parameter blocks).  Loading fills defaults and rejects
-unknown keys; ``run_experiment`` dispatches to a registered runner and
-returns a :class:`ResultRecord` whose status reflects the experiment's
-own acceptance predicate.  A run first builds the experiment's domain
-objects (grids, problems, initial data, forcing ensembles); a value they
-reject is a :class:`ConfigError`, raised by :func:`check_config` as well,
-while an error from the numerics that follow is not.  All randomness
-flows from the config seed through named substreams, so a rerun of the
-same config writes byte-identical CSV series regardless of the
-worker-thread count.  Non-finite metrics are written as JSON ``null``.
+unknown keys and values of the wrong JSON type; it checks no ranges.
+Each experiment has one set-up and one runner.  The set-up builds the
+grid, the time grid and the experiment's domain objects (problems,
+initial data, forcing ensembles, the lists the runner loops over) and is
+the only range check: a value it rejects is a :class:`ConfigError`, for
+:func:`check_config` and :func:`run_experiment` alike, while an error
+from the numerics that follow is not.  The runner returns the status of
+the experiment's own acceptance predicate, its metrics and its series.
+All randomness flows from the config seed through named substreams, so
+a rerun of the same config writes byte-identical CSV series regardless
+of the worker-thread count.  Non-finite metrics are written as JSON ``null``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -199,6 +201,8 @@ def _check_type(default: Any, value: Any, name: str) -> None:
     if not ok:
         raise ConfigError(f"config key {name} must be {kind}")
     if isinstance(default, list) and default:
+        if not value:
+            raise ConfigError(f"config key {name} must not be empty")
         for item in value:
             _check_type(default[0], item, f"{name} entry")
 
@@ -220,7 +224,11 @@ def _merge_checked(defaults: dict, user: dict, path: str) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated, default-filled experiment description."""
+    """Default-filled, type-checked experiment description.
+
+    Value ranges are not checked here: :func:`check_config` and
+    :func:`run_experiment` reject them while building the domain objects.
+    """
 
     experiment: str
     rng_seed: int
@@ -254,42 +262,12 @@ class ExperimentConfig:
         )
 
 
-def _validate_numbers(cfg: ExperimentConfig) -> None:
-    g = cfg.grid
-    n, N, L = int(g["dimension"]), int(g["points_per_axis"]), float(g["period"])
-    if n < 1:
-        raise ConfigError("grid.dimension must be positive")
-    if N < 4 or (N & (N - 1)) != 0:
-        raise ConfigError("grid.points_per_axis must be a power of two, at least 4")
-    if L <= 0:
-        raise ConfigError("grid.period must be positive")
-    if float(cfg.time["horizon"]) <= 0:
-        raise ConfigError("time.horizon must be positive")
-    if int(cfg.time["num_nodes"]) < 2:
-        raise ConfigError("time.num_nodes must be at least 2")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be at least 1")
-    p = cfg.params
-    if "p" in p and not float(p["p"]) > 1:
-        raise ConfigError("params.p must exceed 1")
-    if "q" in p and not 1 < float(p["q"]) < math.inf:
-        raise ConfigError("params.q must lie in (1, inf)")
-    if "mu" in p and p["mu"] is not None:
-        mu, pp = float(p["mu"]), float(p["p"])
-        if not 1.0 / pp < mu <= 1.0:
-            raise ConfigError("params.mu must exceed 1/p and be at most 1")
-    if "nu" in p and not float(p["nu"]) > 1:
-        raise ConfigError("params.nu must exceed 1")
-    if "eta_grid" in p and any(float(e) < 0 for e in p["eta_grid"]):
-        raise ConfigError("params.eta_grid entries must be nonnegative")
-    if "eta" in p and float(p["eta"]) <= 0:
-        raise ConfigError("params.eta must be positive")
-
-
 def load_config(source: str | Path | dict[str, Any]) -> ExperimentConfig:
-    """Load, default-fill and validate an experiment config.
+    """Load, default-fill and type-check an experiment config.
 
     ``source`` may be a path to a JSON file or an already-parsed mapping.
+    Unknown keys and values whose JSON type differs from the default's are
+    rejected; value ranges are left to :func:`check_config`.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -316,7 +294,7 @@ def load_config(source: str | Path | dict[str, Any]) -> ExperimentConfig:
             defaults[key] = copy.deepcopy(value)
     defaults.setdefault("params", {})
     merged = _merge_checked(defaults, raw, "")
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         experiment=name,
         rng_seed=int(merged["rng_seed"]),
         output_dir=str(merged["output_dir"]),
@@ -325,8 +303,6 @@ def load_config(source: str | Path | dict[str, Any]) -> ExperimentConfig:
         time=merged["time"],
         params=merged["params"],
     )
-    _validate_numbers(cfg)
-    return cfg
 
 
 # -- synthetic forcing -------------------------------------------------
@@ -350,6 +326,10 @@ def synthetic_forcing_ensemble(
     """
     if size < 1:
         raise ValueError("ensemble size must be at least 1")
+    if band_limit < 1:
+        raise ValueError("band_limit must be at least 1")
+    if modes_per_member < 1:
+        raise ValueError("modes_per_member must be at least 1")
     members = []
     t = time_grid.nodes
     for member in range(size):
@@ -449,9 +429,15 @@ def write_results(record: ResultRecord, out_dir: str | Path) -> list[Path]:
 
 # -- set-ups and runners -----------------------------------------------
 #
-# A set-up builds an experiment's domain objects from the config; its
-# runner takes the config plus what the set-up returned.  Experiments that
-# need no set-up are not listed in _SET_UPS.
+# A set-up takes the config plus the grid and the time grid built from it
+# and returns the experiment's domain objects; its runner takes the config
+# plus what the set-up returned.  A config value's range is checked only
+# here: by a domain object the set-up builds, or else by the one set-up
+# that reads the key.
+
+
+def _mixed_params(cfg: ExperimentConfig) -> norms.MixedNormParams:
+    return norms.MixedNormParams(p=float(cfg.params["p"]), q=float(cfg.params["q"]))
 
 
 def _ensemble(
@@ -468,15 +454,17 @@ def _ensemble(
     )
 
 
-def _set_up_ensemble(cfg: ExperimentConfig) -> tuple[list[norms.Trajectory]]:
-    return (_ensemble(cfg, cfg.make_grid(), cfg.make_time_grid()),)
+def _set_up_maxreg(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> tuple[list[norms.Trajectory], norms.MixedNormParams]:
+    params = _mixed_params(cfg)
+    return _ensemble(cfg, grid, tgrid), params
 
 
 def _run_maxreg(
-    cfg: ExperimentConfig, ensemble: list[norms.Trajectory]
+    cfg: ExperimentConfig, ensemble: list[norms.Trajectory], params: norms.MixedNormParams
 ) -> tuple[str, dict, dict]:
     p = cfg.params
-    params = norms.MixedNormParams(p=float(p["p"]), q=float(p["q"]))
     op = spectral.laplacian_multiplier()
 
     def measure(members: list[norms.Trajectory]) -> maxreg.MaxRegReport:
@@ -489,14 +477,9 @@ def _run_maxreg(
     }
     status = "pass" if math.isfinite(report.C_estimate) else "fail"
     if bool(p["refine"]):
-        fine_grid = spectral.TorusGrid(
-            dimension=int(cfg.grid["dimension"]),
-            points_per_axis=2 * int(cfg.grid["points_per_axis"]),
-            period=float(cfg.grid["period"]),
-        )
-        fine_time = norms.uniform_time_grid(
-            float(cfg.time["horizon"]), 2 * int(cfg.time["num_nodes"]) - 1
-        )
+        grid, tgrid = ensemble[0].grid, ensemble[0].time_grid
+        fine_grid = replace(grid, points_per_axis=2 * grid.points_per_axis)
+        fine_time = norms.uniform_time_grid(tgrid.horizon, 2 * tgrid.num_nodes - 1)
         fine = measure(_ensemble(cfg, fine_grid, fine_time))
         rel = abs(fine.C_estimate - report.C_estimate) / report.C_estimate
         metrics["C_estimate_refined"] = fine.C_estimate
@@ -517,13 +500,12 @@ def _run_maxreg(
 
 
 def _set_up_weighted_maxreg(
-    cfg: ExperimentConfig,
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
 ) -> tuple[list[norms.Trajectory], norms.MixedNormParams, norms.WeightParams]:
-    p = cfg.params
-    params = norms.MixedNormParams(p=float(p["p"]), q=float(p["q"]))
-    weight = norms.WeightParams(mu=float(p["mu"]))
+    params = _mixed_params(cfg)
+    weight = norms.WeightParams(mu=float(cfg.params["mu"]))
     weight.validate_against(params)
-    return (*_set_up_ensemble(cfg), params, weight)
+    return _ensemble(cfg, grid, tgrid), params, weight
 
 
 def _run_weighted_maxreg(
@@ -560,12 +542,24 @@ def _run_weighted_maxreg(
     return status, metrics, series
 
 
+def _set_up_desimon(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> tuple[spectral.TorusGrid, list[norms.Trajectory], np.ndarray]:
+    p = cfg.params
+    if int(p["sigma_points"]) < 1:
+        raise ValueError("params.sigma_points must be at least 1")
+    sigma = np.linspace(0.0, float(p["sigma_max"]), int(p["sigma_points"]))
+    return grid, _ensemble(cfg, grid, tgrid), sigma
+
+
 def _run_desimon(
-    cfg: ExperimentConfig, ensemble: list[norms.Trajectory]
+    cfg: ExperimentConfig,
+    grid: spectral.TorusGrid,
+    ensemble: list[norms.Trajectory],
+    sigma: np.ndarray,
 ) -> tuple[str, dict, dict]:
     # The L^2(L^2) (Plancherel) case of De Simon's theorem: the multiplier
     # bound, and so the ratio and sup gates below, hold only there.
-    p = cfg.params
     params = norms.MixedNormParams(p=2.0, q=2.0)
     op = spectral.laplacian_multiplier()
     ratios = []
@@ -574,8 +568,7 @@ def _run_desimon(
         ratios.append(
             norms.bochner_mixed_norm(au, params) / norms.bochner_mixed_norm(f, params)
         )
-    sigma = np.linspace(0.0, float(p["sigma_max"]), int(p["sigma_points"]))
-    sup = maxreg.multiplier_sup_norm(op, sigma, cfg.make_grid())
+    sup = maxreg.multiplier_sup_norm(op, sigma, grid)
     metrics = {
         "ratio_max": max(ratios),
         "multiplier_sup_norm": sup,
@@ -590,20 +583,29 @@ def _run_desimon(
     return status, metrics, series
 
 
-def _set_up_resolvent(cfg: ExperimentConfig) -> tuple[spectral.SpectralField]:
-    x = problems.random_mean_free_field(
-        cfg.make_grid(), seed=cfg.rng_seed, band_limit=int(cfg.params["band_limit"])
-    )
-    return (x * (1.0 / norms.spatial_lq_norm(x, 2)),)
+def _set_up_resolvent(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> tuple[spectral.SpectralField, list[tuple[float, float]]]:
+    p = cfg.params
+    # unpacking rejects an entry that is not a (Re z, Im z) pair
+    z_values = [(re_z, im_z) for re_z, im_z in p["z_values"]]
+    if not all(float(re_z) > 0 for re_z, _ in z_values):
+        raise ValueError("params.z_values entries need Re z > 0")
+    if int(p["num_nodes"]) < 2:
+        raise ValueError("params.num_nodes must be at least 2")
+    x = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
+    return x * (1.0 / norms.spatial_lq_norm(x, 2)), z_values
 
 
-def _run_resolvent(cfg: ExperimentConfig, x: spectral.SpectralField) -> tuple[str, dict, dict]:
+def _run_resolvent(
+    cfg: ExperimentConfig, x: spectral.SpectralField, z_values: list[tuple[float, float]]
+) -> tuple[str, dict, dict]:
     p = cfg.params
     op = spectral.laplacian_multiplier()
     rows = []
     worst_dev = 0.0
     worst_bound = 0.0
-    for re_z, im_z in p["z_values"]:
+    for re_z, im_z in z_values:
         z = complex(float(re_z), float(im_z))
         probe = maxreg.resolvent_via_maxreg(op, z, x, num_nodes=int(p["num_nodes"]))
         rows.append([re_z, im_z, probe.deviation, probe.bound_constant])
@@ -620,13 +622,24 @@ def _run_resolvent(cfg: ExperimentConfig, x: spectral.SpectralField) -> tuple[st
     return status, metrics, series
 
 
-def _run_hormander(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+def _set_up_hormander(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> tuple[spectral.TorusGrid, list[float], list[float]]:
     p = cfg.params
-    grid = cfg.make_grid()
     shifts = [float(s) for s in p["shifts"]]
+    lams = [float(l) for l in p["scalar_lambdas"]]
+    if 0.0 in shifts:
+        raise ValueError("params.shifts entries must be nonzero")
+    if not all(lam > 0 for lam in lams):
+        raise ValueError("params.scalar_lambdas entries must be positive")
+    return grid, shifts, lams
+
+
+def _run_hormander(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, shifts: list[float], lams: list[float]
+) -> tuple[str, dict, dict]:
     report = maxreg.hormander_check(spectral.laplacian_multiplier(), shifts, grid)
     # scale invariance: scalar spectra {lam} share one integral profile
-    lams = [float(l) for l in p["scalar_lambdas"]]
     scalar_cs = []
     for lam in lams:
         scalar = maxreg.hormander_check(
@@ -656,20 +669,27 @@ def _run_hormander(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     return status, metrics, series
 
 
-def _set_up_rbound(cfg: ExperimentConfig) -> tuple[list]:
+def _set_up_rbound(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> tuple[spectral.TorusGrid, list[spectral.FourierMultiplier]]:
     p = cfg.params
+    if int(p["trials"]) < 1:
+        raise ValueError("params.trials must be at least 1")
     if p["kind"] == "scalar":
-        return ([spectral.constant_multiplier(float(c)) for c in p["coefficients"]],)
-    if p["kind"] == "identity":
-        return ([spectral.identity_multiplier() for _ in range(len(p["coefficients"]))],)
-    if p["kind"] == "resolvent":
-        return ([spectral.resolvent_scalar_multiplier(float(s)) for s in p["sigmas"]],)
-    raise ValueError("params.kind must be 'scalar', 'identity' or 'resolvent'")
+        family = [spectral.constant_multiplier(float(c)) for c in p["coefficients"]]
+    elif p["kind"] == "identity":
+        family = [spectral.identity_multiplier() for _ in range(len(p["coefficients"]))]
+    elif p["kind"] == "resolvent":
+        family = [spectral.resolvent_scalar_multiplier(float(s)) for s in p["sigmas"]]
+    else:
+        raise ValueError("params.kind must be 'scalar', 'identity' or 'resolvent'")
+    return grid, family
 
 
-def _run_rbound(cfg: ExperimentConfig, family: list) -> tuple[str, dict, dict]:
+def _run_rbound(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, family: list[spectral.FourierMultiplier]
+) -> tuple[str, dict, dict]:
     p = cfg.params
-    grid = cfg.make_grid()
     kind = str(p["kind"])
     est = maxreg.rbound_estimate(
         family,
@@ -706,23 +726,37 @@ def _run_rbound(cfg: ExperimentConfig, family: list) -> tuple[str, dict, dict]:
     return status, metrics, series
 
 
-def _set_up_scaling(cfg: ExperimentConfig) -> tuple[norms.ScalingLaw]:
+def _set_up_scaling(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> tuple[int, norms.ScalingLaw, norms.MixedNormParams, norms.MixedNormParams, list[float]]:
     p = cfg.params
     if p["law"] == "nlhe":
-        return (problems.nlhe_law(float(p["nu"])),)
-    if p["law"] == "ns":
-        return (problems.ns_law(),)
-    raise ValueError("params.law must be 'nlhe' or 'ns'")
-
-
-def _run_scaling(cfg: ExperimentConfig, law: norms.ScalingLaw) -> tuple[str, dict, dict]:
-    p = cfg.params
-    n = int(cfg.grid["dimension"])
-    params = norms.MixedNormParams(p=float(p["p"]), q=float(p["q"]))
+        law = problems.nlhe_law(float(p["nu"]))
+    elif p["law"] == "ns":
+        law = problems.ns_law()
+    else:
+        raise ValueError("params.law must be 'nlhe' or 'ns'")
     lams = [float(l) for l in p["lambda_set"]]
+    if not all(lam > 0 for lam in lams):
+        raise ValueError("params.lambda_set entries must be positive")
+    params = _mixed_params(cfg)
+    # the off-critical pair lowers 1/p by off_critical_shift / alpha
+    inv_p_off = 1.0 / params.p - float(p["off_critical_shift"]) / law.alpha
+    if not inv_p_off > 0:
+        raise ValueError("params.off_critical_shift must leave 1/p positive")
+    params_off = norms.MixedNormParams(p=1.0 / inv_p_off, q=params.q)
+    return grid.dimension, law, params, params_off, lams
+
+
+def _run_scaling(
+    cfg: ExperimentConfig,
+    n: int,
+    law: norms.ScalingLaw,
+    params: norms.MixedNormParams,
+    params_off: norms.MixedNormParams,
+    lams: list[float],
+) -> tuple[str, dict, dict]:
     critical = problems.scaling_invariance_test(law, params, n, lams)
-    shift = float(p["off_critical_shift"]) / law.alpha
-    params_off = norms.MixedNormParams(p=1.0 / (1.0 / params.p - shift), q=params.q)
     off = problems.scaling_invariance_test(law, params_off, n, lams)
     metrics = {
         "critical_defect": critical.defect,
@@ -800,14 +834,31 @@ def _contraction_bound_ok(report: problems.ExistenceReport) -> bool:
     return True
 
 
+def _check_picard(p: dict[str, Any]) -> None:
+    """Reject the Picard settings that :func:`picard.run_picard` refuses."""
+    if int(p["max_iter"]) < 1:
+        raise ValueError("params.max_iter must be at least 1")
+    if not float(p["picard_tol"]) > 0:
+        raise ValueError("params.picard_tol must be positive")
+
+
+def _eta_grid(p: dict[str, Any]) -> list[float]:
+    eta_grid = [float(e) for e in p["eta_grid"]]
+    if not all(eta >= 0 for eta in eta_grid):
+        raise ValueError("params.eta_grid entries must be nonnegative")
+    return eta_grid
+
+
 def _run_existence(
-    cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsProblem
+    cfg: ExperimentConfig,
+    prob: problems.NlheProblem | problems.NsProblem,
+    eta_grid: list[float],
 ) -> tuple[str, dict, dict]:
     p = cfg.params
     # one sweep serves both problems; ns_existence_experiment is the same function
     report = problems.nlhe_existence_experiment(
         prob,
-        [float(e) for e in p["eta_grid"]],
+        eta_grid,
         tol=float(p["picard_tol"]),
         max_iter=int(p["max_iter"]),
         seed=cfg.rng_seed,
@@ -842,20 +893,22 @@ def _run_existence(
     return ("pass" if ok else "fail"), metrics, series
 
 
-def _set_up_nlhe_exist(cfg: ExperimentConfig) -> tuple[problems.NlheProblem]:
+def _set_up_nlhe_exist(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> tuple[problems.NlheProblem, list[float]]:
     p = cfg.params
-    u0 = problems.random_mean_free_field(
-        cfg.make_grid(), seed=cfg.rng_seed, band_limit=int(p["band_limit"])
-    )
+    _check_picard(p)
+    eta_grid = _eta_grid(p)
+    u0 = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
     prob = problems.NlheProblem(
         nu=float(p["nu"]),
-        params=norms.MixedNormParams(p=float(p["p"]), q=float(p["q"])),
+        params=_mixed_params(cfg),
         u0=u0,
-        time_grid=cfg.make_time_grid(),
+        time_grid=tgrid,
         variant=str(p["variant"]),
         critical=bool(p["critical"]),
     )
-    return (prob,)
+    return prob, eta_grid
 
 
 def _taylor_green_type_field(
@@ -882,16 +935,17 @@ def _taylor_green_type_field(
     return u0
 
 
-def _set_up_ns_exist(cfg: ExperimentConfig) -> tuple[problems.NsProblem]:
+def _set_up_ns_exist(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> tuple[problems.NsProblem, list[float]]:
     p = cfg.params
-    u0 = _taylor_green_type_field(cfg.make_grid(), float(p["perturbation"]), cfg.rng_seed)
+    _check_picard(p)
+    eta_grid = _eta_grid(p)
+    u0 = _taylor_green_type_field(grid, float(p["perturbation"]), cfg.rng_seed)
     prob = problems.NsProblem(
-        params=norms.MixedNormParams(p=float(p["p"]), q=float(p["q"])),
-        u0=u0,
-        time_grid=cfg.make_time_grid(),
-        critical=bool(p["critical"]),
+        params=_mixed_params(cfg), u0=u0, time_grid=tgrid, critical=bool(p["critical"])
     )
-    return (prob,)
+    return prob, eta_grid
 
 
 def _unique_series(report: problems.UniquenessReport) -> dict[str, dict[str, Any]]:
@@ -970,55 +1024,72 @@ def _run_unique(
     return status, metrics, _unique_series(report)
 
 
-def _scaled_to_eta(cfg: ExperimentConfig, u0: spectral.SpectralField) -> spectral.SpectralField:
+def _scaled_to_eta(
+    cfg: ExperimentConfig, u0: spectral.SpectralField, params: norms.MixedNormParams
+) -> spectral.SpectralField:
     """``u0`` rescaled to heat-extension data norm ``params.eta``."""
-    p = cfg.params
-    size = norms.besov_heat_norm(u0, norms.MixedNormParams(float(p["p"]), float(p["q"])))
-    return u0 * (float(p["eta"]) / size)
+    eta = float(cfg.params["eta"])
+    if not eta > 0:
+        raise ValueError("params.eta must be positive")
+    return u0 * (eta / norms.besov_heat_norm(u0, params))
 
 
-def _set_up_nlhe_unique(cfg: ExperimentConfig) -> tuple[problems.NlheProblem]:
+def _check_source_exponent(n: int, q: float) -> None:
+    """Reject a ``q`` whose smoothing-probe source exponent ``nq/(n+q)`` is
+    not above 1; written as ``not ... > 1`` so that ``q = inf`` (a NaN
+    ratio) is rejected too."""
+    if not (q > 1 and n * q / (n + q) > 1):
+        raise ValueError(f"params.q = {q} in dimension {n}: source exponent nq/(n+q) must exceed 1")
+
+
+def _set_up_nlhe_unique(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> tuple[problems.NlheProblem]:
     p = cfg.params
-    u0 = problems.random_mean_free_field(
-        cfg.make_grid(), seed=cfg.rng_seed, band_limit=int(p["band_limit"])
-    )
+    _check_picard(p)
+    params = _mixed_params(cfg)
+    u0 = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
     prob = problems.NlheProblem(
         nu=float(p["nu"]),
-        params=norms.MixedNormParams(p=float(p["p"]), q=float(p["q"])),
-        u0=_scaled_to_eta(cfg, u0),
-        time_grid=cfg.make_time_grid(),
+        params=params,
+        u0=_scaled_to_eta(cfg, u0, params),
+        time_grid=tgrid,
         variant=str(p["variant"]),
     )
-    return _unique_set_up(prob)
-
-
-def _set_up_ns_unique(cfg: ExperimentConfig) -> tuple[problems.NsProblem]:
-    p = cfg.params
-    prob = problems.NsProblem(
-        params=norms.MixedNormParams(p=float(p["p"]), q=float(p["q"])),
-        u0=_scaled_to_eta(cfg, problems.taylor_green_field(cfg.make_grid())),
-        time_grid=cfg.make_time_grid(),
-    )
-    return _unique_set_up(prob)
-
-
-def _unique_set_up(prob: problems.NlheProblem | problems.NsProblem) -> tuple:
-    """``(prob,)`` once the smoothing probe of the run accepts its ``q``."""
-    n, q = prob.dimension, prob.params.q
-    if n * q / (n + q) <= 1:
-        raise ValueError(f"params.q = {q} in dimension {n}: source exponent nq/(n+q) must exceed 1")
+    _check_source_exponent(grid.dimension, params.q)
     return (prob,)
 
 
-def _run_lipschitz(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+def _set_up_ns_unique(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> tuple[problems.NsProblem]:
+    _check_picard(cfg.params)
+    params = _mixed_params(cfg)
+    u0 = _scaled_to_eta(cfg, problems.taylor_green_field(grid), params)
+    prob = problems.NsProblem(params=params, u0=u0, time_grid=tgrid)
+    _check_source_exponent(grid.dimension, params.q)
+    return (prob,)
+
+
+def _set_up_lipschitz(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> tuple[list[float]]:
+    p = cfg.params
+    nu_values = [float(nu) for nu in p["nu_values"]]
+    if not all(nu > 1 for nu in nu_values):
+        raise ValueError("params.nu_values entries must exceed 1")
+    if int(p["samples"]) < 1:
+        raise ValueError("params.samples must be at least 1")
+    return (nu_values,)
+
+
+def _run_lipschitz(cfg: ExperimentConfig, nu_values: list[float]) -> tuple[str, dict, dict]:
     p = cfg.params
     rows = []
     worst = -math.inf
-    for nu in p["nu_values"]:
-        violation = problems.nonlinearity_lipschitz_check(
-            float(nu), int(p["samples"]), seed=cfg.rng_seed
-        )
-        rows.append([float(nu), violation])
+    for nu in nu_values:
+        violation = problems.nonlinearity_lipschitz_check(nu, int(p["samples"]), seed=cfg.rng_seed)
+        rows.append([nu, violation])
         worst = max(worst, violation)
     metrics = {"max_violation": worst}
     status = "pass" if worst <= 0.0 else "fail"
@@ -1026,10 +1097,22 @@ def _run_lipschitz(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     return status, metrics, series
 
 
-def _run_smoothing(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
+def _set_up_smoothing(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> tuple[spectral.TorusGrid, list[float]]:
     p = cfg.params
-    grid = cfg.make_grid()
-    r_values = problems.default_smoothing_radii(grid, int(p["octaves"]))
+    _check_source_exponent(grid.dimension, float(p["q"]))
+    if int(p["octaves"]) < 0:
+        raise ValueError("params.octaves must be nonnegative")
+    if int(p["num_fields"]) < 1:
+        raise ValueError("params.num_fields must be at least 1")
+    return grid, problems.default_smoothing_radii(grid, int(p["octaves"]))
+
+
+def _run_smoothing(
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, r_values: list[float]
+) -> tuple[str, dict, dict]:
+    p = cfg.params
     report = problems.smoothing_estimate_check(
         grid, float(p["q"]), r_values, num_fields=int(p["num_fields"]), seed=cfg.rng_seed
     )
@@ -1047,43 +1130,34 @@ def _run_smoothing(cfg: ExperimentConfig) -> tuple[str, dict, dict]:
     return status, metrics, series
 
 
-_SET_UPS: dict[str, Callable[[ExperimentConfig], tuple]] = {
-    "maxreg": _set_up_ensemble,
-    "weighted-maxreg": _set_up_weighted_maxreg,
-    "desimon": _set_up_ensemble,
-    "resolvent": _set_up_resolvent,
-    "rbound": _set_up_rbound,
-    "scaling": _set_up_scaling,
-    "nlhe-exist": _set_up_nlhe_exist,
-    "ns-exist": _set_up_ns_exist,
-    "nlhe-unique": _set_up_nlhe_unique,
-    "ns-unique": _set_up_ns_unique,
-}
-
-_RUNNERS: dict[str, Callable[..., tuple[str, dict, dict]]] = {
-    "maxreg": _run_maxreg,
-    "weighted-maxreg": _run_weighted_maxreg,
-    "desimon": _run_desimon,
-    "resolvent": _run_resolvent,
-    "hormander": _run_hormander,
-    "rbound": _run_rbound,
-    "scaling": _run_scaling,
-    "nlhe-exist": _run_existence,
-    "ns-exist": _run_existence,
-    "nlhe-unique": _run_unique,
-    "ns-unique": _run_unique,
-    "lipschitz": _run_lipschitz,
-    "smoothing": _run_smoothing,
+_EXPERIMENTS: dict[str, tuple[Callable[..., tuple], Callable[..., tuple[str, dict, dict]]]] = {
+    "maxreg": (_set_up_maxreg, _run_maxreg),
+    "weighted-maxreg": (_set_up_weighted_maxreg, _run_weighted_maxreg),
+    "desimon": (_set_up_desimon, _run_desimon),
+    "resolvent": (_set_up_resolvent, _run_resolvent),
+    "hormander": (_set_up_hormander, _run_hormander),
+    "rbound": (_set_up_rbound, _run_rbound),
+    "scaling": (_set_up_scaling, _run_scaling),
+    "nlhe-exist": (_set_up_nlhe_exist, _run_existence),
+    "ns-exist": (_set_up_ns_exist, _run_existence),
+    "nlhe-unique": (_set_up_nlhe_unique, _run_unique),
+    "ns-unique": (_set_up_ns_unique, _run_unique),
+    "lipschitz": (_set_up_lipschitz, _run_lipschitz),
+    "smoothing": (_set_up_smoothing, _run_smoothing),
 }
 
 
 def _set_up(cfg: ExperimentConfig) -> tuple:
-    """The experiment's domain objects; a value they reject is a config error."""
-    set_up = _SET_UPS.get(cfg.experiment)
-    if set_up is None:
-        return ()
+    """The experiment's domain objects; a value they reject is a config error.
+
+    The grid and the time grid are built for every experiment, so a bad
+    ``grid`` or ``time`` block is rejected even where the run ignores it.
+    """
+    set_up, _ = _EXPERIMENTS[cfg.experiment]
     try:
-        return set_up(cfg)
+        if cfg.threads < 1:
+            raise ValueError("threads must be at least 1")
+        return set_up(cfg, cfg.make_grid(), cfg.make_time_grid())
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{cfg.experiment} set-up rejected the config: {exc}") from exc
 
@@ -1091,8 +1165,10 @@ def _set_up(cfg: ExperimentConfig) -> tuple:
 def check_config(cfg: ExperimentConfig) -> None:
     """Build the experiment's domain objects without running it.
 
-    Raises :class:`ConfigError` for a value that :func:`load_config`
-    accepts but a grid, problem, initial field or forcing ensemble rejects.
+    This is the range check of every config value: it raises
+    :class:`ConfigError` for any value that :func:`load_config` accepts but
+    the set-up rejects, from the grid, the time grid and ``threads`` to the
+    experiment's problem, initial field, forcing ensemble or parameter lists.
     """
     _set_up(cfg)
 
@@ -1106,7 +1182,7 @@ def run_experiment(config: ExperimentConfig | str | Path | dict) -> ResultRecord
     cfg = config if isinstance(config, ExperimentConfig) else load_config(config)
     start = time.perf_counter()
     built = _set_up(cfg)
-    status, metrics, series = _RUNNERS[cfg.experiment](cfg, *built)
+    status, metrics, series = _EXPERIMENTS[cfg.experiment][1](cfg, *built)
     elapsed = time.perf_counter() - start
     return ResultRecord(
         experiment=cfg.experiment,

@@ -106,6 +106,8 @@ def uniform_time_grid(horizon: float, num_nodes: int = 257) -> TimeGrid:
     """Uniform trapezoid grid on ``[0, horizon]``."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    if num_nodes < 2:
+        raise ValueError("num_nodes must be at least 2")
     nodes = np.linspace(0.0, horizon, num_nodes)
     return TimeGrid(nodes, _trapezoid_weights(nodes))
 
@@ -238,6 +240,8 @@ class ScalingLaw:
 
 def nlhe_scaling_law(nu: float) -> ScalingLaw:
     """Scaling of the heat equation with a degree-``nu`` power source."""
+    if not nu > 1:
+        raise ValueError("nonlinearity exponent nu must exceed 1")
     return ScalingLaw(alpha=2.0, beta=0.0, gamma=nu)
 
 

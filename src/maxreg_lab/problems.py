@@ -416,6 +416,9 @@ def random_mean_free_field(
     axis; ``divergence_free`` applies the Leray projection (components
     must match the dimension then).
     """
+    if band_limit is not None and band_limit < 1:
+        # only the mean mode has |k| < 1, and it is removed
+        raise ValueError("band_limit must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7, stream]))
     values = rng.standard_normal((components,) + grid.shape)
     field = SpectralField.from_physical(grid, values)

@@ -3,6 +3,7 @@ and the command-line front end."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from maxreg_lab.harness import (
 )
 from maxreg_lab import TorusGrid, uniform_time_grid
 
+
+_REPO = Path(__file__).resolve().parents[1]
 
 TINY_LIPSCHITZ = {"experiment": "lipschitz", "params": {"samples": 20_000}}
 
@@ -88,26 +91,27 @@ class TestConfigLoading:
             load_config({"experiment": "turbulence"})
 
     def test_numeric_validation_messages(self):
+        """Ranges are checked by the set-up, for ``validate`` and ``run``."""
         cases = [
             ({"grid": {"points_per_axis": 48}}, "power of two"),
             ({"grid": {"dimension": 0}}, "dimension must be positive"),
             ({"time": {"horizon": -1.0}}, "horizon must be positive"),
             ({"time": {"num_nodes": 1}}, "at least 2"),
             ({"threads": 0}, "threads must be at least 1"),
-            ({"params": {"p": 1.0}}, "params.p must exceed 1"),
-            ({"params": {"q": math.inf}}, r"params.q must lie in \(1, inf\)"),
+            ({"params": {"p": 1.0}}, "time exponent p must exceed 1"),
+            ({"params": {"q": math.inf}}, r"space exponent q must lie in \(1, inf\)"),
         ]
         for override, message in cases:
             with pytest.raises(ConfigError, match=message):
-                load_config({"experiment": "maxreg", **override})
-        with pytest.raises(ConfigError, match="params.mu must exceed 1/p"):
-            load_config({"experiment": "weighted-maxreg", "params": {"mu": 0.2}})
-        with pytest.raises(ConfigError, match="params.nu must exceed 1"):
-            load_config({"experiment": "nlhe-exist", "params": {"nu": 1.0}})
+                check_config(load_config({"experiment": "maxreg", **override}))
+        with pytest.raises(ConfigError, match="mu must satisfy 1/p < mu <= 1"):
+            check_config(load_config({"experiment": "weighted-maxreg", "params": {"mu": 0.2}}))
+        with pytest.raises(ConfigError, match="nu must exceed 1"):
+            check_config(load_config({"experiment": "nlhe-exist", "params": {"nu": 1.0}}))
         with pytest.raises(ConfigError, match="params.eta must be positive"):
-            load_config({"experiment": "nlhe-unique", "params": {"eta": -1.0}})
+            check_config(load_config({"experiment": "nlhe-unique", "params": {"eta": -1.0}}))
         with pytest.raises(ConfigError, match="eta_grid entries must be nonnegative"):
-            load_config({"experiment": "nlhe-exist", "params": {"eta_grid": [-0.1]}})
+            check_config(load_config({"experiment": "nlhe-exist", "params": {"eta_grid": [-0.1]}}))
 
     def test_to_dict_round_trip_is_idempotent(self):
         cfg = load_config(TINY_MAXREG)
@@ -155,6 +159,17 @@ class TestSyntheticEnsemble:
         k = np.fft.fftfreq(16, d=1 / 16)
         outside = np.abs(k) > 2
         assert np.all(member.coefficients[:, 0][:, outside, :] == 0)
+
+    def test_degenerate_draws_rejected(self):
+        """``band_limit`` 0 leaves only the excluded zero mode to draw (the
+        draw loop never ends), and ``modes_per_member`` 0 gives all-zero
+        members."""
+        grid = TorusGrid(dimension=2, points_per_axis=16)
+        tg = uniform_time_grid(1.0, 9)
+        with pytest.raises(ValueError, match="band_limit must be at least 1"):
+            synthetic_forcing_ensemble(grid, tg, 1, band_limit=0)
+        with pytest.raises(ValueError, match="modes_per_member must be at least 1"):
+            synthetic_forcing_ensemble(grid, tg, 1, modes_per_member=0)
 
     def test_node_refinement_keeps_shared_samples(self):
         """Doubling the time resolution re-evaluates the same envelopes."""
@@ -261,6 +276,16 @@ class TestCli:
         assert cli.main(["frobnicate"]) == 3
 
     @pytest.mark.parametrize(
+        "path",
+        sorted((_REPO / "demos" / "configs").glob("*.json"))
+        + sorted((_REPO / "perfbench" / "workloads").glob("*.json")),
+        ids=lambda path: f"{path.parent.name}/{path.name}",
+    )
+    def test_shipped_configs_validate(self, path, capsys):
+        assert cli.main(["validate", str(path)]) == 0
+        assert "config is valid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "config",
         [
             {"experiment": "rbound", "params": {"kind": "bogus"}},
@@ -289,6 +314,30 @@ class TestDomainChecks:
             ({"experiment": "maxreg", "params": {"ensemble_size": 0}}, "ensemble size"),
             ({"experiment": "nlhe-unique", "params": {"q": 2.0}}, "nq/(n+q) must exceed 1"),
             ({"experiment": "ns-unique", "params": {"q": 1.5}}, "nq/(n+q) must exceed 1"),
+            ({"experiment": "lipschitz", "params": {"nu_values": [0.5]}}, "nu_values entries must exceed 1"),
+            ({"experiment": "lipschitz", "params": {"samples": 0}}, "samples must be at least 1"),
+            ({"experiment": "hormander", "params": {"shifts": [0.0]}}, "shifts entries must be nonzero"),
+            ({"experiment": "hormander", "params": {"scalar_lambdas": [0.0]}}, "scalar_lambdas entries must be positive"),
+            ({"experiment": "resolvent", "params": {"z_values": [[-1.0, 0.0]]}}, "need Re z > 0"),
+            ({"experiment": "resolvent", "params": {"num_nodes": 1}}, "num_nodes must be at least 2"),
+            ({"experiment": "resolvent", "params": {"band_limit": 0}}, "band_limit must be at least 1"),
+            ({"experiment": "smoothing", "params": {"q": 1.5}}, "nq/(n+q) must exceed 1"),
+            ({"experiment": "smoothing", "params": {"q": math.inf}}, "nq/(n+q) must exceed 1"),
+            ({"experiment": "smoothing", "params": {"octaves": -1}}, "octaves must be nonnegative"),
+            ({"experiment": "smoothing", "params": {"num_fields": 0}}, "num_fields must be at least 1"),
+            ({"experiment": "rbound", "params": {"trials": 0}}, "trials must be at least 1"),
+            ({"experiment": "scaling", "params": {"lambda_set": [-1.0]}}, "lambda_set entries must be positive"),
+            ({"experiment": "scaling", "params": {"off_critical_shift": 1.0}}, "off_critical_shift must leave 1/p positive"),
+            ({"experiment": "desimon", "params": {"sigma_points": 0}}, "sigma_points must be at least 1"),
+            ({"experiment": "desimon", "params": {"modes_per_member": 0}}, "modes_per_member must be at least 1"),
+            ({"experiment": "nlhe-exist", "params": {"max_iter": 0}}, "max_iter must be at least 1"),
+            ({"experiment": "nlhe-exist", "params": {"band_limit": 0}}, "band_limit must be at least 1"),
+            ({"experiment": "ns-exist", "params": {"picard_tol": 0.0}}, "picard_tol must be positive"),
+            ({"experiment": "nlhe-unique", "params": {"picard_tol": 0.0}}, "picard_tol must be positive"),
+            ({"experiment": "ns-unique", "params": {"max_iter": 0}}, "max_iter must be at least 1"),
+            ({"experiment": "lipschitz", "params": {"nu_values": []}}, "params.'nu_values' must not be empty"),
+            ({"experiment": "ns-exist", "params": {"eta_grid": []}}, "params.'eta_grid' must not be empty"),
+            ({"experiment": "resolvent", "params": {"z_values": [[]]}}, "params.'z_values' entry must not be empty"),
         ],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):

@@ -74,6 +74,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="0 < t_min < t_max"):
             log_time_grid(1.0, 0.5)
 
+    def test_uniform_grid_needs_two_nodes(self):
+        for num_nodes in (1, 0):
+            with pytest.raises(ValueError, match="num_nodes must be at least 2"):
+                uniform_time_grid(1.0, num_nodes)
+
     def test_same_nodes_comparison(self):
         a = uniform_time_grid(1.0, 17)
         b = uniform_time_grid(1.0, 17)
@@ -287,6 +292,11 @@ class TestScalingLaws:
         assert nlhe_scaling_law(2.0).exponent == pytest.approx(2.0)
         assert nlhe_scaling_law(3.0).exponent == pytest.approx(1.0)
         assert ns_scaling_law().exponent == pytest.approx(1.0)
+
+    def test_nlhe_law_needs_nu_above_one(self):
+        for nu in (1.0, 0.5):
+            with pytest.raises(ValueError, match="nu must exceed 1"):
+                nlhe_scaling_law(nu)
 
     def test_degenerate_gamma(self):
         with pytest.raises(ValueError, match="gamma = 1"):

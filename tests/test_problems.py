@@ -302,6 +302,12 @@ class TestSampleFields:
         assert np.all(f.coefficients[0][outside, :] == 0)
         assert np.all(f.coefficients[0][:, outside] == 0)
 
+    def test_band_limit_zero_rejected(self, grid2d):
+        """Only the mean mode has ``|k| <= 0``, and it is removed: the field
+        would be zero."""
+        with pytest.raises(ValueError, match="band_limit must be at least 1"):
+            random_mean_free_field(grid2d, band_limit=0)
+
     def test_divergence_free_projection(self, grid3d):
         f = random_mean_free_field(grid3d, components=3, divergence_free=True)
         from maxreg_lab import divergence
