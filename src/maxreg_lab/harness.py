@@ -194,6 +194,8 @@ def _check_type(default: Any, value: Any, name: str) -> None:
         ok, kind = isinstance(value, bool), "true or false"
     elif isinstance(default, (int, float)):
         ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        if isinstance(default, int):  # 2.0 passes; 2.5, inf and nan do not
+            ok, kind = ok and value % 1 == 0, "an integer"
     elif isinstance(default, str):
         ok, kind = isinstance(value, str), "a string"
     else:
@@ -514,12 +516,12 @@ def _run_weighted_maxreg(
     params: norms.MixedNormParams,
     weight: norms.WeightParams,
 ) -> tuple[str, dict, dict]:
-    op = spectral.laplacian_multiplier()
-    weighted = maxreg.weighted_maxreg_check(op, params, weight, ensemble, threads=cfg.threads)
-    unit_weight = maxreg.weighted_maxreg_check(
-        op, params, norms.WeightParams(mu=1.0), ensemble, threads=cfg.threads
+    profiles = maxreg._member_profiles(
+        spectral.laplacian_multiplier(), params.q, ensemble, cfg.threads
     )
-    plain = maxreg.estimate_maxreg_constant(op, params, ensemble, threads=cfg.threads)
+    weighted = maxreg._reduce_profiles(profiles, params, weight)
+    unit_weight = maxreg._reduce_profiles(profiles, params, norms.WeightParams(mu=1.0))
+    plain = maxreg._reduce_profiles(profiles, params, None)
     mu1_exact = unit_weight.C_estimate == plain.C_estimate
     metrics = {
         "mu": weight.mu,

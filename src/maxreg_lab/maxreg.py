@@ -31,10 +31,12 @@ from .norms import (
     TimeGrid,
     Trajectory,
     WeightParams,
-    bochner_mixed_norm,
+    _node_spatial_norms,
+    _parseval_l2,
+    _time_lp,
+    _time_weights,
     spatial_lq_norm,
     uniform_time_grid,
-    weighted_bochner_norm,
 )
 from .spectral import FourierMultiplier, SpectralField, TorusGrid
 
@@ -96,6 +98,14 @@ def _accretive_symbol(op: FourierMultiplier, grid: TorusGrid) -> np.ndarray:
     return sym
 
 
+def _real_nonnegative_symbol(op: FourierMultiplier, grid: TorusGrid, purpose: str) -> np.ndarray:
+    sym = _scalar_symbol(op, grid)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(sym))))
+    if np.max(np.abs(sym.imag)) > tol or np.min(sym.real) < -tol:
+        raise ValueError(f"{purpose} requires a real nonnegative symbol")
+    return sym.real
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProblem:
     """Forced problem ``u' + A u = f`` with zero initial state.
@@ -128,14 +138,9 @@ def solve_linear_duhamel(prob: LinearProblem, grid: TimeGrid) -> Trajectory:
     lam = _accretive_symbol(prob.operator, prob.forcing.grid)
     f = prob.forcing.coefficients
     u = np.zeros_like(f)
-    steps = np.diff(grid.nodes)
-    uniform = bool(np.allclose(steps, steps[0], rtol=1e-12, atol=0.0))
-    if uniform:
-        z = -lam * steps[0]
-        decay = np.exp(z)
-        phi1, phi2 = _phi12(z)
-    for i, h in enumerate(steps):
-        if not uniform:
+    uniform = grid.is_uniform
+    for i, h in enumerate(np.diff(grid.nodes)):
+        if i == 0 or not uniform:
             z = -lam * h
             decay = np.exp(z)
             phi1, phi2 = _phi12(z)
@@ -183,12 +188,45 @@ class MaxRegReport:
         return max(m.ratio for m in self.members)
 
 
-def _traj_norm(
-    traj: Trajectory, params: MixedNormParams, weight: WeightParams | None
-) -> float:
-    if weight is None:
-        return bochner_mixed_norm(traj, params)
-    return weighted_bochner_norm(traj, params, weight)
+def _member_profiles(
+    operator: FourierMultiplier, q: float, ensemble: Sequence[Trajectory], threads: int
+) -> list[tuple[TimeGrid, list[np.ndarray]]]:
+    """One Duhamel solve per nonzero member and the nodal ``L^q`` norms of
+    ``u``, ``u' = f - A u``, ``A u`` and ``f``, in that order."""
+
+    def member(f_traj: Trajectory) -> tuple[TimeGrid, list[np.ndarray]] | None:
+        if float(np.max(np.abs(f_traj.coefficients))) == 0.0:
+            return None
+        prob = LinearProblem(operator, f_traj)
+        u = solve_linear_duhamel(prob, f_traj.time_grid)
+        au = apply_operator(u, operator)
+        return f_traj.time_grid, [_node_spatial_norms(t, q) for t in (u, f_traj - au, au, f_traj)]
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            raw = list(pool.map(member, ensemble))
+    else:
+        raw = [member(f) for f in ensemble]
+    profiles = [m for m in raw if m is not None]
+    skipped = len(raw) - len(profiles)
+    if skipped:
+        warnings.warn(f"skipped {skipped} zero-norm forcing member(s)", stacklevel=3)
+    if not profiles:
+        raise ValueError("degenerate ensemble: no nonzero forcing members")
+    return profiles
+
+
+def _reduce_profiles(
+    profiles: list[tuple[TimeGrid, list[np.ndarray]]],
+    params: MixedNormParams,
+    weight: WeightParams | None,
+) -> MaxRegReport:
+    """Reduce :func:`_member_profiles` in ``L^p_t``, power-weighted if ``weight`` is given."""
+    members = []
+    for time_grid, profile in profiles:
+        weights = _time_weights(time_grid, params, weight)
+        members.append(MaxRegMember(*(_time_lp(g, weights, params.p) for g in profile)))
+    return MaxRegReport(params, weight, tuple(members), len(members))
 
 
 def estimate_maxreg_constant(
@@ -205,33 +243,8 @@ def estimate_maxreg_constant(
     ``u' = f - A u``.  Zero-norm members are skipped with a warning; an
     ensemble with no usable member is degenerate and rejected.
     """
-
-    def member(f_traj: Trajectory) -> MaxRegMember | None:
-        if float(np.max(np.abs(f_traj.coefficients))) == 0.0:
-            return None
-        prob = LinearProblem(operator, f_traj)
-        u = solve_linear_duhamel(prob, f_traj.time_grid)
-        au = apply_operator(u, operator)
-        dtu = f_traj - au
-        return MaxRegMember(
-            solution=_traj_norm(u, params, weight),
-            derivative=_traj_norm(dtu, params, weight),
-            operator_term=_traj_norm(au, params, weight),
-            forcing=_traj_norm(f_traj, params, weight),
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(member, ensemble))
-    else:
-        raw = [member(f) for f in ensemble]
-    members = tuple(m for m in raw if m is not None)
-    skipped = len(raw) - len(members)
-    if skipped:
-        warnings.warn(f"skipped {skipped} zero-norm forcing member(s)", stacklevel=2)
-    if not members:
-        raise ValueError("degenerate ensemble: no nonzero forcing members")
-    return MaxRegReport(params, weight, members, len(members))
+    profiles = _member_profiles(operator, params.q, ensemble, threads)
+    return _reduce_profiles(profiles, params, weight)
 
 
 def weighted_maxreg_check(
@@ -368,11 +381,9 @@ def hormander_check(
     and the spectrum only through the products ``s * lam``, so it is
     invariant under joint rescaling.
     """
-    sym = _scalar_symbol(operator, grid)
+    sym = _real_nonnegative_symbol(operator, grid, "kernel check")
     scale = max(1.0, float(np.max(np.abs(sym))))
-    if np.max(np.abs(sym.imag)) > 1e-12 * scale or np.min(sym.real) < -1e-12 * scale:
-        raise ValueError("kernel check requires a real nonnegative symbol")
-    lams = np.unique(sym.real.ravel())
+    lams = np.unique(sym.ravel())
     lams = lams[lams > 1e-14 * scale]
     integrals = []
     for s in s_samples:
@@ -393,11 +404,7 @@ def de_simon_multiplier_solve(prob: LinearProblem, *, pad_factor: int = 4) -> Tr
     """
     if not prob.forcing.time_grid.is_uniform:
         raise ValueError("multiplier route requires a uniform time grid")
-    lam = _accretive_symbol(prob.operator, prob.forcing.grid)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if np.max(np.abs(lam.imag)) > 1e-12 * scale:
-        raise ValueError("multiplier route requires a real nonnegative symbol")
-    lam = lam.real
+    lam = _real_nonnegative_symbol(prob.operator, prob.forcing.grid, "multiplier route")
     f = prob.forcing.coefficients
     k1 = f.shape[0]
     if pad_factor < 2:
@@ -486,11 +493,6 @@ def rbound_estimate(
     else:
         n_signs = max(vectors_per_trial, 4096)
 
-    def l2_norms(batch: np.ndarray) -> np.ndarray:
-        # batch shape (n_signs, components) + grid.shape
-        flat_b = batch.reshape(batch.shape[0], -1)
-        return np.sqrt(grid.volume * np.sum(np.abs(flat_b) ** 2, axis=1))
-
     ratios = [max(float(np.max(np.abs(s))), 0.0) for s in flat]  # worst-mode singletons
     for trial in range(trials):
         fields = []
@@ -515,8 +517,8 @@ def rbound_estimate(
             sj = signs[:, j].reshape(shape)
             run_x = run_x + sj * fields[j][np.newaxis]
             run_t = run_t + sj * (symbols[j] * fields[j])[np.newaxis]
-            mean_x = float(np.mean(l2_norms(run_x)))
-            mean_t = float(np.mean(l2_norms(run_t)))
+            mean_x = float(np.mean(_parseval_l2(run_x, grid)))
+            mean_t = float(np.mean(_parseval_l2(run_t, grid)))
             if mean_x > 0:
                 ratios.append(mean_t / mean_x)
     return RBoundEstimate(

@@ -175,10 +175,6 @@ class Trajectory(_CoefficientArithmetic):
     def state(self, i: int) -> SpectralField:
         return SpectralField(self.grid, self.coefficients[i])
 
-    @property
-    def states(self) -> list[SpectralField]:
-        return [self.state(i) for i in range(self.time_grid.num_nodes)]
-
     def _check_compatible(self, other: "Trajectory") -> None:
         if (
             self.grid != other.grid
@@ -280,16 +276,29 @@ def _node_spatial_norms(traj: Trajectory, q: float) -> np.ndarray:
     return _lq_magnitude(_physical_values(traj.coefficients, traj.grid), traj.grid, q)
 
 
+def _time_lp(g: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """``(sum weights * g**p)**(1/p)`` over nodal norms ``g``; ``max g`` for ``p = inf``."""
+    if math.isinf(p):
+        return float(np.max(g))
+    return float(np.sum(weights * g**p) ** (1.0 / p))
+
+
+def _time_weights(
+    time_grid: TimeGrid, params: MixedNormParams, weight: WeightParams | None
+) -> np.ndarray:
+    """Quadrature weights of the plain or, given ``weight``, power-weighted time norm."""
+    if weight is None:
+        return time_grid.weights
+    weight.validate_against(params)
+    return time_grid.weights * time_grid.nodes ** ((1.0 - weight.mu) * params.p)
+
+
 def bochner_mixed_norm(traj: Trajectory, params: MixedNormParams) -> float:
     """``L^p_t(L^q_x)`` norm by time quadrature of nodewise spatial norms.
 
     For ``p = inf`` the maximum over nodes is returned.
     """
-    g = _node_spatial_norms(traj, params.q)
-    if math.isinf(params.p):
-        return float(np.max(g))
-    w = traj.time_grid.weights
-    return float((np.sum(w * g**params.p)) ** (1.0 / params.p))
+    return _time_lp(_node_spatial_norms(traj, params.q), traj.time_grid.weights, params.p)
 
 
 def weighted_bochner_norm(
@@ -300,12 +309,8 @@ def weighted_bochner_norm(
     ``mu = 1`` reproduces :func:`bochner_mixed_norm` exactly (the weight
     array is identically one).
     """
-    weight.validate_against(params)
-    g = _node_spatial_norms(traj, params.q)
-    t = traj.time_grid.nodes
-    w = traj.time_grid.weights
-    factor = t ** ((1.0 - weight.mu) * params.p)
-    return float((np.sum(w * factor * g**params.p)) ** (1.0 / params.p))
+    weights = _time_weights(traj.time_grid, params, weight)
+    return _time_lp(_node_spatial_norms(traj, params.q), weights, params.p)
 
 
 def heat_extension(u0: SpectralField, time_grid: TimeGrid) -> Trajectory:

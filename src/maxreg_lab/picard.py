@@ -165,9 +165,10 @@ def run_picard(
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = prob.base
-    delta, small_ok = smallness_gate(lipschitz_M, prob.epsilon, prob.norm(a))
+    a_norm = prob.norm(a)
+    delta, small_ok = smallness_gate(lipschitz_M, prob.epsilon, a_norm)
     u = a if start is None else start
-    norms = [prob.norm(u)]
+    norms = [a_norm if start is None else prob.norm(u)]
     diffs: list[float] = []
     factors: list[float] = []
     diverged = False

@@ -29,6 +29,7 @@ from .norms import (
     Trajectory,
     _node_spatial_norms,
     _parseval_l2,
+    _time_lp,
     _trapezoid_weights,
     besov_heat_norm,
     bochner_mixed_norm,
@@ -591,7 +592,7 @@ def _existence_sweep(
         entries.append(
             ExistenceEntry(
                 eta=eta,
-                a_norm=norm(a),
+                a_norm=cert.iterate_norms[0],
                 delta=cert.delta,
                 smallness_ok=cert.smallness_ok,
                 certificate=cert,
@@ -853,8 +854,7 @@ def uniqueness_bootstrap(
         radii.append(radius)
         quantities.append((q1, q2, q3))
         factors.append(C * (q1 + q2 + q3))
-        weights = _trapezoid_weights(nodes[seg])
-        separations.append(float(np.sum(weights * gap_q[seg] ** p) ** (1.0 / p)))
+        separations.append(_time_lp(gap_q[seg], _trapezoid_weights(nodes[seg]), p))
         i0 = i1
     return UniquenessReport(
         status=status,

@@ -201,6 +201,29 @@ class TestRunExperiment:
         assert record.status == "pass"
         assert 0 < record.metrics["C_estimate"] <= 1.05
 
+    def test_weighted_maxreg_solves_each_member_once(self, monkeypatch):
+        """The weighted, mu = 1 and plain constants reduce one set of solves."""
+        solves = []
+        solve = maxreg.solve_linear_duhamel
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(maxreg, "solve_linear_duhamel", counting_solve)
+        record = run_experiment(
+            load_config(
+                {
+                    "experiment": "weighted-maxreg",
+                    "grid": {"points_per_axis": 16},
+                    "time": {"num_nodes": 9},
+                    "params": {"ensemble_size": 3},
+                }
+            )
+        )
+        assert len(solves) == 3
+        assert record.metrics["C_mu1"] == record.metrics["C_unweighted"]
+
     def test_reruns_are_reproducible(self):
         r1 = run_experiment(load_config(TINY_LIPSCHITZ))
         r2 = run_experiment(load_config(TINY_LIPSCHITZ))
@@ -338,6 +361,9 @@ class TestDomainChecks:
             ({"experiment": "lipschitz", "params": {"nu_values": []}}, "params.'nu_values' must not be empty"),
             ({"experiment": "ns-exist", "params": {"eta_grid": []}}, "params.'eta_grid' must not be empty"),
             ({"experiment": "resolvent", "params": {"z_values": [[]]}}, "params.'z_values' entry must not be empty"),
+            ({"experiment": "lipschitz", "threads": math.inf}, "'threads' must be an integer"),
+            ({"experiment": "lipschitz", "params": {"samples": math.inf}}, "params.'samples' must be an integer"),
+            ({"experiment": "maxreg", "params": {"ensemble_size": 2.5}}, "params.'ensemble_size' must be an integer"),
         ],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):

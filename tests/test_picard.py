@@ -150,6 +150,21 @@ class TestRunPicard:
         )
         assert seen == list(range(cert.iterations + 1))
 
+    def test_data_norm_evaluated_once(self):
+        """One norm for the gate, which is also the first iterate's, then
+        one per step and per iterate, and one for the residual."""
+        calls = []
+
+        def norm(u):
+            calls.append(u)
+            return abs(u)
+
+        prob = FixedPointProblem(base=0.1, map_F=lambda u: u * u, norm=norm, epsilon=1.0)
+        calls.clear()
+        _, cert = run_picard(prob, 60, 1e-12, lipschitz_M=1.0)
+        assert cert.converged
+        assert len(calls) == 2 + 2 * cert.iterations
+
     def test_validation(self):
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             run_picard(scalar_problem(0.1), 0, 1e-9, lipschitz_M=1.0)
