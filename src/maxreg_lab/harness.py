@@ -567,8 +567,11 @@ def _run_desimon(
     ratios = []
     for f in ensemble:
         au = maxreg.de_simon_multiplier_solve(maxreg.LinearProblem(op, f))
+        # Each norm reads a local alias, so the samples it caches go with the
+        # alias: they would outlive their one use on au or on the ensemble.
         ratios.append(
-            norms.bochner_mixed_norm(au, params) / norms.bochner_mixed_norm(f, params)
+            norms.bochner_mixed_norm(replace(au), params)
+            / norms.bochner_mixed_norm(replace(f), params)
         )
     sup = maxreg.multiplier_sup_norm(op, sigma, grid)
     metrics = {
@@ -844,6 +847,12 @@ def _check_picard(p: dict[str, Any]) -> None:
         raise ValueError("params.picard_tol must be positive")
 
 
+def _check_bootstrap_p(p: dict[str, Any]) -> None:
+    """Reject the time exponent :func:`problems.uniqueness_bootstrap` refuses."""
+    if not float(p["bootstrap_p"]) > 1:
+        raise ValueError("params.bootstrap_p must exceed 1")
+
+
 def _eta_grid(p: dict[str, Any]) -> list[float]:
     eta_grid = [float(e) for e in p["eta_grid"]]
     if not all(eta >= 0 for eta in eta_grid):
@@ -1049,6 +1058,7 @@ def _set_up_nlhe_unique(
 ) -> tuple[problems.NlheProblem]:
     p = cfg.params
     _check_picard(p)
+    _check_bootstrap_p(p)
     params = _mixed_params(cfg)
     u0 = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
     prob = problems.NlheProblem(
@@ -1066,6 +1076,7 @@ def _set_up_ns_unique(
     cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
 ) -> tuple[problems.NsProblem]:
     _check_picard(cfg.params)
+    _check_bootstrap_p(cfg.params)
     params = _mixed_params(cfg)
     u0 = _scaled_to_eta(cfg, problems.taylor_green_field(grid), params)
     prob = problems.NsProblem(params=params, u0=u0, time_grid=tgrid)

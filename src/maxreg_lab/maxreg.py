@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -200,7 +200,14 @@ def _member_profiles(
         prob = LinearProblem(operator, f_traj)
         u = solve_linear_duhamel(prob, f_traj.time_grid)
         au = apply_operator(u, operator)
-        return f_traj.time_grid, [_node_spatial_norms(t, q) for t in (u, f_traj - au, au, f_traj)]
+        u_q = _node_spatial_norms(u, q)
+        del u  # with the samples its norm cached
+        # The norm caches the forcing's samples on a local alias, so they go
+        # with this member instead of living on in the ensemble; with those
+        # of ``A u`` they give the samples of ``f - A u`` without a transform.
+        f = replace(f_traj)
+        f_q, au_q = _node_spatial_norms(f, q), _node_spatial_norms(au, q)
+        return f_traj.time_grid, [u_q, _node_spatial_norms(f - au, q), au_q, f_q]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate, special
 
-from .spectral import SpectralField, TorusGrid, _CoefficientArithmetic, _physical_values
+from .spectral import SpectralField, TorusGrid, _CoefficientArithmetic, divergence
 
 __all__ = [
     "TimeGrid",
@@ -134,7 +135,9 @@ class Trajectory(_CoefficientArithmetic):
 
     ``coefficients`` has shape ``(num_nodes, m) + grid.shape``.  The
     linear operations mirror :class:`SpectralField` so trajectories can be
-    fed to generic fixed-point iterations.
+    fed to generic fixed-point iterations.  A trajectory is immutable: its
+    derived views ``samples`` and ``max_divergence`` are computed at most
+    once, and ``samples`` is carried through ``+``, ``-`` and real ``*``.
     """
 
     time_grid: TimeGrid
@@ -171,6 +174,11 @@ class Trajectory(_CoefficientArithmetic):
     @property
     def components(self) -> int:
         return self.coefficients.shape[1]
+
+    @cached_property
+    def max_divergence(self) -> float:
+        """Largest nodewise ``L^2`` norm of the divergence, computed once."""
+        return float(np.max(_parseval_l2(divergence(self).coefficients, self.grid)))
 
     def state(self, i: int) -> SpectralField:
         return SpectralField(self.grid, self.coefficients[i])
@@ -273,7 +281,7 @@ def spatial_lq_norm(field: SpectralField, q: float) -> float:
 
 
 def _node_spatial_norms(traj: Trajectory, q: float) -> np.ndarray:
-    return _lq_magnitude(_physical_values(traj.coefficients, traj.grid), traj.grid, q)
+    return _lq_magnitude(traj.samples, traj.grid, q)
 
 
 def _time_lp(g: np.ndarray, weights: np.ndarray, p: float) -> float:

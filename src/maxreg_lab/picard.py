@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -60,7 +60,7 @@ def estimate_lipschitz_M(
     map_F: Callable[[Any], Any],
     norm: Callable[[Any], float],
     epsilon: float,
-    sample_pairs: Sequence[tuple[Any, Any]],
+    sample_pairs: Iterable[tuple[Any, Any]],
     *,
     safety_factor: float = 1.5,
     warn_on_trend: bool = True,
@@ -176,12 +176,16 @@ def run_picard(
     if iterate_callback is not None:
         iterate_callback(0, u)
     for k in range(1, max_iter + 1):
-        u_next = a + prob.map_F(u)
-        step = prob.norm(u_next - u)
+        # The step is measured on the difference of the states themselves,
+        # which is exact for close iterates, and the new iterate is formed
+        # as ``u + change``: a state that caches what its norm computed
+        # (a trajectory's samples) then carries it to the iterate.
+        change = a + prob.map_F(u) - u
+        step = prob.norm(change)
         diffs.append(step)
         if len(diffs) >= 2 and diffs[-2] > 0:
             factors.append(diffs[-1] / diffs[-2])
-        u = u_next
+        u = u + change
         norms.append(prob.norm(u))
         if iterate_callback is not None:
             iterate_callback(k, u)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -186,8 +186,12 @@ def nlhe_rhs_map(u: Trajectory, prob: NlheProblem) -> Trajectory:
 
 
 def max_node_divergence(u: Trajectory) -> float:
-    """Largest nodewise ``L^2`` norm of the divergence along a trajectory."""
-    return float(np.max(_parseval_l2(divergence(u).coefficients, u.grid)))
+    """Largest nodewise ``L^2`` norm of the divergence along a trajectory.
+
+    Read from the trajectory's cached ``max_divergence``, so the map's input
+    check and the existence sweep's iterate callback share one evaluation.
+    """
+    return u.max_divergence
 
 
 def ns_rhs_map(u: Trajectory, prob: NsProblem) -> Trajectory:
@@ -506,15 +510,16 @@ def _sample_trajectory_pairs(
     seed: int = 0,
     count: int = 4,
     amplitude: float = 1.0,
-) -> list[tuple[Trajectory, Trajectory]]:
+) -> Iterator[tuple[Trajectory, Trajectory]]:
     """Pairs of random heat-flow trajectories at a 10x range of amplitudes.
 
     The trajectories have the problem's component count and, for the
-    incompressible problem, are divergence-free.
+    incompressible problem, are divergence-free.  The pairs are drawn one
+    at a time, so only the pair in use (and the samples its norms cached)
+    is held.
     """
     grid = prob.u0.grid
     vector = isinstance(prob, NsProblem)
-    pairs = []
     scales = np.geomspace(0.1, 1.0, count) * amplitude
     for i, scale in enumerate(scales):
         fields = []
@@ -530,8 +535,7 @@ def _sample_trajectory_pairs(
             traj = heat_extension(f, prob.time_grid)
             size = norm(traj)
             fields.append(traj * (scale / size))
-        pairs.append((fields[0], fields[1]))
-    return pairs
+        yield fields[0], fields[1]
 
 
 def measured_lipschitz_M(

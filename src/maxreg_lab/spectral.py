@@ -16,6 +16,8 @@ single field or a ``norms.Trajectory`` and act on every time node at once.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, TypeVar
@@ -49,6 +51,11 @@ __all__ = [
 
 #: Relative tolerance used when a nominally-real physical field is checked.
 _REALITY_TOL = 1e-10
+
+#: Relative ``l^2`` size of the coefficients outside the dealias mask up to
+#: which a field counts as dealiased already (the rounding of a band-limited
+#: field).
+_MASK_TOL = 1e-14
 
 #: A single field or a time-node stack; the operators that accept either
 #: work over coefficient arrays shaped ``(..., m) + grid.shape``.
@@ -117,16 +124,19 @@ class TorusGrid:
         return np.unique(self.xi_sq)
 
     @cached_property
+    def _dealias_dropped(self) -> slice:
+        """The index block ``|k| >= N/3`` the 2/3 rule drops along each axis;
+        in FFT ordering these mode numbers are contiguous."""
+        N = self.points_per_axis
+        dropped = np.flatnonzero(np.abs(np.fft.fftfreq(N, d=1.0 / N)) >= N / 3.0)
+        return slice(int(dropped[0]), int(dropped[-1]) + 1)
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean mask keeping ``|k| < N/3`` along every axis (2/3 rule)."""
-        N = self.points_per_axis
-        k = np.fft.fftfreq(N, d=1.0 / N)  # integer mode numbers
-        keep_1d = np.abs(k) < N / 3.0
         mask = np.ones(self.shape, dtype=bool)
         for axis in range(self.dimension):
-            idx = [np.newaxis] * self.dimension
-            idx[axis] = slice(None)
-            mask &= keep_1d[tuple(idx)]
+            mask[(slice(None),) * axis + (self._dealias_dropped,)] = False
         return mask
 
     @cached_property
@@ -145,12 +155,20 @@ def _physical_values(
     negligible (conjugate symmetry), otherwise a ``ValueError`` is raised.
     """
     values = scipy.fft.ifftn(coefficients, axes=tuple(range(-grid.dimension, 0)), norm="forward")
-    if require_real:
-        scale = max(1.0, float(np.max(np.abs(values))))
-        if np.max(np.abs(values.imag)) > _REALITY_TOL * scale:
-            raise ValueError("field is not real: conjugate symmetry is broken")
-        return values.real
-    return values
+    return _real_part(values) if require_real else values
+
+
+def _is_real(values: np.ndarray) -> bool:
+    """Whether the imaginary part of ``values`` is negligible against ``max(1, max |values|)``."""
+    scale = max(1.0, float(np.max(np.abs(values))))
+    return not np.max(np.abs(values.imag)) > _REALITY_TOL * scale
+
+
+def _real_part(values: np.ndarray) -> np.ndarray:
+    """Real part of samples that must be real; a ``ValueError`` if they are not."""
+    if np.iscomplexobj(values) and not _is_real(values):
+        raise ValueError("field is not real: conjugate symmetry is broken")
+    return values.real
 
 
 def _fourier_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -170,27 +188,60 @@ def _with_component_axis(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 class _CoefficientArithmetic:
-    """Linear structure of a dataclass holding a ``coefficients`` array.
+    """Linear structure of an immutable dataclass holding ``grid`` and
+    ``coefficients``, and its cached physical view ``samples``.
 
     Shared by :class:`SpectralField` and ``norms.Trajectory``; each defines
-    ``_check_compatible`` for its own notion of a matching operand.
+    ``_check_compatible`` for its own notion of a matching operand.  The
+    linear operations carry ``samples`` through when every operand already
+    holds it, so a sum, difference or real multiple of transformed states
+    needs no transform of its own.  ``dataclasses.replace`` builds an
+    instance without it, which is why ``coefficients`` is never written in
+    place.
     """
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Physical samples, computed once.
+
+        Real float64 samples that own their memory when the imaginary part
+        is negligible (the check of ``require_real``), complex otherwise.
+        Not a ``functools.cached_property``: before Python 3.12 its lock is
+        shared by every instance, which would serialise the transforms of
+        an ensemble's worker threads.
+        """
+        samples = vars(self).get("_samples")
+        if samples is None:
+            values = _physical_values(self.coefficients, self.grid)
+            samples = values.real.copy() if _is_real(values) else values
+            vars(self)["_samples"] = samples
+        return samples
+
+    def _linear(self, op: Callable[..., np.ndarray], *others):
+        """``op`` of the coefficients, and of the samples when every operand holds them."""
+        operands = (self, *others)
+        out = replace(self, coefficients=op(*(x.coefficients for x in operands)))
+        if all("_samples" in vars(x) for x in operands):
+            vars(out)["_samples"] = op(*(x.samples for x in operands))
+        return out
 
     def __add__(self, other):
         self._check_compatible(other)
-        return replace(self, coefficients=self.coefficients + other.coefficients)
+        return self._linear(operator.add, other)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return replace(self, coefficients=self.coefficients - other.coefficients)
+        return self._linear(operator.sub, other)
 
     def __mul__(self, scalar: complex):
+        if isinstance(scalar, numbers.Real):
+            return self._linear(lambda c: c * scalar)
         return replace(self, coefficients=self.coefficients * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return replace(self, coefficients=-self.coefficients)
+        return self._linear(operator.neg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,6 +466,30 @@ def dealias(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, field.coefficients * mask[np.newaxis])
 
 
+def _dealiased_samples(u: _FieldOrStack, *, require_real: bool = False) -> np.ndarray:
+    """Physical samples of ``u`` with the modes outside the dealias mask dropped.
+
+    A field already inside the mask, up to ``_MASK_TOL``, gives its cached
+    ``samples``; any other is masked and transformed.  ``require_real`` is
+    as in :func:`_physical_values`.
+    """
+    grid = u.grid
+    c = u.coefficients
+    # The dropped modes are the union over the axes of the slab where that
+    # axis runs through the dropped block; a mode in several slabs is
+    # counted once per slab, which only makes the test stricter.
+    n = grid.dimension
+    slabs = ((Ellipsis, grid._dealias_dropped) + (slice(None),) * (n - 1 - d) for d in range(n))
+    if sum(_energy(c[slab]) for slab in slabs) <= _MASK_TOL**2 * _energy(c):
+        return _real_part(u.samples) if require_real else u.samples
+    return _physical_values(c * grid.dealias_mask, grid, require_real=require_real)
+
+
+def _energy(coefficients: np.ndarray) -> float:
+    """``sum |c|**2`` over the whole array, without forming the moduli."""
+    return float(np.sum(np.square(coefficients.real)) + np.sum(np.square(coefficients.imag)))
+
+
 def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
     """``div(u (x) v)``, the vector with components ``sum_i d_i (u_i v_j)``.
 
@@ -422,7 +497,8 @@ def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
     and after, then differentiated spectrally.  All products ``u_i v_j``
     are transformed in one stacked call.  When ``v`` is ``u`` itself it is
     not transformed again, and only the products with ``i <= j`` are
-    formed: ``u_j u_i`` is read from ``u_i u_j``.
+    formed: ``u_j u_i`` is read from ``u_i u_j``; a ``u`` inside the
+    dealias mask then gives its cached samples.
     """
     u._check_compatible(v)
     grid = u.grid
@@ -431,11 +507,11 @@ def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
         raise ValueError("tensor divergence expects one component per dimension")
     mask = grid.dealias_mask
     space = (slice(None),) * n
-    u_phys = _physical_values(u.coefficients * mask, grid)
     if v is u:
-        v_phys = u_phys
+        u_phys = v_phys = _dealiased_samples(u)
         rows, cols = np.triu_indices(n)
     else:
+        u_phys = _physical_values(u.coefficients * mask, grid)
         v_phys = _physical_values(v.coefficients * mask, grid)
         rows, cols = np.indices((n, n)).reshape(2, -1)
     products = u_phys[(Ellipsis, rows) + space] * v_phys[(Ellipsis, cols) + space]
@@ -457,7 +533,7 @@ def pointwise_power_nonlinearity(
 
     ``signed`` produces ``|u|**(nu-1) * u`` and ``unsigned`` produces
     ``|u|**nu``.  The input must have negligible imaginary part in physical
-    space.
+    space; one inside the dealias mask gives its cached samples.
     """
     if u.components != 1:
         raise ValueError("pointwise power expects a scalar field")
@@ -467,7 +543,7 @@ def pointwise_power_nonlinearity(
         raise ValueError(f"unknown variant {variant!r}; use 'signed' or 'unsigned'")
     grid = u.grid
     mask = grid.dealias_mask
-    values = _physical_values(u.coefficients * mask, grid, require_real=True)
+    values = _dealiased_samples(u, require_real=True)
     if variant == "signed":
         w = np.abs(values) ** (nu - 1.0) * values
     else:

@@ -364,6 +364,10 @@ class TestDomainChecks:
             ({"experiment": "lipschitz", "threads": math.inf}, "'threads' must be an integer"),
             ({"experiment": "lipschitz", "params": {"samples": math.inf}}, "params.'samples' must be an integer"),
             ({"experiment": "maxreg", "params": {"ensemble_size": 2.5}}, "params.'ensemble_size' must be an integer"),
+            ({"experiment": "nlhe-unique", "params": {"bootstrap_p": 0.5}}, "bootstrap_p must exceed 1"),
+            ({"experiment": "nlhe-unique", "params": {"bootstrap_p": -1.0}}, "bootstrap_p must exceed 1"),
+            ({"experiment": "ns-unique", "params": {"bootstrap_p": 0.5}}, "bootstrap_p must exceed 1"),
+            ({"experiment": "ns-unique", "params": {"bootstrap_p": -1.0}}, "bootstrap_p must exceed 1"),
         ],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):
