@@ -6,7 +6,8 @@ per-experiment parameter blocks).  Loading fills defaults and rejects
 unknown keys and values of the wrong JSON type; it checks no ranges.
 Each experiment has one set-up and one runner.  The set-up builds the
 grid, the time grid and the experiment's domain objects (problems,
-initial data, forcing ensembles, the lists the runner loops over) and is
+initial data, the lists the runner loops over; a forcing ensemble's keys
+are range-checked there and the members drawn by the runner) and is
 the only range check: a value it rejects is a :class:`ConfigError`, for
 :func:`check_config` and :func:`run_experiment` alike, while an error
 from the numerics that follow is not.  The runner returns the status of
@@ -325,18 +326,15 @@ def synthetic_forcing_ensemble(
     substream alone — mode indices are drawn from ``[-band_limit,
     band_limit]^n`` and time envelopes are damped sinusoids — so
     regenerating on a refined grid samples the same continuum forcing.
+    The members are real and built as half spectra.
     """
-    if size < 1:
-        raise ValueError("ensemble size must be at least 1")
-    if band_limit < 1:
-        raise ValueError("band_limit must be at least 1")
-    if modes_per_member < 1:
-        raise ValueError("modes_per_member must be at least 1")
+    _check_ensemble_args(size, band_limit, modes_per_member)
     members = []
     t = time_grid.nodes
+    columns = grid.half_shape[-1]
     for member in range(size):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 11, member]))
-        coeff = np.zeros((time_grid.num_nodes, 1) + grid.shape, dtype=np.complex128)
+        coeff = np.zeros((time_grid.num_nodes, 1) + grid.half_shape, dtype=np.complex128)
         for _ in range(modes_per_member):
             while True:
                 k = rng.integers(-band_limit, band_limit + 1, size=grid.dimension)
@@ -347,12 +345,23 @@ def synthetic_forcing_ensemble(
             freq = rng.uniform(0.5, 3.0)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             envelope = np.exp(-decay * t) * np.sin(freq * t + phase)
-            idx_pos = tuple(int(ki) % grid.points_per_axis for ki in k)
-            idx_neg = tuple(int(-ki) % grid.points_per_axis for ki in k)
-            coeff[(slice(None), 0) + idx_pos] += 0.5 * amp * envelope
-            coeff[(slice(None), 0) + idx_neg] += 0.5 * np.conj(amp) * envelope
+            for sign, value in ((1, 0.5 * amp), (-1, 0.5 * np.conj(amp))):
+                idx = tuple(int(sign * ki) % grid.points_per_axis for ki in k)
+                if idx[-1] < columns:  # the mode k or -k the half spectrum keeps
+                    coeff[(slice(None), 0) + idx] += value * envelope
         members.append(norms.Trajectory(time_grid, grid, coeff))
     return members
+
+
+def _check_ensemble_args(size: int, band_limit: int, modes_per_member: int) -> None:
+    """The range check of :func:`synthetic_forcing_ensemble`; ``validate``
+    runs it without drawing the members."""
+    if size < 1:
+        raise ValueError("ensemble size must be at least 1")
+    if band_limit < 1:
+        raise ValueError("band_limit must be at least 1")
+    if modes_per_member < 1:
+        raise ValueError("modes_per_member must be at least 1")
 
 
 # -- results -----------------------------------------------------------
@@ -442,29 +451,36 @@ def _mixed_params(cfg: ExperimentConfig) -> norms.MixedNormParams:
     return norms.MixedNormParams(p=float(cfg.params["p"]), q=float(cfg.params["q"]))
 
 
+def _ensemble_args(cfg: ExperimentConfig) -> tuple[int, int, int]:
+    """Size, band limit and modes per member of the config's forcing ensemble."""
+    p = cfg.params
+    return int(p["ensemble_size"]), int(p["band_limit"]), int(p["modes_per_member"])
+
+
 def _ensemble(
     cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
 ) -> list[norms.Trajectory]:
-    p = cfg.params
+    """Draw the config's forcing ensemble; only runners draw, set-ups run
+    :func:`_check_ensemble_args` on the same keys."""
+    size, band_limit, modes = _ensemble_args(cfg)
     return synthetic_forcing_ensemble(
-        grid,
-        tgrid,
-        int(p["ensemble_size"]),
-        band_limit=int(p["band_limit"]),
-        modes_per_member=int(p["modes_per_member"]),
-        seed=cfg.rng_seed,
+        grid, tgrid, size, band_limit=band_limit, modes_per_member=modes, seed=cfg.rng_seed
     )
 
 
 def _set_up_maxreg(
     cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[list[norms.Trajectory], norms.MixedNormParams]:
+) -> tuple[spectral.TorusGrid, norms.TimeGrid, norms.MixedNormParams]:
     params = _mixed_params(cfg)
-    return _ensemble(cfg, grid, tgrid), params
+    _check_ensemble_args(*_ensemble_args(cfg))
+    return grid, tgrid, params
 
 
 def _run_maxreg(
-    cfg: ExperimentConfig, ensemble: list[norms.Trajectory], params: norms.MixedNormParams
+    cfg: ExperimentConfig,
+    grid: spectral.TorusGrid,
+    tgrid: norms.TimeGrid,
+    params: norms.MixedNormParams,
 ) -> tuple[str, dict, dict]:
     p = cfg.params
     op = spectral.laplacian_multiplier()
@@ -472,14 +488,13 @@ def _run_maxreg(
     def measure(members: list[norms.Trajectory]) -> maxreg.MaxRegReport:
         return maxreg.estimate_maxreg_constant(op, params, members, threads=cfg.threads)
 
-    report = measure(ensemble)
+    report = measure(_ensemble(cfg, grid, tgrid))
     metrics: dict[str, Any] = {
         "C_estimate": report.C_estimate,
         "ensemble_size": report.ensemble_size,
     }
     status = "pass" if math.isfinite(report.C_estimate) else "fail"
     if bool(p["refine"]):
-        grid, tgrid = ensemble[0].grid, ensemble[0].time_grid
         fine_grid = replace(grid, points_per_axis=2 * grid.points_per_axis)
         fine_time = norms.uniform_time_grid(tgrid.horizon, 2 * tgrid.num_nodes - 1)
         fine = measure(_ensemble(cfg, fine_grid, fine_time))
@@ -503,21 +518,23 @@ def _run_maxreg(
 
 def _set_up_weighted_maxreg(
     cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[list[norms.Trajectory], norms.MixedNormParams, norms.WeightParams]:
+) -> tuple[spectral.TorusGrid, norms.TimeGrid, norms.MixedNormParams, norms.WeightParams]:
     params = _mixed_params(cfg)
     weight = norms.WeightParams(mu=float(cfg.params["mu"]))
     weight.validate_against(params)
-    return _ensemble(cfg, grid, tgrid), params, weight
+    _check_ensemble_args(*_ensemble_args(cfg))
+    return grid, tgrid, params, weight
 
 
 def _run_weighted_maxreg(
     cfg: ExperimentConfig,
-    ensemble: list[norms.Trajectory],
+    grid: spectral.TorusGrid,
+    tgrid: norms.TimeGrid,
     params: norms.MixedNormParams,
     weight: norms.WeightParams,
 ) -> tuple[str, dict, dict]:
     profiles = maxreg._member_profiles(
-        spectral.laplacian_multiplier(), params.q, ensemble, cfg.threads
+        spectral.laplacian_multiplier(), params.q, _ensemble(cfg, grid, tgrid), cfg.threads
     )
     weighted = maxreg._reduce_profiles(profiles, params, weight)
     unit_weight = maxreg._reduce_profiles(profiles, params, norms.WeightParams(mu=1.0))
@@ -546,18 +563,19 @@ def _run_weighted_maxreg(
 
 def _set_up_desimon(
     cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[spectral.TorusGrid, list[norms.Trajectory], np.ndarray]:
+) -> tuple[spectral.TorusGrid, norms.TimeGrid, np.ndarray]:
     p = cfg.params
     if int(p["sigma_points"]) < 1:
         raise ValueError("params.sigma_points must be at least 1")
     sigma = np.linspace(0.0, float(p["sigma_max"]), int(p["sigma_points"]))
-    return grid, _ensemble(cfg, grid, tgrid), sigma
+    _check_ensemble_args(*_ensemble_args(cfg))
+    return grid, tgrid, sigma
 
 
 def _run_desimon(
     cfg: ExperimentConfig,
     grid: spectral.TorusGrid,
-    ensemble: list[norms.Trajectory],
+    tgrid: norms.TimeGrid,
     sigma: np.ndarray,
 ) -> tuple[str, dict, dict]:
     # The L^2(L^2) (Plancherel) case of De Simon's theorem: the multiplier
@@ -565,13 +583,13 @@ def _run_desimon(
     params = norms.MixedNormParams(p=2.0, q=2.0)
     op = spectral.laplacian_multiplier()
     ratios = []
-    for f in ensemble:
+    for f in _ensemble(cfg, grid, tgrid):
         au = maxreg.de_simon_multiplier_solve(maxreg.LinearProblem(op, f))
         # Each norm reads a local alias, so the samples it caches go with the
         # alias: they would outlive their one use on au or on the ensemble.
         ratios.append(
-            norms.bochner_mixed_norm(replace(au), params)
-            / norms.bochner_mixed_norm(replace(f), params)
+            norms.bochner_mixed_norm(replace(au, coefficients=au.spectrum), params)
+            / norms.bochner_mixed_norm(replace(f, coefficients=f.spectrum), params)
         )
     sup = maxreg.multiplier_sup_norm(op, sigma, grid)
     metrics = {
@@ -1181,7 +1199,8 @@ def check_config(cfg: ExperimentConfig) -> None:
     This is the range check of every config value: it raises
     :class:`ConfigError` for any value that :func:`load_config` accepts but
     the set-up rejects, from the grid, the time grid and ``threads`` to the
-    experiment's problem, initial field, forcing ensemble or parameter lists.
+    experiment's problem, initial field, forcing-ensemble keys or parameter
+    lists.  It draws no forcing ensemble.
     """
     _set_up(cfg)
 

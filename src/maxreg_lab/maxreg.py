@@ -38,7 +38,7 @@ from .norms import (
     spatial_lq_norm,
     uniform_time_grid,
 )
-from .spectral import FourierMultiplier, SpectralField, TorusGrid
+from .spectral import FourierMultiplier, SpectralField, TorusGrid, _on_layout
 
 __all__ = [
     "LinearProblem",
@@ -63,9 +63,10 @@ def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable ``phi_1(z) = (e^z-1)/z`` and ``phi_2(z) = (e^z-1-z)/z**2``.
 
     A truncated Taylor series takes over below ``|z| = 0.5`` where the
-    direct formulas lose digits to cancellation.
+    direct formulas lose digits to cancellation.  Real ``z`` gives real
+    values.
     """
-    z = np.asarray(z, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.result_type(z, np.float64))
     phi1 = np.empty_like(z)
     phi2 = np.empty_like(z)
     small = np.abs(z) < 0.5
@@ -85,10 +86,11 @@ def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scalar_symbol(op: FourierMultiplier, grid: TorusGrid) -> np.ndarray:
+    """The symbol on the full grid, in its own (real or complex) dtype."""
     sym = op.evaluate(grid)
     if sym.shape != grid.shape:
         raise ValueError("operation requires a scalar (non-matrix) symbol")
-    return np.asarray(sym, dtype=np.complex128)
+    return np.asarray(sym, dtype=np.result_type(sym, np.float64))
 
 
 def _accretive_symbol(op: FourierMultiplier, grid: TorusGrid) -> np.ndarray:
@@ -131,12 +133,13 @@ def solve_linear_duhamel(prob: LinearProblem, grid: TimeGrid) -> Trajectory:
 
     ``grid`` must carry the same nodes the forcing is sampled on; the
     recursion is second-order accurate in the node spacing for smooth
-    forcing and exact when the forcing really is piecewise linear.
+    forcing and exact when the forcing really is piecewise linear.  A real
+    forcing and a symbol that maps real fields to real fields (the real
+    even ``|xi|**2``, say) keep the half spectrum.
     """
     if not grid.same_nodes(prob.forcing.time_grid):
         raise ValueError("solve grid must carry the same nodes as the forcing")
-    lam = _accretive_symbol(prob.operator, prob.forcing.grid)
-    f = prob.forcing.coefficients
+    lam, f = _on_layout(_accretive_symbol(prob.operator, prob.forcing.grid), prob.forcing)
     u = np.zeros_like(f)
     uniform = grid.is_uniform
     for i, h in enumerate(np.diff(grid.nodes)):
@@ -151,8 +154,8 @@ def solve_linear_duhamel(prob: LinearProblem, grid: TimeGrid) -> Trajectory:
 
 def apply_operator(traj: Trajectory, op: FourierMultiplier) -> Trajectory:
     """Apply a scalar-symbol multiplier to every state of a trajectory."""
-    sym = _scalar_symbol(op, traj.grid)
-    return Trajectory(traj.time_grid, traj.grid, traj.coefficients * sym)
+    sym, coeff = _on_layout(_scalar_symbol(op, traj.grid), traj)
+    return Trajectory(traj.time_grid, traj.grid, coeff * sym)
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,7 @@ def _member_profiles(
     ``u``, ``u' = f - A u``, ``A u`` and ``f``, in that order."""
 
     def member(f_traj: Trajectory) -> tuple[TimeGrid, list[np.ndarray]] | None:
-        if float(np.max(np.abs(f_traj.coefficients))) == 0.0:
+        if float(np.max(np.abs(f_traj.spectrum))) == 0.0:
             return None
         prob = LinearProblem(operator, f_traj)
         u = solve_linear_duhamel(prob, f_traj.time_grid)
@@ -205,7 +208,7 @@ def _member_profiles(
         # The norm caches the forcing's samples on a local alias, so they go
         # with this member instead of living on in the ensemble; with those
         # of ``A u`` they give the samples of ``f - A u`` without a transform.
-        f = replace(f_traj)
+        f = replace(f_traj, coefficients=f_traj.spectrum)
         f_q, au_q = _node_spatial_norms(f, q), _node_spatial_norms(au, q)
         return f_traj.time_grid, [u_q, _node_spatial_norms(f - au, q), au_q, f_q]
 
@@ -304,16 +307,14 @@ def resolvent_via_maxreg(
     lam = _accretive_symbol(operator, x.grid)
     t_star = 1.0 / z.real
     tgrid = uniform_time_grid(t_star, num_nodes)
-    envelope = np.exp(z * tgrid.nodes)
-    f_coeff = envelope[(slice(None),) + (np.newaxis,) * (x.grid.dimension + 1)] * x.coefficients[np.newaxis]
-    forcing = Trajectory(tgrid, x.grid, f_coeff)
+    nodes = tgrid.nodes[(slice(None),) + (np.newaxis,) * (x.grid.dimension + 1)]
+    forcing = Trajectory(tgrid, x.grid, np.exp(z * nodes) * x.coefficients[np.newaxis])
     u = solve_linear_duhamel(LinearProblem(operator, forcing), tgrid)
-    damp = np.exp(-z * tgrid.nodes)
-    integrand = damp[(slice(None),) + (np.newaxis,) * (x.grid.dimension + 1)] * u.coefficients
-    integral = np.tensordot(tgrid.weights, integrand, axes=(0, 0))
+    lam_u, u_coeff = _on_layout(lam, u)
+    integral = np.tensordot(tgrid.weights, np.exp(-z * nodes) * u_coeff, axes=(0, 0))
     # after t* the forcing vanishes: u(t) = e^{-lam (t - t*)} u(t*), so the
     # remaining weighted integral is u(t*) e^{-z t*} / (z + lam) exactly
-    integral += u.coefficients[-1] * np.exp(-z * t_star) / (z + lam)
+    integral += u_coeff[-1] * np.exp(-z * t_star) / (z + lam_u)
     value = SpectralField(x.grid, z.real * integral)
     exact = SpectralField(x.grid, x.coefficients / (z + lam))
     deviation = spatial_lq_norm(value - exact, 2)
@@ -406,30 +407,51 @@ def de_simon_multiplier_solve(prob: LinearProblem, *, pad_factor: int = 4) -> Tr
     The forcing samples (uniform grid required) are zero-padded to at
     least ``pad_factor`` times their length, rounded up to a length with
     small prime factors (``scipy.fft.next_fast_len``), transformed in
-    time, multiplied modewise and transformed back.  Independent of the
-    time-stepping route; agreement between the two validates both.
+    time, multiplied modewise and transformed back.  A real forcing is
+    transformed as its half spectrum.  Independent of the time-stepping
+    route; agreement between the two validates both.
     """
-    if not prob.forcing.time_grid.is_uniform:
+    forcing = prob.forcing
+    time_grid = forcing.time_grid
+    if not time_grid.is_uniform:
         raise ValueError("multiplier route requires a uniform time grid")
-    lam = _real_nonnegative_symbol(prob.operator, prob.forcing.grid, "multiplier route")
-    f = prob.forcing.coefficients
+    lam = _real_nonnegative_symbol(prob.operator, forcing.grid, "multiplier route")
+    lam, f = _on_layout(lam, forcing)
     k1 = f.shape[0]
     if pad_factor < 2:
         raise ValueError("pad_factor must be at least 2")
     n_pad = scipy.fft.next_fast_len(pad_factor * k1)
-    h = float(prob.forcing.time_grid.nodes[1] - prob.forcing.time_grid.nodes[0])
+    h = float(time_grid.nodes[1] - time_grid.nodes[0])
     padded = np.zeros((n_pad,) + f.shape[1:], dtype=np.complex128)
     padded[:k1] = f
     spectrum = scipy.fft.fft(padded, axis=0, overwrite_x=True)
-    tau = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=h)
-    shape = (n_pad,) + (1,) * (f.ndim - 1)
-    denom = 1j * tau.reshape(shape) + lam[np.newaxis, np.newaxis]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spectrum *= np.where(lam[np.newaxis, np.newaxis] == 0.0, 0.0, lam / denom)
+    spectrum *= _time_multiplier(prob.operator, lam, forcing.grid, n_pad, h)
     # own the k1 rows; astype, unlike copy, also drops the in-place result's
     # non-canonical dtype, for which Trajectory would store a view instead
     au = scipy.fft.ifft(spectrum, axis=0, overwrite_x=True)[:k1].astype(np.complex128)
-    return Trajectory(prob.forcing.time_grid, prob.forcing.grid, au)
+    return Trajectory(time_grid, forcing.grid, au)
+
+
+def _time_multiplier(
+    operator: FourierMultiplier, lam: np.ndarray, grid: TorusGrid, n_pad: int, h: float
+) -> np.ndarray:
+    """``lam/(i tau + lam)`` on ``n_pad`` time frequencies of step ``h``,
+    shaped ``(n_pad, 1) + lam.shape``, with ``0`` where ``lam = 0``.
+
+    The operator keeps the last one it was built for, so an ensemble solved
+    with one operator builds it once, and it goes when the operator does.
+    """
+    key = (grid, lam.shape, n_pad, h)
+    cached = vars(operator).get("_time_multiplier")
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    tau = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=h)
+    lam = lam[np.newaxis, np.newaxis]
+    denom = 1j * tau.reshape((n_pad,) + (1,) * (lam.ndim - 1)) + lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        multiplier = np.where(lam == 0.0, 0.0, lam / denom)
+    vars(operator)["_time_multiplier"] = (key, multiplier)
+    return multiplier
 
 
 def multiplier_sup_norm(

@@ -11,16 +11,24 @@ against exact predictions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate, special
 
-from .spectral import SpectralField, TorusGrid, _CoefficientArithmetic, divergence
+from .spectral import (
+    SpectralField,
+    TorusGrid,
+    _CoefficientArithmetic,
+    _energy,
+    _stored,
+    divergence,
+)
 
 __all__ = [
     "TimeGrid",
@@ -133,7 +141,9 @@ def log_time_grid(
 class Trajectory(_CoefficientArithmetic):
     """Time-indexed stack of spectral fields on a shared grid.
 
-    ``coefficients`` has shape ``(num_nodes, m) + grid.shape``.  The
+    ``coefficients`` may be given in either layout, shaped
+    ``(num_nodes, m) + grid.shape`` or ``(num_nodes, m) + grid.half_shape``,
+    and is stored as :class:`SpectralField` stores it (``spectrum``).  The
     linear operations mirror :class:`SpectralField` so trajectories can be
     fed to generic fixed-point iterations.  A trajectory is immutable: its
     derived views ``samples`` and ``max_divergence`` are computed at most
@@ -142,19 +152,24 @@ class Trajectory(_CoefficientArithmetic):
 
     time_grid: TimeGrid
     grid: TorusGrid
-    coefficients: np.ndarray
+    # No default: the inherited read-only ``coefficients`` view is not one.
+    coefficients: InitVar[np.ndarray] = dataclasses.field()
+    spectrum: np.ndarray = dataclasses.field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        coeff = np.asarray(self.coefficients, dtype=np.complex128)
+    def __post_init__(self, coefficients: np.ndarray) -> None:
+        coeff = np.asarray(coefficients, dtype=np.complex128)
         expected = (self.time_grid.num_nodes,)
         if coeff.ndim == self.grid.dimension + 1:
             coeff = coeff[:, np.newaxis]
-        if coeff.shape[:1] != expected or coeff.shape[2:] != self.grid.shape:
+        if coeff.shape[:1] != expected or coeff.shape[2:] not in (
+            self.grid.shape,
+            self.grid.half_shape,
+        ):
             raise ValueError(
                 f"coefficient shape {coeff.shape} incompatible with "
                 f"{self.time_grid.num_nodes} nodes on grid shape {self.grid.shape}"
             )
-        object.__setattr__(self, "coefficients", coeff)
+        object.__setattr__(self, "spectrum", _stored(coeff, self.grid))
 
     @classmethod
     def from_fields(cls, time_grid: TimeGrid, fields: Sequence[SpectralField]) -> "Trajectory":
@@ -164,24 +179,27 @@ class Trajectory(_CoefficientArithmetic):
         for f in fields[1:]:
             if f.grid != grid or f.components != fields[0].components:
                 raise ValueError("all states must share grid and component count")
-        return cls(time_grid, grid, np.stack([f.coefficients for f in fields]))
+        arrays = [f.spectrum for f in fields]
+        if len({a.shape for a in arrays}) > 1:  # mixed layouts are stacked in full
+            arrays = [f.coefficients for f in fields]
+        return cls(time_grid, grid, np.stack(arrays))
 
     @classmethod
     def zeros(cls, time_grid: TimeGrid, grid: TorusGrid, components: int = 1) -> "Trajectory":
-        shape = (time_grid.num_nodes, components) + grid.shape
+        shape = (time_grid.num_nodes, components) + grid.half_shape
         return cls(time_grid, grid, np.zeros(shape, dtype=np.complex128))
 
     @property
     def components(self) -> int:
-        return self.coefficients.shape[1]
+        return self.spectrum.shape[1]
 
     @cached_property
     def max_divergence(self) -> float:
         """Largest nodewise ``L^2`` norm of the divergence, computed once."""
-        return float(np.max(_parseval_l2(divergence(self).coefficients, self.grid)))
+        return float(np.max(_parseval_l2(divergence(self).spectrum, self.grid)))
 
     def state(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.coefficients[i])
+        return SpectralField(self.grid, self.spectrum[i])
 
     def _check_compatible(self, other: "Trajectory") -> None:
         if (
@@ -260,17 +278,24 @@ def ns_scaling_law() -> ScalingLaw:
 def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
     """``L^q`` norms of the Euclidean magnitude of ``(..., m) + grid.shape`` samples."""
     n = grid.dimension
-    mag = np.sqrt(np.sum(np.abs(values) ** 2, axis=-(n + 1)))
-    flat = mag.reshape(mag.shape[:-n] + (-1,))
+    square = np.square(np.abs(values) if np.iscomplexobj(values) else values)
+    if values.shape[-(n + 1)] == 1:
+        mag_sq = np.squeeze(square, axis=-(n + 1))
+    else:
+        mag_sq = np.sum(square, axis=-(n + 1))
+    flat = mag_sq.reshape(mag_sq.shape[:-n] + (-1,))
     if math.isinf(q):
-        return np.max(flat, axis=-1)
-    return (np.sum(flat**q, axis=-1) * grid.cell_volume) ** (1.0 / q)
+        return np.sqrt(np.max(flat, axis=-1))
+    # |u|**q as (|u|**2)**(q/2): no square root, and a square for q = 4
+    return (np.sum(flat ** (q / 2.0), axis=-1) * grid.cell_volume) ** (1.0 / q)
 
 
-def _parseval_l2(coefficients: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """``L^2`` norms by Parseval over the last ``n + 1`` axes of ``(..., m) + grid.shape``."""
-    axes = tuple(range(-(grid.dimension + 1), 0))
-    return np.sqrt(grid.volume * np.sum(np.abs(coefficients) ** 2, axis=axes))
+def _parseval_l2(stored: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """``L^2`` norms by Parseval over the last ``n + 1`` axes of a stored array
+    ``(..., m) + layout shape``; a half spectrum's columns count as often as
+    they occur in the full spectrum."""
+    lead = stored.ndim - grid.dimension - 1
+    return np.sqrt(grid.volume * _energy(stored, grid.layout(stored).weights, lead))
 
 
 def spatial_lq_norm(field: SpectralField, q: float) -> float:
@@ -323,8 +348,8 @@ def weighted_bochner_norm(
 
 def heat_extension(u0: SpectralField, time_grid: TimeGrid) -> Trajectory:
     """Trajectory ``t -> exp(t*Laplacian) u0`` sampled on ``time_grid``."""
-    damp = np.exp(-np.multiply.outer(time_grid.nodes, u0.grid.xi_sq))
-    coeff = u0.coefficients[np.newaxis] * damp[:, np.newaxis]
+    damp = np.exp(-np.multiply.outer(time_grid.nodes, u0.grid.layout(u0.spectrum).xi_sq))
+    coeff = u0.spectrum[np.newaxis] * damp[:, np.newaxis]
     return Trajectory(time_grid, u0.grid, coeff)
 
 
@@ -357,7 +382,9 @@ def besov_heat_norm(
         raise ValueError("heat-extension norm requires finite exponents")
     if not u0.is_mean_free(tol=1e-12):
         raise ValueError("heat-extension norm over (0, inf) requires a mean-free field")
-    amp = float(np.sum(np.abs(u0.coefficients)))
+    stored = u0.spectrum
+    columns = np.sum(np.abs(stored), axis=tuple(range(stored.ndim - 1)))
+    amp = float(columns @ u0.grid.layout(stored).weights)  # sum |c_k| over the full spectrum
     if amp == 0.0:
         grid = log_time_grid(t_min, 2 * t_min, 3)
         return BesovHeatResult(0.0, 0.0, grid) if details else 0.0

@@ -147,8 +147,8 @@ class NsProblem:
             raise ValueError("momentum problem needs dimension at least 2")
         if self.u0.components != grid.dimension:
             raise ValueError("initial field must have one component per dimension")
-        div_norm = float(_parseval_l2(divergence(self.u0).coefficients, grid))
-        scale = max(1.0, float(_parseval_l2(self.u0.coefficients, grid)))
+        div_norm = float(_parseval_l2(divergence(self.u0).spectrum, grid))
+        scale = max(1.0, float(_parseval_l2(self.u0.spectrum, grid)))
         if div_norm > 1e-10 * scale:
             raise ValueError(f"initial field is not divergence-free: ||div u0|| = {div_norm:.3e}")
         if self.critical:
@@ -202,7 +202,7 @@ def ns_rhs_map(u: Trajectory, prob: NsProblem) -> Trajectory:
     n = u.grid.dimension
     if u.components != n:
         raise ValueError("momentum trajectory needs one component per dimension")
-    amp = float(np.max(_parseval_l2(u.coefficients, u.grid)))
+    amp = float(np.max(_parseval_l2(u.spectrum, u.grid)))
     if max_node_divergence(u) > 1e-8 * max(1.0, amp):
         raise ValueError("input trajectory is not divergence-free")
     forcing = helmholtz_project(tensor_divergence(u, u))
@@ -426,14 +426,13 @@ def random_mean_free_field(
         raise ValueError("band_limit must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7, stream]))
     values = rng.standard_normal((components,) + grid.shape)
-    field = SpectralField.from_physical(grid, values)
-    coeff = field.coefficients.copy()
+    coeff = SpectralField.from_physical(grid, values).spectrum.copy()
     if band_limit is not None:
         k = np.fft.fftfreq(grid.points_per_axis, d=1.0 / grid.points_per_axis)
         keep = np.abs(k) <= band_limit
         for axis in range(grid.dimension):
             idx = [np.newaxis] * grid.dimension
-            idx[axis] = slice(None)
+            idx[axis] = slice(0, coeff.shape[1 + axis])
             coeff *= keep[tuple(idx)][np.newaxis]
     coeff[(slice(None),) + (0,) * grid.dimension] = 0.0
     out = SpectralField(grid, coeff)
@@ -714,12 +713,12 @@ def _mollify_by_cutoff(
     a choice exists.
     """
     grid = u0.grid
-    mags = np.sqrt(grid.xi_sq)
+    mags = np.sqrt(grid.layout(u0.spectrum).xi_sq)
     radii = np.unique(mags)
     full = spatial_lq_norm(u0, q) ** (nu - 1.0)
     for radius in radii:
         keep = mags <= radius + 1e-12
-        cand = SpectralField(grid, u0.coefficients * keep[np.newaxis])
+        cand = SpectralField(grid, u0.spectrum * keep[np.newaxis])
         defect = abs(full - spatial_lq_norm(cand, q) ** (nu - 1.0))
         if defect <= target:
             err = spatial_lq_norm(u0 - cand, q)

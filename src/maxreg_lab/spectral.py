@@ -1,12 +1,24 @@
 """Periodic pseudospectral building blocks.
 
 Everything downstream (norms, linear solves, nonlinear fixed-point runs)
-works on Fourier coefficients of functions on the torus ``[0, L)^n``.  A
-field is stored as the full complex coefficient array in the usual FFT
-layout; the coefficient ``c_k`` multiplies ``exp(i <2*pi*k/L, x>)``, so a
-physical sample array ``u`` and its coefficients are related by
+works on Fourier coefficients of functions on the torus ``[0, L)^n``.  The
+coefficient ``c_k`` multiplies ``exp(i <2*pi*k/L, x>)``, so a physical
+sample array ``u`` and its coefficients are related by
 ``c = fftn(u) / N**n``.  With this normalisation a single mode has unit
 coefficient and Parseval reads ``||u||_L2 = L**(n/2) * ||c||_2``.
+
+A field stores one of two layouts, and the stored array's last axis says
+which.  A real field (conjugate-symmetric coefficients) stores its half
+spectrum, the ``rfftn`` layout ``(..., m, N, ..., N//2 + 1)``: its samples
+come from one ``irfftn`` and are real.  Any other field stores the full
+FFT layout ``(..., m, N, ..., N)`` and has complex samples.  Each operator
+is written once over the stored array and the per-mode arrays of its
+layout (:meth:`TorusGrid.layout`: wavevectors, dealias mask, Parseval
+weights).  Conjugate symmetry is checked once, when a full array enters a
+constructor, and an operator that does not map real fields to real
+fields (a symbol with ``a(-xi) != conj(a(xi))``, a complex scalar, an odd
+derivative of a field with energy on a Nyquist row) gives a full-layout
+field.  The full array stays readable as ``coefficients``.
 
 Products (tensor divergence, pointwise powers) are formed in physical
 space with two-thirds dealiasing applied before and after.  The Leray
@@ -16,9 +28,10 @@ single field or a ``norms.Trajectory`` and act on every time node at once.
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, TypeVar
 
@@ -49,7 +62,8 @@ __all__ = [
     "dealias",
 ]
 
-#: Relative tolerance used when a nominally-real physical field is checked.
+#: Relative tolerance of the conjugate-symmetry check a full coefficient
+#: array (or a symbol) passes to count as real.
 _REALITY_TOL = 1e-10
 
 #: Relative ``l^2`` size of the coefficients outside the dealias mask up to
@@ -58,8 +72,25 @@ _REALITY_TOL = 1e-10
 _MASK_TOL = 1e-14
 
 #: A single field or a time-node stack; the operators that accept either
-#: work over coefficient arrays shaped ``(..., m) + grid.shape``.
+#: work over stored arrays shaped ``(..., m) + layout shape``.
 _FieldOrStack = TypeVar("_FieldOrStack", "SpectralField", "Trajectory")
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Per-mode arrays of one storage layout, shaped like its spatial axes."""
+
+    xi: np.ndarray
+    #: ``xi`` zeroed outside the dealias mask
+    dealiased_xi: np.ndarray
+    xi_sq: np.ndarray
+    #: ``1/|xi|**2``, zero at the zero mode
+    inv_xi_sq: np.ndarray
+    dealias_mask: np.ndarray
+    #: block of the last axis the 2/3 rule drops
+    dealias_last: slice
+    #: how often each last-axis column occurs in the full spectrum
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,6 +123,11 @@ class TorusGrid:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.points_per_axis,) * self.dimension
+
+    @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Spatial shape of a half spectrum: the last axis keeps ``k = 0 .. N/2``."""
+        return self.shape[:-1] + (self.points_per_axis // 2 + 1,)
 
     @property
     def cell_volume(self) -> float:
@@ -145,85 +181,194 @@ class TorusGrid:
         x1 = np.linspace(0.0, self.period, self.points_per_axis, endpoint=False)
         return np.stack(np.meshgrid(*([x1] * self.dimension), indexing="ij"))
 
+    def layout(self, stored: np.ndarray) -> _Layout:
+        """Per-mode arrays matching a stored array, read from its last axis's length."""
+        if stored.shape[-1] == self.points_per_axis:
+            return self._full_layout
+        return self._half_layout
 
-def _physical_values(
-    coefficients: np.ndarray, grid: TorusGrid, *, require_real: bool = False
-) -> np.ndarray:
-    """Physical samples of coefficients shaped ``(..., m) + grid.shape``.
+    @cached_property
+    def _full_layout(self) -> _Layout:
+        return self._columns(self.points_per_axis)
 
-    With ``require_real`` the imaginary part of the whole array must be
-    negligible (conjugate symmetry), otherwise a ``ValueError`` is raised.
-    """
-    values = scipy.fft.ifftn(coefficients, axes=tuple(range(-grid.dimension, 0)), norm="forward")
-    return _real_part(values) if require_real else values
+    @cached_property
+    def _half_layout(self) -> _Layout:
+        return self._columns(self.points_per_axis // 2 + 1)
+
+    def _columns(self, count: int) -> _Layout:
+        """The layout keeping the first ``count`` columns of the last axis.
+
+        The half layout's Nyquist column keeps the full layout's ``-N/2``
+        wavenumber, so both give the same numbers on the modes they share.
+        """
+        cut = (Ellipsis, slice(0, count))
+        xi_sq = np.ascontiguousarray(self.xi_sq[cut])
+        inv_xi_sq = np.zeros_like(xi_sq)
+        np.divide(1.0, xi_sq, out=inv_xi_sq, where=xi_sq > 0)
+        weights = np.ones(count)
+        if count < self.points_per_axis:
+            weights[1:-1] = 2.0  # k and -k; the k = 0 and Nyquist columns occur once
+        dropped = self._dealias_dropped
+        xi = np.ascontiguousarray(self.xi[cut])
+        mask = np.ascontiguousarray(self.dealias_mask[cut])
+        return _Layout(
+            xi=xi,
+            dealiased_xi=xi * mask,
+            xi_sq=xi_sq,
+            inv_xi_sq=inv_xi_sq,
+            dealias_mask=mask,
+            dealias_last=slice(dropped.start, min(dropped.stop, count)),
+            weights=weights,
+        )
 
 
-def _is_real(values: np.ndarray) -> bool:
-    """Whether the imaginary part of ``values`` is negligible against ``max(1, max |values|)``."""
-    scale = max(1.0, float(np.max(np.abs(values))))
-    return not np.max(np.abs(values.imag)) > _REALITY_TOL * scale
+def _is_half(stored: np.ndarray, grid: TorusGrid) -> bool:
+    """Whether ``stored`` is a half spectrum (the layout of a real field)."""
+    return stored.shape[-1] != grid.points_per_axis
 
 
-def _real_part(values: np.ndarray) -> np.ndarray:
-    """Real part of samples that must be real; a ``ValueError`` if they are not."""
-    if np.iscomplexobj(values) and not _is_real(values):
-        raise ValueError("field is not real: conjugate symmetry is broken")
-    return values.real
+def _spatial_axes(grid: TorusGrid) -> tuple[int, ...]:
+    return tuple(range(-grid.dimension, 0))
+
+
+def _physical_values(stored: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Physical samples of a stored array: real from a half spectrum, complex
+    from a full one."""
+    if _is_half(stored, grid):
+        return scipy.fft.irfftn(stored, s=grid.shape, axes=_spatial_axes(grid), norm="forward")
+    return scipy.fft.ifftn(stored, axes=_spatial_axes(grid), norm="forward")
 
 
 def _fourier_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Inverse of :func:`_physical_values` on samples shaped ``(..., m) + grid.shape``."""
-    return scipy.fft.fftn(values, axes=tuple(range(-grid.dimension, 0)), norm="forward")
+    """Inverse of :func:`_physical_values`: real samples give the half spectrum,
+    complex ones the full array."""
+    if np.iscomplexobj(values):
+        return scipy.fft.fftn(values, axes=_spatial_axes(grid), norm="forward")
+    return scipy.fft.rfftn(values, axes=_spatial_axes(grid), norm="forward")
 
 
-def _xi_dot(grid: TorusGrid, coefficients: np.ndarray) -> np.ndarray:
-    """``sum_j xi_j c_j`` over the component axis of ``(..., n) + grid.shape``."""
-    space = list(range(1, grid.dimension + 1))
-    return np.einsum(grid.xi, [0, *space], coefficients, [..., 0, *space], [..., *space])
+def _negate_leading(a: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """``a`` at the indices ``-k mod N`` of every spatial axis but the last."""
+    for axis in range(-grid.dimension, -1):
+        a = np.roll(np.flip(a, axis), 1, axis)
+    return a
+
+
+def _is_hermitian(full: np.ndarray, grid: TorusGrid) -> bool:
+    """Whether ``full[..., -k] = conj(full[..., k])`` over the last ``n`` axes,
+    up to ``_REALITY_TOL`` against ``max(1, max |c|)`` over the half
+    spectrum (which holds the largest ``|c|`` of a conjugate-symmetric array)."""
+    N = grid.points_per_axis
+    half = full[..., : N // 2 + 1]
+    # conj(full[..., -k]) for the half-spectrum columns k = 0 .. N/2
+    last = np.concatenate([full[..., :1], full[..., N - 1 : N // 2 - 1 : -1]], axis=-1)
+    mirror = _negate_leading(last, grid)  # a new array: conjugated in place
+    np.conjugate(mirror, out=mirror)
+    mirror -= half
+    scale = max(1.0, float(np.max(np.abs(half))))
+    return not np.max(np.abs(mirror)) > _REALITY_TOL * scale
+
+
+def _stored(coefficients: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The array a container keeps for coefficients in either layout: a full
+    array that is conjugate symmetric as its half spectrum (a copy), any
+    other array as it is."""
+    if not _is_half(coefficients, grid) and _is_hermitian(coefficients, grid):
+        return coefficients[..., : grid.points_per_axis // 2 + 1].copy()
+    return coefficients
+
+
+def _full_spectrum(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The full array of a half spectrum: column ``N - j`` is the conjugate of
+    column ``j`` at the negated indices of the other axes."""
+    tail = np.conjugate(_negate_leading(half[..., grid.points_per_axis // 2 - 1 : 0 : -1], grid))
+    return np.concatenate([half, tail], axis=-1)
+
+
+def _require_real(stored: np.ndarray, grid: TorusGrid) -> None:
+    if not _is_half(stored, grid):
+        raise ValueError("field is not real: conjugate symmetry is broken")
+
+
+def _on_layout(symbol: np.ndarray, u: _FieldOrStack) -> tuple[np.ndarray, np.ndarray]:
+    """A symbol evaluated on the full grid, and ``u``'s Fourier array, in one layout.
+
+    A real ``u`` stays in its half spectrum when the symbol maps real fields
+    to real fields (``a(-xi) = conj(a(xi))``); otherwise both are full.
+    """
+    stored = u.spectrum
+    if not _is_half(stored, u.grid):
+        return symbol, stored
+    if _is_hermitian(symbol, u.grid):
+        return symbol[..., : stored.shape[-1]], stored
+    return symbol, u.coefficients
+
+
+def _xi_dot(xi: np.ndarray, stored: np.ndarray) -> np.ndarray:
+    """``sum_j xi_j c_j`` over the component axis of ``(..., n) + layout shape``,
+    for wavevectors ``xi`` of the stored array's layout."""
+    space = list(range(1, xi.ndim))
+    return np.einsum(xi, [0, *space], stored, [..., 0, *space], [..., *space])
 
 
 def _with_component_axis(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """``values`` shaped ``(...,) + grid.shape`` with a unit component axis."""
+    """``values`` shaped ``(...,) + layout shape`` with a unit component axis."""
     return np.expand_dims(values, -(grid.dimension + 1))
 
 
 class _CoefficientArithmetic:
-    """Linear structure of an immutable dataclass holding ``grid`` and
-    ``coefficients``, and its cached physical view ``samples``.
+    """Linear structure of an immutable dataclass holding ``grid`` and the
+    stored Fourier array ``spectrum``, and its derived views.
 
     Shared by :class:`SpectralField` and ``norms.Trajectory``; each defines
     ``_check_compatible`` for its own notion of a matching operand.  The
     linear operations carry ``samples`` through when every operand already
-    holds it, so a sum, difference or real multiple of transformed states
-    needs no transform of its own.  ``dataclasses.replace`` builds an
-    instance without it, which is why ``coefficients`` is never written in
-    place.
+    holds it and the operands and the result share a layout, so a sum,
+    difference or real multiple of transformed states needs no transform
+    of its own.
+    ``dataclasses.replace`` builds an instance without it, which is why
+    ``spectrum`` is never written in place.
     """
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The full Fourier array ``(..., m) + grid.shape``, read-only.
+
+        A real field rebuilds it from its half spectrum on every access.
+        """
+        stored = self.spectrum
+        full = _full_spectrum(stored, self.grid) if _is_half(stored, self.grid) else stored.view()
+        full.flags.writeable = False
+        return full
 
     @property
     def samples(self) -> np.ndarray:
         """Physical samples, computed once.
 
-        Real float64 samples that own their memory when the imaginary part
-        is negligible (the check of ``require_real``), complex otherwise.
-        Not a ``functools.cached_property``: before Python 3.12 its lock is
-        shared by every instance, which would serialise the transforms of
-        an ensemble's worker threads.
+        Real float64 samples that own their memory for a real field (half
+        layout), complex ones otherwise.  Not a ``functools.cached_property``:
+        before Python 3.12 its lock is shared by every instance, which would
+        serialise the transforms of an ensemble's worker threads.
         """
         samples = vars(self).get("_samples")
         if samples is None:
-            values = _physical_values(self.coefficients, self.grid)
-            samples = values.real.copy() if _is_real(values) else values
+            samples = _physical_values(self.spectrum, self.grid)
             vars(self)["_samples"] = samples
         return samples
 
     def _linear(self, op: Callable[..., np.ndarray], *others):
-        """``op`` of the coefficients, and of the samples when every operand holds them."""
+        """``op`` of the Fourier arrays, and of the samples when every operand
+        holds them and the result keeps their layout; operands in different
+        layouts are combined in full."""
         operands = (self, *others)
-        out = replace(self, coefficients=op(*(x.coefficients for x in operands)))
-        if all("_samples" in vars(x) for x in operands):
-            vars(out)["_samples"] = op(*(x.samples for x in operands))
-        return out
+        if all(x.spectrum.shape == self.spectrum.shape for x in operands):
+            out = replace(self, coefficients=op(*(x.spectrum for x in operands)))
+            # full operands may give a real result, stored half: its samples are real
+            same_layout = out.spectrum.shape == self.spectrum.shape
+            if same_layout and all("_samples" in vars(x) for x in operands):
+                vars(out)["_samples"] = op(*(x.samples for x in operands))
+            return out
+        return replace(self, coefficients=op(*(x.coefficients for x in operands)))
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -248,41 +393,45 @@ class _CoefficientArithmetic:
 class SpectralField(_CoefficientArithmetic):
     """Fourier-side representation of an ``m``-component field.
 
-    ``coefficients`` has shape ``(m,) + grid.shape`` and is complex.  Real
-    physical fields correspond to conjugate-symmetric coefficients; that
-    symmetry is never enforced on construction, only checked where an
-    operation requires real samples.
+    ``coefficients`` may be given in either layout: the full array
+    ``(m,) + grid.shape`` or the half spectrum ``(m,) + grid.half_shape``.
+    A full array that is conjugate symmetric (up to ``_REALITY_TOL``) is
+    stored as its half spectrum, so the check runs once, here; ``spectrum``
+    is the stored array and ``coefficients`` the full one, read-only.
     """
 
     grid: TorusGrid
-    coefficients: np.ndarray
+    # No default: the inherited read-only ``coefficients`` view is not one.
+    coefficients: InitVar[np.ndarray] = dataclasses.field()
+    spectrum: np.ndarray = dataclasses.field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        coeff = np.asarray(self.coefficients, dtype=np.complex128)
+    def __post_init__(self, coefficients: np.ndarray) -> None:
+        coeff = np.asarray(coefficients, dtype=np.complex128)
         if coeff.ndim == self.grid.dimension:
             coeff = coeff[np.newaxis]
-        if coeff.shape[1:] != self.grid.shape:
+        if coeff.shape[1:] not in (self.grid.shape, self.grid.half_shape):
             raise ValueError(
                 f"coefficient shape {coeff.shape} incompatible with grid shape {self.grid.shape}"
             )
-        object.__setattr__(self, "coefficients", coeff)
+        object.__setattr__(self, "spectrum", _stored(coeff, self.grid))
 
     # -- basic queries -------------------------------------------------
 
     @property
     def components(self) -> int:
-        return self.coefficients.shape[0]
+        return self.spectrum.shape[0]
 
     def is_mean_free(self, tol: float = 1e-12) -> bool:
-        zero_mode = self.coefficients[(slice(None),) + (0,) * self.grid.dimension]
-        scale = max(1.0, float(np.max(np.abs(self.coefficients))))
+        zero_mode = self.spectrum[(slice(None),) + (0,) * self.grid.dimension]
+        scale = max(1.0, float(np.max(np.abs(self.spectrum))))
         return bool(np.all(np.abs(zero_mode) <= tol * scale))
 
     # -- transforms ----------------------------------------------------
 
     @classmethod
     def from_physical(cls, grid: TorusGrid, values: np.ndarray) -> "SpectralField":
-        """Build a field from physical samples on ``grid``."""
+        """Build a field from physical samples on ``grid``; real samples give
+        the half spectrum directly."""
         values = np.asarray(values)
         if values.ndim == grid.dimension:
             values = values[np.newaxis]
@@ -294,15 +443,18 @@ class SpectralField(_CoefficientArithmetic):
 
     @classmethod
     def zeros(cls, grid: TorusGrid, components: int = 1) -> "SpectralField":
-        return cls(grid, np.zeros((components,) + grid.shape, dtype=np.complex128))
+        return cls(grid, np.zeros((components,) + grid.half_shape, dtype=np.complex128))
 
     def to_physical(self, *, require_real: bool = False) -> np.ndarray:
-        """Physical samples; complex in general, real part if requested.
+        """Physical samples, freshly transformed: real for a real field,
+        complex otherwise.
 
-        With ``require_real`` the imaginary part must be negligible
-        (conjugate symmetry), otherwise a ``ValueError`` is raised.
+        With ``require_real`` a field stored in the full layout (one that is
+        not conjugate symmetric) raises a ``ValueError``.
         """
-        return _physical_values(self.coefficients, self.grid, require_real=require_real)
+        if require_real:
+            _require_real(self.spectrum, self.grid)
+        return _physical_values(self.spectrum, self.grid)
 
     # -- linear structure ----------------------------------------------
 
@@ -384,27 +536,29 @@ def apply_multiplier(field: SpectralField, op: FourierMultiplier) -> SpectralFie
     """Apply a Fourier multiplier modewise.
 
     Scalar symbols broadcast over components; matrix symbols contract the
-    component index and must match the field's component count.
+    component index and must match the field's component count.  A symbol
+    that does not map real fields to real fields gives a full-layout field.
     """
-    sym = op.evaluate(field.grid)
-    if sym.shape == field.grid.shape:
-        return SpectralField(field.grid, field.coefficients * sym[np.newaxis])
+    grid = field.grid
     m = field.components
-    if sym.shape == (m, m) + field.grid.shape:
-        out = np.einsum("ij...,j...->i...", sym, field.coefficients)
-        return SpectralField(field.grid, out)
-    raise ValueError(
-        f"symbol shape {sym.shape} does not match grid shape {field.grid.shape} "
-        f"or matrix form for {m} components"
-    )
+    sym = op.evaluate(grid)
+    if sym.shape not in (grid.shape, (m, m) + grid.shape):
+        raise ValueError(
+            f"symbol shape {sym.shape} does not match grid shape {grid.shape} "
+            f"or matrix form for {m} components"
+        )
+    sym, coeff = _on_layout(sym, field)
+    if sym.ndim == grid.dimension:
+        return SpectralField(grid, coeff * sym[np.newaxis])
+    return SpectralField(grid, np.einsum("ij...,j...->i...", sym, coeff))
 
 
 def heat_semigroup_apply(field: SpectralField, t: float) -> SpectralField:
     """``exp(t*Laplacian)`` applied to ``field``; contraction for ``t >= 0``."""
     if t < 0:
         raise ValueError("heat semigroup time must be nonnegative")
-    damp = np.exp(-t * field.grid.xi_sq)
-    return SpectralField(field.grid, field.coefficients * damp[np.newaxis])
+    damp = np.exp(-t * field.grid.layout(field.spectrum).xi_sq)
+    return SpectralField(field.grid, field.spectrum * damp[np.newaxis])
 
 
 def fractional_laplacian_apply(field: SpectralField, s: float) -> SpectralField:
@@ -415,14 +569,12 @@ def fractional_laplacian_apply(field: SpectralField, s: float) -> SpectralField:
     """
     if s < 0 and not field.is_mean_free(tol=1e-12):
         raise ValueError("negative fractional power requires a mean-free field")
-    xi_sq = field.grid.xi_sq
-    zero = (0,) * field.grid.dimension
     if s == 0:
-        return SpectralField(field.grid, field.coefficients.copy())
+        return SpectralField(field.grid, field.spectrum.copy())
     with np.errstate(divide="ignore"):
-        sym = xi_sq**s
-    sym[zero] = 0.0
-    return SpectralField(field.grid, field.coefficients * sym[np.newaxis])
+        sym = field.grid.layout(field.spectrum).xi_sq ** s
+    sym[(0,) * field.grid.dimension] = 0.0
+    return SpectralField(field.grid, field.spectrum * sym[np.newaxis])
 
 
 def helmholtz_project(field: _FieldOrStack) -> _FieldOrStack:
@@ -436,11 +588,10 @@ def helmholtz_project(field: _FieldOrStack) -> _FieldOrStack:
         raise ValueError(
             f"projection needs {grid.dimension} components, field has {field.components}"
         )
-    inv = np.zeros_like(grid.xi_sq)
-    nonzero = grid.xi_sq > 0
-    inv[nonzero] = 1.0 / grid.xi_sq[nonzero]
-    xi_dot_u = _xi_dot(grid, field.coefficients)
-    out = field.coefficients - grid.xi * _with_component_axis(xi_dot_u * inv, grid)
+    coeff = _odd_input(field)
+    layout = grid.layout(coeff)
+    xi_dot_u = _xi_dot(layout.xi, coeff)
+    out = coeff - layout.xi * _with_component_axis(xi_dot_u * layout.inv_xi_sq, grid)
     return replace(field, coefficients=out)
 
 
@@ -448,46 +599,90 @@ def gradient(field: SpectralField) -> SpectralField:
     """Gradient of a scalar field: ``i*xi_j*c`` per direction."""
     if field.components != 1:
         raise ValueError("gradient expects a scalar field")
-    out = 1j * field.grid.xi * field.coefficients[0][np.newaxis]
-    return SpectralField(field.grid, out)
+    coeff = _odd_input(field)
+    xi = field.grid.layout(coeff).xi
+    return SpectralField(field.grid, 1j * xi * coeff[0][np.newaxis])
 
 
 def divergence(field: _FieldOrStack) -> _FieldOrStack:
     """Divergence of a vector field: ``i * sum_j xi_j c_j``."""
     if field.components != field.grid.dimension:
         raise ValueError("divergence expects one component per dimension")
-    out = 1j * _xi_dot(field.grid, field.coefficients)
+    coeff = _odd_input(field)
+    out = 1j * _xi_dot(field.grid.layout(coeff).xi, coeff)
     return replace(field, coefficients=_with_component_axis(out, field.grid))
 
 
 def dealias(field: SpectralField) -> SpectralField:
     """Zero all modes outside the 2/3-rule ball."""
-    mask = field.grid.dealias_mask
-    return SpectralField(field.grid, field.coefficients * mask[np.newaxis])
+    mask = field.grid.layout(field.spectrum).dealias_mask
+    return SpectralField(field.grid, field.spectrum * mask[np.newaxis])
 
 
-def _dealiased_samples(u: _FieldOrStack, *, require_real: bool = False) -> np.ndarray:
+def _energy(block: np.ndarray, weights: np.ndarray, lead: int = 0) -> np.ndarray:
+    """``sum |c|**2`` over the axes of ``block`` after its first ``lead``, each
+    last-axis column counted ``weights`` times (as often as it occurs in the
+    full spectrum).  One pass over the real and imaginary parts, without
+    forming the moduli."""
+    block = np.ascontiguousarray(block, dtype=np.complex128)
+    parts = block.view(np.float64).reshape(block.shape[:lead] + (-1, 2 * block.shape[-1]))
+    per_part = np.einsum("...ij,...ij->...j", parts, parts)
+    return per_part.reshape(per_part.shape[:-1] + (-1, 2)).sum(axis=-1) @ weights
+
+
+def _negligible(stored: np.ndarray, grid: TorusGrid, blocks: list[tuple[int, int | slice]]) -> bool:
+    """Whether the modes in ``blocks`` carry at most ``_MASK_TOL`` of the
+    ``l^2`` size of ``stored``.
+
+    A block is an ``(axis, index)`` pair selecting an index or a slice along
+    one spatial axis (a slice on the last axis).  A mode in several blocks
+    is counted once per block, which only makes the test stricter; each
+    stored column counts as often as it occurs in the full spectrum.
+    """
+    n = grid.dimension
+    weights = grid.layout(stored).weights
+    part = 0.0
+    for axis, index in blocks:
+        block = stored[(Ellipsis, index) + (slice(None),) * (n - 1 - axis)]
+        part += float(_energy(block, weights[index] if axis == n - 1 else weights))
+    return part == 0.0 or part <= _MASK_TOL**2 * float(_energy(stored, weights))
+
+
+def _odd_input(u: _FieldOrStack) -> np.ndarray:
+    """``u``'s Fourier array in the layout an odd-order derivative keeps.
+
+    On a Nyquist row (``k_d = N/2`` along any axis, the last one's Nyquist
+    column included) the wavenumber is ``-N/2`` at ``k`` and at ``-k``, so
+    ``i xi`` is not conjugate symmetric there.  A half spectrum carrying
+    more than ``_MASK_TOL`` of its ``l^2`` size on such a row is therefore
+    differentiated in full, as a field that is not real; any other keeps
+    its layout.
+    """
+    grid = u.grid
+    N, n = grid.points_per_axis, grid.dimension
+    # a slice on the last axis, so that ``_negligible`` keeps its weights an array
+    rows = [(axis, N // 2) for axis in range(n - 1)] + [(n - 1, slice(N // 2, N // 2 + 1))]
+    if not _is_half(u.spectrum, grid) or _negligible(u.spectrum, grid, rows):
+        return u.spectrum
+    return u.coefficients
+
+
+def _dealiased_samples(u: _FieldOrStack) -> np.ndarray:
     """Physical samples of ``u`` with the modes outside the dealias mask dropped.
 
     A field already inside the mask, up to ``_MASK_TOL``, gives its cached
-    ``samples``; any other is masked and transformed.  ``require_real`` is
-    as in :func:`_physical_values`.
+    ``samples``; any other is masked and transformed.  The dropped modes
+    are the union over the axes of the slab where that axis runs through
+    the dropped block.
     """
     grid = u.grid
-    c = u.coefficients
-    # The dropped modes are the union over the axes of the slab where that
-    # axis runs through the dropped block; a mode in several slabs is
-    # counted once per slab, which only makes the test stricter.
+    stored = u.spectrum
+    layout = grid.layout(stored)
     n = grid.dimension
-    slabs = ((Ellipsis, grid._dealias_dropped) + (slice(None),) * (n - 1 - d) for d in range(n))
-    if sum(_energy(c[slab]) for slab in slabs) <= _MASK_TOL**2 * _energy(c):
-        return _real_part(u.samples) if require_real else u.samples
-    return _physical_values(c * grid.dealias_mask, grid, require_real=require_real)
-
-
-def _energy(coefficients: np.ndarray) -> float:
-    """``sum |c|**2`` over the whole array, without forming the moduli."""
-    return float(np.sum(np.square(coefficients.real)) + np.sum(np.square(coefficients.imag)))
+    slabs = [(axis, grid._dealias_dropped) for axis in range(n - 1)] + [(n - 1, layout.dealias_last)]
+    if _negligible(stored, grid, slabs):
+        return u.samples
+    return _physical_values(stored * layout.dealias_mask, grid)
 
 
 def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
@@ -505,24 +700,33 @@ def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
     n = grid.dimension
     if u.components != n:
         raise ValueError("tensor divergence expects one component per dimension")
-    mask = grid.dealias_mask
     space = (slice(None),) * n
     if v is u:
         u_phys = v_phys = _dealiased_samples(u)
         rows, cols = np.triu_indices(n)
     else:
-        u_phys = _physical_values(u.coefficients * mask, grid)
-        v_phys = _physical_values(v.coefficients * mask, grid)
+        u_phys, v_phys = (
+            _physical_values(w.spectrum * grid.layout(w.spectrum).dealias_mask, grid) for w in (u, v)
+        )
         rows, cols = np.indices((n, n)).reshape(2, -1)
-    products = u_phys[(Ellipsis, rows) + space] * v_phys[(Ellipsis, cols) + space]
+    # one multiply per pair into a stacked array (a fancy-indexed product
+    # would gather both operand stacks first)
+    stack = u_phys.shape[: -(n + 1)] + (rows.size,) + grid.shape
+    products = np.empty(stack, dtype=np.result_type(u_phys, v_phys))
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        np.multiply(
+            u_phys[(Ellipsis, i) + space],
+            v_phys[(Ellipsis, j) + space],
+            out=products[(Ellipsis, k) + space],
+        )
     coeff = _fourier_coefficients(products, grid)
-    coeff *= mask
     # slot[j, i] is the stack position of m_ij = u_i v_j
     slot = np.empty((n, n), dtype=np.intp)
     slot[cols, rows] = np.arange(rows.size)
     if v is u:
         slot[rows, cols] = slot[cols, rows]
-    out = 1j * _xi_dot(grid, coeff[(Ellipsis, slot) + space])
+    # the dealiased wavevectors apply the mask to the products too
+    out = 1j * _xi_dot(grid.layout(coeff).dealiased_xi, coeff[(Ellipsis, slot) + space])
     return replace(u, coefficients=out)
 
 
@@ -532,8 +736,8 @@ def pointwise_power_nonlinearity(
     """Dealiased pointwise power of a real scalar field.
 
     ``signed`` produces ``|u|**(nu-1) * u`` and ``unsigned`` produces
-    ``|u|**nu``.  The input must have negligible imaginary part in physical
-    space; one inside the dealias mask gives its cached samples.
+    ``|u|**nu``.  A field stored in the full layout is not real and is
+    rejected; one inside the dealias mask gives its cached samples.
     """
     if u.components != 1:
         raise ValueError("pointwise power expects a scalar field")
@@ -542,10 +746,11 @@ def pointwise_power_nonlinearity(
     if variant not in ("signed", "unsigned"):
         raise ValueError(f"unknown variant {variant!r}; use 'signed' or 'unsigned'")
     grid = u.grid
-    mask = grid.dealias_mask
-    values = _dealiased_samples(u, require_real=True)
+    _require_real(u.spectrum, grid)
+    values = _dealiased_samples(u)
     if variant == "signed":
         w = np.abs(values) ** (nu - 1.0) * values
     else:
         w = np.abs(values) ** nu
-    return replace(u, coefficients=_fourier_coefficients(w, grid) * mask)
+    coeff = _fourier_coefficients(w, grid)
+    return replace(u, coefficients=coeff * grid.layout(coeff).dealias_mask)

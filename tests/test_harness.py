@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxreg_lab import cli, maxreg
+from maxreg_lab import cli, harness, maxreg
 from maxreg_lab.harness import (
     ConfigError,
     check_config,
@@ -393,6 +393,23 @@ class TestDomainChecks:
         check_config(load_config(TINY_MAXREG))
         with pytest.raises(ConfigError, match="dimensions 2 and 3"):
             check_config(load_config({"experiment": "ns-unique", "grid": {"dimension": 1}}))
+
+    def test_validate_draws_no_ensemble(self, tmp_path, capsys, monkeypatch):
+        """The ensemble keys are range-checked without drawing a member."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate drew a forcing ensemble")
+
+        monkeypatch.setattr(harness, "synthetic_forcing_ensemble", refuse)
+        shipped = _REPO / "demos" / "configs" / "desimon.json"
+        check_config(load_config(shipped))
+        for key in ("ensemble_size", "band_limit"):
+            config = json.loads(shipped.read_text())
+            config["params"] = {key: 0}
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(config))
+            assert cli.main(["validate", str(path)]) == 3
+            assert "must be at least 1" in capsys.readouterr().err
 
     def test_numerical_value_error_is_not_a_config_error(self, monkeypatch):
         """Only set-up errors become config errors; a failure inside the
