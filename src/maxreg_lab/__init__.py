@@ -24,6 +24,7 @@ from .spectral import (
     helmholtz_project,
     identity_multiplier,
     laplacian_multiplier,
+    momentum_forcing,
     pointwise_power_nonlinearity,
     resolvent_scalar_multiplier,
     sector_multiplier,

@@ -140,15 +140,21 @@ def solve_linear_duhamel(prob: LinearProblem, grid: TimeGrid) -> Trajectory:
     if not grid.same_nodes(prob.forcing.time_grid):
         raise ValueError("solve grid must carry the same nodes as the forcing")
     lam, f = _on_layout(_accretive_symbol(prob.operator, prob.forcing.grid), prob.forcing)
-    u = np.zeros_like(f)
+    u = np.empty_like(f)
+    u[0] = 0.0
     uniform = grid.is_uniform
     for i, h in enumerate(np.diff(grid.nodes)):
         if i == 0 or not uniform:
             z = -lam * h
             decay = np.exp(z)
             phi1, phi2 = _phi12(z)
-        inhom = phi1 * f[i] + phi2 * (f[i + 1] - f[i])
-        u[i + 1] = decay * u[i] + h * inhom
+            # h (phi1 f_i + phi2 (f_{i+1} - f_i)) = c0 f_i + c1 f_{i+1}
+            c0 = h * (phi1 - phi2)
+            c1 = h * phi2
+        step = u[i + 1]  # a view: ``u[i + 1] += ...`` would also write it back
+        np.multiply(decay, u[i], out=step)
+        step += c0 * f[i]
+        step += c1 * f[i + 1]
     return Trajectory(grid, prob.forcing.grid, u)
 
 

@@ -276,18 +276,27 @@ def ns_scaling_law() -> ScalingLaw:
 
 
 def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
-    """``L^q`` norms of the Euclidean magnitude of ``(..., m) + grid.shape`` samples."""
+    """``L^q`` norms of the Euclidean magnitude of ``(..., m) + grid.shape`` samples.
+
+    ``|u|**2`` is one contraction over the components (fused with the grid
+    sum for ``q = 2``), and ``|u|**q`` is taken as ``(|u|**2)**(q/2)``: no
+    square root, and for ``q = 4`` a dot product of ``|u|**2`` with itself.
+    """
     n = grid.dimension
-    square = np.square(np.abs(values) if np.iscomplexobj(values) else values)
-    if values.shape[-(n + 1)] == 1:
-        mag_sq = np.squeeze(square, axis=-(n + 1))
-    else:
-        mag_sq = np.sum(square, axis=-(n + 1))
-    flat = mag_sq.reshape(mag_sq.shape[:-n] + (-1,))
+    if np.iscomplexobj(values):
+        values = np.abs(values)
+    flat = values.reshape(values.shape[:-n] + (-1,))
+    if q == 2:
+        total = np.einsum("...cp,...cp->...", flat, flat)
+        return (total * grid.cell_volume) ** 0.5
+    mag_sq = np.einsum("...cp,...cp->...p", flat, flat)
     if math.isinf(q):
-        return np.sqrt(np.max(flat, axis=-1))
-    # |u|**q as (|u|**2)**(q/2): no square root, and a square for q = 4
-    return (np.sum(flat ** (q / 2.0), axis=-1) * grid.cell_volume) ** (1.0 / q)
+        return np.sqrt(np.max(mag_sq, axis=-1))
+    if q == 4:
+        total = np.einsum("...p,...p->...", mag_sq, mag_sq)
+    else:
+        total = np.sum(mag_sq ** (q / 2.0), axis=-1)
+    return (total * grid.cell_volume) ** (1.0 / q)
 
 
 def _parseval_l2(stored: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -348,9 +357,27 @@ def weighted_bochner_norm(
 
 def heat_extension(u0: SpectralField, time_grid: TimeGrid) -> Trajectory:
     """Trajectory ``t -> exp(t*Laplacian) u0`` sampled on ``time_grid``."""
-    damp = np.exp(-np.multiply.outer(time_grid.nodes, u0.grid.layout(u0.spectrum).xi_sq))
-    coeff = u0.spectrum[np.newaxis] * damp[:, np.newaxis]
+    coeff = u0.spectrum[np.newaxis] * _heat_damping(time_grid, u0)[:, np.newaxis]
     return Trajectory(time_grid, u0.grid, coeff)
+
+
+def _heat_damping(time_grid: TimeGrid, u0: SpectralField) -> np.ndarray:
+    """``exp(-t |xi|**2)`` on the nodes of ``time_grid`` and the modes of
+    ``u0``'s layout, shaped ``(num_nodes,) + layout shape``, read-only.
+
+    The time grid keeps the last table it was built for (keyed by grid and
+    layout), so the heat extensions of one sweep build it once, and it goes
+    when the time grid does.
+    """
+    xi_sq = u0.grid.layout(u0.spectrum).xi_sq
+    key = (u0.grid, xi_sq.shape)
+    cached = vars(time_grid).get("_heat_damping")
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    damp = np.exp(-np.multiply.outer(time_grid.nodes, xi_sq))
+    damp.flags.writeable = False
+    vars(time_grid)["_heat_damping"] = (key, damp)
+    return damp
 
 
 @dataclass(frozen=True)

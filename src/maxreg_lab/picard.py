@@ -15,8 +15,9 @@ from which smallness of the affine term ``a`` below
 
 from __future__ import annotations
 
+import copy
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -46,14 +47,29 @@ class FixedPointProblem:
     map_F: Callable[[Any], Any]
     norm: Callable[[Any], float]
     epsilon: float
+    #: ``norm(map_F(0))``, measured once on construction
+    drift: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("nonlinearity exponent epsilon must be positive")
-        zero = self.base * 0.0
-        drift = self.norm(self.map_F(zero))
-        if drift > 1e-12 * max(1.0, self.norm(self.base)):
-            raise ValueError(f"map_F(0) must vanish; got norm {drift:.3e}")
+        object.__setattr__(self, "drift", self.norm(self.map_F(self.base * 0.0)))
+        self._check_drift()
+
+    def _check_drift(self) -> None:
+        if self.drift > 1e-12 * max(1.0, self.norm(self.base)):
+            raise ValueError(f"map_F(0) must vanish; got norm {self.drift:.3e}")
+
+    def with_base(self, base: Any) -> "FixedPointProblem":
+        """The same map with another ``base`` from the same state space.
+
+        The drift measured on construction is checked against the new
+        base's own bound, so the map is not evaluated at zero again.
+        """
+        prob = copy.copy(self)
+        object.__setattr__(prob, "base", base)
+        prob._check_drift()
+        return prob
 
 
 def estimate_lipschitz_M(

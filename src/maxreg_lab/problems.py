@@ -53,8 +53,8 @@ from .spectral import (
     heat_semigroup_apply,
     helmholtz_project,
     laplacian_multiplier,
+    momentum_forcing,
     pointwise_power_nonlinearity,
-    tensor_divergence,
 )
 
 __all__ = [
@@ -205,9 +205,8 @@ def ns_rhs_map(u: Trajectory, prob: NsProblem) -> Trajectory:
     amp = float(np.max(_parseval_l2(u.spectrum, u.grid)))
     if max_node_divergence(u) > 1e-8 * max(1.0, amp):
         raise ValueError("input trajectory is not divergence-free")
-    forcing = helmholtz_project(tensor_divergence(u, u))
-    sol = solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing), u.time_grid)
-    return -sol
+    forcing = momentum_forcing(u)  # -P div(u (x) u): the sign of F is in the forcing
+    return solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing), u.time_grid)
 
 
 def _rhs_map(prob: NlheProblem | NsProblem) -> Callable[[Trajectory], Trajectory]:
@@ -575,11 +574,16 @@ def _existence_sweep(
     M = measured_lipschitz_M(prob, seed=seed, safety_factor=safety_factor)
     track_divergence = isinstance(prob, NsProblem)
     entries = []
+    fp = None
     for eta in sorted(float(e) for e in eta_grid):
         if eta < 0:
             raise ValueError("data sizes must be nonnegative")
         a = heat_extension(u0_hat * eta, prob.time_grid)
-        fp = FixedPointProblem(base=a, map_F=rhs, norm=norm, epsilon=prob.epsilon)
+        # one evaluation of the map at zero serves every eta
+        if fp is None:
+            fp = FixedPointProblem(base=a, map_F=rhs, norm=norm, epsilon=prob.epsilon)
+        else:
+            fp = fp.with_base(a)
         worst_div = [0.0]
 
         def track(_k: int, traj: Trajectory) -> None:

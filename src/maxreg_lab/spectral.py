@@ -20,10 +20,12 @@ fields (a symbol with ``a(-xi) != conj(a(xi))``, a complex scalar, an odd
 derivative of a field with energy on a Nyquist row) gives a full-layout
 field.  The full array stays readable as ``coefficients``.
 
-Products (tensor divergence, pointwise powers) are formed in physical
-space with two-thirds dealiasing applied before and after.  The Leray
-projection, divergence, tensor divergence and pointwise power take a
-single field or a ``norms.Trajectory`` and act on every time node at once.
+Products (tensor divergence, momentum forcing, pointwise powers) are
+formed in physical space with two-thirds dealiasing applied before and
+after; the product spectra are differentiated (and Leray-projected) by one
+contraction with a per-mode kernel of the layout.  The Leray projection,
+divergence, tensor divergence, momentum forcing and pointwise power take
+a single field or a ``norms.Trajectory`` and act on every time node at once.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "gradient",
     "divergence",
     "tensor_divergence",
+    "momentum_forcing",
     "pointwise_power_nonlinearity",
     "dealias",
 ]
@@ -65,6 +68,10 @@ __all__ = [
 #: Relative tolerance of the conjugate-symmetry check a full coefficient
 #: array (or a symbol) passes to count as real.
 _REALITY_TOL = 1e-10
+
+#: Number of coefficients the conjugate-symmetry check compares per block
+#: (1 MB of complex128: a block and its mirror stay in cache).
+_HERMITIAN_BLOCK = 1 << 16
 
 #: Relative ``l^2`` size of the coefficients outside the dealias mask up to
 #: which a field counts as dealiased already (the rounding of a band-limited
@@ -76,13 +83,24 @@ _MASK_TOL = 1e-14
 _FieldOrStack = TypeVar("_FieldOrStack", "SpectralField", "Trajectory")
 
 
+def _product_slots(n: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Operand indices ``(i, j)`` of the products ``u_i v_j`` in stack order:
+    the pairs ``i <= j`` when ``v`` is ``u`` (``u_j u_i`` is ``u_i u_j``),
+    all ``n**2`` pairs otherwise."""
+    if symmetric:
+        return np.triu_indices(n)
+    return np.indices((n, n)).reshape(2, -1)
+
+
 @dataclass(frozen=True)
 class _Layout:
-    """Per-mode arrays of one storage layout, shaped like its spatial axes."""
+    """Per-mode arrays of one storage layout, shaped like its spatial axes.
+
+    The contraction kernels are built on first use and kept with the layout,
+    so each grid builds each one once per layout.
+    """
 
     xi: np.ndarray
-    #: ``xi`` zeroed outside the dealias mask
-    dealiased_xi: np.ndarray
     xi_sq: np.ndarray
     #: ``1/|xi|**2``, zero at the zero mode
     inv_xi_sq: np.ndarray
@@ -91,6 +109,44 @@ class _Layout:
     dealias_last: slice
     #: how often each last-axis column occurs in the full spectrum
     weights: np.ndarray
+
+    def _divergence_symbol(self, symmetric: bool) -> np.ndarray:
+        """Real ``R`` with ``div(u (x) v)_k = i sum_s R[k, s] m_s`` for the
+        dealiased product spectra ``m_s`` in :func:`_product_slots` order,
+        shaped ``(n, slots) + layout shape``; zero outside the dealias mask."""
+        n = self.xi.shape[0]
+        dealiased_xi = self.xi * self.dealias_mask
+        rows, cols = _product_slots(n, symmetric)
+        symbol = np.zeros((n, rows.size) + self.xi_sq.shape)
+        for s, (i, j) in enumerate(zip(rows, cols)):
+            symbol[j, s] += dealiased_xi[i]  # d_i (u_i v_j) in component j
+            if symmetric and i != j:
+                symbol[i, s] += dealiased_xi[j]  # the slot stands for u_j u_i too
+        return symbol
+
+    # The kernels act on the float view of the product spectra, so each
+    # mode's value appears twice along the last axis (real and imaginary
+    # part); :func:`_contract` applies the common factor ``i``.
+
+    @cached_property
+    def divergence_kernel(self) -> np.ndarray:
+        """``div(u (x) v)`` from the ``n**2`` product spectra ``u_i v_j``."""
+        return np.repeat(self._divergence_symbol(symmetric=False), 2, axis=-1)
+
+    @cached_property
+    def symmetric_divergence_kernel(self) -> np.ndarray:
+        """``div(u (x) u)`` from the ``n(n+1)/2`` product spectra ``u_i u_j``, ``i <= j``."""
+        return np.repeat(self._divergence_symbol(symmetric=True), 2, axis=-1)
+
+    @cached_property
+    def forcing_kernel(self) -> np.ndarray:
+        """``-P div(u (x) u)`` from the ``n(n+1)/2`` product spectra: the
+        symmetric divergence kernel with the Leray projector
+        ``P = I - xi xi^T / |xi|**2`` and the sign folded in."""
+        symbol = self._divergence_symbol(symmetric=True)
+        xi_dot = np.einsum("a...,as...->s...", self.xi, symbol)
+        projected = symbol - self.xi[:, np.newaxis] * (xi_dot * self.inv_xi_sq)
+        return np.repeat(-projected, 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -209,14 +265,11 @@ class TorusGrid:
         if count < self.points_per_axis:
             weights[1:-1] = 2.0  # k and -k; the k = 0 and Nyquist columns occur once
         dropped = self._dealias_dropped
-        xi = np.ascontiguousarray(self.xi[cut])
-        mask = np.ascontiguousarray(self.dealias_mask[cut])
         return _Layout(
-            xi=xi,
-            dealiased_xi=xi * mask,
+            xi=np.ascontiguousarray(self.xi[cut]),
             xi_sq=xi_sq,
             inv_xi_sq=inv_xi_sq,
-            dealias_mask=mask,
+            dealias_mask=np.ascontiguousarray(self.dealias_mask[cut]),
             dealias_last=slice(dropped.start, min(dropped.stop, count)),
             weights=weights,
         )
@@ -257,16 +310,28 @@ def _negate_leading(a: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def _is_hermitian(full: np.ndarray, grid: TorusGrid) -> bool:
     """Whether ``full[..., -k] = conj(full[..., k])`` over the last ``n`` axes,
     up to ``_REALITY_TOL`` against ``max(1, max |c|)`` over the half
-    spectrum (which holds the largest ``|c|`` of a conjugate-symmetric array)."""
+    spectrum (which holds the largest ``|c|`` of a conjugate-symmetric array).
+
+    The array is read in blocks of whole spatial slices: one pass finds the
+    global scale, a second compares block by block and stops at the first
+    block that breaks symmetry.  The answer is the one a single comparison
+    of the whole array gives.
+    """
     N = grid.points_per_axis
-    half = full[..., : N // 2 + 1]
-    # conj(full[..., -k]) for the half-spectrum columns k = 0 .. N/2
-    last = np.concatenate([full[..., :1], full[..., N - 1 : N // 2 - 1 : -1]], axis=-1)
-    mirror = _negate_leading(last, grid)  # a new array: conjugated in place
-    np.conjugate(mirror, out=mirror)
-    mirror -= half
-    scale = max(1.0, float(np.max(np.abs(half))))
-    return not np.max(np.abs(mirror)) > _REALITY_TOL * scale
+    slices = full.reshape((-1,) + full.shape[full.ndim - grid.dimension :])
+    step = max(1, _HERMITIAN_BLOCK // slices[0].size)
+    blocks = [slices[i : i + step] for i in range(0, len(slices), step)]
+    peaks = [np.max(np.abs(b[..., : N // 2 + 1])) for b in blocks]
+    tol = _REALITY_TOL * max(1.0, float(np.max(peaks)))
+    for block in blocks:
+        # conj(block[..., -k]) for the half-spectrum columns k = 0 .. N/2
+        last = np.concatenate([block[..., :1], block[..., N - 1 : N // 2 - 1 : -1]], axis=-1)
+        mirror = _negate_leading(last, grid)  # a new array: conjugated in place
+        np.conjugate(mirror, out=mirror)
+        mirror -= block[..., : N // 2 + 1]
+        if np.max(np.abs(mirror)) > tol:
+            return False
+    return True
 
 
 def _stored(coefficients: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -685,15 +750,14 @@ def _dealiased_samples(u: _FieldOrStack) -> np.ndarray:
     return _physical_values(stored * layout.dealias_mask, grid)
 
 
-def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
-    """``div(u (x) v)``, the vector with components ``sum_i d_i (u_i v_j)``.
+def _product_spectra(u: _FieldOrStack, v: _FieldOrStack) -> np.ndarray:
+    """Fourier arrays of the dealiased products ``u_i v_j`` in
+    :func:`_product_slots` order, shaped ``(..., slots) + layout shape``.
 
-    The tensor product is formed in physical space with dealiasing before
-    and after, then differentiated spectrally.  All products ``u_i v_j``
-    are transformed in one stacked call.  When ``v`` is ``u`` itself it is
-    not transformed again, and only the products with ``i <= j`` are
-    formed: ``u_j u_i`` is read from ``u_i u_j``; a ``u`` inside the
-    dealias mask then gives its cached samples.
+    The products are formed in physical space from dealiased samples and
+    transformed in one stacked call.  When ``v`` is ``u`` itself it is not
+    transformed again, and only the products with ``i <= j`` are formed; a
+    ``u`` inside the dealias mask then gives its cached samples.
     """
     u._check_compatible(v)
     grid = u.grid
@@ -703,12 +767,11 @@ def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
     space = (slice(None),) * n
     if v is u:
         u_phys = v_phys = _dealiased_samples(u)
-        rows, cols = np.triu_indices(n)
     else:
         u_phys, v_phys = (
             _physical_values(w.spectrum * grid.layout(w.spectrum).dealias_mask, grid) for w in (u, v)
         )
-        rows, cols = np.indices((n, n)).reshape(2, -1)
+    rows, cols = _product_slots(n, symmetric=v is u)
     # one multiply per pair into a stacked array (a fancy-indexed product
     # would gather both operand stacks first)
     stack = u_phys.shape[: -(n + 1)] + (rows.size,) + grid.shape
@@ -719,15 +782,47 @@ def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
             v_phys[(Ellipsis, j) + space],
             out=products[(Ellipsis, k) + space],
         )
-    coeff = _fourier_coefficients(products, grid)
-    # slot[j, i] is the stack position of m_ij = u_i v_j
-    slot = np.empty((n, n), dtype=np.intp)
-    slot[cols, rows] = np.arange(rows.size)
-    if v is u:
-        slot[rows, cols] = slot[cols, rows]
-    # the dealiased wavevectors apply the mask to the products too
-    out = 1j * _xi_dot(grid.layout(coeff).dealiased_xi, coeff[(Ellipsis, slot) + space])
-    return replace(u, coefficients=out)
+    return _fourier_coefficients(products, grid)
+
+
+def _contract(kernel: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """``i sum_s R[k, s] m_s`` per mode for a layout kernel ``R`` and product
+    spectra ``m`` shaped ``(..., slots) + layout shape``: one real pass over
+    the float view of the spectra, then the factor ``i``."""
+    n, slots = kernel.shape[:2]
+    space = products.shape[2 - kernel.ndim :]
+    lead = products.shape[: -len(space) - 1]
+    parts = products.view(np.float64).reshape(lead + (slots, -1))
+    out = np.einsum("ksq,...sq->...kq", kernel.reshape(n, slots, -1), parts)
+    out = out.view(np.complex128).reshape(lead + (n,) + space)
+    out *= 1j
+    return out
+
+
+def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
+    """``div(u (x) v)``, the vector with components ``sum_i d_i (u_i v_j)``.
+
+    The tensor product is formed in physical space with dealiasing before
+    and after (:func:`_product_spectra`), then differentiated by one
+    contraction with the layout's divergence kernel.  The result is zero
+    outside the dealias mask.
+    """
+    products = _product_spectra(u, v)
+    layout = u.grid.layout(products)
+    kernel = layout.symmetric_divergence_kernel if v is u else layout.divergence_kernel
+    return replace(u, coefficients=_contract(kernel, products))
+
+
+def momentum_forcing(u: _FieldOrStack) -> _FieldOrStack:
+    """The Navier–Stokes forcing ``-P div(u (x) u)``.
+
+    Equal to ``-helmholtz_project(tensor_divergence(u, u))`` up to rounding,
+    in one contraction of the symmetric product spectra with the layout's
+    forcing kernel (dealias mask, ``i xi``, Leray projector and sign in one
+    array).  The result is zero outside the dealias mask.
+    """
+    products = _product_spectra(u, u)
+    return replace(u, coefficients=_contract(u.grid.layout(products).forcing_kernel, products))
 
 
 def pointwise_power_nonlinearity(

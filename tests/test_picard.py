@@ -36,6 +36,22 @@ class TestFixedPointProblem:
         with pytest.raises(ValueError, match=r"map_F\(0\) must vanish"):
             FixedPointProblem(base=0.1, map_F=lambda u: u + 1.0, norm=abs, epsilon=1.0)
 
+    def test_with_base_checks_drift_against_each_base(self):
+        """The drift measured once is held to each new base's own bound,
+        ``1e-12 max(1, ||base||)``, without mapping zero again."""
+        calls = []
+
+        def drifting(u):
+            calls.append(u)
+            return u * u + 1e-10
+
+        prob = FixedPointProblem(base=1e3, map_F=drifting, norm=abs, epsilon=1.0)
+        assert prob.drift == pytest.approx(1e-10) and len(calls) == 1
+        assert prob.with_base(2e3).base == 2e3
+        with pytest.raises(ValueError, match=r"map_F\(0\) must vanish"):
+            prob.with_base(0.5)
+        assert len(calls) == 1 and prob.base == 1e3
+
 
 class TestLipschitzEstimate:
     def test_quadratic_map_ratio_is_one(self):

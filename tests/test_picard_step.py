@@ -1,0 +1,232 @@
+"""The Navier–Stokes Picard step in fewer passes.
+
+The momentum forcing ``-P div(u (x) u)`` is one contraction of the product
+spectra with a per-mode kernel kept on the grid's layout; the Duhamel
+recurrence runs in place on precombined coefficients; the nodewise ``L^q``
+norms reduce ``|u|**2`` without full-size temporaries; the heat damping
+table is kept on its time grid; the conjugate-symmetry check reads its
+input in blocks; and the existence sweep maps zero once.  Each new path is
+checked against the formula it replaced, kept here as the reference.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+import scipy.fft
+
+from maxreg_lab import (
+    LinearProblem,
+    MixedNormParams,
+    NsProblem,
+    TorusGrid,
+    Trajectory,
+    heat_extension,
+    helmholtz_project,
+    laplacian_multiplier,
+    log_time_grid,
+    momentum_forcing,
+    random_mean_free_field,
+    solve_linear_duhamel,
+    tensor_divergence,
+    uniform_time_grid,
+)
+from maxreg_lab import problems, spectral
+from maxreg_lab.maxreg import _phi12
+from maxreg_lab.norms import _lq_magnitude
+
+STACKS = [(TorusGrid(2, 64), 65), (TorusGrid(3, 16), 33)]
+STACK_IDS = ["65x64^2", "33x16^3"]
+
+
+def max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def band_limited_stack(grid, nodes):
+    """A divergence-free heat flow inside the dealias mask (cached samples path)."""
+    u0 = random_mean_free_field(
+        grid,
+        seed=2,
+        components=grid.dimension,
+        band_limit=grid.points_per_axis // 8,
+        divergence_free=True,
+    )
+    return heat_extension(u0, uniform_time_grid(0.5, nodes))
+
+
+def rough_stack(grid, nodes, rng):
+    """Real samples with energy on every mode (masked transform path)."""
+    values = rng.standard_normal((nodes, grid.dimension) + grid.shape)
+    spectrum = scipy.fft.rfftn(values, axes=tuple(range(2, 2 + grid.dimension)), norm="forward")
+    return Trajectory(uniform_time_grid(1.0, nodes), grid, spectrum)
+
+
+def half_mask(grid):
+    return grid.dealias_mask[..., : grid.half_shape[-1]]
+
+
+def gather_tensor_divergence(u, v):
+    """``div(u (x) v)`` as it was formed before the kernels: all ``n**2``
+    dealiased products gathered into an ``(..., n, n)`` stack and contracted
+    with the dealiased wavevectors."""
+    grid = u.grid
+    n = grid.dimension
+    axes = tuple(range(-n, 0))
+    mask = half_mask(grid)
+    up, vp = (
+        scipy.fft.irfftn(w.spectrum * mask, s=grid.shape, axes=axes, norm="forward") for w in (u, v)
+    )
+    products = up[:, :, np.newaxis] * vp[:, np.newaxis, :]  # [t, i, j] = u_i v_j
+    coeff = scipy.fft.rfftn(products, axes=axes, norm="forward")
+    dealiased_xi = grid.xi[..., : grid.half_shape[-1]] * mask
+    return 1j * np.einsum("i...,tij...->tj...", dealiased_xi, coeff)
+
+
+@pytest.mark.parametrize("grid, nodes", STACKS, ids=STACK_IDS)
+class TestContractionKernels:
+    @pytest.mark.parametrize("band_limited", [True, False], ids=["band-limited", "rough"])
+    def test_forcing_equals_projected_divergence(self, grid, nodes, band_limited, rng):
+        u = band_limited_stack(grid, nodes) if band_limited else rough_stack(grid, nodes, rng)
+        forcing = momentum_forcing(u)
+        expected = -helmholtz_project(tensor_divergence(u, u)).spectrum
+        assert max_rel(forcing.spectrum, expected) <= 1e-15
+
+    def test_forcing_keeps_half_layout_and_mask(self, grid, nodes):
+        forcing = momentum_forcing(band_limited_stack(grid, nodes))
+        assert forcing.spectrum.shape[2:] == grid.half_shape
+        assert np.any(forcing.spectrum)
+        assert not np.any(forcing.spectrum[..., ~half_mask(grid)])
+
+    def test_two_operand_divergence_matches_gather(self, grid, nodes, rng):
+        u = rough_stack(grid, nodes, rng)
+        v = rough_stack(grid, nodes, rng)
+        out = tensor_divergence(u, v).spectrum
+        assert max_rel(out, gather_tensor_divergence(u, v)) <= 1e-15
+        assert not np.any(out[..., ~half_mask(grid)])
+
+    def test_kernels_built_once_per_layout(self, grid, nodes):
+        u = band_limited_stack(grid, nodes)
+        momentum_forcing(u)
+        layout = grid.layout(u.spectrum)
+        kernel = layout.forcing_kernel
+        momentum_forcing(u * 0.5)
+        assert grid.layout(u.spectrum).forcing_kernel is kernel
+
+
+def reference_duhamel(lam, f, nodes):
+    """The recurrence ``solve_linear_duhamel`` ran before its coefficients were precombined."""
+    u = np.zeros_like(f)
+    for i, h in enumerate(np.diff(nodes)):
+        z = -lam * h
+        decay = np.exp(z)
+        phi1, phi2 = _phi12(z)
+        u[i + 1] = decay * u[i] + h * (phi1 * f[i] + phi2 * (f[i + 1] - f[i]))
+    return u
+
+
+@pytest.mark.parametrize(
+    "time_grid", [uniform_time_grid(2.0, 33), log_time_grid(1e-3, 2.0, 24)], ids=["uniform", "log"]
+)
+def test_duhamel_matches_reference_recurrence(grid2d, time_grid, rng):
+    values = rng.standard_normal((time_grid.num_nodes, 2) + grid2d.shape)
+    forcing = Trajectory(time_grid, grid2d, scipy.fft.rfftn(values, axes=(2, 3), norm="forward"))
+    out = solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing), time_grid)
+    lam = grid2d.layout(forcing.spectrum).xi_sq
+    assert max_rel(out.spectrum, reference_duhamel(lam, forcing.spectrum, time_grid.nodes)) <= 1e-14
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0, np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("components", [1, 3])
+def test_lq_magnitude_matches_direct_formula(grid3d, rng, q, dtype, components):
+    values = rng.standard_normal((5, components) + grid3d.shape).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.standard_normal(values.shape)
+    magnitude = np.sqrt(np.sum(np.abs(values) ** 2, axis=1)).reshape(5, -1)
+    if np.isinf(q):
+        expected = np.max(magnitude, axis=-1)
+    else:
+        expected = (np.sum(magnitude**q, axis=-1) * grid3d.cell_volume) ** (1.0 / q)
+    np.testing.assert_allclose(_lq_magnitude(values, grid3d, q), expected, rtol=1e-14, atol=0)
+
+
+def test_heat_damping_kept_on_its_time_grid(grid2d):
+    """The heat extensions on one time grid share one damping table, which
+    goes when the time grid does."""
+    time_grid = uniform_time_grid(1.0, 9)
+    u0 = random_mean_free_field(grid2d, seed=1, band_limit=3)
+    a = heat_extension(u0, time_grid)
+    table = vars(time_grid)["_heat_damping"][1]
+    b = heat_extension(u0 * 2.0, time_grid)
+    assert vars(time_grid)["_heat_damping"][1] is table
+    xi_sq = grid2d.layout(u0.spectrum).xi_sq
+    damp = np.exp(-np.multiply.outer(time_grid.nodes, xi_sq))
+    expected = u0.spectrum[np.newaxis] * damp[:, np.newaxis]
+    assert np.array_equal(a.spectrum, expected)
+    assert np.array_equal(b.spectrum, 2.0 * expected)
+    gone = weakref.ref(table)
+    del time_grid, a, b, table
+    gc.collect()
+    assert gone() is None
+
+
+def full_hermitian_check(full, grid):
+    """The conjugate-symmetry check as one comparison over the whole array."""
+    N = grid.points_per_axis
+    half = full[..., : N // 2 + 1]
+    last = np.concatenate([full[..., :1], full[..., N - 1 : N // 2 - 1 : -1]], axis=-1)
+    mirror = np.conjugate(spectral._negate_leading(last, grid)) - half
+    scale = max(1.0, float(np.max(np.abs(half))))
+    return not np.max(np.abs(mirror)) > spectral._REALITY_TOL * scale
+
+
+@pytest.mark.parametrize(
+    "grid, nodes", [(TorusGrid(2, 64), 40), (TorusGrid(3, 16), 33)], ids=["40x64^2", "33x16^3"]
+)
+@pytest.mark.parametrize("broken", [None, 0, -1], ids=["hermitian", "first-node", "last-node"])
+def test_blockwise_symmetry_check(grid, nodes, broken, rng, monkeypatch):
+    values = rng.standard_normal((nodes, 2) + grid.shape)
+    full = scipy.fft.fftn(values, axes=tuple(range(2, 2 + grid.dimension)), norm="forward")
+    if broken is not None:
+        full[(broken, 1) + (1,) * grid.dimension] += 1e-8 * np.max(np.abs(full))
+    expected = full_hermitian_check(full, grid)
+    assert expected == (broken is None)
+    blocks = []
+    negate = spectral._negate_leading
+    monkeypatch.setattr(spectral, "_negate_leading", lambda a, g: blocks.append(1) or negate(a, g))
+    assert spectral._is_hermitian(full, grid) == expected
+    # a break at the first node stops the comparison after the first block
+    assert len(blocks) == 1 if broken == 0 else len(blocks) > 1
+
+
+class TestZeroMapOncePerSweep:
+    @pytest.fixture
+    def prob(self, grid2d):
+        u0 = random_mean_free_field(
+            grid2d, seed=0, components=2, band_limit=2, divergence_free=True
+        )
+        time_grid = uniform_time_grid(1.0, 9)
+        return NsProblem(params=MixedNormParams(4.0, 4.0), u0=u0, time_grid=time_grid)
+
+    def test_three_sizes_map_zero_once(self, prob, monkeypatch):
+        zero_inputs = []
+        ns_rhs_map = problems.ns_rhs_map
+
+        def counting(u, p):
+            if not np.any(u.spectrum):
+                zero_inputs.append(u)
+            return ns_rhs_map(u, p)
+
+        monkeypatch.setattr(problems, "ns_rhs_map", counting)
+        report = problems.ns_existence_experiment(prob, [0.01, 0.02, 0.04])
+        assert len(report.entries) == 3
+        assert len(zero_inputs) == 1
+
+    def test_map_not_vanishing_at_zero_is_rejected(self, prob, monkeypatch):
+        offset = heat_extension(prob.u0 * 1e-3, prob.time_grid)
+        ns_rhs_map = problems.ns_rhs_map
+        monkeypatch.setattr(problems, "ns_rhs_map", lambda u, p: ns_rhs_map(u, p) + offset)
+        with pytest.raises(ValueError, match=r"map_F\(0\) must vanish"):
+            problems.ns_existence_experiment(prob, [0.01, 0.02, 0.04])
