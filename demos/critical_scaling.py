@@ -17,8 +17,8 @@ from maxreg_lab import (
     ParabolicGaussianProfile,
     continuum_mixed_norm,
     criticality_check,
-    nlhe_law,
-    ns_law,
+    nlhe_scaling_law,
+    ns_scaling_law,
     scaling_invariance_test,
     scaling_transform,
 )
@@ -34,7 +34,7 @@ def main():
 
     rule("Critical tuple: exact invariance")
     params = MixedNormParams(p=2.0, q=2.0)  # nu = 2 in n = 2: n/q + 2/p = 2
-    law = nlhe_law(2.0)
+    law = nlhe_scaling_law(2.0)
     report = scaling_invariance_test(law, params, n, lams)
     print(f"defect n/q + 2/p - rho = {report.defect:.3e}")
     print(f"{'lam':>6} {'norm of rescaled profile':>26}")
@@ -59,12 +59,12 @@ def main():
     prof = InverseSqrtRadialProfile(amplitude=1.0)
     print("u(t, x) = (t + |x|^2)^(-1/2) is a fixed point of the "
           "quadratic-problem rescaling:")
-    out = scaling_transform(prof, 3.0, ns_law())
+    out = scaling_transform(prof, 3.0, ns_scaling_law())
     print(f"  transform at lam = 3 returns amplitude {out.amplitude} "
           f"(unchanged: {out == prof})")
     params_crit = MixedNormParams(p=4.0, q=4.0)
     print(f"  its criticality defect at p = q = 4, n = 2: "
-          f"{criticality_check(ns_law(), params_crit, 2):.3e}")
+          f"{criticality_check(ns_scaling_law(), params_crit, 2):.3e}")
     window = (1.0, 4.0)
     print(f"  windowed norm on t in {window}: "
           f"{continuum_mixed_norm(prof, params_crit, 2, t_window=window):.6f}")
@@ -74,7 +74,7 @@ def main():
     rule("Gaussian family under the rescaling")
     prof = ParabolicGaussianProfile(amplitude=1.0, offset=1.0, sigma=1.5)
     for lam in (0.5, 2.0):
-        out = scaling_transform(prof, lam, nlhe_law(2.0))
+        out = scaling_transform(prof, lam, nlhe_scaling_law(2.0))
         print(f"lam = {lam}: amplitude -> {out.amplitude:.4f}, "
               f"offset -> {out.offset:.4f}")
 

@@ -18,8 +18,8 @@ from maxreg_lab import (
     MixedNormParams,
     NsProblem,
     TorusGrid,
+    existence_sweep,
     helmholtz_project,
-    ns_existence_experiment,
     random_mean_free_field,
     spatial_lq_norm,
     taylor_green_field,
@@ -57,7 +57,7 @@ def main():
         time_grid=uniform_time_grid(4.0, 129),
         critical=True,
     )
-    report = ns_existence_experiment(
+    report = existence_sweep(
         prob, [0.0, 0.02, 0.08, 0.32, 1.28, 2.56], tol=1e-9, max_iter=60
     )
     print(f"empirical contraction constant M = {report.M_used:.4f}\n")

@@ -20,7 +20,7 @@ from maxreg_lab import (
     MixedNormParams,
     TorusGrid,
     Trajectory,
-    apply_operator,
+    apply_multiplier,
     bochner_mixed_norm,
     de_simon_multiplier_solve,
     estimate_maxreg_constant,
@@ -65,7 +65,7 @@ def main():
         long_grid, grid, envelope[shape] * profile.coefficients[np.newaxis]
     )
     prob = LinearProblem(op, f)
-    au_stepper = apply_operator(solve_linear_duhamel(prob, long_grid), op)
+    au_stepper = apply_multiplier(solve_linear_duhamel(prob), op)
     au_fourier = de_simon_multiplier_solve(prob)
     gap = np.sqrt(np.sum(np.abs(au_stepper.coefficients - au_fourier.coefficients) ** 2))
     size = np.sqrt(np.sum(np.abs(au_stepper.coefficients) ** 2))

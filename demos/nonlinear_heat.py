@@ -13,7 +13,7 @@ from maxreg_lab import (
     NlheProblem,
     TorusGrid,
     besov_heat_norm,
-    nlhe_existence_experiment,
+    existence_sweep,
     random_mean_free_field,
     uniform_time_grid,
 )
@@ -36,7 +36,7 @@ def main():
           "rescaled to each eta below)\n")
 
     eta_grid = [0.0, 0.02, 0.08, 0.32, 1.28, 2.56, 5.12, 10.24]
-    report = nlhe_existence_experiment(prob, eta_grid, tol=1e-9, max_iter=60)
+    report = existence_sweep(prob, eta_grid, tol=1e-9, max_iter=60)
 
     print(f"empirical contraction constant M = {report.M_used:.4f} "
           "(sampled, with a 1.5x safety factor)")

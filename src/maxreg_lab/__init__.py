@@ -59,7 +59,6 @@ from .maxreg import (
     MaxRegReport,
     RBoundEstimate,
     ResolventProbe,
-    apply_operator,
     de_simon_multiplier_solve,
     estimate_maxreg_constant,
     hormander_check,
@@ -67,7 +66,6 @@ from .maxreg import (
     rbound_estimate,
     resolvent_via_maxreg,
     solve_linear_duhamel,
-    weighted_maxreg_check,
 )
 from .picard import (
     FixedPointProblem,
@@ -85,14 +83,11 @@ from .problems import (
     UniquenessReport,
     criticality_check,
     default_smoothing_radii,
+    existence_sweep,
     max_node_divergence,
     measured_lipschitz_M,
-    nlhe_existence_experiment,
-    nlhe_law,
     nlhe_rhs_map,
     nonlinearity_lipschitz_check,
-    ns_existence_experiment,
-    ns_law,
     ns_rhs_map,
     random_mean_free_field,
     scaling_invariance_test,

@@ -754,9 +754,9 @@ def _set_up_scaling(
 ) -> tuple[int, norms.ScalingLaw, norms.MixedNormParams, norms.MixedNormParams, list[float]]:
     p = cfg.params
     if p["law"] == "nlhe":
-        law = problems.nlhe_law(float(p["nu"]))
+        law = norms.nlhe_scaling_law(float(p["nu"]))
     elif p["law"] == "ns":
-        law = problems.ns_law()
+        law = norms.ns_scaling_law()
     else:
         raise ValueError("params.law must be 'nlhe' or 'ns'")
     lams = [float(l) for l in p["lambda_set"]]
@@ -871,11 +871,16 @@ def _check_bootstrap_p(p: dict[str, Any]) -> None:
         raise ValueError("params.bootstrap_p must exceed 1")
 
 
-def _eta_grid(p: dict[str, Any]) -> list[float]:
-    eta_grid = [float(e) for e in p["eta_grid"]]
+def _sweep_args(cfg: ExperimentConfig) -> tuple[norms.MixedNormParams, list[float]]:
+    """The exponents and data sizes of an existence sweep, range-checked; the
+    sweep measures its data by :func:`norms.besov_heat_norm`."""
+    _check_picard(cfg.params)
+    eta_grid = [float(e) for e in cfg.params["eta_grid"]]
     if not all(eta >= 0 for eta in eta_grid):
         raise ValueError("params.eta_grid entries must be nonnegative")
-    return eta_grid
+    params = _mixed_params(cfg)
+    norms._check_heat_exponents(params)
+    return params, eta_grid
 
 
 def _run_existence(
@@ -884,8 +889,7 @@ def _run_existence(
     eta_grid: list[float],
 ) -> tuple[str, dict, dict]:
     p = cfg.params
-    # one sweep serves both problems; ns_existence_experiment is the same function
-    report = problems.nlhe_existence_experiment(
+    report = problems.existence_sweep(
         prob,
         eta_grid,
         tol=float(p["picard_tol"]),
@@ -926,12 +930,11 @@ def _set_up_nlhe_exist(
     cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
 ) -> tuple[problems.NlheProblem, list[float]]:
     p = cfg.params
-    _check_picard(p)
-    eta_grid = _eta_grid(p)
+    params, eta_grid = _sweep_args(cfg)
     u0 = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
     prob = problems.NlheProblem(
         nu=float(p["nu"]),
-        params=_mixed_params(cfg),
+        params=params,
         u0=u0,
         time_grid=tgrid,
         variant=str(p["variant"]),
@@ -967,12 +970,10 @@ def _taylor_green_type_field(
 def _set_up_ns_exist(
     cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
 ) -> tuple[problems.NsProblem, list[float]]:
-    p = cfg.params
-    _check_picard(p)
-    eta_grid = _eta_grid(p)
-    u0 = _taylor_green_type_field(grid, float(p["perturbation"]), cfg.rng_seed)
+    params, eta_grid = _sweep_args(cfg)
+    u0 = _taylor_green_type_field(grid, float(cfg.params["perturbation"]), cfg.rng_seed)
     prob = problems.NsProblem(
-        params=_mixed_params(cfg), u0=u0, time_grid=tgrid, critical=bool(p["critical"])
+        params=params, u0=u0, time_grid=tgrid, critical=bool(cfg.params["critical"])
     )
     return prob, eta_grid
 
@@ -1026,14 +1027,7 @@ def _run_unique(
     report = problems.uniqueness_bootstrap(
         prob, u, v, p=float(p["bootstrap_p"]), tol=tol, seed=cfg.rng_seed
     )
-    grid = prob.u0.grid
-    smoothing = problems.smoothing_estimate_check(
-        grid,
-        prob.params.q,
-        problems.default_smoothing_radii(grid),
-        num_fields=3,
-        seed=cfg.rng_seed,
-    )
+    smoothing = report.smoothing  # not None: the set-up checked its source exponent
     metrics = {
         "status": report.status,
         "C_used": report.C_used,

@@ -38,7 +38,7 @@ from .norms import (
     spatial_lq_norm,
     uniform_time_grid,
 )
-from .spectral import FourierMultiplier, SpectralField, TorusGrid, _on_layout
+from .spectral import FourierMultiplier, SpectralField, TorusGrid, _on_layout, apply_multiplier
 
 __all__ = [
     "LinearProblem",
@@ -48,9 +48,7 @@ __all__ = [
     "HormanderReport",
     "RBoundEstimate",
     "solve_linear_duhamel",
-    "apply_operator",
     "estimate_maxreg_constant",
-    "weighted_maxreg_check",
     "resolvent_via_maxreg",
     "hormander_check",
     "de_simon_multiplier_solve",
@@ -122,23 +120,17 @@ class LinearProblem:
     def __post_init__(self) -> None:
         _accretive_symbol(self.operator, self.forcing.grid)
 
-    @property
-    def horizon(self) -> float:
-        return self.forcing.time_grid.horizon
 
+def solve_linear_duhamel(prob: LinearProblem) -> Trajectory:
+    """Mild solution of ``u' + A u = f`` on the forcing's time grid, exact per
+    mode for the piecewise-linear interpolant of the forcing samples.
 
-def solve_linear_duhamel(prob: LinearProblem, grid: TimeGrid) -> Trajectory:
-    """Mild solution of ``u' + A u = f``, exact per mode for the
-    piecewise-linear interpolant of the forcing samples.
-
-    ``grid`` must carry the same nodes the forcing is sampled on; the
-    recursion is second-order accurate in the node spacing for smooth
+    The recursion is second-order accurate in the node spacing for smooth
     forcing and exact when the forcing really is piecewise linear.  A real
     forcing and a symbol that maps real fields to real fields (the real
     even ``|xi|**2``, say) keep the half spectrum.
     """
-    if not grid.same_nodes(prob.forcing.time_grid):
-        raise ValueError("solve grid must carry the same nodes as the forcing")
+    grid = prob.forcing.time_grid
     lam, f = _on_layout(_accretive_symbol(prob.operator, prob.forcing.grid), prob.forcing)
     u = np.empty_like(f)
     u[0] = 0.0
@@ -156,12 +148,6 @@ def solve_linear_duhamel(prob: LinearProblem, grid: TimeGrid) -> Trajectory:
         step += c0 * f[i]
         step += c1 * f[i + 1]
     return Trajectory(grid, prob.forcing.grid, u)
-
-
-def apply_operator(traj: Trajectory, op: FourierMultiplier) -> Trajectory:
-    """Apply a scalar-symbol multiplier to every state of a trajectory."""
-    sym, coeff = _on_layout(_scalar_symbol(op, traj.grid), traj)
-    return Trajectory(traj.time_grid, traj.grid, coeff * sym)
 
 
 @dataclass(frozen=True)
@@ -206,9 +192,8 @@ def _member_profiles(
     def member(f_traj: Trajectory) -> tuple[TimeGrid, list[np.ndarray]] | None:
         if float(np.max(np.abs(f_traj.spectrum))) == 0.0:
             return None
-        prob = LinearProblem(operator, f_traj)
-        u = solve_linear_duhamel(prob, f_traj.time_grid)
-        au = apply_operator(u, operator)
+        u = solve_linear_duhamel(LinearProblem(operator, f_traj))
+        au = apply_multiplier(u, operator)
         u_q = _node_spatial_norms(u, q)
         del u  # with the samples its norm cached
         # The norm caches the forcing's samples on a local alias, so they go
@@ -257,29 +242,12 @@ def estimate_maxreg_constant(
 
     The time derivative is recovered exactly from the equation as
     ``u' = f - A u``.  Zero-norm members are skipped with a warning; an
-    ensemble with no usable member is degenerate and rejected.
+    ensemble with no usable member is degenerate and rejected.  With
+    ``weight`` the norms are power-weighted in time (``weight`` must suit
+    ``params``); ``mu = 1`` gives exactly the unweighted report.
     """
     profiles = _member_profiles(operator, params.q, ensemble, threads)
     return _reduce_profiles(profiles, params, weight)
-
-
-def weighted_maxreg_check(
-    operator: FourierMultiplier,
-    params: MixedNormParams,
-    weight: WeightParams,
-    ensemble: Sequence[Trajectory],
-    *,
-    threads: int = 1,
-) -> MaxRegReport:
-    """Power-weighted variant of :func:`estimate_maxreg_constant`.
-
-    With ``mu = 1`` the weight is identically one and the report matches
-    the unweighted one exactly.
-    """
-    weight.validate_against(params)
-    return estimate_maxreg_constant(
-        operator, params, ensemble, weight=weight, threads=threads
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,7 +283,7 @@ def resolvent_via_maxreg(
     tgrid = uniform_time_grid(t_star, num_nodes)
     nodes = tgrid.nodes[(slice(None),) + (np.newaxis,) * (x.grid.dimension + 1)]
     forcing = Trajectory(tgrid, x.grid, np.exp(z * nodes) * x.coefficients[np.newaxis])
-    u = solve_linear_duhamel(LinearProblem(operator, forcing), tgrid)
+    u = solve_linear_duhamel(LinearProblem(operator, forcing))
     lam_u, u_coeff = _on_layout(lam, u)
     integral = np.tensordot(tgrid.weights, np.exp(-z * nodes) * u_coeff, axes=(0, 0))
     # after t* the forcing vanishes: u(t) = e^{-lam (t - t*)} u(t*), so the
@@ -496,7 +464,6 @@ def rbound_estimate(
     vectors_per_trial: int,
     *,
     grid: TorusGrid,
-    components: int = 1,
     seed: int = 0,
 ) -> RBoundEstimate:
     """Randomised-sum estimate of the R-bound of a multiplier family.
@@ -529,14 +496,13 @@ def rbound_estimate(
         n_signs = max(vectors_per_trial, 4096)
 
     ratios = [max(float(np.max(np.abs(s))), 0.0) for s in flat]  # worst-mode singletons
+    field_shape = (1,) + grid.shape  # one scalar field per operator
     for trial in range(trials):
         fields = []
         for j in range(n_ops):
             rng = np.random.default_rng(np.random.SeedSequence([seed, trial, j]))
             while True:
-                coeff = rng.standard_normal(
-                    (components,) + grid.shape
-                ) + 1j * rng.standard_normal((components,) + grid.shape)
+                coeff = rng.standard_normal(field_shape) + 1j * rng.standard_normal(field_shape)
                 if np.any(coeff != 0):
                     break
             fields.append(coeff)
@@ -546,7 +512,7 @@ def rbound_estimate(
             rng = np.random.default_rng(np.random.SeedSequence([seed, trial, n_ops]))
             signs = rng.choice([-1.0, 1.0], size=(n_signs, n_ops))
         shape = (n_signs,) + (1,) * (grid.dimension + 1)
-        run_x = np.zeros((n_signs, components) + grid.shape, dtype=np.complex128)
+        run_x = np.zeros((n_signs,) + field_shape, dtype=np.complex128)
         run_t = np.zeros_like(run_x)
         for j in range(n_ops):
             sj = signs[:, j].reshape(shape)

@@ -61,16 +61,10 @@ class DivergentNormError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing time nodes with positive quadrature weights.
-
-    ``truncated_infinite`` marks grids that stand in for ``(0, inf)``;
-    their last node is the truncation horizon and callers are expected to
-    account for the tail separately.
-    """
+    """Strictly increasing time nodes with positive quadrature weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    truncated_infinite: bool = False
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -121,20 +115,17 @@ def uniform_time_grid(horizon: float, num_nodes: int = 257) -> TimeGrid:
     return TimeGrid(nodes, _trapezoid_weights(nodes))
 
 
-def log_time_grid(
-    t_min: float, t_max: float, num_nodes: int = 513, include_zero: bool = True
-) -> TimeGrid:
-    """Log-spaced trapezoid grid, optionally anchored at ``t = 0``.
+def log_time_grid(t_min: float, t_max: float, num_nodes: int = 513) -> TimeGrid:
+    """Trapezoid grid on ``t = 0`` and ``num_nodes`` log-spaced nodes from
+    ``t_min`` to ``t_max``.
 
-    Used for integrals over ``(0, inf)`` truncated at ``t_max``; the
-    returned grid is flagged ``truncated_infinite``.
+    Used for integrals over ``(0, inf)`` truncated at ``t_max``; the caller
+    accounts for the tail.
     """
     if not 0 < t_min < t_max:
         raise ValueError("need 0 < t_min < t_max")
-    nodes = np.geomspace(t_min, t_max, num_nodes)
-    if include_zero:
-        nodes = np.concatenate([[0.0], nodes])
-    return TimeGrid(nodes, _trapezoid_weights(nodes), truncated_infinite=True)
+    nodes = np.concatenate([[0.0], np.geomspace(t_min, t_max, num_nodes)])
+    return TimeGrid(nodes, _trapezoid_weights(nodes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,24 +380,29 @@ class BesovHeatResult:
     time_grid: TimeGrid
 
 
+def _check_heat_exponents(params: MixedNormParams) -> None:
+    """Reject the exponents :func:`besov_heat_norm` cannot measure with."""
+    if math.isinf(params.p) or math.isinf(params.q):
+        raise ValueError("heat-extension norm requires finite exponents")
+
+
 def besov_heat_norm(
     u0: SpectralField,
     params: MixedNormParams,
     *,
-    t_min: float = 1e-6,
     num_nodes: int = 513,
     details: bool = False,
 ) -> float | BesovHeatResult:
     """Size of ``u0`` measured through its heat extension on ``(0, inf)``.
 
     Computes ``|| t -> exp(t*Laplacian) u0 ||_{L^p_t(L^q_x)}`` on a
-    log-spaced grid truncated where an analytic bound certifies the tail
-    contributes less than ``1e-10`` relatively.  Requires finite ``p, q``
-    and a mean-free ``u0`` (a nonzero spatial mean does not decay, so the
-    norm over ``(0, inf)`` diverges).
+    log-spaced grid from ``t = 1e-6``, truncated where an analytic bound
+    certifies the tail contributes less than ``1e-10`` relatively.
+    Requires finite ``p, q`` and a mean-free ``u0`` (a nonzero spatial mean
+    does not decay, so the norm over ``(0, inf)`` diverges).
     """
-    if math.isinf(params.p) or math.isinf(params.q):
-        raise ValueError("heat-extension norm requires finite exponents")
+    _check_heat_exponents(params)
+    t_min = 1e-6
     if not u0.is_mean_free(tol=1e-12):
         raise ValueError("heat-extension norm over (0, inf) requires a mean-free field")
     stored = u0.spectrum

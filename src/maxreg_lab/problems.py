@@ -72,8 +72,7 @@ __all__ = [
     "ExistenceEntry",
     "ExistenceReport",
     "measured_lipschitz_M",
-    "nlhe_existence_experiment",
-    "ns_existence_experiment",
+    "existence_sweep",
     "taylor_green_field",
     "random_mean_free_field",
     "UniquenessReport",
@@ -110,7 +109,7 @@ class NlheProblem:
         if self.variant not in ("signed", "unsigned"):
             raise ValueError("variant must be 'signed' or 'unsigned'")
         if self.critical:
-            defect = criticality_check(nlhe_law(self.nu), self.params, self.dimension)
+            defect = criticality_check(nlhe_scaling_law(self.nu), self.params, self.dimension)
             if abs(defect) > 1e-12:
                 raise ValueError(f"exponents are not critical: defect {defect:.3e}")
 
@@ -152,7 +151,7 @@ class NsProblem:
         if div_norm > 1e-10 * scale:
             raise ValueError(f"initial field is not divergence-free: ||div u0|| = {div_norm:.3e}")
         if self.critical:
-            defect = criticality_check(ns_law(), self.params, self.dimension)
+            defect = criticality_check(ns_scaling_law(), self.params, self.dimension)
             if abs(defect) > 1e-12:
                 raise ValueError(f"exponents are not critical: defect {defect:.3e}")
 
@@ -170,10 +169,6 @@ class NsProblem:
         return 1.0
 
 
-nlhe_law = nlhe_scaling_law
-ns_law = ns_scaling_law
-
-
 # -- right-hand-side maps ----------------------------------------------
 
 
@@ -182,7 +177,7 @@ def nlhe_rhs_map(u: Trajectory, prob: NlheProblem) -> Trajectory:
     if u.components != 1:
         raise ValueError("nlhe trajectory must be scalar")
     forcing = pointwise_power_nonlinearity(u, prob.nu, prob.variant)
-    return solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing), u.time_grid)
+    return solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing))
 
 
 def max_node_divergence(u: Trajectory) -> float:
@@ -206,7 +201,7 @@ def ns_rhs_map(u: Trajectory, prob: NsProblem) -> Trajectory:
     if max_node_divergence(u) > 1e-8 * max(1.0, amp):
         raise ValueError("input trajectory is not divergence-free")
     forcing = momentum_forcing(u)  # -P div(u (x) u): the sign of F is in the forcing
-    return solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing), u.time_grid)
+    return solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing))
 
 
 def _rhs_map(prob: NlheProblem | NsProblem) -> Callable[[Trajectory], Trajectory]:
@@ -536,25 +531,21 @@ def _sample_trajectory_pairs(
         yield fields[0], fields[1]
 
 
-def measured_lipschitz_M(
-    prob: NlheProblem | NsProblem, *, seed: int = 0, safety_factor: float = 1.5
-) -> float:
-    """Contraction constant of the problem's Duhamel map from sampled pairs."""
+def measured_lipschitz_M(prob: NlheProblem | NsProblem, *, seed: int = 0) -> float:
+    """Contraction constant of the problem's Duhamel map from sampled pairs,
+    with :func:`picard.estimate_lipschitz_M`'s 1.5x safety factor."""
     norm = lambda traj: bochner_mixed_norm(traj, prob.params)
     pairs = _sample_trajectory_pairs(prob, norm, seed=seed)
-    return estimate_lipschitz_M(
-        _rhs_map(prob), norm, prob.epsilon, pairs, safety_factor=safety_factor
-    )
+    return estimate_lipschitz_M(_rhs_map(prob), norm, prob.epsilon, pairs)
 
 
-def _existence_sweep(
+def existence_sweep(
     prob: NlheProblem | NsProblem,
     eta_grid: Sequence[float],
     *,
     tol: float = 1e-9,
     max_iter: int = 60,
     seed: int = 0,
-    safety_factor: float = 1.5,
 ) -> ExistenceReport:
     """Small-data sweep for the nonlinear heat or the incompressible problem.
 
@@ -571,7 +562,7 @@ def _existence_sweep(
     u0_hat = prob.u0 * (1.0 / base_size)
     norm = lambda traj: bochner_mixed_norm(traj, prob.params)
     rhs = _rhs_map(prob)
-    M = measured_lipschitz_M(prob, seed=seed, safety_factor=safety_factor)
+    M = measured_lipschitz_M(prob, seed=seed)
     track_divergence = isinstance(prob, NsProblem)
     entries = []
     fp = None
@@ -609,10 +600,6 @@ def _existence_sweep(
     return ExistenceReport(epsilon=prob.epsilon, M_used=M, entries=tuple(entries))
 
 
-nlhe_existence_experiment = _existence_sweep
-ns_existence_experiment = _existence_sweep
-
-
 # -- uniqueness bootstrap ----------------------------------------------
 
 
@@ -621,7 +608,6 @@ def two_route_solutions(
     *,
     tol: float = 1e-9,
     max_iter: int = 60,
-    lipschitz_M: float | None = None,
     seed: int = 0,
 ) -> tuple[Trajectory, Trajectory, PicardCertificate, PicardCertificate]:
     """Two mild solutions of the same problem from distinct iteration orbits.
@@ -630,11 +616,10 @@ def two_route_solutions(
     slightly inflated copy of it.  (Starting route two from zero would
     retrace route one's orbit shifted by a step, since the first iterate
     of zero is ``a`` itself.)  Both must converge for the pair to be
-    meaningful.  ``lipschitz_M=None`` measures the constant on sampled
-    pairs first.
+    meaningful.  The Picard gate's constant is measured on sampled pairs
+    first.
     """
-    if lipschitz_M is None:
-        lipschitz_M = measured_lipschitz_M(prob, seed=seed)
+    lipschitz_M = measured_lipschitz_M(prob, seed=seed)
     norm = lambda traj: bochner_mixed_norm(traj, prob.params)
     a = heat_extension(prob.u0, prob.time_grid)
     fp = FixedPointProblem(base=a, map_F=_rhs_map(prob), norm=norm, epsilon=prob.epsilon)
@@ -651,6 +636,9 @@ class UniquenessReport:
     quantities entering the contraction bound, the resulting factor
     ``C * (q1 + q2 + q3)`` (at most 3/4 when the segment was accepted) and
     the measured separation of the two solutions on the segment.
+    ``smoothing`` is the heat-smoothing probe that enters the constant, or
+    ``None`` when its source exponent ``nq/(n+q)`` is not above 1; a
+    refused pair carries it too.
     """
 
     status: str  # 'complete' | 'inconclusive' | 'refused'
@@ -662,6 +650,7 @@ class UniquenessReport:
     factors: tuple[float, ...]
     separations: tuple[float, ...]
     dimension_restriction_met: bool
+    smoothing: SmoothingReport | None
 
     @property
     def max_factor(self) -> float:
@@ -734,17 +723,16 @@ def _measure_bootstrap_constant(
     prob: NlheProblem | NsProblem,
     p: float,
     q: float,
+    smoothing: SmoothingReport | None,
     *,
     seed: int = 0,
 ) -> float:
     """Empirical constant for the segment inequality, with a 2x safety factor.
 
     Combines the sampled sup-norm-weighted Lipschitz ratio of the Duhamel
-    term with the measured heat-smoothing ratio for the exponent pair the
-    bootstrap uses.
+    term with the measured heat-smoothing ratio ``smoothing`` for the
+    exponent pair the bootstrap uses.
     """
-    grid = prob.u0.grid
-    n = grid.dimension
     nu = prob.nu
     params = MixedNormParams(p=p, q=q)
     norm = lambda traj: bochner_mixed_norm(traj, params)
@@ -760,10 +748,7 @@ def _measure_bootstrap_constant(
         )
         if denom > 0:
             c1 = max(c1, norm(rhs(uu) - rhs(vv)) / denom)
-    c3 = 0.0
-    if n * q / (n + q) > 1:
-        radii = default_smoothing_radii(grid)
-        c3 = smoothing_estimate_check(grid, q, radii, num_fields=3, seed=seed).max_ratio
+    c3 = 0.0 if smoothing is None else smoothing.max_ratio
     return 2.0 * max(c1, c3, 1e-6)
 
 
@@ -773,9 +758,7 @@ def uniqueness_bootstrap(
     v: Trajectory,
     *,
     p: float = 2.0,
-    C: float | None = None,
     tol: float = 1e-9,
-    tau_max: float | None = None,
     seed: int = 0,
 ) -> UniquenessReport:
     """Drive two mild solutions with identical data into agreement segment
@@ -799,6 +782,10 @@ def uniqueness_bootstrap(
     n = prob.dimension
     q_endpoint = n * (nu - 1.0) / 2.0 if isinstance(prob, NlheProblem) else float(n)
     dim_ok = math.isclose(q, q_endpoint, rel_tol=1e-12)
+    smoothing = None
+    if n * q / (n + q) > 1:  # the probe's source exponent
+        radii = default_smoothing_radii(prob.u0.grid)
+        smoothing = smoothing_estimate_check(prob.u0.grid, q, radii, num_fields=3, seed=seed)
     u_q = _node_spatial_norms(u, q)
     gap_q = _node_spatial_norms(u - v, q)
     if gap_q[0] > max(10.0 * tol, 1e-9) * max(1.0, u_q[0]):
@@ -812,10 +799,10 @@ def uniqueness_bootstrap(
             factors=(),
             separations=(),
             dimension_restriction_met=dim_ok,
+            smoothing=smoothing,
         )
     v_q = _node_spatial_norms(v, q)
-    if C is None:
-        C = _measure_bootstrap_constant(prob, p, q, seed=seed)
+    C = _measure_bootstrap_constant(prob, p, q, smoothing, seed=seed)
     aux_q = n / (nu - 1.0)
     nodes = u.time_grid.nodes
     last = len(nodes) - 1
@@ -833,9 +820,6 @@ def uniqueness_bootstrap(
         )
         t0 = nodes[i0]
         i1 = last
-        if tau_max is not None:
-            reach = int(np.searchsorted(nodes, t0 + tau_max, side="right")) - 1
-            i1 = min(max(reach, i0 + 1), last)
         shifted = nodes[i0 : i1 + 1] - t0
         flow = heat_extension(u0_eps, TimeGrid(shifted, _trapezoid_weights(shifted)))
         flow_q = _node_spatial_norms(flow, q)
@@ -873,4 +857,5 @@ def uniqueness_bootstrap(
         factors=tuple(factors),
         separations=tuple(separations),
         dimension_restriction_met=dim_ok,
+        smoothing=smoothing,
     )

@@ -23,9 +23,10 @@ field.  The full array stays readable as ``coefficients``.
 Products (tensor divergence, momentum forcing, pointwise powers) are
 formed in physical space with two-thirds dealiasing applied before and
 after; the product spectra are differentiated (and Leray-projected) by one
-contraction with a per-mode kernel of the layout.  The Leray projection,
-divergence, tensor divergence, momentum forcing and pointwise power take
-a single field or a ``norms.Trajectory`` and act on every time node at once.
+contraction with a per-mode kernel of the layout.  Multipliers, the Leray
+projection, divergence, tensor divergence, momentum forcing and pointwise
+power take a single field or a ``norms.Trajectory`` and act on every time
+node at once.
 """
 
 from __future__ import annotations
@@ -597,25 +598,28 @@ def resolvent_scalar_multiplier(sigma: float) -> FourierMultiplier:
 # -- operations --------------------------------------------------------
 
 
-def apply_multiplier(field: SpectralField, op: FourierMultiplier) -> SpectralField:
-    """Apply a Fourier multiplier modewise.
+def apply_multiplier(u: _FieldOrStack, op: FourierMultiplier) -> _FieldOrStack:
+    """Apply a Fourier multiplier modewise to a field or to every state of a
+    trajectory.
 
     Scalar symbols broadcast over components; matrix symbols contract the
     component index and must match the field's component count.  A symbol
-    that does not map real fields to real fields gives a full-layout field.
+    that does not map real fields to real fields gives a full-layout result.
     """
-    grid = field.grid
-    m = field.components
+    grid = u.grid
+    m = u.components
     sym = op.evaluate(grid)
     if sym.shape not in (grid.shape, (m, m) + grid.shape):
         raise ValueError(
             f"symbol shape {sym.shape} does not match grid shape {grid.shape} "
             f"or matrix form for {m} components"
         )
-    sym, coeff = _on_layout(sym, field)
+    sym, coeff = _on_layout(sym, u)
     if sym.ndim == grid.dimension:
-        return SpectralField(grid, coeff * sym[np.newaxis])
-    return SpectralField(grid, np.einsum("ij...,j...->i...", sym, coeff))
+        return replace(u, coefficients=coeff * sym)
+    space = list(range(2, sym.ndim))
+    out = np.einsum(sym, [0, 1, *space], coeff, [..., 1, *space], [..., 0, *space])
+    return replace(u, coefficients=out)
 
 
 def heat_semigroup_apply(field: SpectralField, t: float) -> SpectralField:

@@ -23,7 +23,6 @@ from maxreg_lab import (
     run_picard,
     synthetic_forcing_ensemble,
     uniform_time_grid,
-    weighted_maxreg_check,
 )
 from maxreg_lab.harness import load_config, run_experiment, write_results
 
@@ -178,8 +177,8 @@ def test_06_power_weighted_norms(records, capsys):
     all_finite = True
     for mu in (0.6, 0.8):
         wp = WeightParams(mu=mu)
-        c_coarse = weighted_maxreg_check(op, params, wp, coarse).C_estimate
-        c_fine = weighted_maxreg_check(op, params, wp, fine).C_estimate
+        c_coarse = estimate_maxreg_constant(op, params, coarse, weight=wp).C_estimate
+        c_fine = estimate_maxreg_constant(op, params, fine, weight=wp).C_estimate
         all_finite &= math.isfinite(c_coarse) and math.isfinite(c_fine) and c_coarse > 0
         worst_rel = max(worst_rel, abs(c_fine - c_coarse) / c_coarse)
     ok = mu1_exact and all_finite and worst_rel < 0.05

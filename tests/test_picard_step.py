@@ -132,7 +132,7 @@ def reference_duhamel(lam, f, nodes):
 def test_duhamel_matches_reference_recurrence(grid2d, time_grid, rng):
     values = rng.standard_normal((time_grid.num_nodes, 2) + grid2d.shape)
     forcing = Trajectory(time_grid, grid2d, scipy.fft.rfftn(values, axes=(2, 3), norm="forward"))
-    out = solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing), time_grid)
+    out = solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing))
     lam = grid2d.layout(forcing.spectrum).xi_sq
     assert max_rel(out.spectrum, reference_duhamel(lam, forcing.spectrum, time_grid.nodes)) <= 1e-14
 
@@ -220,7 +220,7 @@ class TestZeroMapOncePerSweep:
             return ns_rhs_map(u, p)
 
         monkeypatch.setattr(problems, "ns_rhs_map", counting)
-        report = problems.ns_existence_experiment(prob, [0.01, 0.02, 0.04])
+        report = problems.existence_sweep(prob, [0.01, 0.02, 0.04])
         assert len(report.entries) == 3
         assert len(zero_inputs) == 1
 
@@ -229,4 +229,4 @@ class TestZeroMapOncePerSweep:
         ns_rhs_map = problems.ns_rhs_map
         monkeypatch.setattr(problems, "ns_rhs_map", lambda u, p: ns_rhs_map(u, p) + offset)
         with pytest.raises(ValueError, match=r"map_F\(0\) must vanish"):
-            problems.ns_existence_experiment(prob, [0.01, 0.02, 0.04])
+            problems.existence_sweep(prob, [0.01, 0.02, 0.04])

@@ -17,14 +17,13 @@ from maxreg_lab import (
     heat_extension,
     helmholtz_project,
     max_node_divergence,
+    existence_sweep,
     measured_lipschitz_M,
-    nlhe_existence_experiment,
-    nlhe_law,
     nlhe_rhs_map,
+    nlhe_scaling_law,
     nonlinearity_lipschitz_check,
-    ns_existence_experiment,
-    ns_law,
     ns_rhs_map,
+    ns_scaling_law,
     random_mean_free_field,
     scaling_invariance_test,
     smoothing_estimate_check,
@@ -197,31 +196,31 @@ class TestRhsMaps:
 
 class TestCriticality:
     def test_nlhe_critical_tuples(self):
-        assert criticality_check(nlhe_law(2.0), MixedNormParams(2.0, 2.0), 2) == 0.0
+        assert criticality_check(nlhe_scaling_law(2.0), MixedNormParams(2.0, 2.0), 2) == 0.0
         # nu = 3 in n = 1: 1/q + 2/p = 1 at p = 4, q = 2
-        assert criticality_check(nlhe_law(3.0), MixedNormParams(4.0, 2.0), 1) == (
+        assert criticality_check(nlhe_scaling_law(3.0), MixedNormParams(4.0, 2.0), 1) == (
             pytest.approx(0.0, abs=1e-15)
         )
 
     def test_ns_critical_tuple(self):
-        assert criticality_check(ns_law(), MixedNormParams(4.0, 4.0), 2) == 0.0
-        assert criticality_check(ns_law(), MixedNormParams(2.0, 3.0), 3) == (
+        assert criticality_check(ns_scaling_law(), MixedNormParams(4.0, 4.0), 2) == 0.0
+        assert criticality_check(ns_scaling_law(), MixedNormParams(2.0, 3.0), 3) == (
             pytest.approx(-1.0)
         )
 
     def test_sup_norm_counts_no_time_exponent(self):
-        got = criticality_check(ns_law(), MixedNormParams(math.inf, 2.0), 2)
+        got = criticality_check(ns_scaling_law(), MixedNormParams(math.inf, 2.0), 2)
         assert got == pytest.approx(0.0)
 
     def test_dimension_validated(self):
         with pytest.raises(ValueError, match="dimension must be positive"):
-            criticality_check(ns_law(), MixedNormParams(2.0, 2.0), 0)
+            criticality_check(ns_scaling_law(), MixedNormParams(2.0, 2.0), 0)
 
 
 class TestScalingInvariance:
     def test_critical_tuple_is_invariant(self):
         report = scaling_invariance_test(
-            nlhe_law(2.0), MixedNormParams(2.0, 2.0), 2, [0.5, 2.0]
+            nlhe_scaling_law(2.0), MixedNormParams(2.0, 2.0), 2, [0.5, 2.0]
         )
         assert report.defect == 0.0
         assert report.max_ratio_deviation < 1e-9
@@ -229,7 +228,7 @@ class TestScalingInvariance:
     def test_off_critical_exponent_recovered(self):
         """p = 2.5 leaves defect 0.2; measured log-log slope matches."""
         report = scaling_invariance_test(
-            nlhe_law(2.0), MixedNormParams(2.5, 2.0), 2, [0.25, 0.5, 2.0, 4.0]
+            nlhe_scaling_law(2.0), MixedNormParams(2.5, 2.0), 2, [0.25, 0.5, 2.0, 4.0]
         )
         assert report.defect == pytest.approx(0.2)
         assert report.max_exponent_error < 1e-6
@@ -237,7 +236,7 @@ class TestScalingInvariance:
     def test_rejects_bad_factors(self):
         with pytest.raises(ValueError, match="factors must be positive"):
             scaling_invariance_test(
-                nlhe_law(2.0), MixedNormParams(2.0, 2.0), 2, [0.0]
+                nlhe_scaling_law(2.0), MixedNormParams(2.0, 2.0), 2, [0.0]
             )
 
 
@@ -352,7 +351,7 @@ class TestExistenceExperiments:
     def test_nlhe_sweep_shape_and_monotonicity(self, grid2d):
         """Small sizes converge, a huge one diverges, order is monotone."""
         prob = small_nlhe(grid2d)
-        report = nlhe_existence_experiment(prob, [0.01, 0.1, 50.0], max_iter=40)
+        report = existence_sweep(prob, [0.01, 0.1, 50.0], max_iter=40)
         assert report.M_used > 0
         assert [e.eta for e in report.entries] == [0.01, 0.1, 50.0]
         assert report.entries[0].certificate.converged
@@ -362,7 +361,7 @@ class TestExistenceExperiments:
 
     def test_nlhe_converged_runs_stay_in_ball(self, grid2d):
         prob = small_nlhe(grid2d)
-        report = nlhe_existence_experiment(prob, [0.05], max_iter=40)
+        report = existence_sweep(prob, [0.05], max_iter=40)
         entry = report.entries[0]
         cert = entry.certificate
         assert cert.converged and cert.smallness_ok
@@ -371,7 +370,7 @@ class TestExistenceExperiments:
     def test_nlhe_validation(self, grid2d):
         prob = small_nlhe(grid2d)
         with pytest.raises(ValueError, match="sizes must be nonnegative"):
-            nlhe_existence_experiment(prob, [-0.1])
+            existence_sweep(prob, [-0.1])
         zero_prob = NlheProblem(
             nu=2.0,
             params=MixedNormParams(2.0, 2.0),
@@ -379,7 +378,7 @@ class TestExistenceExperiments:
             time_grid=uniform_time_grid(1.0, 9),
         )
         with pytest.raises(ValueError, match="initial field must be nonzero"):
-            nlhe_existence_experiment(zero_prob, [0.1])
+            existence_sweep(zero_prob, [0.1])
 
     def test_ns_sweep_tracks_divergence(self, grid2d):
         prob = NsProblem(
@@ -388,7 +387,7 @@ class TestExistenceExperiments:
             time_grid=uniform_time_grid(1.0, 33),
             critical=True,
         )
-        report = ns_existence_experiment(prob, [0.02, 0.2], max_iter=40)
+        report = existence_sweep(prob, [0.02, 0.2], max_iter=40)
         assert report.entries[0].certificate.converged
         for entry in report.entries:
             assert entry.max_divergence is not None
