@@ -1015,8 +1015,12 @@ def _run_unique(
 ) -> tuple[str, dict, dict]:
     p = cfg.params
     tol = float(p["picard_tol"])
-    u, v, cert_u, cert_v = problems.two_route_solutions(
-        prob, tol=tol, max_iter=int(p["max_iter"]), seed=cfg.rng_seed
+    bootstrap_p = float(p["bootstrap_p"])
+    # one pass over the sampled pairs measures the Picard gate's constant and
+    # the bootstrap's; the problem keeps them for uniqueness_bootstrap
+    lipschitz_M, _ = problems._sampled_constants(prob, bootstrap_p, seed=cfg.rng_seed)
+    u, v, cert_u, cert_v = problems._two_routes(
+        prob, lipschitz_M, tol=tol, max_iter=int(p["max_iter"])
     )
     if not (cert_u.converged and cert_v.converged):
         return (
@@ -1025,7 +1029,7 @@ def _run_unique(
             {},
         )
     report = problems.uniqueness_bootstrap(
-        prob, u, v, p=float(p["bootstrap_p"]), tol=tol, seed=cfg.rng_seed
+        prob, u, v, p=bootstrap_p, tol=tol, seed=cfg.rng_seed
     )
     smoothing = report.smoothing  # not None: the set-up checked its source exponent
     metrics = {

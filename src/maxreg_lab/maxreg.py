@@ -246,6 +246,8 @@ def estimate_maxreg_constant(
     ``weight`` the norms are power-weighted in time (``weight`` must suit
     ``params``); ``mu = 1`` gives exactly the unweighted report.
     """
+    if weight is not None:  # the rule _reduce_profiles applies, before any member is solved
+        weight.validate_against(params)
     profiles = _member_profiles(operator, params.q, ensemble, threads)
     return _reduce_profiles(profiles, params, weight)
 

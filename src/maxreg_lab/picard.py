@@ -93,15 +93,35 @@ def estimate_lipschitz_M(
     ratios: list[float] = []
     amplitudes: list[float] = []
     for u, v in sample_pairs:
-        diff = norm(u - v)
-        if diff == 0.0:
-            continue
-        nu_, nv = norm(u), norm(v)
-        denom = diff * (nu_**epsilon + nv**epsilon)
-        if denom == 0.0:
-            continue
-        ratios.append(norm(map_F(u) - map_F(v)) / denom)
-        amplitudes.append(max(nu_, nv))
+        sample = _pair_ratio(map_F, norm, epsilon, u, v)
+        if sample is not None:
+            ratios.append(sample[0])
+            amplitudes.append(sample[1])
+        del sample  # and its images, before the next pair is drawn
+    return _lipschitz_bound(ratios, amplitudes, safety_factor, warn_on_trend)
+
+
+def _pair_ratio(
+    map_F: Callable[[Any], Any], norm: Callable[[Any], float], epsilon: float, u: Any, v: Any
+) -> tuple[float, float, tuple[Any, Any]] | None:
+    """One pair's ratio ``||F(u)-F(v)|| / (||u-v|| (||u||**e + ||v||**e))``,
+    its amplitude ``max(||u||, ||v||)`` and the images ``(F(u), F(v))``;
+    ``None`` for a degenerate pair, whose images are not computed."""
+    diff = norm(u - v)
+    if diff == 0.0:
+        return None
+    nu_, nv = norm(u), norm(v)
+    denom = diff * (nu_**epsilon + nv**epsilon)
+    if denom == 0.0:
+        return None
+    images = map_F(u), map_F(v)
+    return norm(images[0] - images[1]) / denom, max(nu_, nv), images
+
+
+def _lipschitz_bound(
+    ratios: list[float], amplitudes: list[float], safety_factor: float, warn_on_trend: bool
+) -> float:
+    """:func:`estimate_lipschitz_M` from the sampled ratios and amplitudes."""
     if not ratios:
         raise ValueError("no usable sample pairs (all degenerate)")
     if warn_on_trend and len(ratios) >= 4:
@@ -113,7 +133,7 @@ def estimate_lipschitz_M(
                 warnings.warn(
                     "ratio grows as amplitude shrinks; nonlinearity exponent "
                     "may be misspecified",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
     return float(max(ratios)) * safety_factor
 

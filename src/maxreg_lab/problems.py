@@ -43,6 +43,8 @@ from .norms import (
 from .picard import (
     FixedPointProblem,
     PicardCertificate,
+    _lipschitz_bound,
+    _pair_ratio,
     estimate_lipschitz_M,
     run_picard,
 )
@@ -502,7 +504,6 @@ def _sample_trajectory_pairs(
     *,
     seed: int = 0,
     count: int = 4,
-    amplitude: float = 1.0,
 ) -> Iterator[tuple[Trajectory, Trajectory]]:
     """Pairs of random heat-flow trajectories at a 10x range of amplitudes.
 
@@ -513,7 +514,7 @@ def _sample_trajectory_pairs(
     """
     grid = prob.u0.grid
     vector = isinstance(prob, NsProblem)
-    scales = np.geomspace(0.1, 1.0, count) * amplitude
+    scales = np.geomspace(0.1, 1.0, count)
     for i, scale in enumerate(scales):
         fields = []
         for j in range(2):
@@ -537,6 +538,75 @@ def measured_lipschitz_M(prob: NlheProblem | NsProblem, *, seed: int = 0) -> flo
     norm = lambda traj: bochner_mixed_norm(traj, prob.params)
     pairs = _sample_trajectory_pairs(prob, norm, seed=seed)
     return estimate_lipschitz_M(_rhs_map(prob), norm, prob.epsilon, pairs)
+
+
+def _sampled_constants(
+    prob: NlheProblem | NsProblem, bootstrap_p: float, *, seed: int = 0
+) -> tuple[float, float]:
+    """The Picard gate's constant ``M`` and the uniqueness bootstrap's sampled
+    Lipschitz ratio ``c1``, from one pass over the sampled pairs.
+
+    ``M`` is :func:`measured_lipschitz_M`'s, bit for bit.  ``c1`` is
+    measured on the same fields at the bootstrap's scale (see
+    :func:`_bootstrap_ratio`), from the images the gate computed.  The
+    problem keeps the last constants it measured, keyed by ``bootstrap_p``
+    and ``seed``, so a uniqueness run that measured them for its Picard
+    gate hands them to :func:`uniqueness_bootstrap`.
+    """
+    key = (bootstrap_p, seed)
+    cached = vars(prob).get("_sampled_constants")
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    norm = lambda traj: bochner_mixed_norm(traj, prob.params)
+    amplitude = max(spatial_lq_norm(prob.u0, prob.params.q), 1e-3)
+    rhs = _rhs_map(prob)
+    ratios: list[float] = []
+    amplitudes: list[float] = []
+    c1 = 0.0
+    for pair in _sample_trajectory_pairs(prob, norm, seed=seed):
+        sample = _pair_ratio(rhs, norm, prob.epsilon, *pair)
+        if sample is not None:
+            ratios.append(sample[0])
+            amplitudes.append(sample[1])
+            c1 = max(c1, _bootstrap_ratio(prob, bootstrap_p, amplitude, pair, sample[2]))
+        del pair, sample  # with the images, before the next pair is drawn
+    constants = _lipschitz_bound(ratios, amplitudes, safety_factor=1.5, warn_on_trend=True), c1
+    vars(prob)["_sampled_constants"] = (key, constants)
+    return constants
+
+
+def _bootstrap_ratio(
+    prob: NlheProblem | NsProblem,
+    bootstrap_p: float,
+    amplitude: float,
+    pair: tuple[Trajectory, Trajectory],
+    images: tuple[Trajectory, Trajectory],
+) -> float:
+    """The bootstrap's Lipschitz ratio on a gate pair brought to its scale.
+
+    The bootstrap samples each field at ``amplitude`` in the
+    ``(bootstrap_p, q)`` norm: the gate's field ``w`` times
+    ``r = amplitude ||w||_gate / ||w||_boot``.  The ratio is
+    ``||F(r_u u) - F(r_v v)||_boot`` over ``||r_u u - r_v v||_boot`` times
+    the sum of ``(max_t ||r w||_q)**(nu-1)`` over the pair.  Both maps are
+    positively homogeneous of degree ``nu``, so ``F(r w) = r**nu F(w)``
+    comes from the gate's images.
+    """
+    nu, q = prob.nu, prob.params.q
+    boot = MixedNormParams(p=bootstrap_p, q=q)
+    scales, powers = [], 0.0
+    for traj in pair:
+        nodal = _node_spatial_norms(traj, q)
+        weights = traj.time_grid.weights
+        gate, own = _time_lp(nodal, weights, prob.params.p), _time_lp(nodal, weights, bootstrap_p)
+        r = amplitude * gate / own
+        scales.append(r)
+        powers += float(r * np.max(nodal)) ** (nu - 1.0)
+    (u, v), (fu, fv), (ru, rv) = pair, images, scales
+    denom = bochner_mixed_norm(u * ru - v * rv, boot) * powers
+    if denom > 0:
+        return bochner_mixed_norm(fu * ru**nu - fv * rv**nu, boot) / denom
+    return 0.0
 
 
 def existence_sweep(
@@ -620,6 +690,13 @@ def two_route_solutions(
     first.
     """
     lipschitz_M = measured_lipschitz_M(prob, seed=seed)
+    return _two_routes(prob, lipschitz_M, tol=tol, max_iter=max_iter)
+
+
+def _two_routes(
+    prob: NlheProblem | NsProblem, lipschitz_M: float, *, tol: float, max_iter: int
+) -> tuple[Trajectory, Trajectory, PicardCertificate, PicardCertificate]:
+    """:func:`two_route_solutions` with the gate's constant measured already."""
     norm = lambda traj: bochner_mixed_norm(traj, prob.params)
     a = heat_extension(prob.u0, prob.time_grid)
     fp = FixedPointProblem(base=a, map_F=_rhs_map(prob), norm=norm, epsilon=prob.epsilon)
@@ -719,39 +796,6 @@ def _mollify_by_cutoff(
     return u0, 0.0, float(radii[-1])
 
 
-def _measure_bootstrap_constant(
-    prob: NlheProblem | NsProblem,
-    p: float,
-    q: float,
-    smoothing: SmoothingReport | None,
-    *,
-    seed: int = 0,
-) -> float:
-    """Empirical constant for the segment inequality, with a 2x safety factor.
-
-    Combines the sampled sup-norm-weighted Lipschitz ratio of the Duhamel
-    term with the measured heat-smoothing ratio ``smoothing`` for the
-    exponent pair the bootstrap uses.
-    """
-    nu = prob.nu
-    params = MixedNormParams(p=p, q=q)
-    norm = lambda traj: bochner_mixed_norm(traj, params)
-    rhs = _rhs_map(prob)
-    pairs = _sample_trajectory_pairs(
-        prob, norm, seed=seed, amplitude=max(spatial_lq_norm(prob.u0, q), 1e-3)
-    )
-    c1 = 0.0
-    for uu, vv in pairs:
-        denom = norm(uu - vv) * (
-            float(np.max(_node_spatial_norms(uu, q))) ** (nu - 1.0)
-            + float(np.max(_node_spatial_norms(vv, q))) ** (nu - 1.0)
-        )
-        if denom > 0:
-            c1 = max(c1, norm(rhs(uu) - rhs(vv)) / denom)
-    c3 = 0.0 if smoothing is None else smoothing.max_ratio
-    return 2.0 * max(c1, c3, 1e-6)
-
-
 def uniqueness_bootstrap(
     prob: NlheProblem | NsProblem,
     u: Trajectory,
@@ -802,7 +846,10 @@ def uniqueness_bootstrap(
             smoothing=smoothing,
         )
     v_q = _node_spatial_norms(v, q)
-    C = _measure_bootstrap_constant(prob, p, q, smoothing, seed=seed)
+    # the segment inequality's constant, with a 2x safety factor: the
+    # sampled Lipschitz ratio of the Duhamel term against the smoothing ratio
+    c1 = _sampled_constants(prob, p, seed=seed)[1]
+    C = 2.0 * max(c1, 0.0 if smoothing is None else smoothing.max_ratio, 1e-6)
     aux_q = n / (nu - 1.0)
     nodes = u.time_grid.nodes
     last = len(nodes) - 1

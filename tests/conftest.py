@@ -1,9 +1,13 @@
-"""Shared fixtures: small grids and generators used across the suite."""
+"""Shared fixtures: small grids and generators used across the suite, and
+the experiment records the acceptance and golden-number tests read."""
+
+import json
 
 import numpy as np
 import pytest
 
 from maxreg_lab import TorusGrid, uniform_time_grid
+from maxreg_lab.harness import load_config, run_experiment
 
 
 @pytest.fixture
@@ -29,3 +33,17 @@ def short_time():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def records():
+    """Memoised experiment runner keyed by the full config."""
+    cache = {}
+
+    def get(name, **overrides):
+        key = json.dumps({"experiment": name, **overrides}, sort_keys=True)
+        if key not in cache:
+            cache[key] = run_experiment(load_config({"experiment": name, **overrides}))
+        return cache[key]
+
+    return get

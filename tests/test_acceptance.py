@@ -3,10 +3,9 @@
 Every test emits one live ``ACCEPTANCE nn <label>: PASS/FAIL (<detail>)``
 line (bypassing pytest's capture) before asserting, so a full run prints
 a thirteen-line scoreboard.  Heavy experiment records are shared through
-a module-scoped cache.
+the session-scoped ``records`` fixture of ``conftest.py``.
 """
 
-import json
 import math
 
 import numpy as np
@@ -25,20 +24,6 @@ from maxreg_lab import (
     uniform_time_grid,
 )
 from maxreg_lab.harness import load_config, run_experiment, write_results
-
-
-@pytest.fixture(scope="module")
-def records():
-    """Memoised experiment runner keyed by the full config."""
-    cache = {}
-
-    def get(name, **overrides):
-        key = json.dumps({"experiment": name, **overrides}, sort_keys=True)
-        if key not in cache:
-            cache[key] = run_experiment(load_config({"experiment": name, **overrides}))
-        return cache[key]
-
-    return get
 
 
 def announce(num, label, ok, detail, capsys):

@@ -30,6 +30,7 @@ from maxreg_lab import (
     synthetic_forcing_ensemble,
     uniform_time_grid,
 )
+from maxreg_lab import maxreg
 
 
 def cosine_forcing(grid, time_grid, envelope):
@@ -192,6 +193,21 @@ class TestMaxRegEstimate:
                 ensemble,
                 weight=WeightParams(mu=0.4),
             )
+
+    def test_bad_weight_rejected_before_any_solve(self, grid2d, monkeypatch):
+        """The weight is checked before the members are solved."""
+        tg = uniform_time_grid(1.0, 17)
+        ensemble = synthetic_forcing_ensemble(grid2d, tg, 2, seed=1)
+        solves = []
+        monkeypatch.setattr(maxreg, "solve_linear_duhamel", lambda prob: solves.append(prob))
+        with pytest.raises(ValueError, match="mu must satisfy"):
+            estimate_maxreg_constant(
+                laplacian_multiplier(),
+                MixedNormParams(2.0, 2.0),
+                ensemble,
+                weight=WeightParams(mu=0.4),
+            )
+        assert solves == []
 
 
 class TestResolventProbe:

@@ -285,6 +285,23 @@ class TestBesovHeatNorm:
         with pytest.raises(ValueError, match="finite exponents"):
             besov_heat_norm(f, MixedNormParams(math.inf, 2.0))
 
+    @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("num_nodes", [513, 40])  # 514 and 41 nodes: partial last block
+    @pytest.mark.parametrize("fixture, components", [("grid2d", 1), ("grid3d", 3)])
+    def test_blocked_extension_matches_whole_extension(
+        self, request, rng, fixture, components, num_nodes, q
+    ):
+        """Sampling the heat extension block by block gives the norm of the
+        whole extension bit for bit."""
+        grid = request.getfixturevalue(fixture)
+        values = rng.standard_normal((components,) + grid.shape)
+        spatial = tuple(range(1, values.ndim))
+        u0 = SpectralField.from_physical(grid, values - values.mean(axis=spatial, keepdims=True))
+        params = MixedNormParams(2.5, q)
+        res = besov_heat_norm(u0, params, num_nodes=num_nodes, details=True)
+        assert res.time_grid.num_nodes % 32 != 0
+        assert res.value == bochner_mixed_norm(heat_extension(u0, res.time_grid), params)
+
 
 class TestScalingLaws:
     def test_named_laws(self):

@@ -34,6 +34,8 @@ from maxreg_lab import (
     uniform_time_grid,
     uniqueness_bootstrap,
 )
+from maxreg_lab import bochner_mixed_norm, problems
+from maxreg_lab.harness import load_config, run_experiment
 
 
 def scalar_data(grid, seed=0, band_limit=3):
@@ -452,3 +454,83 @@ class TestUniqueness:
         report = uniqueness_bootstrap(prob, u, v, tol=1e-10)
         assert report.dimension_restriction_met
         assert report.status == "complete"
+
+
+def bootstrap_ratio_by_resampling(prob, bootstrap_p, seed=0):
+    """The bootstrap's sampled Lipschitz ratio measured on its own pairs:
+    the sample fields drawn again and scaled in the bootstrap's norm."""
+    q, nu = prob.params.q, prob.nu
+    boot = MixedNormParams(bootstrap_p, q)
+    norm = lambda traj: bochner_mixed_norm(traj, boot)
+    amplitude = max(spatial_lq_norm(prob.u0, q), 1e-3)
+    grid = prob.u0.grid
+    vector = isinstance(prob, NsProblem)
+    c1 = 0.0
+    for i, scale in enumerate(np.geomspace(0.1, 1.0, 4) * amplitude):
+        pair = []
+        for j in range(2):
+            f = random_mean_free_field(
+                grid,
+                seed=seed,
+                stream=100 + 2 * i + j,
+                components=grid.dimension if vector else 1,
+                band_limit=max(2, grid.points_per_axis // 8),
+                divergence_free=vector,
+            )
+            h = heat_extension(f, prob.time_grid)
+            pair.append(h * (scale / norm(h)))
+        uu, vv = pair
+        sups = [
+            max(spatial_lq_norm(w.state(k), q) for k in range(w.time_grid.num_nodes))
+            for w in pair
+        ]
+        denom = norm(uu - vv) * (sups[0] ** (nu - 1.0) + sups[1] ** (nu - 1.0))
+        rhs = (lambda w: ns_rhs_map(w, prob)) if vector else (lambda w: nlhe_rhs_map(w, prob))
+        if denom > 0:
+            c1 = max(c1, norm(rhs(uu) - rhs(vv)) / denom)
+    return c1
+
+
+class TestSharedSampling:
+    """One pass over the sampled pairs gives both constants of a uniqueness run."""
+
+    @staticmethod
+    def make_problem(kind, grid):
+        if kind == "ns":
+            return NsProblem(
+                params=MixedNormParams(4.0, 3.0),
+                u0=divfree_data(grid, band_limit=2) * 0.2,
+                time_grid=uniform_time_grid(0.5, 17),
+            )
+        return NlheProblem(
+            nu=2.5,
+            params=MixedNormParams(3.0, 4.0),
+            u0=scalar_data(grid) * 0.3,
+            time_grid=uniform_time_grid(1.0, 17),
+            variant=kind,
+        )
+
+    @pytest.mark.parametrize("kind", ["signed", "unsigned", "ns"])
+    @pytest.mark.parametrize("bootstrap_p", [2.0, 3.0])
+    def test_constants_match_separate_measurements(self, grid2d, kind, bootstrap_p):
+        """``M`` is the gate's own constant bit for bit; ``c1`` is the ratio
+        measured on the bootstrap's own pairs up to rounding."""
+        prob = self.make_problem(kind, grid2d)
+        M, c1 = problems._sampled_constants(prob, bootstrap_p, seed=3)
+        assert M == measured_lipschitz_M(prob, seed=3)
+        expect = bootstrap_ratio_by_resampling(prob, bootstrap_p, seed=3)
+        assert c1 == pytest.approx(expect, rel=1e-12)
+
+    def test_ns_unique_run_draws_each_sample_field_once(self, monkeypatch):
+        streams = []
+        draw = problems.random_mean_free_field
+
+        def counted(grid, **kwargs):
+            streams.append(kwargs.get("stream", 0))
+            return draw(grid, **kwargs)
+
+        monkeypatch.setattr(problems, "random_mean_free_field", counted)
+        tiny = {"grid": {"points_per_axis": 8}, "time": {"num_nodes": 17}}
+        record = run_experiment(load_config({"experiment": "ns-unique", **tiny}))
+        assert record.metrics["segments"] > 0  # the bootstrap ran
+        assert sorted(s for s in streams if s >= 100) == list(range(100, 108))
