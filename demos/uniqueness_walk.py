@@ -18,10 +18,7 @@ from maxreg_lab import (
     NlheProblem,
     TorusGrid,
     besov_heat_norm,
-    default_smoothing_radii,
     random_mean_free_field,
-    smoothing_estimate_check,
-    two_route_solutions,
     uniform_time_grid,
     uniqueness_bootstrap,
 )
@@ -43,15 +40,16 @@ def main():
         time_grid=uniform_time_grid(2.0, 193),
     )
 
+    report = uniqueness_bootstrap(prob, p=2.0, tol=1e-9)
+
     rule("Two routes to the same solution")
-    u, v, cert_u, cert_v = two_route_solutions(prob, tol=1e-9)
+    cert_u, cert_v = report.routes
     print(f"route A (from the heat extension):   converged = "
           f"{cert_u.converged} in {cert_u.iterations} steps")
     print(f"route B (from an inflated start):    converged = "
           f"{cert_v.converged} in {cert_v.iterations} steps")
 
     rule("Segmented bootstrap")
-    report = uniqueness_bootstrap(prob, u, v, p=2.0, tol=1e-9)
     print(f"status: {report.status}, measured constant C = {report.C_used:.3f}")
     print(f"{'segment':>20} {'cutoff':>8} {'moll err':>10} "
           f"{'factor':>8} {'separation':>12}")
@@ -70,8 +68,7 @@ def main():
           "(both routes really found the same solution)")
 
     rule("The smoothing estimate behind step three")
-    radii = default_smoothing_radii(grid, octaves=4)
-    smoothing = smoothing_estimate_check(grid, params.q, radii, num_fields=3)
+    smoothing = report.smoothing
     print(f"source space L^{smoothing.source_exponent:.3f}, target L^{smoothing.q:g}")
     print(f"{'r':>12} {'sqrt(r) gain ratio (field 0)':>30}")
     for r, val in zip(smoothing.r_values, smoothing.ratios[0]):

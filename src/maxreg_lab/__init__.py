@@ -93,7 +93,6 @@ from .problems import (
     scaling_invariance_test,
     smoothing_estimate_check,
     taylor_green_field,
-    two_route_solutions,
     uniqueness_bootstrap,
 )
 from .harness import (

@@ -1,7 +1,8 @@
 """Command-line front end for the experiment harness.
 
 Exit codes: 0 experiment passed, 1 failed, 2 inconclusive, 3 usage or
-configuration error.
+configuration error, 4 the run crashed (an error that is not a
+configuration error, reported on one line of stderr).
 """
 
 from __future__ import annotations
@@ -77,11 +78,14 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         cfg = _apply_overrides(cfg, args)
         record = run_experiment(cfg)
+        paths = write_results(record, cfg.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a crash is not a failed experiment
+        print(f"crash: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
-    paths = write_results(record, cfg.output_dir)
     for key, value in sorted(record.metrics.items()):
         print(f"{key} = {value}")
     print(f"status: {record.status}  ({record.wall_time_s:.2f} s)")

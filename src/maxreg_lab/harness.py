@@ -612,8 +612,12 @@ def _set_up_resolvent(
     p = cfg.params
     # unpacking rejects an entry that is not a (Re z, Im z) pair
     z_values = [(re_z, im_z) for re_z, im_z in p["z_values"]]
-    if not all(float(re_z) > 0 for re_z, _ in z_values):
-        raise ValueError("params.z_values entries need Re z > 0")
+    # the probe integrates over [0, 1/Re z]
+    if not all(
+        float(re_z) > 0 and 0 < 1.0 / float(re_z) < math.inf and math.isfinite(float(im_z))
+        for re_z, im_z in z_values
+    ):
+        raise ValueError("params.z_values entries need Re z > 0, with 1/Re z and Im z finite")
     if int(p["num_nodes"]) < 2:
         raise ValueError("params.num_nodes must be at least 2")
     x = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
@@ -626,14 +630,12 @@ def _run_resolvent(
     p = cfg.params
     op = spectral.laplacian_multiplier()
     rows = []
-    worst_dev = 0.0
-    worst_bound = 0.0
     for re_z, im_z in z_values:
         z = complex(float(re_z), float(im_z))
         probe = maxreg.resolvent_via_maxreg(op, z, x, num_nodes=int(p["num_nodes"]))
         rows.append([re_z, im_z, probe.deviation, probe.bound_constant])
-        worst_dev = max(worst_dev, probe.deviation)
-        worst_bound = max(worst_bound, probe.bound_constant)
+    # np.max keeps a NaN, which then fails both gates below
+    worst_dev, worst_bound = (float(w) for w in np.max([row[2:] for row in rows], axis=0))
     metrics = {"max_deviation": worst_dev, "max_bound_constant": worst_bound}
     status = "pass" if worst_dev < 1e-6 and worst_bound <= 2.1 else "fail"
     series = {
@@ -751,7 +753,14 @@ def _run_rbound(
 
 def _set_up_scaling(
     cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[int, norms.ScalingLaw, norms.MixedNormParams, norms.MixedNormParams, list[float]]:
+) -> tuple[
+    int,
+    norms.ScalingLaw,
+    norms.MixedNormParams,
+    norms.MixedNormParams,
+    list[float],
+    norms.ParabolicGaussianProfile,
+]:
     p = cfg.params
     if p["law"] == "nlhe":
         law = norms.nlhe_scaling_law(float(p["nu"]))
@@ -768,7 +777,13 @@ def _set_up_scaling(
     if not inv_p_off > 0:
         raise ValueError("params.off_critical_shift must leave 1/p positive")
     params_off = norms.MixedNormParams(p=1.0 / inv_p_off, q=params.q)
-    return grid.dimension, law, params, params_off, lams
+    # the profile scaling_invariance_test measures by default; the run's
+    # continuum norms of it must converge for both exponent pairs
+    profile = norms.ParabolicGaussianProfile(amplitude=1.0, offset=1.0, sigma=1.5)
+    for pair in (params, params_off):
+        if not math.isinf(pair.p):  # continuum_mixed_norm's own check
+            norms._check_infinite_integrability(profile, pair, grid.dimension)
+    return grid.dimension, law, params, params_off, lams, profile
 
 
 def _run_scaling(
@@ -778,9 +793,10 @@ def _run_scaling(
     params: norms.MixedNormParams,
     params_off: norms.MixedNormParams,
     lams: list[float],
+    profile: norms.ParabolicGaussianProfile,
 ) -> tuple[str, dict, dict]:
-    critical = problems.scaling_invariance_test(law, params, n, lams)
-    off = problems.scaling_invariance_test(law, params_off, n, lams)
+    critical = problems.scaling_invariance_test(law, params, n, lams, profile)
+    off = problems.scaling_invariance_test(law, params_off, n, lams, profile)
     metrics = {
         "critical_defect": critical.defect,
         "critical_max_deviation": critical.max_ratio_deviation,
@@ -1015,22 +1031,16 @@ def _run_unique(
 ) -> tuple[str, dict, dict]:
     p = cfg.params
     tol = float(p["picard_tol"])
-    bootstrap_p = float(p["bootstrap_p"])
-    # one pass over the sampled pairs measures the Picard gate's constant and
-    # the bootstrap's; the problem keeps them for uniqueness_bootstrap
-    lipschitz_M, _ = problems._sampled_constants(prob, bootstrap_p, seed=cfg.rng_seed)
-    u, v, cert_u, cert_v = problems._two_routes(
-        prob, lipschitz_M, tol=tol, max_iter=int(p["max_iter"])
+    report = problems.uniqueness_bootstrap(
+        prob, p=float(p["bootstrap_p"]), tol=tol, max_iter=int(p["max_iter"]), seed=cfg.rng_seed
     )
-    if not (cert_u.converged and cert_v.converged):
+    route_a, route_b = report.routes
+    if not (route_a.converged and route_b.converged):
         return (
             "inconclusive",
-            {"route_a_converged": cert_u.converged, "route_b_converged": cert_v.converged},
+            {"route_a_converged": route_a.converged, "route_b_converged": route_b.converged},
             {},
         )
-    report = problems.uniqueness_bootstrap(
-        prob, u, v, p=bootstrap_p, tol=tol, seed=cfg.rng_seed
-    )
     smoothing = report.smoothing  # not None: the set-up checked its source exponent
     metrics = {
         "status": report.status,
@@ -1114,12 +1124,11 @@ def _set_up_lipschitz(
 
 def _run_lipschitz(cfg: ExperimentConfig, nu_values: list[float]) -> tuple[str, dict, dict]:
     p = cfg.params
-    rows = []
-    worst = -math.inf
-    for nu in nu_values:
-        violation = problems.nonlinearity_lipschitz_check(nu, int(p["samples"]), seed=cfg.rng_seed)
-        rows.append([nu, violation])
-        worst = max(worst, violation)
+    rows = [
+        [nu, problems.nonlinearity_lipschitz_check(nu, int(p["samples"]), seed=cfg.rng_seed)]
+        for nu in nu_values
+    ]
+    worst = float(np.max([violation for _, violation in rows]))  # a NaN stays, and fails
     metrics = {"max_violation": worst}
     status = "pass" if worst <= 0.0 else "fail"
     series = {"violations": {"columns": ["nu", "max_violation"], "rows": rows}}
@@ -1187,7 +1196,7 @@ def _set_up(cfg: ExperimentConfig) -> tuple:
         if cfg.threads < 1:
             raise ValueError("threads must be at least 1")
         return set_up(cfg, cfg.make_grid(), cfg.make_time_grid())
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, norms.DivergentNormError) as exc:
         raise ConfigError(f"{cfg.experiment} set-up rejected the config: {exc}") from exc
 
 

@@ -78,6 +78,9 @@ class TimeGrid:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("time grid needs at least two nodes")
+        # every comparison below is false for NaN, and inf passes them
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ValueError("time nodes and weights must be finite")
         if nodes[0] < 0 or np.any(np.diff(nodes) <= 0):
             raise ValueError("time nodes must be nonnegative and strictly increasing")
         if weights.shape != nodes.shape or np.any(weights <= 0):
@@ -114,8 +117,8 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
 
 def uniform_time_grid(horizon: float, num_nodes: int = 257) -> TimeGrid:
     """Uniform trapezoid grid on ``[0, horizon]``."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if num_nodes < 2:
         raise ValueError("num_nodes must be at least 2")
     nodes = np.linspace(0.0, horizon, num_nodes)

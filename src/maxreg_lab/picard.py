@@ -77,13 +77,10 @@ def estimate_lipschitz_M(
     norm: Callable[[Any], float],
     epsilon: float,
     sample_pairs: Iterable[tuple[Any, Any]],
-    *,
-    safety_factor: float = 1.5,
-    warn_on_trend: bool = True,
 ) -> float:
     """Empirical constant for ``||F(u)-F(v)|| <= M ||u-v|| (||u||**e + ||v||**e)``.
 
-    Returns the max ratio over the sampled pairs times ``safety_factor``.
+    Returns the max ratio over the sampled pairs times a 1.5 safety factor.
     This is a sampled lower bound dressed up for gate use, not a proof.
     Pairs with ``u = v`` are skipped.  When the ratios grow systematically
     as the pair amplitude shrinks — the signature of a misspecified
@@ -98,7 +95,7 @@ def estimate_lipschitz_M(
             ratios.append(sample[0])
             amplitudes.append(sample[1])
         del sample  # and its images, before the next pair is drawn
-    return _lipschitz_bound(ratios, amplitudes, safety_factor, warn_on_trend)
+    return _lipschitz_bound(ratios, amplitudes)
 
 
 def _pair_ratio(
@@ -118,13 +115,11 @@ def _pair_ratio(
     return norm(images[0] - images[1]) / denom, max(nu_, nv), images
 
 
-def _lipschitz_bound(
-    ratios: list[float], amplitudes: list[float], safety_factor: float, warn_on_trend: bool
-) -> float:
+def _lipschitz_bound(ratios: list[float], amplitudes: list[float]) -> float:
     """:func:`estimate_lipschitz_M` from the sampled ratios and amplitudes."""
     if not ratios:
         raise ValueError("no usable sample pairs (all degenerate)")
-    if warn_on_trend and len(ratios) >= 4:
+    if len(ratios) >= 4:
         la = np.log(np.asarray(amplitudes))
         lr = np.log(np.maximum(np.asarray(ratios), 1e-300))
         if np.ptp(la) > 0:
@@ -135,7 +130,7 @@ def _lipschitz_bound(
                     "may be misspecified",
                     stacklevel=3,
                 )
-    return float(max(ratios)) * safety_factor
+    return float(max(ratios)) * 1.5
 
 
 def smallness_gate(M: float, epsilon: float, a_norm: float) -> tuple[float, bool]:

@@ -79,7 +79,6 @@ __all__ = [
     "random_mean_free_field",
     "UniquenessReport",
     "uniqueness_bootstrap",
-    "two_route_solutions",
 ]
 
 
@@ -548,15 +547,8 @@ def _sampled_constants(
 
     ``M`` is :func:`measured_lipschitz_M`'s, bit for bit.  ``c1`` is
     measured on the same fields at the bootstrap's scale (see
-    :func:`_bootstrap_ratio`), from the images the gate computed.  The
-    problem keeps the last constants it measured, keyed by ``bootstrap_p``
-    and ``seed``, so a uniqueness run that measured them for its Picard
-    gate hands them to :func:`uniqueness_bootstrap`.
+    :func:`_bootstrap_ratio`), from the images the gate computed.
     """
-    key = (bootstrap_p, seed)
-    cached = vars(prob).get("_sampled_constants")
-    if cached is not None and cached[0] == key:
-        return cached[1]
     norm = lambda traj: bochner_mixed_norm(traj, prob.params)
     amplitude = max(spatial_lq_norm(prob.u0, prob.params.q), 1e-3)
     rhs = _rhs_map(prob)
@@ -570,9 +562,7 @@ def _sampled_constants(
             amplitudes.append(sample[1])
             c1 = max(c1, _bootstrap_ratio(prob, bootstrap_p, amplitude, pair, sample[2]))
         del pair, sample  # with the images, before the next pair is drawn
-    constants = _lipschitz_bound(ratios, amplitudes, safety_factor=1.5, warn_on_trend=True), c1
-    vars(prob)["_sampled_constants"] = (key, constants)
-    return constants
+    return _lipschitz_bound(ratios, amplitudes), c1
 
 
 def _bootstrap_ratio(
@@ -673,61 +663,32 @@ def existence_sweep(
 # -- uniqueness bootstrap ----------------------------------------------
 
 
-def two_route_solutions(
-    prob: NlheProblem | NsProblem,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 60,
-    seed: int = 0,
-) -> tuple[Trajectory, Trajectory, PicardCertificate, PicardCertificate]:
-    """Two mild solutions of the same problem from distinct iteration orbits.
-
-    Route one iterates from the heat extension ``a``, route two from a
-    slightly inflated copy of it.  (Starting route two from zero would
-    retrace route one's orbit shifted by a step, since the first iterate
-    of zero is ``a`` itself.)  Both must converge for the pair to be
-    meaningful.  The Picard gate's constant is measured on sampled pairs
-    first.
-    """
-    lipschitz_M = measured_lipschitz_M(prob, seed=seed)
-    return _two_routes(prob, lipschitz_M, tol=tol, max_iter=max_iter)
-
-
-def _two_routes(
-    prob: NlheProblem | NsProblem, lipschitz_M: float, *, tol: float, max_iter: int
-) -> tuple[Trajectory, Trajectory, PicardCertificate, PicardCertificate]:
-    """:func:`two_route_solutions` with the gate's constant measured already."""
-    norm = lambda traj: bochner_mixed_norm(traj, prob.params)
-    a = heat_extension(prob.u0, prob.time_grid)
-    fp = FixedPointProblem(base=a, map_F=_rhs_map(prob), norm=norm, epsilon=prob.epsilon)
-    u, cert_u = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M)
-    v, cert_v = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M, start=a * 1.001)
-    return u, v, cert_u, cert_v
-
-
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Segmented uniqueness bootstrap along a pair of mild solutions.
+    """Two Picard routes to a mild solution and the segmented uniqueness
+    bootstrap along them.
 
-    Each segment records the mollification error, the three bracket
-    quantities entering the contraction bound, the resulting factor
-    ``C * (q1 + q2 + q3)`` (at most 3/4 when the segment was accepted) and
-    the measured separation of the two solutions on the segment.
-    ``smoothing`` is the heat-smoothing probe that enters the constant, or
-    ``None`` when its source exponent ``nq/(n+q)`` is not above 1; a
-    refused pair carries it too.
+    ``routes`` holds the certificates of both Picard runs.  Each segment
+    records the mollification error, the three bracket quantities entering
+    the contraction bound, the resulting factor ``C * (q1 + q2 + q3)`` (at
+    most 3/4 when the segment was accepted) and the measured separation of
+    the two solutions on the segment.  ``smoothing`` is the heat-smoothing
+    probe that enters the constant, or ``None`` when its source exponent
+    ``nq/(n+q)`` is not above 1.  When a route does not converge, the run is
+    inconclusive: no probe, no constant (``C_used`` is NaN) and no segments.
     """
 
-    status: str  # 'complete' | 'inconclusive' | 'refused'
+    status: str  # 'complete' | 'inconclusive'
+    routes: tuple[PicardCertificate, PicardCertificate]
     C_used: float
-    segments: tuple[tuple[float, float], ...]  # (t_start, t_end)
-    mollification_errors: tuple[float, ...]
-    cutoff_radii: tuple[float, ...]
-    step_quantities: tuple[tuple[float, float, float], ...]
-    factors: tuple[float, ...]
-    separations: tuple[float, ...]
     dimension_restriction_met: bool
     smoothing: SmoothingReport | None
+    segments: tuple[tuple[float, float], ...] = ()  # (t_start, t_end)
+    mollification_errors: tuple[float, ...] = ()
+    cutoff_radii: tuple[float, ...] = ()
+    step_quantities: tuple[tuple[float, float, float], ...] = ()
+    factors: tuple[float, ...] = ()
+    separations: tuple[float, ...] = ()
 
     @property
     def max_factor(self) -> float:
@@ -798,15 +759,52 @@ def _mollify_by_cutoff(
 
 def uniqueness_bootstrap(
     prob: NlheProblem | NsProblem,
-    u: Trajectory,
-    v: Trajectory,
     *,
     p: float = 2.0,
     tol: float = 1e-9,
+    max_iter: int = 60,
     seed: int = 0,
 ) -> UniquenessReport:
-    """Drive two mild solutions with identical data into agreement segment
+    """Two mild solutions of the same problem, driven into agreement segment
     by segment.
+
+    One pass over sampled pairs measures the Picard gate's constant and the
+    bootstrap's Lipschitz ratio in the ``(p, q)`` norm.  Route one iterates
+    from the heat extension ``a``, route two from a slightly inflated copy of
+    it.  (Starting route two from zero would retrace route one's orbit
+    shifted by a step, since the first iterate of zero is ``a`` itself.)
+    Both solutions start from ``a(0)``, where the Duhamel term vanishes.
+    When both routes converge, the smoothing probe fixes the constant and
+    :func:`_segment_walk` runs; otherwise the run is inconclusive.
+    """
+    n, q = prob.dimension, prob.params.q
+    q_endpoint = n * (prob.nu - 1.0) / 2.0 if isinstance(prob, NlheProblem) else float(n)
+    dim_ok = math.isclose(q, q_endpoint, rel_tol=1e-12)
+    lipschitz_M, c1 = _sampled_constants(prob, p, seed=seed)
+    norm = lambda traj: bochner_mixed_norm(traj, prob.params)
+    a = heat_extension(prob.u0, prob.time_grid)
+    fp = FixedPointProblem(base=a, map_F=_rhs_map(prob), norm=norm, epsilon=prob.epsilon)
+    u, cert_u = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M)
+    v, cert_v = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M, start=a * 1.001)
+    routes = (cert_u, cert_v)
+    if not (cert_u.converged and cert_v.converged):
+        return UniquenessReport("inconclusive", routes, float("nan"), dim_ok, None)
+    smoothing = None
+    if n * q / (n + q) > 1:  # the probe's source exponent
+        radii = default_smoothing_radii(prob.u0.grid)
+        smoothing = smoothing_estimate_check(prob.u0.grid, q, radii, num_fields=3, seed=seed)
+    # the segment inequality's constant, with a 2x safety factor: the
+    # sampled Lipschitz ratio of the Duhamel term against the smoothing ratio
+    C = 2.0 * max(c1, 0.0 if smoothing is None else smoothing.max_ratio, 1e-6)
+    status, rows = _segment_walk(prob, u, v, C, p)
+    # a row holds one segment's entries of the report's per-segment fields
+    return UniquenessReport(status, routes, float(C), dim_ok, smoothing, *map(tuple, zip(*rows)))
+
+
+def _segment_walk(
+    prob: NlheProblem | NsProblem, u: Trajectory, v: Trajectory, C: float, p: float
+) -> tuple[str, list[tuple]]:
+    """The bootstrap's walk along two solutions with the same initial slice.
 
     On each segment the initial slice is mollified by a spectral cutoff
     tight enough that the power-of-norm defect stays below ``1/(8C)``, and
@@ -815,52 +813,20 @@ def uniqueness_bootstrap(
     and ``sqrt(tau)`` times the auxiliary norm of that flow) each drop
     below ``1/(4C)``.  The resulting contraction factor is at most 3/4,
     and the segment then advances; a segment that cannot be shrunk far
-    enough renders the run inconclusive.  A pair whose initial slices
-    differ is refused.
+    enough renders the run inconclusive.  Returns the status and one row
+    per accepted segment: its span, mollification error, cutoff radius,
+    bracket quantities, factor and separation.
     """
-    u._check_compatible(v)
-    if not u.time_grid.same_nodes(prob.time_grid):
-        raise ValueError("solutions must live on the problem's time grid")
     q = prob.params.q
     nu = prob.nu
-    n = prob.dimension
-    q_endpoint = n * (nu - 1.0) / 2.0 if isinstance(prob, NlheProblem) else float(n)
-    dim_ok = math.isclose(q, q_endpoint, rel_tol=1e-12)
-    smoothing = None
-    if n * q / (n + q) > 1:  # the probe's source exponent
-        radii = default_smoothing_radii(prob.u0.grid)
-        smoothing = smoothing_estimate_check(prob.u0.grid, q, radii, num_fields=3, seed=seed)
     u_q = _node_spatial_norms(u, q)
     gap_q = _node_spatial_norms(u - v, q)
-    if gap_q[0] > max(10.0 * tol, 1e-9) * max(1.0, u_q[0]):
-        return UniquenessReport(
-            status="refused",
-            C_used=float("nan"),
-            segments=(),
-            mollification_errors=(),
-            cutoff_radii=(),
-            step_quantities=(),
-            factors=(),
-            separations=(),
-            dimension_restriction_met=dim_ok,
-            smoothing=smoothing,
-        )
     v_q = _node_spatial_norms(v, q)
-    # the segment inequality's constant, with a 2x safety factor: the
-    # sampled Lipschitz ratio of the Duhamel term against the smoothing ratio
-    c1 = _sampled_constants(prob, p, seed=seed)[1]
-    C = 2.0 * max(c1, 0.0 if smoothing is None else smoothing.max_ratio, 1e-6)
-    aux_q = n / (nu - 1.0)
+    aux_q = prob.dimension / (nu - 1.0)
     nodes = u.time_grid.nodes
     last = len(nodes) - 1
     i0 = 0
-    segments: list[tuple[float, float]] = []
-    moll_errs: list[float] = []
-    radii: list[float] = []
-    quantities: list[tuple[float, float, float]] = []
-    factors: list[float] = []
-    separations: list[float] = []
-    status = "complete"
+    rows: list[tuple] = []
     while i0 < last:
         u0_eps, moll_err, radius = _mollify_by_cutoff(
             u.state(i0), 1.0 / (8.0 * C), nu, q
@@ -885,24 +851,9 @@ def uniqueness_bootstrap(
                 break
             i1 = i0 + (i1 - i0) // 2
         if not accepted:
-            status = "inconclusive"
             break
-        segments.append((float(t0), float(nodes[i1])))
-        moll_errs.append(moll_err)
-        radii.append(radius)
-        quantities.append((q1, q2, q3))
-        factors.append(C * (q1 + q2 + q3))
-        separations.append(_time_lp(gap_q[seg], _trapezoid_weights(nodes[seg]), p))
+        separation = _time_lp(gap_q[seg], _trapezoid_weights(nodes[seg]), p)
+        span = (float(t0), float(nodes[i1]))
+        rows.append((span, moll_err, radius, (q1, q2, q3), C * (q1 + q2 + q3), separation))
         i0 = i1
-    return UniquenessReport(
-        status=status,
-        C_used=float(C),
-        segments=tuple(segments),
-        mollification_errors=tuple(moll_errs),
-        cutoff_radii=tuple(radii),
-        step_quantities=tuple(quantities),
-        factors=tuple(factors),
-        separations=tuple(separations),
-        dimension_restriction_met=dim_ok,
-        smoothing=smoothing,
-    )
+    return ("complete" if i0 == last else "inconclusive"), rows

@@ -174,8 +174,8 @@ class TorusGrid:
             raise ValueError("dimension must be positive")
         if N < 4 or (N & (N - 1)) != 0:
             raise ValueError("points_per_axis must be a power of two, at least 4")
-        if not L > 0:
-            raise ValueError("period must be positive")
+        if not 0 < L < np.inf:
+            raise ValueError("period must be positive and finite")
 
     @property
     def shape(self) -> tuple[int, ...]:

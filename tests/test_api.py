@@ -11,6 +11,7 @@ REMOVED = (
     "ns_existence_experiment",
     "nlhe_law",
     "ns_law",
+    "two_route_solutions",
 )
 
 

@@ -316,6 +316,26 @@ class TestCli:
         assert cli.main(["run", str(path), "--threads", "0"]) == 3
         assert "threads must be at least 1" in capsys.readouterr().err
 
+    def test_crash_during_run_exits_four(self, tmp_path, capsys, monkeypatch):
+        """An error that is not a config error is a crash, not a failed run."""
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("numerics broke")
+
+        set_up, _ = harness._EXPERIMENTS["lipschitz"]
+        monkeypatch.setitem(harness._EXPERIMENTS, "lipschitz", (set_up, crash))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TINY_LIPSCHITZ))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == "crash: RuntimeError: numerics broke\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_exits_four(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TINY_LIPSCHITZ))
+        assert cli.main(["run", str(path), "--out", str(path)]) == 4  # a file, not a directory
+        assert capsys.readouterr().err.startswith("crash: FileExistsError")
+
     def test_usage_error_folds_to_three(self, capsys):
         assert cli.main([]) == 3
         assert cli.main(["frobnicate"]) == 3
@@ -393,6 +413,12 @@ class TestDomainChecks:
             # critical (2/p + n/q = 1), but the sweep's heat-extension data norm needs finite p
             ({"experiment": "ns-exist", "params": {"p": math.inf, "q": 2.0}}, "requires finite exponents"),
             ({"experiment": "nlhe-exist", "params": {"nu": 3.0, "p": math.inf, "q": 2.0}}, "requires finite exponents"),
+            ({"experiment": "maxreg", "time": {"horizon": math.inf}}, "horizon must be positive and finite"),
+            ({"experiment": "maxreg", "time": {"horizon": math.nan}}, "horizon must be positive and finite"),
+            ({"experiment": "hormander", "grid": {"period": math.inf}}, "period must be positive and finite"),
+            # 1/Re z, the probe's horizon, overflows
+            ({"experiment": "resolvent", "params": {"z_values": [[1e-320, 0.0]], "num_nodes": 65}}, "1/Re z and Im z finite"),
+            ({"experiment": "scaling", "params": {"p": 1.5, "q": 1.01}}, "time integral diverges"),
         ],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):
@@ -464,6 +490,26 @@ class TestStrictJsonRecords:
         assert loaded["metrics"]["worst"] is None
         assert loaded["metrics"]["missing"] is None
         assert loaded["metrics"]["max_violation"] == record.metrics["max_violation"]
+
+    @pytest.mark.parametrize(
+        "config, metric",
+        [
+            # every sample's violation is NaN at this exponent
+            ({"experiment": "lipschitz", "params": {"nu_values": [1e308], "samples": 4}}, "max_violation"),
+            # e^{zt} overflows on [0, 1/Re z], so the probe's values are NaN
+            ({"experiment": "resolvent", "params": {"z_values": [[1e-300, 1e300]], "num_nodes": 65}}, "max_deviation"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_fails_and_is_written_as_null(self, tmp_path, capsys, config, metric):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 1
+        assert "status: fail" in capsys.readouterr().out
+        record = tmp_path / f"{config['experiment']}_record.json"
+        loaded = json.loads(record.read_text(), parse_constant=_refuse_constant)
+        assert loaded["status"] == "fail"
+        assert loaded["metrics"][metric] is None
 
     def test_sweep_without_convergence_writes_strict_json(self, tmp_path):
         config = {

@@ -73,6 +73,19 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="0 < t_min < t_max"):
             log_time_grid(1.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "nodes, weights",
+        [
+            ([0.0, np.nan], [0.5, 0.5]),
+            ([0.0, np.inf], [0.5, 0.5]),
+            ([0.0, 1.0], [np.nan, 0.5]),
+            ([0.0, 1.0], [0.5, np.inf]),
+        ],
+    )
+    def test_rejects_non_finite_grids(self, nodes, weights):
+        with pytest.raises(ValueError, match="must be finite"):
+            TimeGrid(nodes=np.array(nodes), weights=np.array(weights))
+
     def test_uniform_grid_needs_two_nodes(self):
         for num_nodes in (1, 0):
             with pytest.raises(ValueError, match="num_nodes must be at least 2"):

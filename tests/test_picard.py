@@ -5,7 +5,6 @@ The scalar model u = a + u^2 has the closed-form fixed point
 """
 
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -57,15 +56,8 @@ class TestLipschitzEstimate:
     def test_quadratic_map_ratio_is_one(self):
         """|u^2 - v^2| = |u - v| |u + v| with |u + v| = |u| + |v| on one sign."""
         pairs = [(1.0, 2.0), (0.5, 0.3), (0.2, 0.9)]
-        M = estimate_lipschitz_M(
-            lambda u: u * u, abs, 1.0, pairs, safety_factor=1.0, warn_on_trend=False
-        )
-        assert M == pytest.approx(1.0, rel=1e-12)
-
-    def test_safety_factor_scales_result(self):
-        pairs = [(1.0, 2.0), (0.5, 0.3)]
-        M = estimate_lipschitz_M(lambda u: u * u, abs, 1.0, pairs, warn_on_trend=False)
-        assert M == pytest.approx(1.5, rel=1e-12)
+        M = estimate_lipschitz_M(lambda u: u * u, abs, 1.0, pairs)
+        assert M == pytest.approx(1.5, rel=1e-12)  # the ratio times the 1.5 safety factor
 
     def test_degenerate_pairs_rejected(self):
         with pytest.raises(ValueError, match="no usable sample pairs"):
@@ -76,12 +68,6 @@ class TestLipschitzEstimate:
         pairs = [(a, a / 2) for a in (1.0, 0.1, 0.01, 0.001)]
         with pytest.warns(UserWarning, match="may be misspecified"):
             estimate_lipschitz_M(lambda u: 0.5 * u, abs, 1.0, pairs)
-
-    def test_trend_warning_can_be_silenced(self):
-        pairs = [(a, a / 2) for a in (1.0, 0.1, 0.01, 0.001)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            estimate_lipschitz_M(lambda u: 0.5 * u, abs, 1.0, pairs, warn_on_trend=False)
 
 
 class TestSmallnessGate:

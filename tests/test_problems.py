@@ -30,11 +30,10 @@ from maxreg_lab import (
     spatial_lq_norm,
     taylor_green_field,
     tensor_divergence,
-    two_route_solutions,
     uniform_time_grid,
     uniqueness_bootstrap,
 )
-from maxreg_lab import bochner_mixed_norm, problems
+from maxreg_lab import bochner_mixed_norm, harness, problems
 from maxreg_lab.harness import load_config, run_experiment
 
 
@@ -406,16 +405,14 @@ class TestUniqueness:
         )
 
     def test_two_routes_converge_to_same_solution(self, grid2d):
-        prob = self.make_problem(grid2d)
-        u, v, cu, cv = two_route_solutions(prob, tol=1e-10)
+        report = uniqueness_bootstrap(self.make_problem(grid2d), tol=1e-10)
+        cu, cv = report.routes
         assert cu.converged and cv.converged
-        gap = float(np.max(np.abs(u.coefficients - v.coefficients)))
-        assert 0 < gap < 1e-8  # distinct orbits, same fixed point
+        assert cu.iterate_norms[0] != cv.iterate_norms[0]  # distinct orbits
+        assert 0 < report.max_separation < 1e-8  # same fixed point
 
     def test_bootstrap_completes_on_identical_data(self, grid2d):
-        prob = self.make_problem(grid2d)
-        u, v, _, _ = two_route_solutions(prob, tol=1e-10)
-        report = uniqueness_bootstrap(prob, u, v, tol=1e-10)
+        report = uniqueness_bootstrap(self.make_problem(grid2d), tol=1e-10)
         assert report.status == "complete"
         assert report.max_factor <= 0.75
         assert report.max_separation <= 1e-9
@@ -423,24 +420,15 @@ class TestUniqueness:
         assert report.segments[-1][1] == pytest.approx(1.0)
         assert len(report.factors) == len(report.segments)
 
-    def test_bootstrap_refuses_different_data(self, grid2d):
-        prob = self.make_problem(grid2d)
-        u, v, _, _ = two_route_solutions(prob, tol=1e-10)
-        report = uniqueness_bootstrap(prob, u, v * 1.5, tol=1e-10)
-        assert report.status == "refused"
-        assert report.segments == ()
-
-    def test_bootstrap_checks_time_grid(self, grid2d):
-        prob = self.make_problem(grid2d)
-        u, v, _, _ = two_route_solutions(prob, tol=1e-10)
-        other = NlheProblem(
-            nu=2.0,
-            params=MixedNormParams(4.0, 4.0),
-            u0=prob.u0,
-            time_grid=uniform_time_grid(2.0, 65),
-        )
-        with pytest.raises(ValueError, match="problem's time grid"):
-            uniqueness_bootstrap(other, u, v)
+    def test_unconverged_route_is_inconclusive(self, grid2d, monkeypatch):
+        """A route that does not converge ends the run before the probe."""
+        probes = []
+        monkeypatch.setattr(problems, "smoothing_estimate_check", lambda *a, **k: probes.append(a))
+        report = uniqueness_bootstrap(self.make_problem(grid2d), tol=1e-10, max_iter=2)
+        assert not all(cert.converged for cert in report.routes)
+        assert report.status == "inconclusive"
+        assert report.segments == () and report.smoothing is None and probes == []
+        assert math.isnan(report.C_used)
 
     def test_ns_dimension_restriction_recorded(self, grid3d):
         """q = n = 3 satisfies the endpoint the argument needs."""
@@ -449,9 +437,8 @@ class TestUniqueness:
             u0=divfree_data(grid3d, band_limit=1) * 0.2,
             time_grid=uniform_time_grid(0.5, 33),
         )
-        u, v, cu, cv = two_route_solutions(prob, tol=1e-10)
-        assert cu.converged and cv.converged
-        report = uniqueness_bootstrap(prob, u, v, tol=1e-10)
+        report = uniqueness_bootstrap(prob, tol=1e-10)
+        assert all(cert.converged for cert in report.routes)
         assert report.dimension_restriction_met
         assert report.status == "complete"
 
@@ -533,4 +520,32 @@ class TestSharedSampling:
         tiny = {"grid": {"points_per_axis": 8}, "time": {"num_nodes": 17}}
         record = run_experiment(load_config({"experiment": "ns-unique", **tiny}))
         assert record.metrics["segments"] > 0  # the bootstrap ran
+        assert sorted(s for s in streams if s >= 100) == list(range(100, 108))
+
+    def test_public_call_maps_and_draws_once(self, monkeypatch):
+        """One ``uniqueness_bootstrap`` call on the tiny ``ns-unique`` problem
+        maps each of the 8 sampled fields once, zero once (the drift check)
+        and each route's iterates plus its residual: 25 calls."""
+        cfg = load_config(
+            {"experiment": "ns-unique", "grid": {"points_per_axis": 8}, "time": {"num_nodes": 17}}
+        )
+        (prob,) = harness._set_up(cfg)
+        maps, streams = [], []
+        rhs, draw = problems.ns_rhs_map, problems.random_mean_free_field
+        monkeypatch.setattr(problems, "ns_rhs_map", lambda u, prob: maps.append(1) or rhs(u, prob))
+        monkeypatch.setattr(
+            problems,
+            "random_mean_free_field",
+            lambda grid, **kw: streams.append(kw.get("stream", 0)) or draw(grid, **kw),
+        )
+        p = cfg.params
+        report = uniqueness_bootstrap(
+            prob,
+            p=p["bootstrap_p"],
+            tol=p["picard_tol"],
+            max_iter=p["max_iter"],
+            seed=cfg.rng_seed,
+        )
+        assert report.status == "complete" and report.segments
+        assert len(maps) == 8 + 1 + sum(cert.iterations + 1 for cert in report.routes) == 25
         assert sorted(s for s in streams if s >= 100) == list(range(100, 108))
