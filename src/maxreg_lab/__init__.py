@@ -51,7 +51,6 @@ from .norms import (
     scaling_transform,
     spatial_lq_norm,
     uniform_time_grid,
-    weighted_bochner_norm,
 )
 from .maxreg import (
     HormanderReport,

@@ -567,6 +567,8 @@ def _set_up_desimon(
     p = cfg.params
     if int(p["sigma_points"]) < 1:
         raise ValueError("params.sigma_points must be at least 1")
+    if not math.isfinite(float(p["sigma_max"])):
+        raise ValueError("params.sigma_max must be finite")
     sigma = np.linspace(0.0, float(p["sigma_max"]), int(p["sigma_points"]))
     _check_ensemble_args(*_ensemble_args(cfg))
     return grid, tgrid, sigma
@@ -637,7 +639,11 @@ def _run_resolvent(
     # np.max keeps a NaN, which then fails both gates below
     worst_dev, worst_bound = (float(w) for w in np.max([row[2:] for row in rows], axis=0))
     metrics = {"max_deviation": worst_dev, "max_bound_constant": worst_bound}
-    status = "pass" if worst_dev < 1e-6 and worst_bound <= 2.1 else "fail"
+    # the resolvent of a nonzero x is never zero: a bound constant that is not
+    # positive means the probe underflowed
+    least_bound = min(row[3] for row in rows)
+    ok = worst_dev < 1e-6 and 0 < least_bound and worst_bound <= 2.1
+    status = "pass" if ok else "fail"
     series = {
         "probes": {
             "columns": ["re_z", "im_z", "deviation", "bound_constant"],
@@ -653,10 +659,10 @@ def _set_up_hormander(
     p = cfg.params
     shifts = [float(s) for s in p["shifts"]]
     lams = [float(l) for l in p["scalar_lambdas"]]
-    if 0.0 in shifts:
-        raise ValueError("params.shifts entries must be nonzero")
-    if not all(lam > 0 for lam in lams):
-        raise ValueError("params.scalar_lambdas entries must be positive")
+    if not all(s != 0 and math.isfinite(s) for s in shifts):
+        raise ValueError("params.shifts entries must be nonzero and finite")
+    if not all(0 < lam < math.inf for lam in lams):
+        raise ValueError("params.scalar_lambdas entries must be positive and finite")
     return grid, shifts, lams
 
 
@@ -701,10 +707,14 @@ def _set_up_rbound(
     if int(p["trials"]) < 1:
         raise ValueError("params.trials must be at least 1")
     if p["kind"] == "scalar":
+        if not all(math.isfinite(float(c)) for c in p["coefficients"]):
+            raise ValueError("params.coefficients entries must be finite")
         family = [spectral.constant_multiplier(float(c)) for c in p["coefficients"]]
     elif p["kind"] == "identity":
         family = [spectral.identity_multiplier() for _ in range(len(p["coefficients"]))]
     elif p["kind"] == "resolvent":
+        if not all(math.isfinite(float(s)) for s in p["sigmas"]):
+            raise ValueError("params.sigmas entries must be finite")
         family = [spectral.resolvent_scalar_multiplier(float(s)) for s in p["sigmas"]]
     else:
         raise ValueError("params.kind must be 'scalar', 'identity' or 'resolvent'")
@@ -769,20 +779,24 @@ def _set_up_scaling(
     else:
         raise ValueError("params.law must be 'nlhe' or 'ns'")
     lams = [float(l) for l in p["lambda_set"]]
-    if not all(lam > 0 for lam in lams):
-        raise ValueError("params.lambda_set entries must be positive")
+    if not all(0 < lam < math.inf for lam in lams):
+        raise ValueError("params.lambda_set entries must be positive and finite")
     params = _mixed_params(cfg)
     # the off-critical pair lowers 1/p by off_critical_shift / alpha
     inv_p_off = 1.0 / params.p - float(p["off_critical_shift"]) / law.alpha
     if not inv_p_off > 0:
         raise ValueError("params.off_critical_shift must leave 1/p positive")
     params_off = norms.MixedNormParams(p=1.0 / inv_p_off, q=params.q)
-    # the profile scaling_invariance_test measures by default; the run's
-    # continuum norms of it must converge for both exponent pairs
+    # the profile scaling_invariance_test measures by default; every continuum
+    # norm the run takes, of it and of its rescalings, must converge and stay
+    # in floating-point range (a rescaling that leaves it raises ArithmeticError)
     profile = norms.ParabolicGaussianProfile(amplitude=1.0, offset=1.0, sigma=1.5)
     for pair in (params, params_off):
-        if not math.isinf(pair.p):  # continuum_mixed_norm's own check
-            norms._check_infinite_integrability(profile, pair, grid.dimension)
+        norms.continuum_mixed_norm(profile, pair, grid.dimension)
+        for lam in lams:
+            rescaled = norms.scaling_transform(profile, lam, law)
+            if not 0 < norms.continuum_mixed_norm(rescaled, pair, grid.dimension) < math.inf:
+                raise ValueError(f"params.lambda_set entry {lam} takes a norm out of range")
     return grid.dimension, law, params, params_off, lams, profile
 
 
@@ -877,8 +891,8 @@ def _check_picard(p: dict[str, Any]) -> None:
     """Reject the Picard settings that :func:`picard.run_picard` refuses."""
     if int(p["max_iter"]) < 1:
         raise ValueError("params.max_iter must be at least 1")
-    if not float(p["picard_tol"]) > 0:
-        raise ValueError("params.picard_tol must be positive")
+    if not 0 < float(p["picard_tol"]) < math.inf:
+        raise ValueError("params.picard_tol must be positive and finite")
 
 
 def _check_bootstrap_p(p: dict[str, Any]) -> None:
@@ -892,10 +906,11 @@ def _sweep_args(cfg: ExperimentConfig) -> tuple[norms.MixedNormParams, list[floa
     sweep measures its data by :func:`norms.besov_heat_norm`."""
     _check_picard(cfg.params)
     eta_grid = [float(e) for e in cfg.params["eta_grid"]]
-    if not all(eta >= 0 for eta in eta_grid):
-        raise ValueError("params.eta_grid entries must be nonnegative")
+    if not all(0 <= eta < math.inf for eta in eta_grid):
+        raise ValueError("params.eta_grid entries must be nonnegative and finite")
     params = _mixed_params(cfg)
-    norms._check_heat_exponents(params)
+    if math.isinf(params.p):
+        raise ValueError("params.p: the heat-extension data norm requires finite exponents")
     return params, eta_grid
 
 
@@ -1066,8 +1081,8 @@ def _scaled_to_eta(
 ) -> spectral.SpectralField:
     """``u0`` rescaled to heat-extension data norm ``params.eta``."""
     eta = float(cfg.params["eta"])
-    if not eta > 0:
-        raise ValueError("params.eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError("params.eta must be positive and finite")
     return u0 * (eta / norms.besov_heat_norm(u0, params))
 
 
@@ -1115,8 +1130,8 @@ def _set_up_lipschitz(
 ) -> tuple[list[float]]:
     p = cfg.params
     nu_values = [float(nu) for nu in p["nu_values"]]
-    if not all(nu > 1 for nu in nu_values):
-        raise ValueError("params.nu_values entries must exceed 1")
+    if not all(1 < nu < math.inf for nu in nu_values):
+        raise ValueError("params.nu_values entries must exceed 1 and be finite")
     if int(p["samples"]) < 1:
         raise ValueError("params.samples must be at least 1")
     return (nu_values,)
@@ -1196,7 +1211,7 @@ def _set_up(cfg: ExperimentConfig) -> tuple:
         if cfg.threads < 1:
             raise ValueError("threads must be at least 1")
         return set_up(cfg, cfg.make_grid(), cfg.make_time_grid())
-    except (TypeError, ValueError, norms.DivergentNormError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{cfg.experiment} set-up rejected the config: {exc}") from exc
 
 

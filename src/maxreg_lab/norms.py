@@ -4,22 +4,21 @@ Two worlds meet here.  On the discrete side, a :class:`Trajectory` is a
 time-indexed stack of spectral fields and the mixed norms
 ``L^p_t(L^q_x)`` (plain or power-weighted in time) are quadratures over
 the trajectory's time grid.  On the continuum side, a small fixed
-catalogue of space-time profiles on ``(0, inf) x R^n`` carries
-closed-form spatial ``L^q`` norms so parabolic rescaling can be tested
-against exact predictions.
+catalogue of space-time profiles on ``(0, inf) x R^n`` carries spatial
+``L^q`` norms of the form ``k * (t + a)**e`` or ``k * exp(-b t)``, so
+their mixed norms are closed forms too, with no quadrature, and
+parabolic rescaling can be tested against exact predictions.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import integrate, special
 
 from .spectral import (
     SpectralField,
@@ -42,7 +41,6 @@ __all__ = [
     "log_time_grid",
     "spatial_lq_norm",
     "bochner_mixed_norm",
-    "weighted_bochner_norm",
     "heat_extension",
     "besov_heat_norm",
     "BesovHeatResult",
@@ -263,8 +261,8 @@ class ScalingLaw:
 
 def nlhe_scaling_law(nu: float) -> ScalingLaw:
     """Scaling of the heat equation with a degree-``nu`` power source."""
-    if not nu > 1:
-        raise ValueError("nonlinearity exponent nu must exceed 1")
+    if not 1 < nu < math.inf:
+        raise ValueError("nonlinearity exponent nu must exceed 1 and be finite")
     return ScalingLaw(alpha=2.0, beta=0.0, gamma=nu)
 
 
@@ -341,21 +339,14 @@ def _time_weights(
     return time_grid.weights * time_grid.nodes ** ((1.0 - weight.mu) * params.p)
 
 
-def bochner_mixed_norm(traj: Trajectory, params: MixedNormParams) -> float:
+def bochner_mixed_norm(
+    traj: Trajectory, params: MixedNormParams, *, weight: WeightParams | None = None
+) -> float:
     """``L^p_t(L^q_x)`` norm by time quadrature of nodewise spatial norms.
 
-    For ``p = inf`` the maximum over nodes is returned.
-    """
-    return _time_lp(_node_spatial_norms(traj, params.q), traj.time_grid.weights, params.p)
-
-
-def weighted_bochner_norm(
-    traj: Trajectory, params: MixedNormParams, weight: WeightParams
-) -> float:
-    """Power-weighted norm ``|| t**(1-mu) u ||_{L^p_t(L^q_x)}``.
-
-    ``mu = 1`` reproduces :func:`bochner_mixed_norm` exactly (the weight
-    array is identically one).
+    For ``p = inf`` the maximum over nodes is returned.  Given ``weight``,
+    the power-weighted norm ``|| t**(1-mu) u ||_{L^p_t(L^q_x)}``; ``mu = 1``
+    reproduces the plain norm exactly (the weight array is identically one).
     """
     weights = _time_weights(traj.time_grid, params, weight)
     return _time_lp(_node_spatial_norms(traj, params.q), weights, params.p)
@@ -410,12 +401,6 @@ class BesovHeatResult:
     time_grid: TimeGrid
 
 
-def _check_heat_exponents(params: MixedNormParams) -> None:
-    """Reject the exponents :func:`besov_heat_norm` cannot measure with."""
-    if math.isinf(params.p) or math.isinf(params.q):
-        raise ValueError("heat-extension norm requires finite exponents")
-
-
 def besov_heat_norm(
     u0: SpectralField,
     params: MixedNormParams,
@@ -431,7 +416,8 @@ def besov_heat_norm(
     Requires finite ``p, q`` and a mean-free ``u0`` (a nonzero spatial mean
     does not decay, so the norm over ``(0, inf)`` diverges).
     """
-    _check_heat_exponents(params)
+    if math.isinf(params.p):
+        raise ValueError("heat-extension norm requires finite exponents")
     t_min = 1e-6
     if not u0.is_mean_free(tol=1e-12):
         raise ValueError("heat-extension norm over (0, inf) requires a mean-free field")
@@ -474,17 +460,17 @@ class ParabolicGaussianProfile:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.offset <= 0:
-            raise ValueError("offset must be positive")
+        if not 0 < self.offset < math.inf:
+            raise ValueError("offset must be positive and finite")
+
+    def power_law(self, q: float, n: int) -> tuple[float, float, float]:
+        """``(k, a, e)`` with spatial ``L^q`` norm ``k * (t + a)**e``."""
+        e = n / (2.0 * q)
+        return abs(self.amplitude) * (4.0 * np.pi / q) ** e, self.offset, e - self.sigma
 
     def spatial_lq(self, t: float, q: float, n: int) -> float:
-        s = t + self.offset
-        const = (4.0 * np.pi / q) ** (n / (2.0 * q))
-        return abs(self.amplitude) * const * s ** (n / (2.0 * q) - self.sigma)
-
-    def time_exponent(self, q: float, n: int) -> float:
-        """Late-time power of the spatial norm, ``~ t**e``."""
-        return n / (2.0 * q) - self.sigma
+        k, a, e = self.power_law(q, n)
+        return k * (t + a) ** e
 
 
 @dataclass(frozen=True)
@@ -515,19 +501,23 @@ class InverseSqrtRadialProfile:
 
     amplitude: float = 1.0
 
-    def spatial_lq(self, t: float, q: float, n: int) -> float:
+    def power_law(self, q: float, n: int) -> tuple[float, float, float]:
+        """``(k, 0, e)`` with spatial ``L^q`` norm ``k * t**e``."""
         if q <= n:
             raise DivergentNormError(
                 f"spatial L^{q} norm diverges for this profile in dimension {n}"
             )
+        # integral of (1 + |y|**2)**(-q/2) over R^n
+        radial = math.pi ** (n / 2.0) * math.exp(
+            math.lgamma((q - n) / 2.0) - math.lgamma(q / 2.0)
+        )
+        return abs(self.amplitude) * radial ** (1.0 / q), 0.0, n / (2.0 * q) - 0.5
+
+    def spatial_lq(self, t: float, q: float, n: int) -> float:
+        k, _, e = self.power_law(q, n)
         if t <= 0:
             raise ValueError("profile is only defined for t > 0")
-        surface = 2.0 * np.pi ** (n / 2.0) / special.gamma(n / 2.0)
-        radial = surface * special.beta(n / 2.0, (q - n) / 2.0) / 2.0
-        return abs(self.amplitude) * radial ** (1.0 / q) * t ** (n / (2.0 * q) - 0.5)
-
-    def time_exponent(self, q: float, n: int) -> float:
-        return n / (2.0 * q) - 0.5
+        return k * t**e
 
 
 ContinuumProfile = (
@@ -540,79 +530,44 @@ def continuum_mixed_norm(
     params: MixedNormParams,
     n: int,
     t_window: tuple[float, float] | None = None,
-    rel_tol: float = 1e-9,
 ) -> float:
-    """``L^p_t(L^q_x)`` norm of a catalogue profile by adaptive quadrature.
+    """``L^p_t(L^q_x)`` norm of a catalogue profile, in closed form.
 
-    ``t_window`` restricts the time integral to ``[t0, t1]``; the default
-    is all of ``(0, inf)``, with divergence detected up front from the
-    profile's power-law behaviour.
+    ``t_window`` restricts the time norm to ``[t0, t1]``; the default is all
+    of ``(0, inf)``.  The spatial norm is ``k * exp(-b t)`` for the
+    separable profile and ``k * (t + a)**e`` for the others, so its ``p``-th
+    power integrates in closed form, and it is monotone in time, so for
+    ``p = inf`` the supremum sits at an end of the window.  A norm that
+    diverges raises :class:`DivergentNormError`.
     """
     p, q = params.p, params.q
+    t0, t1 = (0.0, math.inf) if t_window is None else t_window
+    if not 0 <= t0 < t1:
+        raise ValueError("time window must satisfy 0 <= t0 < t1")
+    if isinstance(profile, SeparableGaussianProfile):
+        head = float(profile.spatial_lq(t0, q, n))
+        if math.isinf(p):
+            return head
+        rate = profile.rate * p
+        return head * (-math.expm1(-rate * (t1 - t0)) / rate) ** (1.0 / p)
+    k, a, e = profile.power_law(q, n)
+    s0, s1 = t0 + a, t1 + a
     if math.isinf(p):
-        return _continuum_sup_norm(profile, q, n, t_window)
-    if t_window is None:
-        _check_infinite_integrability(profile, params, n)
-        a, b = 0.0, np.inf
-    else:
-        a, b = t_window
-        if not 0 <= a < b:
-            raise ValueError("time window must satisfy 0 <= t0 < t1")
-        if isinstance(profile, InverseSqrtRadialProfile) and a == 0.0:
-            _check_infinite_integrability(profile, params, n, head_only=True)
-
-    def integrand(t: float) -> float:
-        return profile.spatial_lq(t, q, n) ** p
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, _ = integrate.quad(
-                integrand, a, b, epsrel=rel_tol, epsabs=0.0, limit=400
-            )
-        except integrate.IntegrationWarning as exc:
-            raise DivergentNormError(f"time integral failed to converge: {exc}") from exc
-    return float(value ** (1.0 / p))
-
-
-def _check_infinite_integrability(
-    profile: ContinuumProfile, params: MixedNormParams, n: int, head_only: bool = False
-) -> None:
-    p, q = params.p, params.q
-    if isinstance(profile, SeparableGaussianProfile):
-        return  # exponential decay, bounded head
-    e = profile.time_exponent(q, n)
-    if isinstance(profile, InverseSqrtRadialProfile):
-        profile.spatial_lq(1.0, q, n)  # raises if q <= n
-        if e * p <= -1.0:
-            raise DivergentNormError(
-                "time integral diverges at t -> 0 for this profile"
-            )
-        if not head_only:
-            raise DivergentNormError(
-                "time integral diverges at t -> inf; use a finite window"
-            )
-        return
-    # parabolic Gaussian: bounded near 0, power tail
-    if e * p >= -1.0:
-        raise DivergentNormError("time integral diverges at t -> inf")
-
-
-def _continuum_sup_norm(
-    profile: ContinuumProfile, q: float, n: int, t_window: tuple[float, float] | None
-) -> float:
-    if t_window is not None:
-        a, b = t_window
-        ts = np.linspace(max(a, 1e-12), b, 4097)
-        return float(max(profile.spatial_lq(t, q, n) for t in ts))
-    if isinstance(profile, SeparableGaussianProfile):
-        return profile.spatial_lq(0.0, q, n)
-    e = profile.time_exponent(q, n)
-    if isinstance(profile, InverseSqrtRadialProfile):
-        raise DivergentNormError("sup over (0, inf) diverges for this profile")
-    if e > 0:
-        raise DivergentNormError("sup over (0, inf) diverges at t -> inf")
-    return profile.spatial_lq(0.0, q, n)
+        end, side = (s1, "inf") if e > 0 else (s0, "0")
+        if e != 0 and end in (0.0, math.inf):
+            raise DivergentNormError(f"sup over the window diverges at t -> {side}")
+        return k * end**e
+    c = e * p + 1.0  # the time integrand is (k * s**e)**p = k**p * s**(c - 1)
+    if s0 == 0 and c <= 0:
+        raise DivergentNormError("time integral diverges at t -> 0 for this profile")
+    if math.isinf(s1) and c >= 0:
+        raise DivergentNormError("time integral diverges at t -> inf; use a finite window")
+    # integral of s**(c-1) over [s0, s1] = end**c * expm1(c_end * L) / c_end with
+    # L = log(s1/s0), taken from the finite nonzero end: no power difference cancels
+    log_ratio = math.log(s1 / s0) if s0 > 0 else math.inf
+    end, c_end = (s0, c) if math.isinf(s1) else (s1, -c)
+    factor = math.expm1(c_end * log_ratio) / c_end if c != 0 else log_ratio
+    return k * end ** (e + 1.0 / p) * factor ** (1.0 / p)
 
 
 def scaling_transform(

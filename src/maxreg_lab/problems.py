@@ -103,8 +103,8 @@ class NlheProblem:
     critical: bool = False
 
     def __post_init__(self) -> None:
-        if self.nu <= 1:
-            raise ValueError("nonlinearity exponent nu must exceed 1")
+        if not 1 < self.nu < math.inf:
+            raise ValueError("nonlinearity exponent nu must exceed 1 and be finite")
         if self.u0.components != 1:
             raise ValueError("nlhe initial data must be scalar")
         if self.variant not in ("signed", "unsigned"):

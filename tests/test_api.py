@@ -1,6 +1,11 @@
-"""The package namespace offers one name per operation."""
+"""The package namespace offers one name per operation, and importing it
+loads no more of scipy than ``scipy.fft``."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import maxreg_lab
 
@@ -12,6 +17,7 @@ REMOVED = (
     "nlhe_law",
     "ns_law",
     "two_route_solutions",
+    "weighted_bochner_norm",
 )
 
 
@@ -33,5 +39,16 @@ def test_no_public_name_is_an_alias():
 
 
 def test_folded_names_are_gone():
-    modules = [maxreg_lab, maxreg_lab.maxreg, maxreg_lab.problems]
+    modules = [maxreg_lab, maxreg_lab.maxreg, maxreg_lab.norms, maxreg_lab.problems]
     assert [(m.__name__, n) for m in modules for n in REMOVED if hasattr(m, n)] == []
+
+
+def test_import_loads_no_quadrature():
+    src = str(Path(maxreg_lab.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import sys, maxreg_lab; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

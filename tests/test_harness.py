@@ -419,6 +419,26 @@ class TestDomainChecks:
             # 1/Re z, the probe's horizon, overflows
             ({"experiment": "resolvent", "params": {"z_values": [[1e-320, 0.0]], "num_nodes": 65}}, "1/Re z and Im z finite"),
             ({"experiment": "scaling", "params": {"p": 1.5, "q": 1.01}}, "time integral diverges"),
+            # non-finite numbers, and numbers whose use overflows
+            ({"experiment": "hormander", "params": {"shifts": [math.inf]}}, "shifts entries must be nonzero and finite"),
+            ({"experiment": "hormander", "params": {"scalar_lambdas": [math.inf]}}, "scalar_lambdas entries must be positive and finite"),
+            ({"experiment": "scaling", "params": {"lambda_set": [math.inf]}}, "lambda_set entries must be positive and finite"),
+            # lam**(rho - 2 sigma) overflows in the rescaled amplitude
+            ({"experiment": "scaling", "params": {"lambda_set": [1e-320]}}, "scaling set-up rejected the config"),
+            # the rescaled amplitude underflows to 0, and so does its norm
+            ({"experiment": "scaling", "params": {"nu": 1.0001, "lambda_set": [0.5]}}, "lambda_set entry 0.5 takes a norm out of range"),
+            # 2.0**octaves overflows in the radius ladder
+            ({"experiment": "smoothing", "params": {"octaves": 1100}}, "smoothing set-up rejected the config"),
+            ({"experiment": "desimon", "params": {"sigma_max": math.inf}}, "sigma_max must be finite"),
+            ({"experiment": "desimon", "params": {"sigma_max": math.nan}}, "sigma_max must be finite"),
+            ({"experiment": "rbound", "params": {"coefficients": [math.inf]}}, "coefficients entries must be finite"),
+            ({"experiment": "rbound", "params": {"kind": "resolvent", "sigmas": [math.nan]}}, "sigmas entries must be finite"),
+            ({"experiment": "scaling", "params": {"nu": math.inf}}, "nu must exceed 1 and be finite"),
+            ({"experiment": "nlhe-unique", "params": {"nu": math.inf}}, "nu must exceed 1 and be finite"),
+            ({"experiment": "nlhe-exist", "params": {"eta_grid": [math.inf]}}, "eta_grid entries must be nonnegative and finite"),
+            ({"experiment": "nlhe-exist", "params": {"picard_tol": math.inf}}, "picard_tol must be positive and finite"),
+            ({"experiment": "lipschitz", "params": {"nu_values": [math.inf]}}, "nu_values entries must exceed 1 and be finite"),
+            ({"experiment": "ns-unique", "params": {"eta": math.inf}}, "eta must be positive and finite"),
         ],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):
@@ -510,6 +530,15 @@ class TestStrictJsonRecords:
         loaded = json.loads(record.read_text(), parse_constant=_refuse_constant)
         assert loaded["status"] == "fail"
         assert loaded["metrics"][metric] is None
+
+    def test_underflowed_resolvent_probe_fails(self, tmp_path, capsys):
+        """At Re z = 1e300 the probe and x/(z+A) are about 1e-300 x, so their
+        L^2 norms square to 0: both gates would compare underflowed zeros."""
+        config = {"experiment": "resolvent", "params": {"z_values": [[1e300, 0.0]], "num_nodes": 65}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 1
+        assert "status: fail" in capsys.readouterr().out
 
     def test_sweep_without_convergence_writes_strict_json(self, tmp_path):
         config = {

@@ -31,7 +31,6 @@ from maxreg_lab import (
     scaling_transform,
     spatial_lq_norm,
     uniform_time_grid,
-    weighted_bochner_norm,
 )
 
 
@@ -172,7 +171,7 @@ class TestBochnerNorm:
         coeff = rng.standard_normal((33, 1, 16)) + 0j
         traj = Trajectory(tg, grid1d, coeff)
         params = MixedNormParams(p=2.0, q=2.0)
-        assert weighted_bochner_norm(traj, params, WeightParams(mu=1.0)) == (
+        assert bochner_mixed_norm(traj, params, weight=WeightParams(mu=1.0)) == (
             bochner_mixed_norm(traj, params)
         )
 
@@ -185,17 +184,17 @@ class TestBochnerNorm:
         space = spatial_lq_norm(single_mode_field(grid1d), 2)
         oracle, _ = integrate.quad(lambda t: t ** 0.8 * math.exp(-2 * t), 0.0, 1.0)
         expect = (oracle) ** 0.5 * space
-        got = weighted_bochner_norm(traj, params, WeightParams(mu=mu))
+        got = bochner_mixed_norm(traj, params, weight=WeightParams(mu=mu))
         assert got == pytest.approx(expect, rel=1e-3)
 
     def test_weight_validation(self, grid1d, rng):
         tg = uniform_time_grid(1.0, 33)
         traj = Trajectory(tg, grid1d, np.zeros((33, 1, 16), complex))
         with pytest.raises(ValueError, match="mu must satisfy 1/p < mu <= 1"):
-            weighted_bochner_norm(traj, MixedNormParams(2.0, 2.0), WeightParams(mu=0.4))
+            bochner_mixed_norm(traj, MixedNormParams(2.0, 2.0), weight=WeightParams(mu=0.4))
         with pytest.raises(ValueError, match="weighted norms require finite p"):
-            weighted_bochner_norm(
-                traj, MixedNormParams(math.inf, 2.0), WeightParams(mu=0.9)
+            bochner_mixed_norm(
+                traj, MixedNormParams(math.inf, 2.0), weight=WeightParams(mu=0.9)
             )
 
     def test_param_validation(self):
@@ -411,6 +410,81 @@ class TestContinuumProfiles:
         prof = ParabolicGaussianProfile(sigma=1.5)
         with pytest.raises(ValueError, match="time window must satisfy"):
             continuum_mixed_norm(prof, MixedNormParams(2.0, 2.0), 2, t_window=(2.0, 1.0))
+
+
+class TestContinuumClosedForms:
+    """The closed-form continuum norms against scipy.integrate.quad, and the
+    windowed supremum against a dense sample that includes both ends."""
+
+    PARABOLIC = ParabolicGaussianProfile(amplitude=1.3, offset=0.7, sigma=1.5)
+    SEPARABLE = SeparableGaussianProfile(amplitude=0.9, rate=0.8, width=1.7)
+    INVERSE_SQRT = InverseSqrtRadialProfile(amplitude=0.8)
+
+    @staticmethod
+    def quad_norm(prof, params, n, t0, t1):
+        def integrand(t):
+            return prof.spatial_lq(t, params.q, n) ** params.p
+
+        value, _ = integrate.quad(integrand, t0, t1, epsabs=0.0, epsrel=1e-13, limit=200)
+        return value ** (1.0 / params.p)
+
+    @pytest.mark.parametrize(
+        "prof, params, n",
+        [
+            (PARABOLIC, MixedNormParams(2.5, 3.0), 2),
+            (PARABOLIC, MixedNormParams(2.0, 2.0), 3),
+            (SEPARABLE, MixedNormParams(3.0, 2.0), 3),
+        ],
+        ids=["parabolic-2d", "parabolic-3d", "separable"],
+    )
+    def test_whole_half_line(self, prof, params, n):
+        got = continuum_mixed_norm(prof, params, n)
+        assert got == pytest.approx(self.quad_norm(prof, params, n, 0.0, np.inf), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "prof, params, window",
+        [
+            (PARABOLIC, MixedNormParams(2.5, 3.0), (0.3, 2.5)),
+            (PARABOLIC, MixedNormParams(2.5, 3.0), (0.0, 1e-3)),
+            (SEPARABLE, MixedNormParams(3.0, 2.0), (0.5, 3.0)),
+            (INVERSE_SQRT, MixedNormParams(2.0, 4.0), (0.0, 2.0)),
+            # p e + 1 = 0: the time integrand is t**-1 and the norm a logarithm
+            (INVERSE_SQRT, MixedNormParams(4.0, 4.0), (0.5, 3.0)),
+            # p e + 1 = -2.5e-7: a power law next to the logarithm
+            (INVERSE_SQRT, MixedNormParams(4.000001, 4.0), (0.5, 3.0)),
+            (INVERSE_SQRT, MixedNormParams(3.0, 4.0), (1.0, 1.0 + 1e-6)),
+        ],
+        ids=["parabolic", "parabolic-short", "separable", "inverse-sqrt-from-0",
+             "inverse-sqrt-log", "inverse-sqrt-near-log", "inverse-sqrt-narrow"],
+    )
+    def test_finite_window(self, prof, params, window):
+        got = continuum_mixed_norm(prof, params, 2, t_window=window)
+        assert got == pytest.approx(self.quad_norm(prof, params, 2, *window), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "prof, q, window",
+        [
+            (PARABOLIC, 3.0, (0.0, 2.5)),  # decreasing: the sup is at t = 0
+            (ParabolicGaussianProfile(sigma=0.25), 2.0, (0.5, 2.5)),  # increasing
+            (SEPARABLE, 2.0, (0.5, 3.0)),
+            (INVERSE_SQRT, 4.0, (0.5, 3.0)),
+        ],
+        ids=["parabolic-decreasing", "parabolic-increasing", "separable", "inverse-sqrt"],
+    )
+    def test_windowed_sup_is_exact(self, prof, q, window):
+        got = continuum_mixed_norm(prof, MixedNormParams(math.inf, q), 2, t_window=window)
+        sampled = max(prof.spatial_lq(t, q, 2) for t in np.linspace(*window, 1001))
+        assert got == pytest.approx(sampled, rel=1e-12)
+
+    def test_sup_diverges_at_the_open_end(self):
+        with pytest.raises(DivergentNormError, match="sup over the window diverges at t -> 0"):
+            continuum_mixed_norm(
+                self.INVERSE_SQRT, MixedNormParams(math.inf, 4.0), 2, t_window=(0.0, 1.0)
+            )
+        with pytest.raises(DivergentNormError, match="sup over the window diverges at t -> inf"):
+            continuum_mixed_norm(
+                ParabolicGaussianProfile(sigma=0.25), MixedNormParams(math.inf, 2.0), 2
+            )
 
 
 class TestScalingTransform:
