@@ -1,16 +1,17 @@
-"""Experiment harness: configs, registry, runners and result files.
+"""Experiment harness: configs, the experiment registry and result files.
 
 An experiment is described by a single JSON config (see
 :data:`BASE_DEFAULTS` and :data:`EXPERIMENT_DEFAULTS` for the schema and
 per-experiment parameter blocks).  Loading fills defaults and rejects
 unknown keys and values of the wrong JSON type; it checks no ranges.
-Each experiment has one set-up and one runner.  The set-up builds the
-grid, the time grid and the experiment's domain objects (problems,
-initial data, the lists the runner loops over; a forcing ensemble's keys
-are range-checked there and the members drawn by the runner) and is
-the only range check: a value it rejects is a :class:`ConfigError`, for
-:func:`check_config` and :func:`run_experiment` alike, while an error
-from the numerics that follow is not.  The runner returns the status of
+Each experiment is one function of the config, the grid and the time
+grid.  It reads, converts and range-checks every key it uses and builds
+the domain objects (problems, initial data, the lists the run loops
+over; a forcing ensemble's keys are range-checked there and its members
+drawn only by the run), and it is the only range check: a value it
+rejects is a :class:`ConfigError`, for :func:`check_config` and
+:func:`run_experiment` alike, while an error from the numerics that
+follow is not.  It returns the run, a closure that gives the status of
 the experiment's own acceptance predicate, its metrics and its series.
 All randomness flows from the config seed through named substreams, so
 a rerun of the same config writes byte-identical CSV series regardless
@@ -24,13 +25,13 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from . import maxreg, norms, picard, problems, spectral
+from . import maxreg, norms, problems, spectral
 
 __all__ = [
     "ConfigError",
@@ -242,15 +243,7 @@ class ExperimentConfig:
     params: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "experiment": self.experiment,
-            "rng_seed": self.rng_seed,
-            "output_dir": self.output_dir,
-            "threads": self.threads,
-            "grid": copy.deepcopy(self.grid),
-            "time": copy.deepcopy(self.time),
-            "params": copy.deepcopy(self.params),
-        }
+        return asdict(self)
 
     def make_grid(self) -> spectral.TorusGrid:
         return spectral.TorusGrid(
@@ -438,224 +431,202 @@ def write_results(record: ResultRecord, out_dir: str | Path) -> list[Path]:
     return paths
 
 
-# -- set-ups and runners -----------------------------------------------
+# -- experiments -------------------------------------------------------
 #
-# A set-up takes the config plus the grid and the time grid built from it
-# and returns the experiment's domain objects; its runner takes the config
-# plus what the set-up returned.  A config value's range is checked only
-# here: by a domain object the set-up builds, or else by the one set-up
-# that reads the key.
+# An experiment is one function of the config plus the grid and the time
+# grid built from it.  It reads, converts and range-checks every key it
+# uses and builds the domain objects, then returns its run: a closure that
+# computes and gives the status, metrics and series.  A config value's
+# range is checked only here, by a domain object the function builds or
+# else by the function itself, and never again by the run.
+
+_Run = Callable[[], tuple[str, dict, dict]]
 
 
 def _mixed_params(cfg: ExperimentConfig) -> norms.MixedNormParams:
     return norms.MixedNormParams(p=float(cfg.params["p"]), q=float(cfg.params["q"]))
 
 
-def _ensemble_args(cfg: ExperimentConfig) -> tuple[int, int, int]:
-    """Size, band limit and modes per member of the config's forcing ensemble."""
-    p = cfg.params
-    return int(p["ensemble_size"]), int(p["band_limit"]), int(p["modes_per_member"])
-
-
 def _ensemble(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> list[norms.Trajectory]:
-    """Draw the config's forcing ensemble; only runners draw, set-ups run
-    :func:`_check_ensemble_args` on the same keys."""
-    size, band_limit, modes = _ensemble_args(cfg)
-    return synthetic_forcing_ensemble(
+    cfg: ExperimentConfig,
+) -> Callable[[spectral.TorusGrid, norms.TimeGrid], list[norms.Trajectory]]:
+    """The drawer of the config's forcing ensemble, its three keys
+    range-checked; only a run draws the members."""
+    size, band_limit, modes = (
+        int(cfg.params[key]) for key in ("ensemble_size", "band_limit", "modes_per_member")
+    )
+    _check_ensemble_args(size, band_limit, modes)
+    return lambda grid, tgrid: synthetic_forcing_ensemble(
         grid, tgrid, size, band_limit=band_limit, modes_per_member=modes, seed=cfg.rng_seed
     )
 
 
-def _set_up_maxreg(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[spectral.TorusGrid, norms.TimeGrid, norms.MixedNormParams]:
+def _maxreg(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
     params = _mixed_params(cfg)
-    _check_ensemble_args(*_ensemble_args(cfg))
-    return grid, tgrid, params
-
-
-def _run_maxreg(
-    cfg: ExperimentConfig,
-    grid: spectral.TorusGrid,
-    tgrid: norms.TimeGrid,
-    params: norms.MixedNormParams,
-) -> tuple[str, dict, dict]:
-    p = cfg.params
+    draw = _ensemble(cfg)
+    fine = None
+    if bool(cfg.params["refine"]):
+        fine = (
+            replace(grid, points_per_axis=2 * grid.points_per_axis),
+            norms.uniform_time_grid(tgrid.horizon, 2 * tgrid.num_nodes - 1),
+        )
     op = spectral.laplacian_multiplier()
 
-    def measure(members: list[norms.Trajectory]) -> maxreg.MaxRegReport:
-        return maxreg.estimate_maxreg_constant(op, params, members, threads=cfg.threads)
+    def measure(grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> maxreg.MaxRegReport:
+        return maxreg.estimate_maxreg_constant(op, params, draw(grid, tgrid), threads=cfg.threads)
 
-    report = measure(_ensemble(cfg, grid, tgrid))
-    metrics: dict[str, Any] = {
-        "C_estimate": report.C_estimate,
-        "ensemble_size": report.ensemble_size,
-    }
-    status = "pass" if math.isfinite(report.C_estimate) else "fail"
-    if bool(p["refine"]):
-        fine_grid = replace(grid, points_per_axis=2 * grid.points_per_axis)
-        fine_time = norms.uniform_time_grid(tgrid.horizon, 2 * tgrid.num_nodes - 1)
-        fine = measure(_ensemble(cfg, fine_grid, fine_time))
-        rel = abs(fine.C_estimate - report.C_estimate) / report.C_estimate
-        metrics["C_estimate_refined"] = fine.C_estimate
-        metrics["refinement_rel_change"] = rel
-        if rel >= 0.05:
-            status = "fail"
-    rows = [
-        [i, m.forcing, m.solution, m.derivative, m.operator_term, m.ratio]
-        for i, m in enumerate(report.members)
-    ]
-    series = {
-        "members": {
-            "columns": ["member", "f_norm", "u_norm", "dtu_norm", "au_norm", "ratio"],
-            "rows": rows,
+    def run() -> tuple[str, dict, dict]:
+        report = measure(grid, tgrid)
+        metrics: dict[str, Any] = {
+            "C_estimate": report.C_estimate,
+            "ensemble_size": report.ensemble_size,
         }
-    }
-    return status, metrics, series
+        status = "pass" if math.isfinite(report.C_estimate) else "fail"
+        if fine is not None:
+            refined = measure(*fine)
+            rel = abs(refined.C_estimate - report.C_estimate) / report.C_estimate
+            metrics["C_estimate_refined"] = refined.C_estimate
+            metrics["refinement_rel_change"] = rel
+            if rel >= 0.05:
+                status = "fail"
+        rows = [
+            [i, m.forcing, m.solution, m.derivative, m.operator_term, m.ratio]
+            for i, m in enumerate(report.members)
+        ]
+        series = {
+            "members": {
+                "columns": ["member", "f_norm", "u_norm", "dtu_norm", "au_norm", "ratio"],
+                "rows": rows,
+            }
+        }
+        return status, metrics, series
+
+    return run
 
 
-def _set_up_weighted_maxreg(
+def _weighted_maxreg(
     cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[spectral.TorusGrid, norms.TimeGrid, norms.MixedNormParams, norms.WeightParams]:
+) -> _Run:
     params = _mixed_params(cfg)
     weight = norms.WeightParams(mu=float(cfg.params["mu"]))
     weight.validate_against(params)
-    _check_ensemble_args(*_ensemble_args(cfg))
-    return grid, tgrid, params, weight
+    draw = _ensemble(cfg)
 
-
-def _run_weighted_maxreg(
-    cfg: ExperimentConfig,
-    grid: spectral.TorusGrid,
-    tgrid: norms.TimeGrid,
-    params: norms.MixedNormParams,
-    weight: norms.WeightParams,
-) -> tuple[str, dict, dict]:
-    profiles = maxreg._member_profiles(
-        spectral.laplacian_multiplier(), params.q, _ensemble(cfg, grid, tgrid), cfg.threads
-    )
-    weighted = maxreg._reduce_profiles(profiles, params, weight)
-    unit_weight = maxreg._reduce_profiles(profiles, params, norms.WeightParams(mu=1.0))
-    plain = maxreg._reduce_profiles(profiles, params, None)
-    mu1_exact = unit_weight.C_estimate == plain.C_estimate
-    metrics = {
-        "mu": weight.mu,
-        "C_weighted": weighted.C_estimate,
-        "C_mu1": unit_weight.C_estimate,
-        "C_unweighted": plain.C_estimate,
-        "mu1_matches_unweighted": mu1_exact,
-    }
-    status = "pass" if mu1_exact and math.isfinite(weighted.C_estimate) else "fail"
-    rows = [
-        [i, w.ratio, pl.ratio]
-        for i, (w, pl) in enumerate(zip(weighted.members, plain.members))
-    ]
-    series = {
-        "members": {
-            "columns": ["member", "weighted_ratio", "unweighted_ratio"],
-            "rows": rows,
-        }
-    }
-    return status, metrics, series
-
-
-def _set_up_desimon(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[spectral.TorusGrid, norms.TimeGrid, np.ndarray]:
-    p = cfg.params
-    if int(p["sigma_points"]) < 1:
-        raise ValueError("params.sigma_points must be at least 1")
-    if not math.isfinite(float(p["sigma_max"])):
-        raise ValueError("params.sigma_max must be finite")
-    sigma = np.linspace(0.0, float(p["sigma_max"]), int(p["sigma_points"]))
-    _check_ensemble_args(*_ensemble_args(cfg))
-    return grid, tgrid, sigma
-
-
-def _run_desimon(
-    cfg: ExperimentConfig,
-    grid: spectral.TorusGrid,
-    tgrid: norms.TimeGrid,
-    sigma: np.ndarray,
-) -> tuple[str, dict, dict]:
-    # The L^2(L^2) (Plancherel) case of De Simon's theorem: the multiplier
-    # bound, and so the ratio and sup gates below, hold only there.
-    params = norms.MixedNormParams(p=2.0, q=2.0)
-    op = spectral.laplacian_multiplier()
-    ratios = []
-    for f in _ensemble(cfg, grid, tgrid):
-        au = maxreg.de_simon_multiplier_solve(maxreg.LinearProblem(op, f))
-        # Each norm reads a local alias, so the samples it caches go with the
-        # alias: they would outlive their one use on au or on the ensemble.
-        ratios.append(
-            norms.bochner_mixed_norm(replace(au, coefficients=au.spectrum), params)
-            / norms.bochner_mixed_norm(replace(f, coefficients=f.spectrum), params)
+    def run() -> tuple[str, dict, dict]:
+        profiles = maxreg._member_profiles(
+            spectral.laplacian_multiplier(), params.q, draw(grid, tgrid), cfg.threads
         )
-    sup = maxreg.multiplier_sup_norm(op, sigma, grid)
-    metrics = {
-        "ratio_max": max(ratios),
-        "multiplier_sup_norm": sup,
-    }
-    status = "pass" if max(ratios) <= 1.05 and 0.99 <= sup <= 1.0 else "fail"
-    series = {
-        "members": {
-            "columns": ["member", "au_over_f"],
-            "rows": [[i, r] for i, r in enumerate(ratios)],
+        weighted = maxreg._reduce_profiles(profiles, params, weight)
+        unit_weight = maxreg._reduce_profiles(profiles, params, norms.WeightParams(mu=1.0))
+        plain = maxreg._reduce_profiles(profiles, params, None)
+        mu1_exact = unit_weight.C_estimate == plain.C_estimate
+        metrics = {
+            "mu": weight.mu,
+            "C_weighted": weighted.C_estimate,
+            "C_mu1": unit_weight.C_estimate,
+            "C_unweighted": plain.C_estimate,
+            "mu1_matches_unweighted": mu1_exact,
         }
-    }
-    return status, metrics, series
+        status = "pass" if mu1_exact and math.isfinite(weighted.C_estimate) else "fail"
+        rows = [
+            [i, w.ratio, pl.ratio]
+            for i, (w, pl) in enumerate(zip(weighted.members, plain.members))
+        ]
+        series = {
+            "members": {
+                "columns": ["member", "weighted_ratio", "unweighted_ratio"],
+                "rows": rows,
+            }
+        }
+        return status, metrics, series
+
+    return run
 
 
-def _set_up_resolvent(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[spectral.SpectralField, list[tuple[float, float]]]:
+def _desimon(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+    p = cfg.params
+    sigma_max, sigma_points = float(p["sigma_max"]), int(p["sigma_points"])
+    if sigma_points < 1:
+        raise ValueError("params.sigma_points must be at least 1")
+    if not math.isfinite(sigma_max):
+        raise ValueError("params.sigma_max must be finite")
+    sigma = np.linspace(0.0, sigma_max, sigma_points)
+    draw = _ensemble(cfg)
+
+    def run() -> tuple[str, dict, dict]:
+        # The L^2(L^2) (Plancherel) case of De Simon's theorem: the multiplier
+        # bound, and so the ratio and sup gates below, hold only there.
+        params = norms.MixedNormParams(p=2.0, q=2.0)
+        op = spectral.laplacian_multiplier()
+        ratios = []
+        for f in draw(grid, tgrid):
+            au = maxreg.de_simon_multiplier_solve(maxreg.LinearProblem(op, f))
+            # Each norm reads a local alias, so the samples it caches go with the
+            # alias: they would outlive their one use on au or on the ensemble.
+            ratios.append(
+                norms.bochner_mixed_norm(replace(au, coefficients=au.spectrum), params)
+                / norms.bochner_mixed_norm(replace(f, coefficients=f.spectrum), params)
+            )
+        sup = maxreg.multiplier_sup_norm(op, sigma, grid)
+        metrics = {
+            "ratio_max": max(ratios),
+            "multiplier_sup_norm": sup,
+        }
+        status = "pass" if max(ratios) <= 1.05 and 0.99 <= sup <= 1.0 else "fail"
+        series = {
+            "members": {
+                "columns": ["member", "au_over_f"],
+                "rows": [[i, r] for i, r in enumerate(ratios)],
+            }
+        }
+        return status, metrics, series
+
+    return run
+
+
+def _resolvent(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
     p = cfg.params
     # unpacking rejects an entry that is not a (Re z, Im z) pair
-    z_values = [(re_z, im_z) for re_z, im_z in p["z_values"]]
+    z_values = [(float(re_z), float(im_z)) for re_z, im_z in p["z_values"]]
+    num_nodes = int(p["num_nodes"])
     # the probe integrates over [0, 1/Re z]
     if not all(
-        float(re_z) > 0 and 0 < 1.0 / float(re_z) < math.inf and math.isfinite(float(im_z))
-        for re_z, im_z in z_values
+        re_z > 0 and 0 < 1.0 / re_z < math.inf and math.isfinite(im_z) for re_z, im_z in z_values
     ):
         raise ValueError("params.z_values entries need Re z > 0, with 1/Re z and Im z finite")
-    if int(p["num_nodes"]) < 2:
+    if num_nodes < 2:
         raise ValueError("params.num_nodes must be at least 2")
+    for re_z, _ in z_values:  # each probe's time grid, so a spacing it rejects is a config error
+        norms.uniform_time_grid(1.0 / re_z, num_nodes)
     x = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
-    return x * (1.0 / norms.spatial_lq_norm(x, 2)), z_values
+    x = x * (1.0 / norms.spatial_lq_norm(x, 2))
 
-
-def _run_resolvent(
-    cfg: ExperimentConfig, x: spectral.SpectralField, z_values: list[tuple[float, float]]
-) -> tuple[str, dict, dict]:
-    p = cfg.params
-    op = spectral.laplacian_multiplier()
-    rows = []
-    for re_z, im_z in z_values:
-        z = complex(float(re_z), float(im_z))
-        probe = maxreg.resolvent_via_maxreg(op, z, x, num_nodes=int(p["num_nodes"]))
-        rows.append([re_z, im_z, probe.deviation, probe.bound_constant])
-    # np.max keeps a NaN, which then fails both gates below
-    worst_dev, worst_bound = (float(w) for w in np.max([row[2:] for row in rows], axis=0))
-    metrics = {"max_deviation": worst_dev, "max_bound_constant": worst_bound}
-    # the resolvent of a nonzero x is never zero: a bound constant that is not
-    # positive means the probe underflowed
-    least_bound = min(row[3] for row in rows)
-    ok = worst_dev < 1e-6 and 0 < least_bound and worst_bound <= 2.1
-    status = "pass" if ok else "fail"
-    series = {
-        "probes": {
-            "columns": ["re_z", "im_z", "deviation", "bound_constant"],
-            "rows": rows,
+    def run() -> tuple[str, dict, dict]:
+        op = spectral.laplacian_multiplier()
+        rows = []
+        for re_z, im_z in z_values:
+            probe = maxreg.resolvent_via_maxreg(op, complex(re_z, im_z), x, num_nodes=num_nodes)
+            rows.append([re_z, im_z, probe.deviation, probe.bound_constant])
+        # np.max keeps a NaN, which then fails both gates below
+        worst_dev, worst_bound = (float(w) for w in np.max([row[2:] for row in rows], axis=0))
+        metrics = {"max_deviation": worst_dev, "max_bound_constant": worst_bound}
+        # the resolvent of a nonzero x is never zero: a bound constant that is not
+        # positive means the probe underflowed
+        least_bound = min(row[3] for row in rows)
+        ok = worst_dev < 1e-6 and 0 < least_bound and worst_bound <= 2.1
+        status = "pass" if ok else "fail"
+        series = {
+            "probes": {
+                "columns": ["re_z", "im_z", "deviation", "bound_constant"],
+                "rows": rows,
+            }
         }
-    }
-    return status, metrics, series
+        return status, metrics, series
+
+    return run
 
 
-def _set_up_hormander(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[spectral.TorusGrid, list[float], list[float]]:
+def _hormander(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
     p = cfg.params
     shifts = [float(s) for s in p["shifts"]]
     lams = [float(l) for l in p["scalar_lambdas"]]
@@ -663,114 +634,93 @@ def _set_up_hormander(
         raise ValueError("params.shifts entries must be nonzero and finite")
     if not all(0 < lam < math.inf for lam in lams):
         raise ValueError("params.scalar_lambdas entries must be positive and finite")
-    return grid, shifts, lams
 
-
-def _run_hormander(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, shifts: list[float], lams: list[float]
-) -> tuple[str, dict, dict]:
-    report = maxreg.hormander_check(spectral.laplacian_multiplier(), shifts, grid)
-    # scale invariance: scalar spectra {lam} share one integral profile
-    scalar_cs = []
-    for lam in lams:
-        scalar = maxreg.hormander_check(
-            spectral.constant_multiplier(lam), [s / lam for s in shifts], grid
+    def run() -> tuple[str, dict, dict]:
+        report = maxreg.hormander_check(spectral.laplacian_multiplier(), shifts, grid)
+        # scale invariance: scalar spectra {lam} share one integral profile
+        scalar_cs = []
+        for lam in lams:
+            scalar = maxreg.hormander_check(
+                spectral.constant_multiplier(lam), [s / lam for s in shifts], grid
+            )
+            scalar_cs.append(scalar.c_estimate)
+        invariance = max(scalar_cs) - min(scalar_cs)
+        # closed form for a single rate: exp(-s lam) (1 - exp(-s lam))
+        oracle = max(
+            math.exp(-s * lams[0]) * (1.0 - math.exp(-s * lams[0]))
+            for s in [x / lams[0] for x in shifts]
         )
-        scalar_cs.append(scalar.c_estimate)
-    invariance = max(scalar_cs) - min(scalar_cs)
-    # closed form for a single rate: exp(-s lam) (1 - exp(-s lam))
-    oracle = max(
-        math.exp(-s * lams[0]) * (1.0 - math.exp(-s * lams[0])) for s in [x / lams[0] for x in shifts]
-    )
-    oracle_gap = abs(scalar_cs[0] - oracle)
-    metrics = {
-        "c_estimate": report.c_estimate,
-        "scalar_c": scalar_cs[0],
-        "scale_invariance_gap": invariance,
-        "closed_form_gap": oracle_gap,
-        "smallest_shift_integral": report.integrals[0],
-    }
-    status = "pass" if invariance <= 1e-6 and oracle_gap <= 1e-6 else "fail"
-    series = {
-        "shifts": {
-            "columns": ["s", "integral"],
-            "rows": [[s, v] for s, v in zip(report.shifts, report.integrals)],
+        oracle_gap = abs(scalar_cs[0] - oracle)
+        metrics = {
+            "c_estimate": report.c_estimate,
+            "scalar_c": scalar_cs[0],
+            "scale_invariance_gap": invariance,
+            "closed_form_gap": oracle_gap,
+            "smallest_shift_integral": report.integrals[0],
         }
-    }
-    return status, metrics, series
+        status = "pass" if invariance <= 1e-6 and oracle_gap <= 1e-6 else "fail"
+        series = {
+            "shifts": {
+                "columns": ["s", "integral"],
+                "rows": [[s, v] for s, v in zip(report.shifts, report.integrals)],
+            }
+        }
+        return status, metrics, series
+
+    return run
 
 
-def _set_up_rbound(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[spectral.TorusGrid, list[spectral.FourierMultiplier]]:
+def _rbound(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
     p = cfg.params
-    if int(p["trials"]) < 1:
+    kind, trials, vectors = str(p["kind"]), int(p["trials"]), int(p["vectors_per_trial"])
+    coefficients = [float(c) for c in p["coefficients"]]
+    sigmas = [float(s) for s in p["sigmas"]]
+    if trials < 1:
         raise ValueError("params.trials must be at least 1")
-    if p["kind"] == "scalar":
-        if not all(math.isfinite(float(c)) for c in p["coefficients"]):
+    if kind == "scalar":
+        if not all(math.isfinite(c) for c in coefficients):
             raise ValueError("params.coefficients entries must be finite")
-        family = [spectral.constant_multiplier(float(c)) for c in p["coefficients"]]
-    elif p["kind"] == "identity":
-        family = [spectral.identity_multiplier() for _ in range(len(p["coefficients"]))]
-    elif p["kind"] == "resolvent":
-        if not all(math.isfinite(float(s)) for s in p["sigmas"]):
+        family = [spectral.constant_multiplier(c) for c in coefficients]
+    elif kind == "identity":
+        family = [spectral.identity_multiplier() for _ in coefficients]
+    elif kind == "resolvent":
+        if not all(math.isfinite(s) for s in sigmas):
             raise ValueError("params.sigmas entries must be finite")
-        family = [spectral.resolvent_scalar_multiplier(float(s)) for s in p["sigmas"]]
+        family = [spectral.resolvent_scalar_multiplier(s) for s in sigmas]
     else:
         raise ValueError("params.kind must be 'scalar', 'identity' or 'resolvent'")
-    return grid, family
 
-
-def _run_rbound(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, family: list[spectral.FourierMultiplier]
-) -> tuple[str, dict, dict]:
-    p = cfg.params
-    kind = str(p["kind"])
-    est = maxreg.rbound_estimate(
-        family,
-        int(p["trials"]),
-        int(p["vectors_per_trial"]),
-        grid=grid,
-        seed=cfg.rng_seed,
-    )
-    metrics: dict[str, Any] = {
-        "estimate": est.estimate,
-        "uniform_bound": est.uniform_bound,
-        "exact_signs": est.exact_signs,
-        "sign_samples": est.sign_samples,
-    }
-    if kind == "resolvent":
-        sup = maxreg.multiplier_sup_norm(
-            spectral.laplacian_multiplier(), [float(s) for s in p["sigmas"]], grid
-        )
-        metrics["multiplier_sup_norm"] = sup
-        ok = est.estimate >= sup - 0.05 and math.isfinite(est.estimate)
-    elif kind == "identity":
-        ok = abs(est.estimate - 1.0) <= 0.02
-    else:
-        expected = max(abs(float(c)) for c in p["coefficients"])
-        metrics["expected"] = expected
-        ok = abs(est.estimate - expected) <= 0.05 * expected
-    status = "pass" if ok else "fail"
-    series = {
-        "estimate": {
-            "columns": ["estimate", "uniform_bound"],
-            "rows": [[est.estimate, est.uniform_bound]],
+    def run() -> tuple[str, dict, dict]:
+        est = maxreg.rbound_estimate(family, trials, vectors, grid=grid, seed=cfg.rng_seed)
+        metrics: dict[str, Any] = {
+            "estimate": est.estimate,
+            "uniform_bound": est.uniform_bound,
+            "exact_signs": est.exact_signs,
+            "sign_samples": est.sign_samples,
         }
-    }
-    return status, metrics, series
+        if kind == "resolvent":
+            sup = maxreg.multiplier_sup_norm(spectral.laplacian_multiplier(), sigmas, grid)
+            metrics["multiplier_sup_norm"] = sup
+            ok = est.estimate >= sup - 0.05 and math.isfinite(est.estimate)
+        elif kind == "identity":
+            ok = abs(est.estimate - 1.0) <= 0.02
+        else:
+            expected = max(abs(c) for c in coefficients)
+            metrics["expected"] = expected
+            ok = abs(est.estimate - expected) <= 0.05 * expected
+        status = "pass" if ok else "fail"
+        series = {
+            "estimate": {
+                "columns": ["estimate", "uniform_bound"],
+                "rows": [[est.estimate, est.uniform_bound]],
+            }
+        }
+        return status, metrics, series
+
+    return run
 
 
-def _set_up_scaling(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[
-    int,
-    norms.ScalingLaw,
-    norms.MixedNormParams,
-    norms.MixedNormParams,
-    list[float],
-    norms.ParabolicGaussianProfile,
-]:
+def _scaling(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
     p = cfg.params
     if p["law"] == "nlhe":
         law = norms.nlhe_scaling_law(float(p["nu"]))
@@ -787,52 +737,56 @@ def _set_up_scaling(
     if not inv_p_off > 0:
         raise ValueError("params.off_critical_shift must leave 1/p positive")
     params_off = norms.MixedNormParams(p=1.0 / inv_p_off, q=params.q)
+    n = grid.dimension
     # the profile scaling_invariance_test measures by default; every continuum
     # norm the run takes, of it and of its rescalings, must converge and stay
     # in floating-point range (a rescaling that leaves it raises ArithmeticError)
     profile = norms.ParabolicGaussianProfile(amplitude=1.0, offset=1.0, sigma=1.5)
     for pair in (params, params_off):
-        norms.continuum_mixed_norm(profile, pair, grid.dimension)
+        norms.continuum_mixed_norm(profile, pair, n)
         for lam in lams:
             rescaled = norms.scaling_transform(profile, lam, law)
-            if not 0 < norms.continuum_mixed_norm(rescaled, pair, grid.dimension) < math.inf:
+            if not 0 < norms.continuum_mixed_norm(rescaled, pair, n) < math.inf:
                 raise ValueError(f"params.lambda_set entry {lam} takes a norm out of range")
-    return grid.dimension, law, params, params_off, lams, profile
 
-
-def _run_scaling(
-    cfg: ExperimentConfig,
-    n: int,
-    law: norms.ScalingLaw,
-    params: norms.MixedNormParams,
-    params_off: norms.MixedNormParams,
-    lams: list[float],
-    profile: norms.ParabolicGaussianProfile,
-) -> tuple[str, dict, dict]:
-    critical = problems.scaling_invariance_test(law, params, n, lams, profile)
-    off = problems.scaling_invariance_test(law, params_off, n, lams, profile)
-    metrics = {
-        "critical_defect": critical.defect,
-        "critical_max_deviation": critical.max_ratio_deviation,
-        "off_defect": off.defect,
-        "off_exponent_error": off.max_exponent_error,
-    }
-    ok = (
-        abs(critical.defect) <= 1e-12
-        and critical.max_ratio_deviation <= 1e-6
-        and off.max_exponent_error <= 1e-4
-    )
-    status = "pass" if ok else "fail"
-    series = {
-        "lambdas": {
-            "columns": ["lam", "critical_norm", "off_norm"],
-            "rows": [
-                [lam, cn, on]
-                for lam, cn, on in zip(lams, critical.norms, off.norms)
-            ],
+    def run() -> tuple[str, dict, dict]:
+        critical = problems.scaling_invariance_test(law, params, n, lams, profile)
+        off = problems.scaling_invariance_test(law, params_off, n, lams, profile)
+        metrics = {
+            "critical_defect": critical.defect,
+            "critical_max_deviation": critical.max_ratio_deviation,
+            "off_defect": off.defect,
+            "off_exponent_error": off.max_exponent_error,
         }
-    }
-    return status, metrics, series
+        ok = (
+            abs(critical.defect) <= 1e-12
+            and critical.max_ratio_deviation <= 1e-6
+            and off.max_exponent_error <= 1e-4
+        )
+        status = "pass" if ok else "fail"
+        series = {
+            "lambdas": {
+                "columns": ["lam", "critical_norm", "off_norm"],
+                "rows": [
+                    [lam, cn, on]
+                    for lam, cn, on in zip(lams, critical.norms, off.norms)
+                ],
+            }
+        }
+        return status, metrics, series
+
+    return run
+
+
+def _picard_args(cfg: ExperimentConfig) -> tuple[float, int]:
+    """The config's ``(picard_tol, max_iter)``, rejecting the settings
+    :func:`picard.run_picard` refuses."""
+    tol, max_iter = float(cfg.params["picard_tol"]), int(cfg.params["max_iter"])
+    if max_iter < 1:
+        raise ValueError("params.max_iter must be at least 1")
+    if not 0 < tol < math.inf:
+        raise ValueError("params.picard_tol must be positive and finite")
+    return tol, max_iter
 
 
 def _existence_series(report: problems.ExistenceReport) -> dict[str, dict[str, Any]]:
@@ -887,91 +841,62 @@ def _contraction_bound_ok(report: problems.ExistenceReport) -> bool:
     return True
 
 
-def _check_picard(p: dict[str, Any]) -> None:
-    """Reject the Picard settings that :func:`picard.run_picard` refuses."""
-    if int(p["max_iter"]) < 1:
-        raise ValueError("params.max_iter must be at least 1")
-    if not 0 < float(p["picard_tol"]) < math.inf:
-        raise ValueError("params.picard_tol must be positive and finite")
-
-
-def _check_bootstrap_p(p: dict[str, Any]) -> None:
-    """Reject the time exponent :func:`problems.uniqueness_bootstrap` refuses."""
-    if not float(p["bootstrap_p"]) > 1:
-        raise ValueError("params.bootstrap_p must exceed 1")
-
-
-def _sweep_args(cfg: ExperimentConfig) -> tuple[norms.MixedNormParams, list[float]]:
-    """The exponents and data sizes of an existence sweep, range-checked; the
-    sweep measures its data by :func:`norms.besov_heat_norm`."""
-    _check_picard(cfg.params)
+def _existence(cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsProblem) -> _Run:
+    """The existence sweep of ``nlhe-exist`` and ``ns-exist``; it measures
+    its data by :func:`norms.besov_heat_norm`, which needs a finite ``p``."""
+    tol, max_iter = _picard_args(cfg)
     eta_grid = [float(e) for e in cfg.params["eta_grid"]]
     if not all(0 <= eta < math.inf for eta in eta_grid):
         raise ValueError("params.eta_grid entries must be nonnegative and finite")
-    params = _mixed_params(cfg)
-    if math.isinf(params.p):
+    if math.isinf(prob.params.p):
         raise ValueError("params.p: the heat-extension data norm requires finite exponents")
-    return params, eta_grid
+
+    def run() -> tuple[str, dict, dict]:
+        report = problems.existence_sweep(
+            prob, eta_grid, tol=tol, max_iter=max_iter, seed=cfg.rng_seed
+        )
+        converged = [e for e in report.entries if e.certificate.converged and e.eta > 0]
+        best = min((e.certificate.residual for e in converged), default=float("inf"))
+        metrics = {
+            "M_used": report.M_used,
+            "threshold": report.threshold,
+            "monotone": report.monotone,
+            "best_residual": best,
+            "contraction_bound_ok": _contraction_bound_ok(report),
+        }
+        ok = (
+            report.threshold > 0
+            and best <= 1e-8
+            and report.monotone
+            and metrics["contraction_bound_ok"]
+        )
+        series = _existence_series(report)
+        if isinstance(prob, problems.NsProblem):
+            worst_div = max(e.max_divergence for e in report.entries)
+            metrics["max_divergence"] = worst_div
+            ok = ok and worst_div <= 1e-10
+            series["eta_sweep"]["columns"].append("max_divergence")
+            for row, e in zip(series["eta_sweep"]["rows"], report.entries):
+                row.append(e.max_divergence)
+        else:
+            metrics["existence_regime"] = prob.existence_regime
+        return ("pass" if ok else "fail"), metrics, series
+
+    return run
 
 
-def _run_existence(
-    cfg: ExperimentConfig,
-    prob: problems.NlheProblem | problems.NsProblem,
-    eta_grid: list[float],
-) -> tuple[str, dict, dict]:
+def _nlhe_exist(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
     p = cfg.params
-    report = problems.existence_sweep(
-        prob,
-        eta_grid,
-        tol=float(p["picard_tol"]),
-        max_iter=int(p["max_iter"]),
-        seed=cfg.rng_seed,
-    )
-    best = min(
-        (e.certificate.residual for e in report.entries if e.certificate.converged and e.eta > 0),
-        default=float("inf"),
-    )
-    metrics = {
-        "M_used": report.M_used,
-        "threshold": report.threshold,
-        "monotone": report.monotone,
-        "best_residual": best,
-        "contraction_bound_ok": _contraction_bound_ok(report),
-    }
-    ok = (
-        report.threshold > 0
-        and best <= 1e-8
-        and report.monotone
-        and metrics["contraction_bound_ok"]
-    )
-    series = _existence_series(report)
-    if isinstance(prob, problems.NsProblem):
-        worst_div = max(e.max_divergence for e in report.entries)
-        metrics["max_divergence"] = worst_div
-        ok = ok and worst_div <= 1e-10
-        series["eta_sweep"]["columns"].append("max_divergence")
-        for row, e in zip(series["eta_sweep"]["rows"], report.entries):
-            row.append(e.max_divergence)
-    else:
-        metrics["existence_regime"] = prob.existence_regime
-    return ("pass" if ok else "fail"), metrics, series
-
-
-def _set_up_nlhe_exist(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[problems.NlheProblem, list[float]]:
-    p = cfg.params
-    params, eta_grid = _sweep_args(cfg)
     u0 = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
     prob = problems.NlheProblem(
         nu=float(p["nu"]),
-        params=params,
+        params=_mixed_params(cfg),
         u0=u0,
         time_grid=tgrid,
         variant=str(p["variant"]),
         critical=bool(p["critical"]),
     )
-    return prob, eta_grid
+    return _existence(cfg, prob)
 
 
 def _taylor_green_type_field(
@@ -998,15 +923,20 @@ def _taylor_green_type_field(
     return u0
 
 
-def _set_up_ns_exist(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[problems.NsProblem, list[float]]:
-    params, eta_grid = _sweep_args(cfg)
+def _ns_exist(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
     u0 = _taylor_green_type_field(grid, float(cfg.params["perturbation"]), cfg.rng_seed)
     prob = problems.NsProblem(
-        params=params, u0=u0, time_grid=tgrid, critical=bool(cfg.params["critical"])
+        params=_mixed_params(cfg), u0=u0, time_grid=tgrid, critical=bool(cfg.params["critical"])
     )
-    return prob, eta_grid
+    return _existence(cfg, prob)
+
+
+def _check_source_exponent(n: int, q: float) -> None:
+    """Reject a ``q`` whose smoothing-probe source exponent ``nq/(n+q)`` is
+    not above 1; written as ``not ... > 1`` so that ``q = inf`` (a NaN
+    ratio) is rejected too."""
+    if not (q > 1 and n * q / (n + q) > 1):
+        raise ValueError(f"params.q = {q} in dimension {n}: source exponent nq/(n+q) must exceed 1")
 
 
 def _unique_series(report: problems.UniquenessReport) -> dict[str, dict[str, Any]]:
@@ -1041,41 +971,6 @@ def _unique_series(report: problems.UniquenessReport) -> dict[str, dict[str, Any
     }
 
 
-def _run_unique(
-    cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsProblem
-) -> tuple[str, dict, dict]:
-    p = cfg.params
-    tol = float(p["picard_tol"])
-    report = problems.uniqueness_bootstrap(
-        prob, p=float(p["bootstrap_p"]), tol=tol, max_iter=int(p["max_iter"]), seed=cfg.rng_seed
-    )
-    route_a, route_b = report.routes
-    if not (route_a.converged and route_b.converged):
-        return (
-            "inconclusive",
-            {"route_a_converged": route_a.converged, "route_b_converged": route_b.converged},
-            {},
-        )
-    smoothing = report.smoothing  # not None: the set-up checked its source exponent
-    metrics = {
-        "status": report.status,
-        "C_used": report.C_used,
-        "segments": len(report.segments),
-        "max_factor": report.max_factor,
-        "max_separation": report.max_separation,
-        "smoothing_max_spread": smoothing.max_spread,
-        "dimension_restriction_met": report.dimension_restriction_met,
-    }
-    ok = (
-        report.status == "complete"
-        and report.max_factor <= 0.75
-        and report.max_separation <= 10.0 * tol
-        and smoothing.max_spread <= 3.0
-    )
-    status = "pass" if ok else ("inconclusive" if report.status == "inconclusive" else "fail")
-    return status, metrics, _unique_series(report)
-
-
 def _scaled_to_eta(
     cfg: ExperimentConfig, u0: spectral.SpectralField, params: norms.MixedNormParams
 ) -> spectral.SpectralField:
@@ -1086,20 +981,51 @@ def _scaled_to_eta(
     return u0 * (eta / norms.besov_heat_norm(u0, params))
 
 
-def _check_source_exponent(n: int, q: float) -> None:
-    """Reject a ``q`` whose smoothing-probe source exponent ``nq/(n+q)`` is
-    not above 1; written as ``not ... > 1`` so that ``q = inf`` (a NaN
-    ratio) is rejected too."""
-    if not (q > 1 and n * q / (n + q) > 1):
-        raise ValueError(f"params.q = {q} in dimension {n}: source exponent nq/(n+q) must exceed 1")
+def _uniqueness(cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsProblem) -> _Run:
+    """The uniqueness bootstrap of ``nlhe-unique`` and ``ns-unique``; it
+    refuses a time exponent ``bootstrap_p`` of at most 1, and its smoothing
+    probe needs the source exponent checked here."""
+    tol, max_iter = _picard_args(cfg)
+    boot_p = float(cfg.params["bootstrap_p"])
+    if not boot_p > 1:
+        raise ValueError("params.bootstrap_p must exceed 1")
+    _check_source_exponent(prob.dimension, prob.params.q)
+
+    def run() -> tuple[str, dict, dict]:
+        report = problems.uniqueness_bootstrap(
+            prob, p=boot_p, tol=tol, max_iter=max_iter, seed=cfg.rng_seed
+        )
+        route_a, route_b = report.routes
+        if not (route_a.converged and route_b.converged):
+            return (
+                "inconclusive",
+                {"route_a_converged": route_a.converged, "route_b_converged": route_b.converged},
+                {},
+            )
+        smoothing = report.smoothing  # not None: the source exponent is checked above
+        metrics = {
+            "status": report.status,
+            "C_used": report.C_used,
+            "segments": len(report.segments),
+            "max_factor": report.max_factor,
+            "max_separation": report.max_separation,
+            "smoothing_max_spread": smoothing.max_spread,
+            "dimension_restriction_met": report.dimension_restriction_met,
+        }
+        ok = (
+            report.status == "complete"
+            and report.max_factor <= 0.75
+            and report.max_separation <= 10.0 * tol
+            and smoothing.max_spread <= 3.0
+        )
+        status = "pass" if ok else ("inconclusive" if report.status == "inconclusive" else "fail")
+        return status, metrics, _unique_series(report)
+
+    return run
 
 
-def _set_up_nlhe_unique(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[problems.NlheProblem]:
+def _nlhe_unique(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
     p = cfg.params
-    _check_picard(p)
-    _check_bootstrap_p(p)
     params = _mixed_params(cfg)
     u0 = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
     prob = problems.NlheProblem(
@@ -1109,134 +1035,124 @@ def _set_up_nlhe_unique(
         time_grid=tgrid,
         variant=str(p["variant"]),
     )
-    _check_source_exponent(grid.dimension, params.q)
-    return (prob,)
+    return _uniqueness(cfg, prob)
 
 
-def _set_up_ns_unique(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[problems.NsProblem]:
-    _check_picard(cfg.params)
-    _check_bootstrap_p(cfg.params)
+def _ns_unique(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
     params = _mixed_params(cfg)
     u0 = _scaled_to_eta(cfg, problems.taylor_green_field(grid), params)
-    prob = problems.NsProblem(params=params, u0=u0, time_grid=tgrid)
-    _check_source_exponent(grid.dimension, params.q)
-    return (prob,)
+    return _uniqueness(cfg, problems.NsProblem(params=params, u0=u0, time_grid=tgrid))
 
 
-def _set_up_lipschitz(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[list[float]]:
+def _lipschitz(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
     p = cfg.params
     nu_values = [float(nu) for nu in p["nu_values"]]
+    samples = int(p["samples"])
     if not all(1 < nu < math.inf for nu in nu_values):
         raise ValueError("params.nu_values entries must exceed 1 and be finite")
-    if int(p["samples"]) < 1:
+    if samples < 1:
         raise ValueError("params.samples must be at least 1")
-    return (nu_values,)
+
+    def run() -> tuple[str, dict, dict]:
+        rows = [
+            [nu, problems.nonlinearity_lipschitz_check(nu, samples, seed=cfg.rng_seed)]
+            for nu in nu_values
+        ]
+        worst = float(np.max([violation for _, violation in rows]))  # a NaN stays, and fails
+        metrics = {"max_violation": worst}
+        status = "pass" if worst <= 0.0 else "fail"
+        series = {"violations": {"columns": ["nu", "max_violation"], "rows": rows}}
+        return status, metrics, series
+
+    return run
 
 
-def _run_lipschitz(cfg: ExperimentConfig, nu_values: list[float]) -> tuple[str, dict, dict]:
+def _smoothing(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
     p = cfg.params
-    rows = [
-        [nu, problems.nonlinearity_lipschitz_check(nu, int(p["samples"]), seed=cfg.rng_seed)]
-        for nu in nu_values
-    ]
-    worst = float(np.max([violation for _, violation in rows]))  # a NaN stays, and fails
-    metrics = {"max_violation": worst}
-    status = "pass" if worst <= 0.0 else "fail"
-    series = {"violations": {"columns": ["nu", "max_violation"], "rows": rows}}
-    return status, metrics, series
-
-
-def _set_up_smoothing(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> tuple[spectral.TorusGrid, list[float]]:
-    p = cfg.params
-    _check_source_exponent(grid.dimension, float(p["q"]))
-    if int(p["octaves"]) < 0:
+    q, octaves, num_fields = float(p["q"]), int(p["octaves"]), int(p["num_fields"])
+    _check_source_exponent(grid.dimension, q)
+    if octaves < 0:
         raise ValueError("params.octaves must be nonnegative")
-    if int(p["num_fields"]) < 1:
+    if num_fields < 1:
         raise ValueError("params.num_fields must be at least 1")
-    return grid, problems.default_smoothing_radii(grid, int(p["octaves"]))
+    r_values = problems.default_smoothing_radii(grid, octaves)
+
+    def run() -> tuple[str, dict, dict]:
+        report = problems.smoothing_estimate_check(
+            grid, q, r_values, num_fields=num_fields, seed=cfg.rng_seed
+        )
+        metrics = {
+            "max_ratio": report.max_ratio,
+            "max_spread": report.max_spread,
+            "source_exponent": report.source_exponent,
+        }
+        status = "pass" if report.max_spread <= 3.0 else "fail"
+        rows = []
+        for i, row in enumerate(report.ratios):
+            for r, value in zip(report.r_values, row):
+                rows.append([i, r, value])
+        series = {"ratios": {"columns": ["field", "r", "ratio"], "rows": rows}}
+        return status, metrics, series
+
+    return run
 
 
-def _run_smoothing(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, r_values: list[float]
-) -> tuple[str, dict, dict]:
-    p = cfg.params
-    report = problems.smoothing_estimate_check(
-        grid, float(p["q"]), r_values, num_fields=int(p["num_fields"]), seed=cfg.rng_seed
-    )
-    metrics = {
-        "max_ratio": report.max_ratio,
-        "max_spread": report.max_spread,
-        "source_exponent": report.source_exponent,
-    }
-    status = "pass" if report.max_spread <= 3.0 else "fail"
-    rows = []
-    for i, row in enumerate(report.ratios):
-        for r, value in zip(report.r_values, row):
-            rows.append([i, r, value])
-    series = {"ratios": {"columns": ["field", "r", "ratio"], "rows": rows}}
-    return status, metrics, series
-
-
-_EXPERIMENTS: dict[str, tuple[Callable[..., tuple], Callable[..., tuple[str, dict, dict]]]] = {
-    "maxreg": (_set_up_maxreg, _run_maxreg),
-    "weighted-maxreg": (_set_up_weighted_maxreg, _run_weighted_maxreg),
-    "desimon": (_set_up_desimon, _run_desimon),
-    "resolvent": (_set_up_resolvent, _run_resolvent),
-    "hormander": (_set_up_hormander, _run_hormander),
-    "rbound": (_set_up_rbound, _run_rbound),
-    "scaling": (_set_up_scaling, _run_scaling),
-    "nlhe-exist": (_set_up_nlhe_exist, _run_existence),
-    "ns-exist": (_set_up_ns_exist, _run_existence),
-    "nlhe-unique": (_set_up_nlhe_unique, _run_unique),
-    "ns-unique": (_set_up_ns_unique, _run_unique),
-    "lipschitz": (_set_up_lipschitz, _run_lipschitz),
-    "smoothing": (_set_up_smoothing, _run_smoothing),
+_EXPERIMENTS: dict[
+    str, Callable[[ExperimentConfig, spectral.TorusGrid, norms.TimeGrid], _Run]
+] = {
+    "maxreg": _maxreg,
+    "weighted-maxreg": _weighted_maxreg,
+    "desimon": _desimon,
+    "resolvent": _resolvent,
+    "hormander": _hormander,
+    "rbound": _rbound,
+    "scaling": _scaling,
+    "nlhe-exist": _nlhe_exist,
+    "ns-exist": _ns_exist,
+    "nlhe-unique": _nlhe_unique,
+    "ns-unique": _ns_unique,
+    "lipschitz": _lipschitz,
+    "smoothing": _smoothing,
 }
 
 
-def _set_up(cfg: ExperimentConfig) -> tuple:
-    """The experiment's domain objects; a value they reject is a config error.
+def _prepare(cfg: ExperimentConfig) -> _Run:
+    """The experiment's run, every key checked; a value rejected on the way
+    is a config error.
 
     The grid and the time grid are built for every experiment, so a bad
     ``grid`` or ``time`` block is rejected even where the run ignores it.
     """
-    set_up, _ = _EXPERIMENTS[cfg.experiment]
     try:
         if cfg.threads < 1:
             raise ValueError("threads must be at least 1")
-        return set_up(cfg, cfg.make_grid(), cfg.make_time_grid())
+        return _EXPERIMENTS[cfg.experiment](cfg, cfg.make_grid(), cfg.make_time_grid())
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{cfg.experiment} set-up rejected the config: {exc}") from exc
 
 
 def check_config(cfg: ExperimentConfig) -> None:
-    """Build the experiment's domain objects without running it.
+    """Prepare the experiment's run without calling it.
 
     This is the range check of every config value: it raises
-    :class:`ConfigError` for any value that :func:`load_config` accepts but
-    the set-up rejects, from the grid, the time grid and ``threads`` to the
-    experiment's problem, initial field, forcing-ensemble keys or parameter
-    lists.  It draws no forcing ensemble.
+    :class:`ConfigError` for any value that :func:`load_config` accepts
+    but the experiment rejects, from the grid, the time grid and
+    ``threads`` to the experiment's problem, initial field, forcing-ensemble
+    keys or parameter lists.  It draws no forcing ensemble.
     """
-    _set_up(cfg)
+    _prepare(cfg)
 
 
 def run_experiment(config: ExperimentConfig | str | Path | dict) -> ResultRecord:
     """Run one experiment and collect its structured result.
 
-    Errors from building the domain objects are raised as
-    :class:`ConfigError`; errors from the run itself propagate unchanged.
+    Errors from preparing the run are raised as :class:`ConfigError`;
+    errors from the run itself propagate unchanged.
     """
     cfg = config if isinstance(config, ExperimentConfig) else load_config(config)
     start = time.perf_counter()
-    built = _set_up(cfg)
-    status, metrics, series = _EXPERIMENTS[cfg.experiment][1](cfg, *built)
+    run = _prepare(cfg)
+    status, metrics, series = run()
     elapsed = time.perf_counter() - start
     return ResultRecord(
         experiment=cfg.experiment,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -119,6 +120,8 @@ def uniform_time_grid(horizon: float, num_nodes: int = 257) -> TimeGrid:
         raise ValueError("horizon must be positive and finite")
     if num_nodes < 2:
         raise ValueError("num_nodes must be at least 2")
+    if horizon / (num_nodes - 1) < sys.float_info.min:
+        raise ValueError("the node spacing horizon/(num_nodes - 1) must not be subnormal")
     nodes = np.linspace(0.0, horizon, num_nodes)
     return TimeGrid(nodes, _trapezoid_weights(nodes))
 

@@ -107,6 +107,8 @@ class NlheProblem:
             raise ValueError("nonlinearity exponent nu must exceed 1 and be finite")
         if self.u0.components != 1:
             raise ValueError("nlhe initial data must be scalar")
+        if not np.isfinite(self.u0.spectrum).all():
+            raise ValueError("initial field must have finite coefficients")
         if self.variant not in ("signed", "unsigned"):
             raise ValueError("variant must be 'signed' or 'unsigned'")
         if self.critical:
@@ -147,6 +149,8 @@ class NsProblem:
             raise ValueError("momentum problem needs dimension at least 2")
         if self.u0.components != grid.dimension:
             raise ValueError("initial field must have one component per dimension")
+        if not np.isfinite(self.u0.spectrum).all():
+            raise ValueError("initial field must have finite coefficients")
         div_norm = float(_parseval_l2(divergence(self.u0).spectrum, grid))
         scale = max(1.0, float(_parseval_l2(self.u0.spectrum, grid)))
         if div_norm > 1e-10 * scale:

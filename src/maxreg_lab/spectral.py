@@ -176,6 +176,15 @@ class TorusGrid:
             raise ValueError("points_per_axis must be a power of two, at least 4")
         if not 0 < L < np.inf:
             raise ValueError("period must be positive and finite")
+        try:  # a float power that overflows raises
+            in_range = self.cell_volume > 0 and np.isfinite([self.volume, np.pi * N / L]).all()
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError(
+                "period out of range: the cell volume (L/N)^n, the volume L^n and the top"
+                " wavenumber pi N/L must be positive and finite"
+            )
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Tests for experiment configuration, the runner registry, result files
+"""Tests for experiment configuration, the experiment registry, result files
 and the command-line front end."""
 
 import json
@@ -196,6 +196,35 @@ class TestRunExperiment:
             assert table["columns"]
             assert all(len(r) == len(table["columns"]) for r in table["rows"])
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "maxreg", "params": {"ensemble_size": 2, "refine": True}},
+            {"experiment": "weighted-maxreg", "params": {"ensemble_size": 2}},
+            {"experiment": "desimon", "params": {"ensemble_size": 2}},
+            {"experiment": "resolvent", "params": {"num_nodes": 65}},
+            {"experiment": "hormander"},
+            {"experiment": "rbound", "params": {"kind": "resolvent", "trials": 1}},
+            {"experiment": "scaling"},
+            {"experiment": "nlhe-exist", "params": {"eta_grid": [0.0, 0.1]}},
+            {"experiment": "ns-exist", "params": {"eta_grid": [0.0, 0.1]}},
+            {"experiment": "nlhe-unique"},
+            {"experiment": "ns-unique"},
+            {"experiment": "lipschitz", "params": {"samples": 100}},
+            {"experiment": "smoothing", "params": {"num_fields": 1}},
+        ],
+        ids=lambda config: config["experiment"],
+    )
+    def test_run_reads_no_config_key(self, config):
+        """Every key is read and checked before the run is returned, so the
+        run works with the config's tables emptied."""
+        cfg = load_config({**config, "grid": {"points_per_axis": 8}, "time": {"num_nodes": 17}})
+        run = harness._prepare(cfg)
+        for table in (cfg.grid, cfg.time, cfg.params):
+            table.clear()
+        status, _, _ = run()
+        assert status in ("pass", "fail", "inconclusive")
+
     def test_maxreg_tiny_run_passes(self):
         record = run_experiment(load_config(TINY_MAXREG))
         assert record.status == "pass"
@@ -319,11 +348,17 @@ class TestCli:
     def test_crash_during_run_exits_four(self, tmp_path, capsys, monkeypatch):
         """An error that is not a config error is a crash, not a failed run."""
 
-        def crash(*args, **kwargs):
-            raise RuntimeError("numerics broke")
+        prepare = harness._EXPERIMENTS["lipschitz"]
 
-        set_up, _ = harness._EXPERIMENTS["lipschitz"]
-        monkeypatch.setitem(harness._EXPERIMENTS, "lipschitz", (set_up, crash))
+        def crashing(*args):
+            prepare(*args)
+
+            def run():
+                raise RuntimeError("numerics broke")
+
+            return run
+
+        monkeypatch.setitem(harness._EXPERIMENTS, "lipschitz", crashing)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(TINY_LIPSCHITZ))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
@@ -439,6 +474,23 @@ class TestDomainChecks:
             ({"experiment": "nlhe-exist", "params": {"picard_tol": math.inf}}, "picard_tol must be positive and finite"),
             ({"experiment": "lipschitz", "params": {"nu_values": [math.inf]}}, "nu_values entries must exceed 1 and be finite"),
             ({"experiment": "ns-unique", "params": {"eta": math.inf}}, "eta must be positive and finite"),
+            # a period whose cell volume underflows to 0 or whose volume or top wavenumber overflows
+            *(
+                ({"experiment": name, "grid": {"period": period}}, "period out of range")
+                for period, names in [
+                    (1e-320, ["maxreg", "weighted-maxreg", "desimon", "hormander", "nlhe-exist", "ns-exist"]),
+                    (1e300, ["maxreg", "weighted-maxreg", "desimon", "rbound", "nlhe-exist"]),
+                ]
+                for name in names
+            ),
+            # the perturbed initial field overflows
+            ({"experiment": "ns-exist", "params": {"perturbation": 1e308}}, "initial field must have finite coefficients"),
+            ({"experiment": "ns-exist", "params": {"perturbation": math.inf}}, "initial field must have finite coefficients"),
+            # the node spacing horizon/(num_nodes - 1) is subnormal
+            ({"experiment": "weighted-maxreg", "time": {"horizon": 1e-320}}, "node spacing"),
+            ({"experiment": "ns-exist", "time": {"horizon": 1e-320}}, "node spacing"),
+            ({"experiment": "nlhe-unique", "time": {"horizon": 1e-320}}, "node spacing"),
+            ({"experiment": "resolvent", "params": {"z_values": [[1e306, 0.0]]}}, "node spacing"),
         ],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):

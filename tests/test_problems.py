@@ -33,7 +33,7 @@ from maxreg_lab import (
     uniform_time_grid,
     uniqueness_bootstrap,
 )
-from maxreg_lab import bochner_mixed_norm, harness, problems
+from maxreg_lab import besov_heat_norm, bochner_mixed_norm, problems
 from maxreg_lab.harness import load_config, run_experiment
 
 
@@ -526,10 +526,11 @@ class TestSharedSampling:
         """One ``uniqueness_bootstrap`` call on the tiny ``ns-unique`` problem
         maps each of the 8 sampled fields once, zero once (the drift check)
         and each route's iterates plus its residual: 25 calls."""
-        cfg = load_config(
-            {"experiment": "ns-unique", "grid": {"points_per_axis": 8}, "time": {"num_nodes": 17}}
-        )
-        (prob,) = harness._set_up(cfg)
+        # the default ns-unique problem on an 8^3 grid with 17 nodes: eta 3, p 2, q 3
+        grid, params = TorusGrid(dimension=3, points_per_axis=8), MixedNormParams(p=2.0, q=3.0)
+        u0 = taylor_green_field(grid)
+        u0 = u0 * (3.0 / besov_heat_norm(u0, params))
+        prob = NsProblem(params=params, u0=u0, time_grid=uniform_time_grid(2.0, 17))
         maps, streams = [], []
         rhs, draw = problems.ns_rhs_map, problems.random_mean_free_field
         monkeypatch.setattr(problems, "ns_rhs_map", lambda u, prob: maps.append(1) or rhs(u, prob))
@@ -538,14 +539,7 @@ class TestSharedSampling:
             "random_mean_free_field",
             lambda grid, **kw: streams.append(kw.get("stream", 0)) or draw(grid, **kw),
         )
-        p = cfg.params
-        report = uniqueness_bootstrap(
-            prob,
-            p=p["bootstrap_p"],
-            tol=p["picard_tol"],
-            max_iter=p["max_iter"],
-            seed=cfg.rng_seed,
-        )
+        report = uniqueness_bootstrap(prob, p=2.0, tol=1e-9, max_iter=60, seed=0)
         assert report.status == "complete" and report.segments
         assert len(maps) == 8 + 1 + sum(cert.iterations + 1 for cert in report.routes) == 25
         assert sorted(s for s in streams if s >= 100) == list(range(100, 108))
