@@ -983,13 +983,16 @@ def _scaled_to_eta(
 
 def _uniqueness(cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsProblem) -> _Run:
     """The uniqueness bootstrap of ``nlhe-unique`` and ``ns-unique``; it
-    refuses a time exponent ``bootstrap_p`` of at most 1, and its smoothing
-    probe needs the source exponent checked here."""
+    refuses a time exponent ``bootstrap_p`` of at most 1, its smoothing
+    probe needs the source exponent checked here, and its walk takes
+    ``L^{n/(nu-1)}`` norms, so ``nu`` may not exceed ``n + 1``."""
     tol, max_iter = _picard_args(cfg)
     boot_p = float(cfg.params["bootstrap_p"])
     if not boot_p > 1:
         raise ValueError("params.bootstrap_p must exceed 1")
     _check_source_exponent(prob.dimension, prob.params.q)
+    if prob.nu > prob.dimension + 1:
+        raise ValueError(f"params.nu = {prob.nu} in dimension {prob.dimension}: n/(nu-1) below 1")
 
     def run() -> tuple[str, dict, dict]:
         report = problems.uniqueness_bootstrap(

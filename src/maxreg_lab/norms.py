@@ -302,8 +302,24 @@ def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
         # bit for bit with the same field's own
         total = np.sum(mag_sq * np.sqrt(mag_sq), axis=-1)
     else:
-        total = np.sum(mag_sq ** (q / 2.0), axis=-1)
+        with np.errstate(over="ignore"):
+            total = np.sum(mag_sq ** (q / 2.0), axis=-1)
+        # a large q under- or overflows the direct sum of a nonzero finite field
+        top = np.max(mag_sq, axis=-1)
+        lost = ((total == 0) | ~np.isfinite(total)) & (top > 0) & np.isfinite(top)
+        if np.any(lost):
+            scaled = _scaled_lp(np.sqrt(mag_sq), grid.cell_volume, q)
+            return np.where(lost, scaled, (total * grid.cell_volume) ** (1.0 / q))
     return (total * grid.cell_volume) ** (1.0 / q)
+
+
+def _scaled_lp(g: np.ndarray, weights: np.ndarray | float, p: float) -> np.ndarray:
+    """``(sum weights * g**p)**(1/p)`` over the last axis of nonnegative ``g``,
+    as ``max g * (sum weights * (g/max g)**p)**(1/p)``: a large ``p`` then
+    neither under- nor overflows."""
+    top = np.max(g, axis=-1, keepdims=True)
+    top = np.where(top > 0, top, 1.0)
+    return top[..., 0] * np.sum(weights * (g / top) ** p, axis=-1) ** (1.0 / p)
 
 
 def _parseval_l2(stored: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -326,10 +342,15 @@ def _node_spatial_norms(traj: Trajectory, q: float) -> np.ndarray:
 
 
 def _time_lp(g: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """``(sum weights * g**p)**(1/p)`` over nodal norms ``g``; ``max g`` for ``p = inf``."""
+    """``(sum weights * g**p)**(1/p)`` over nodal norms ``g``, rescaled by
+    ``max g`` when the sum under- or overflows; ``max g`` for ``p = inf``."""
     if math.isinf(p):
         return float(np.max(g))
-    return float(np.sum(weights * g**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = np.sum(weights * g**p)
+    if (total == 0 or not math.isfinite(total)) and 0 < np.max(g) < math.inf:
+        return float(_scaled_lp(g, weights, p))
+    return float(total ** (1.0 / p))
 
 
 def _time_weights(

@@ -674,12 +674,13 @@ class UniquenessReport:
 
     ``routes`` holds the certificates of both Picard runs.  Each segment
     records the mollification error, the three bracket quantities entering
-    the contraction bound, the resulting factor ``C * (q1 + q2 + q3)`` (at
-    most 3/4 when the segment was accepted) and the measured separation of
-    the two solutions on the segment.  ``smoothing`` is the heat-smoothing
-    probe that enters the constant, or ``None`` when its source exponent
-    ``nq/(n+q)`` is not above 1.  When a route does not converge, the run is
-    inconclusive: no probe, no constant (``C_used`` is NaN) and no segments.
+    the contraction bound (with the mollified heat flow bounded by its
+    initial norms), the resulting factor ``C * (q1 + q2 + q3)`` (at most
+    3/4 when accepted) and the measured separation on the segment.
+    ``smoothing`` is the heat-smoothing probe that enters the constant, or
+    ``None`` when its source exponent ``nq/(n+q)`` is not above 1.  When a
+    route does not converge, the run is inconclusive: no probe, no constant
+    (``C_used`` is NaN) and no segments.
     """
 
     status: str  # 'complete' | 'inconclusive'
@@ -701,41 +702,6 @@ class UniquenessReport:
     @property
     def max_separation(self) -> float:
         return max(self.separations) if self.separations else float("nan")
-
-
-def _sup_time_norm(
-    evaluate: Callable[[float], SpectralField],
-    nodes: np.ndarray,
-    vals: np.ndarray,
-    q: float,
-) -> float:
-    """Sup over a time interval of a continuously evaluable field norm.
-
-    Takes the max of the nodal norms ``vals``, then refines around the
-    argmax with a golden-section pass.
-    """
-    i = int(np.argmax(vals))
-    lo = nodes[max(i - 1, 0)]
-    hi = nodes[min(i + 1, len(nodes) - 1)]
-    best = float(vals[i])
-    if hi > lo:
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc = spatial_lq_norm(evaluate(c), q)
-        fd = spatial_lq_norm(evaluate(d), q)
-        for _ in range(24):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = spatial_lq_norm(evaluate(c), q)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = spatial_lq_norm(evaluate(d), q)
-        best = max(best, fc, fd)
-    return best
 
 
 def _mollify_by_cutoff(
@@ -815,11 +781,12 @@ def _segment_walk(
     the segment length ``tau`` shrinks until the three bracket quantities
     (sup-norm defects of both solutions against the mollified heat flow,
     and ``sqrt(tau)`` times the auxiliary norm of that flow) each drop
-    below ``1/(4C)``.  The resulting contraction factor is at most 3/4,
-    and the segment then advances; a segment that cannot be shrunk far
-    enough renders the run inconclusive.  Returns the status and one row
-    per accepted segment: its span, mollification error, cutoff radius,
-    bracket quantities, factor and separation.
+    below ``1/(4C)``; the flow's sup norms are the mollified slice's own,
+    as the heat semigroup contracts every ``L^r``.  The resulting factor
+    is at most 3/4, and the segment then advances; a segment that cannot
+    be shrunk far enough renders the run inconclusive.  Returns the status
+    and one row per accepted segment: its span, mollification error,
+    cutoff radius, bracket quantities, factor and separation.
     """
     q = prob.params.q
     nu = prob.nu
@@ -835,20 +802,17 @@ def _segment_walk(
         u0_eps, moll_err, radius = _mollify_by_cutoff(
             u.state(i0), 1.0 / (8.0 * C), nu, q
         )
+        # the heat semigroup contracts every L^r, r >= 1, so the sup over
+        # time of the mollified flow's norms is the datum's own norm
+        sup_flow_q = spatial_lq_norm(u0_eps, q)
+        sup_flow_aux = spatial_lq_norm(u0_eps, aux_q)
         t0 = nodes[i0]
         i1 = last
-        shifted = nodes[i0 : i1 + 1] - t0
-        flow = heat_extension(u0_eps, TimeGrid(shifted, _trapezoid_weights(shifted)))
-        flow_q = _node_spatial_norms(flow, q)
-        flow_aux = _node_spatial_norms(flow, aux_q)
-        evaluate = lambda t: heat_semigroup_apply(u0_eps, t - t0)
         while True:
             tau = nodes[i1] - t0
-            seg, k = slice(i0, i1 + 1), i1 - i0 + 1
-            sup_flow_q = _sup_time_norm(evaluate, nodes[seg], flow_q[:k], q)
+            seg = slice(i0, i1 + 1)
             q1 = abs(float(np.max(u_q[seg])) ** (nu - 1.0) - sup_flow_q ** (nu - 1.0))
             q2 = abs(float(np.max(v_q[seg])) ** (nu - 1.0) - sup_flow_q ** (nu - 1.0))
-            sup_flow_aux = _sup_time_norm(evaluate, nodes[seg], flow_aux[:k], aux_q)
             q3 = math.sqrt(tau) * sup_flow_aux ** (nu - 1.0)
             accepted = max(q1, q2, q3) <= 1.0 / (4.0 * C)
             if accepted or i1 == i0 + 1:

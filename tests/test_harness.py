@@ -491,6 +491,11 @@ class TestDomainChecks:
             ({"experiment": "ns-exist", "time": {"horizon": 1e-320}}, "node spacing"),
             ({"experiment": "nlhe-unique", "time": {"horizon": 1e-320}}, "node spacing"),
             ({"experiment": "resolvent", "params": {"z_values": [[1e306, 0.0]]}}, "node spacing"),
+            # the walk's auxiliary exponent n/(nu-1) falls below 1
+            ({"experiment": "nlhe-unique", "params": {"nu": 5.0, "eta": 0.05}}, "n/(nu-1) below 1"),
+            ({"experiment": "nlhe-unique", "params": {"nu": 4.0, "eta": 0.2}}, "n/(nu-1) below 1"),
+            ({"experiment": "nlhe-unique", "params": {"nu": 400.0}}, "n/(nu-1) below 1"),
+            ({"experiment": "nlhe-unique", "params": {"nu": 1e308}}, "n/(nu-1) below 1"),
         ],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):

@@ -28,6 +28,7 @@ from maxreg_lab import (
     log_time_grid,
     nlhe_scaling_law,
     ns_scaling_law,
+    random_mean_free_field,
     scaling_transform,
     spatial_lq_norm,
     uniform_time_grid,
@@ -133,6 +134,17 @@ class TestSpatialNorm:
         with pytest.raises(ValueError, match="q must be at least 1"):
             spatial_lq_norm(single_mode_field(grid1d), 0.5)
 
+    def test_large_q_scaled_by_sup(self, grid2d, rng):
+        """At ``q = 1000`` the direct sum of ``|u|**q`` underflows when
+        ``max |u| = 1e-3``; the norm still lies between the sup norm times
+        ``cell_volume**(1/q)`` and the sup norm times ``volume**(1/q)``."""
+        values = rng.standard_normal((1,) + grid2d.shape)
+        f = SpectralField.from_physical(grid2d, 1e-3 * values / np.max(np.abs(values)))
+        sup = spatial_lq_norm(f, math.inf)
+        got = spatial_lq_norm(f, 1000.0)
+        assert 0 < got <= sup * grid2d.volume ** (1 / 1000) * (1 + 1e-12)
+        assert got >= sup * grid2d.cell_volume ** (1 / 1000) * (1 - 1e-12)
+
     @given(c=st.floats(-10, 10, allow_nan=False), q=st.floats(1.0, 8.0))
     @settings(max_examples=40, deadline=None)
     def test_homogeneity(self, c, q):
@@ -164,6 +176,17 @@ class TestBochnerNorm:
         traj = self.make_separable(grid1d, tg, 2.0 - tg.nodes)
         got = bochner_mixed_norm(traj, MixedNormParams(p=math.inf, q=2.0))
         assert got == pytest.approx(2.0 * spatial_lq_norm(single_mode_field(grid1d), 2))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_large_p_matches_scaled_reference(self, grid1d, scale):
+        """At ``p = 1000`` the direct time sum of the nodal norms ``g`` under-
+        or overflows; the norm is ``max g * (sum w (g/max g)**p)**(1/p)``."""
+        tg = uniform_time_grid(1.0, 33)
+        traj = self.make_separable(grid1d, tg, scale * np.exp(-tg.nodes))
+        g = np.array([spatial_lq_norm(traj.state(i), 2.0) for i in range(tg.num_nodes)])
+        expect = g.max() * np.sum(tg.weights * (g / g.max()) ** 1000) ** (1 / 1000)
+        got = bochner_mixed_norm(traj, MixedNormParams(p=1000.0, q=2.0))
+        assert got == pytest.approx(expect, rel=1e-12)
 
     def test_weighted_mu_one_is_exactly_unweighted(self, grid1d, rng):
         """mu = 1 makes the weight identically one, bit for bit."""
@@ -257,6 +280,24 @@ class TestHeatExtension:
             np.testing.assert_allclose(
                 traj.state(i).coefficients, expect.coefficients, atol=1e-14
             )
+
+    @pytest.mark.parametrize("dimension, points", [(1, 16), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("band_limit", [None, 2, 3])
+    @pytest.mark.parametrize(
+        "time_grid", [uniform_time_grid(1.0, 17), log_time_grid(1e-3, 1.0, 16)], ids=["uniform", "log"]
+    )
+    def test_nodal_norms_do_not_increase(self, dimension, points, band_limit, time_grid):
+        """The heat semigroup contracts every ``L^q``, ``q >= 1``, so the
+        nodal norms of a heat extension never rise; the uniqueness walk
+        bounds the mollified heat flow by its initial norms on this premise.
+        ``q = inf`` is left out: the max over grid points misses the
+        continuum sup and can rise in time, and the walk never takes it."""
+        grid = TorusGrid(dimension=dimension, points_per_axis=points)
+        u0 = random_mean_free_field(grid, seed=dimension, band_limit=band_limit)
+        traj = heat_extension(u0, time_grid)
+        for q in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0):
+            vals = [spatial_lq_norm(traj.state(i), q) for i in range(time_grid.num_nodes)]
+            assert np.all(np.diff(vals) <= 0), q
 
 
 class TestBesovHeatNorm:
