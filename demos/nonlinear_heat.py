@@ -44,14 +44,14 @@ def main():
           f"{'conv?':>6} {'iters':>6} {'residual':>10} {'rate':>7}")
     for e in report.entries:
         c = e.certificate
-        print(f"{e.eta:>8.2f} {e.a_norm:>8.3f} {e.delta:>8.3f} "
-              f"{str(e.smallness_ok):>7} {str(c.converged):>6} "
+        print(f"{e.eta:>8.2f} {c.iterate_norms[0]:>8.3f} {c.delta:>8.3f} "
+              f"{str(c.smallness_ok):>7} {str(c.converged):>6} "
               f"{c.iterations:>6} {c.residual:>10.1e} "
               f"{c.contraction_rate:>7.3f}")
 
     print(f"\nlargest converged data size: eta = {report.threshold}")
     print(f"convergence monotone in the size: {report.monotone}")
-    delta = report.entries[0].delta
+    delta = report.entries[0].certificate.delta
     print(f"\nThe certified radius delta = {delta:.2f} and the observed "
           "breakdown bracket each other closely: the sampled constant "
           "keeps the gate honest without being wildly conservative.")

@@ -53,16 +53,10 @@ def main():
     print(f"status: {report.status}, measured constant C = {report.C_used:.3f}")
     print(f"{'segment':>20} {'cutoff':>8} {'moll err':>10} "
           f"{'factor':>8} {'separation':>12}")
-    for seg, radius, err, factor, sep in zip(
-        report.segments,
-        report.cutoff_radii,
-        report.mollification_errors,
-        report.factors,
-        report.separations,
-    ):
-        span = f"[{seg[0]:.3f}, {seg[1]:.3f}]"
-        print(f"{span:>20} {radius:>8.2f} {err:>10.2e} "
-              f"{factor:>8.3f} {sep:>12.2e}")
+    for seg in report.segments:
+        span = f"[{seg.t_start:.3f}, {seg.t_end:.3f}]"
+        print(f"{span:>20} {seg.cutoff_radius:>8.2f} {seg.moll_error:>10.2e} "
+              f"{seg.factor:>8.3f} {seg.separation:>12.2e}")
     print(f"\nworst factor:     {report.max_factor:.3f} (must stay <= 0.75)")
     print(f"worst separation: {report.max_separation:.2e} "
           "(both routes really found the same solution)")

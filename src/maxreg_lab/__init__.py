@@ -19,10 +19,8 @@ from .spectral import (
     divergence,
     fractional_laplacian_apply,
     gradient,
-    heat_multiplier,
     heat_semigroup_apply,
     helmholtz_project,
-    identity_multiplier,
     laplacian_multiplier,
     momentum_forcing,
     pointwise_power_nonlinearity,

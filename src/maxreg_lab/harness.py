@@ -509,7 +509,10 @@ def _weighted_maxreg(
 ) -> _Run:
     params = _mixed_params(cfg)
     weight = norms.WeightParams(mu=float(cfg.params["mu"]))
-    weight.validate_against(params)
+    with np.errstate(over="ignore"):  # _time_weights checks mu against p
+        weights = norms._time_weights(tgrid, params, weight)
+    if not np.all((weights[1:] > 0) & (weights[1:] < math.inf)):
+        raise ValueError("the power-weighted time weights t^((1-mu)p) w underflow or overflow")
     draw = _ensemble(cfg)
 
     def run() -> tuple[str, dict, dict]:
@@ -682,7 +685,7 @@ def _rbound(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGr
             raise ValueError("params.coefficients entries must be finite")
         family = [spectral.constant_multiplier(c) for c in coefficients]
     elif kind == "identity":
-        family = [spectral.identity_multiplier() for _ in coefficients]
+        family = [spectral.constant_multiplier(1.0) for _ in coefficients]
     elif kind == "resolvent":
         if not all(math.isfinite(s) for s in sigmas):
             raise ValueError("params.sigmas entries must be finite")
@@ -789,6 +792,15 @@ def _picard_args(cfg: ExperimentConfig) -> tuple[float, int]:
     return tol, max_iter
 
 
+def _check_time_step(prob: problems.NlheProblem | problems.NsProblem) -> None:
+    """Reject a time step over which even the slowest heat mode, ``exp(-t
+    (2 pi/L)**2)``, underflows to 0: every heat flow the run samples is then
+    its first slice alone, and the sampled Lipschitz ratios degenerate."""
+    step = float(prob.time_grid.nodes[1])
+    if math.exp(-step * (_TWO_PI / prob.u0.grid.period) ** 2) == 0.0:
+        raise ValueError(f"time.horizon: a time step of {step:.3g} damps every heat mode to 0")
+
+
 def _existence_series(report: problems.ExistenceReport) -> dict[str, dict[str, Any]]:
     sweep_rows = []
     iter_rows = []
@@ -797,9 +809,9 @@ def _existence_series(report: problems.ExistenceReport) -> dict[str, dict[str, A
         sweep_rows.append(
             [
                 e.eta,
-                e.a_norm,
-                e.delta,
-                e.smallness_ok,
+                c.iterate_norms[0],
+                c.delta,
+                c.smallness_ok,
                 c.converged,
                 c.diverged,
                 c.iterations,
@@ -845,6 +857,7 @@ def _existence(cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsPr
     """The existence sweep of ``nlhe-exist`` and ``ns-exist``; it measures
     its data by :func:`norms.besov_heat_norm`, which needs a finite ``p``."""
     tol, max_iter = _picard_args(cfg)
+    _check_time_step(prob)
     eta_grid = [float(e) for e in cfg.params["eta_grid"]]
     if not all(0 <= eta < math.inf for eta in eta_grid):
         raise ValueError("params.eta_grid entries must be nonnegative and finite")
@@ -871,7 +884,7 @@ def _existence(cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsPr
             and metrics["contraction_bound_ok"]
         )
         series = _existence_series(report)
-        if isinstance(prob, problems.NsProblem):
+        if prob.divergence_free:
             worst_div = max(e.max_divergence for e in report.entries)
             metrics["max_divergence"] = worst_div
             ok = ok and worst_div <= 1e-10
@@ -940,33 +953,10 @@ def _check_source_exponent(n: int, q: float) -> None:
 
 
 def _unique_series(report: problems.UniquenessReport) -> dict[str, dict[str, Any]]:
-    rows = []
-    for i, ((t0, t1), err, radius, (q1, q2, q3), factor, sep) in enumerate(
-        zip(
-            report.segments,
-            report.mollification_errors,
-            report.cutoff_radii,
-            report.step_quantities,
-            report.factors,
-            report.separations,
-        )
-    ):
-        rows.append([i, t0, t1, err, radius, q1, q2, q3, factor, sep])
     return {
         "segments": {
-            "columns": [
-                "segment",
-                "t_start",
-                "t_end",
-                "moll_error",
-                "cutoff_radius",
-                "q1",
-                "q2",
-                "q3",
-                "factor",
-                "separation",
-            ],
-            "rows": rows,
+            "columns": ["segment", *problems.Segment._fields],
+            "rows": [[i, *segment] for i, segment in enumerate(report.segments)],
         }
     }
 
@@ -987,6 +977,7 @@ def _uniqueness(cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsP
     probe needs the source exponent checked here, and its walk takes
     ``L^{n/(nu-1)}`` norms, so ``nu`` may not exceed ``n + 1``."""
     tol, max_iter = _picard_args(cfg)
+    _check_time_step(prob)
     boot_p = float(cfg.params["bootstrap_p"])
     if not boot_p > 1:
         raise ValueError("params.bootstrap_p must exceed 1")

@@ -443,7 +443,7 @@ def besov_heat_norm(
     if math.isinf(params.p):
         raise ValueError("heat-extension norm requires finite exponents")
     t_min = 1e-6
-    if not u0.is_mean_free(tol=1e-12):
+    if not u0.is_mean_free():
         raise ValueError("heat-extension norm over (0, inf) requires a mean-free field")
     stored = u0.spectrum
     columns = np.sum(np.abs(stored), axis=tuple(range(stored.ndim - 1)))

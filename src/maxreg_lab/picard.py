@@ -16,6 +16,7 @@ from which smallness of the affine term ``a`` below
 from __future__ import annotations
 
 import copy
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
@@ -137,7 +138,9 @@ def smallness_gate(M: float, epsilon: float, a_norm: float) -> tuple[float, bool
     """Radius ``delta`` of the certified ball and whether ``a`` fits under it.
 
     ``delta = (1 - margin) / (2 (2 M)**(1/epsilon))`` sits just below the
-    threshold where ``2 M (2 delta)**epsilon`` reaches one.
+    threshold where ``2 M (2 delta)**epsilon`` reaches one.  For a tiny
+    ``epsilon`` the power under- or overflows, and ``delta`` is then its
+    limit: ``inf`` for ``2 M < 1``, 0 for ``2 M > 1``.
     """
     if M <= 0:
         raise ValueError("Lipschitz constant M must be positive")
@@ -145,7 +148,11 @@ def smallness_gate(M: float, epsilon: float, a_norm: float) -> tuple[float, bool
         raise ValueError("nonlinearity exponent epsilon must be positive")
     if a_norm < 0:
         raise ValueError("a_norm must be nonnegative")
-    delta = (1.0 - GATE_MARGIN) / (2.0 * (2.0 * M) ** (1.0 / epsilon))
+    try:
+        power = (2.0 * M) ** (1.0 / epsilon)
+    except OverflowError:
+        power = math.inf
+    delta = (1.0 - GATE_MARGIN) / (2.0 * power) if power > 0 else math.inf
     return delta, a_norm <= delta
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,6 +77,7 @@ __all__ = [
     "existence_sweep",
     "taylor_green_field",
     "random_mean_free_field",
+    "Segment",
     "UniquenessReport",
     "uniqueness_bootstrap",
 ]
@@ -85,8 +86,38 @@ __all__ = [
 # -- problem descriptions ----------------------------------------------
 
 
+class _SemilinearProblem:
+    """What every nonlinear run asks of a problem ``u = a + F(u)``.  A
+    subclass's ``rhs`` calls its module-level map by name, so a replaced
+    binding of that map (a tracer's, a test's) is the one called."""
+
+    divergence_free = False
+
+    def _check_data(self, law: ScalingLaw) -> None:
+        """Reject non-finite data, and exponents ``critical`` wrongly claims are."""
+        if not np.isfinite(self.u0.spectrum).all():
+            raise ValueError("initial field must have finite coefficients")
+        if self.critical:
+            defect = criticality_check(law, self.params, self.dimension)
+            if abs(defect) > 1e-12:
+                raise ValueError(f"exponents are not critical: defect {defect:.3e}")
+
+    @property
+    def dimension(self) -> int:
+        return self.u0.grid.dimension
+
+    @property
+    def epsilon(self) -> float:
+        """Nonlinearity exponent in the contraction estimate."""
+        return self.nu - 1.0
+
+    def norm(self, traj: Trajectory) -> float:
+        """The problem's ``L^p_t(L^q_x)`` norm."""
+        return bochner_mixed_norm(traj, self.params)
+
+
 @dataclass(frozen=True, eq=False)
-class NlheProblem:
+class NlheProblem(_SemilinearProblem):
     """Nonlinear heat problem data: exponent, norms, initial field, horizon.
 
     ``critical`` asserts that ``n/q + 2/p = 2/(nu - 1)`` holds exactly;
@@ -107,31 +138,25 @@ class NlheProblem:
             raise ValueError("nonlinearity exponent nu must exceed 1 and be finite")
         if self.u0.components != 1:
             raise ValueError("nlhe initial data must be scalar")
-        if not np.isfinite(self.u0.spectrum).all():
-            raise ValueError("initial field must have finite coefficients")
         if self.variant not in ("signed", "unsigned"):
             raise ValueError("variant must be 'signed' or 'unsigned'")
-        if self.critical:
-            defect = criticality_check(nlhe_scaling_law(self.nu), self.params, self.dimension)
-            if abs(defect) > 1e-12:
-                raise ValueError(f"exponents are not critical: defect {defect:.3e}")
-
-    @property
-    def dimension(self) -> int:
-        return self.u0.grid.dimension
-
-    @property
-    def epsilon(self) -> float:
-        """Nonlinearity exponent in the contraction estimate."""
-        return self.nu - 1.0
+        self._check_data(nlhe_scaling_law(self.nu))
 
     @property
     def existence_regime(self) -> bool:
         return self.nu < self.params.p and self.nu < self.params.q
 
+    @property
+    def q_endpoint(self) -> float:
+        """The uniqueness argument's endpoint ``q = n (nu - 1) / 2``."""
+        return self.dimension * (self.nu - 1.0) / 2.0
+
+    def rhs(self, u: Trajectory) -> Trajectory:
+        return nlhe_rhs_map(u, self)
+
 
 @dataclass(frozen=True, eq=False)
-class NsProblem:
+class NsProblem(_SemilinearProblem):
     """Incompressible momentum problem data on the torus.
 
     The initial field must be divergence-free; ``critical`` asserts
@@ -143,26 +168,19 @@ class NsProblem:
     time_grid: TimeGrid
     critical: bool = False
 
+    divergence_free = True
+
     def __post_init__(self) -> None:
         grid = self.u0.grid
         if grid.dimension < 2:
             raise ValueError("momentum problem needs dimension at least 2")
         if self.u0.components != grid.dimension:
             raise ValueError("initial field must have one component per dimension")
-        if not np.isfinite(self.u0.spectrum).all():
-            raise ValueError("initial field must have finite coefficients")
+        self._check_data(ns_scaling_law())
         div_norm = float(_parseval_l2(divergence(self.u0).spectrum, grid))
         scale = max(1.0, float(_parseval_l2(self.u0.spectrum, grid)))
         if div_norm > 1e-10 * scale:
             raise ValueError(f"initial field is not divergence-free: ||div u0|| = {div_norm:.3e}")
-        if self.critical:
-            defect = criticality_check(ns_scaling_law(), self.params, self.dimension)
-            if abs(defect) > 1e-12:
-                raise ValueError(f"exponents are not critical: defect {defect:.3e}")
-
-    @property
-    def dimension(self) -> int:
-        return self.u0.grid.dimension
 
     @property
     def nu(self) -> float:
@@ -170,8 +188,12 @@ class NsProblem:
         return 2.0
 
     @property
-    def epsilon(self) -> float:
-        return 1.0
+    def q_endpoint(self) -> float:
+        """The uniqueness argument's endpoint ``q = n``."""
+        return float(self.dimension)
+
+    def rhs(self, u: Trajectory) -> Trajectory:
+        return ns_rhs_map(u, self)
 
 
 # -- right-hand-side maps ----------------------------------------------
@@ -207,13 +229,6 @@ def ns_rhs_map(u: Trajectory, prob: NsProblem) -> Trajectory:
         raise ValueError("input trajectory is not divergence-free")
     forcing = momentum_forcing(u)  # -P div(u (x) u): the sign of F is in the forcing
     return solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing))
-
-
-def _rhs_map(prob: NlheProblem | NsProblem) -> Callable[[Trajectory], Trajectory]:
-    """The problem's Duhamel map ``u -> F(u)``."""
-    if isinstance(prob, NlheProblem):
-        return lambda traj: nlhe_rhs_map(traj, prob)
-    return lambda traj: ns_rhs_map(traj, prob)
 
 
 # -- criticality and rescaling -----------------------------------------
@@ -440,7 +455,7 @@ def random_mean_free_field(
     return out
 
 
-def taylor_green_field(grid: TorusGrid, amplitude: float = 1.0) -> SpectralField:
+def taylor_green_field(grid: TorusGrid) -> SpectralField:
     """Classical divergence-free cellular flow on the 2- or 3-torus."""
     if grid.dimension == 2:
         x, y = grid.coordinates * (2.0 * np.pi / grid.period)
@@ -456,7 +471,7 @@ def taylor_green_field(grid: TorusGrid, amplitude: float = 1.0) -> SpectralField
         )
     else:
         raise ValueError("cellular flow defined for dimensions 2 and 3")
-    return SpectralField.from_physical(grid, amplitude * values)
+    return SpectralField.from_physical(grid, values)
 
 
 # -- existence sweeps --------------------------------------------------
@@ -467,9 +482,6 @@ class ExistenceEntry:
     """One data-size sample of a small-data sweep."""
 
     eta: float
-    a_norm: float
-    delta: float
-    smallness_ok: bool
     certificate: PicardCertificate
     max_divergence: float | None = None
 
@@ -502,13 +514,10 @@ class ExistenceReport:
 
 
 def _sample_trajectory_pairs(
-    prob: NlheProblem | NsProblem,
-    norm: Callable[[Trajectory], float],
-    *,
-    seed: int = 0,
-    count: int = 4,
+    prob: _SemilinearProblem, *, seed: int = 0
 ) -> Iterator[tuple[Trajectory, Trajectory]]:
-    """Pairs of random heat-flow trajectories at a 10x range of amplitudes.
+    """Four pairs of random heat-flow trajectories at a 10x range of
+    amplitudes in the problem's norm.
 
     The trajectories have the problem's component count and, for the
     incompressible problem, are divergence-free.  The pairs are drawn one
@@ -516,31 +525,27 @@ def _sample_trajectory_pairs(
     is held.
     """
     grid = prob.u0.grid
-    vector = isinstance(prob, NsProblem)
-    scales = np.geomspace(0.1, 1.0, count)
-    for i, scale in enumerate(scales):
+    for i, scale in enumerate(np.geomspace(0.1, 1.0, 4)):
         fields = []
         for j in range(2):
             f = random_mean_free_field(
                 grid,
                 seed=seed,
                 stream=100 + 2 * i + j,
-                components=grid.dimension if vector else 1,
+                components=prob.u0.components,
                 band_limit=max(2, grid.points_per_axis // 8),
-                divergence_free=vector,
+                divergence_free=prob.divergence_free,
             )
             traj = heat_extension(f, prob.time_grid)
-            size = norm(traj)
-            fields.append(traj * (scale / size))
+            fields.append(traj * (scale / prob.norm(traj)))
         yield fields[0], fields[1]
 
 
 def measured_lipschitz_M(prob: NlheProblem | NsProblem, *, seed: int = 0) -> float:
     """Contraction constant of the problem's Duhamel map from sampled pairs,
     with :func:`picard.estimate_lipschitz_M`'s 1.5x safety factor."""
-    norm = lambda traj: bochner_mixed_norm(traj, prob.params)
-    pairs = _sample_trajectory_pairs(prob, norm, seed=seed)
-    return estimate_lipschitz_M(_rhs_map(prob), norm, prob.epsilon, pairs)
+    pairs = _sample_trajectory_pairs(prob, seed=seed)
+    return estimate_lipschitz_M(prob.rhs, prob.norm, prob.epsilon, pairs)
 
 
 def _sampled_constants(
@@ -553,14 +558,12 @@ def _sampled_constants(
     measured on the same fields at the bootstrap's scale (see
     :func:`_bootstrap_ratio`), from the images the gate computed.
     """
-    norm = lambda traj: bochner_mixed_norm(traj, prob.params)
     amplitude = max(spatial_lq_norm(prob.u0, prob.params.q), 1e-3)
-    rhs = _rhs_map(prob)
     ratios: list[float] = []
     amplitudes: list[float] = []
     c1 = 0.0
-    for pair in _sample_trajectory_pairs(prob, norm, seed=seed):
-        sample = _pair_ratio(rhs, norm, prob.epsilon, *pair)
+    for pair in _sample_trajectory_pairs(prob, seed=seed):
+        sample = _pair_ratio(prob.rhs, prob.norm, prob.epsilon, *pair)
         if sample is not None:
             ratios.append(sample[0])
             amplitudes.append(sample[1])
@@ -624,10 +627,7 @@ def existence_sweep(
     if base_size == 0.0:
         raise ValueError("initial field must be nonzero")
     u0_hat = prob.u0 * (1.0 / base_size)
-    norm = lambda traj: bochner_mixed_norm(traj, prob.params)
-    rhs = _rhs_map(prob)
     M = measured_lipschitz_M(prob, seed=seed)
-    track_divergence = isinstance(prob, NsProblem)
     entries = []
     fp = None
     for eta in sorted(float(e) for e in eta_grid):
@@ -636,7 +636,7 @@ def existence_sweep(
         a = heat_extension(u0_hat * eta, prob.time_grid)
         # one evaluation of the map at zero serves every eta
         if fp is None:
-            fp = FixedPointProblem(base=a, map_F=rhs, norm=norm, epsilon=prob.epsilon)
+            fp = FixedPointProblem(base=a, map_F=prob.rhs, norm=prob.norm, epsilon=prob.epsilon)
         else:
             fp = fp.with_base(a)
         worst_div = [0.0]
@@ -649,16 +649,13 @@ def existence_sweep(
             max_iter,
             tol,
             lipschitz_M=M,
-            iterate_callback=track if track_divergence else None,
+            iterate_callback=track if prob.divergence_free else None,
         )
         entries.append(
             ExistenceEntry(
                 eta=eta,
-                a_norm=cert.iterate_norms[0],
-                delta=cert.delta,
-                smallness_ok=cert.smallness_ok,
                 certificate=cert,
-                max_divergence=worst_div[0] if track_divergence else None,
+                max_divergence=worst_div[0] if prob.divergence_free else None,
             )
         )
     return ExistenceReport(epsilon=prob.epsilon, M_used=M, entries=tuple(entries))
@@ -667,20 +664,34 @@ def existence_sweep(
 # -- uniqueness bootstrap ----------------------------------------------
 
 
+class Segment(NamedTuple):
+    """One accepted segment of the uniqueness walk, in the CSV's column
+    order: its span, its slice's mollification error and cutoff radius, the
+    three bracket quantities of the contraction bound, the factor
+    ``C * (q1 + q2 + q3)`` (at most 3/4) and the measured separation."""
+
+    t_start: float
+    t_end: float
+    moll_error: float
+    cutoff_radius: float
+    q1: float
+    q2: float
+    q3: float
+    factor: float
+    separation: float
+
+
 @dataclass(frozen=True)
 class UniquenessReport:
     """Two Picard routes to a mild solution and the segmented uniqueness
     bootstrap along them.
 
-    ``routes`` holds the certificates of both Picard runs.  Each segment
-    records the mollification error, the three bracket quantities entering
-    the contraction bound (with the mollified heat flow bounded by its
-    initial norms), the resulting factor ``C * (q1 + q2 + q3)`` (at most
-    3/4 when accepted) and the measured separation on the segment.
-    ``smoothing`` is the heat-smoothing probe that enters the constant, or
-    ``None`` when its source exponent ``nq/(n+q)`` is not above 1.  When a
-    route does not converge, the run is inconclusive: no probe, no constant
-    (``C_used`` is NaN) and no segments.
+    ``routes`` holds the certificates of both Picard runs and ``segments``
+    one :class:`Segment` per accepted segment.  ``smoothing`` is the
+    heat-smoothing probe that enters the constant, or ``None`` when its
+    source exponent ``nq/(n+q)`` is not above 1.  When a route does not
+    converge, the run is inconclusive: no probe, no constant (``C_used`` is
+    NaN) and no segments.
     """
 
     status: str  # 'complete' | 'inconclusive'
@@ -688,20 +699,15 @@ class UniquenessReport:
     C_used: float
     dimension_restriction_met: bool
     smoothing: SmoothingReport | None
-    segments: tuple[tuple[float, float], ...] = ()  # (t_start, t_end)
-    mollification_errors: tuple[float, ...] = ()
-    cutoff_radii: tuple[float, ...] = ()
-    step_quantities: tuple[tuple[float, float, float], ...] = ()
-    factors: tuple[float, ...] = ()
-    separations: tuple[float, ...] = ()
+    segments: tuple[Segment, ...] = ()
 
     @property
     def max_factor(self) -> float:
-        return max(self.factors) if self.factors else float("nan")
+        return max((s.factor for s in self.segments), default=float("nan"))
 
     @property
     def max_separation(self) -> float:
-        return max(self.separations) if self.separations else float("nan")
+        return max((s.separation for s in self.segments), default=float("nan"))
 
 
 def _mollify_by_cutoff(
@@ -748,12 +754,10 @@ def uniqueness_bootstrap(
     :func:`_segment_walk` runs; otherwise the run is inconclusive.
     """
     n, q = prob.dimension, prob.params.q
-    q_endpoint = n * (prob.nu - 1.0) / 2.0 if isinstance(prob, NlheProblem) else float(n)
-    dim_ok = math.isclose(q, q_endpoint, rel_tol=1e-12)
+    dim_ok = math.isclose(q, prob.q_endpoint, rel_tol=1e-12)
     lipschitz_M, c1 = _sampled_constants(prob, p, seed=seed)
-    norm = lambda traj: bochner_mixed_norm(traj, prob.params)
     a = heat_extension(prob.u0, prob.time_grid)
-    fp = FixedPointProblem(base=a, map_F=_rhs_map(prob), norm=norm, epsilon=prob.epsilon)
+    fp = FixedPointProblem(base=a, map_F=prob.rhs, norm=prob.norm, epsilon=prob.epsilon)
     u, cert_u = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M)
     v, cert_v = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M, start=a * 1.001)
     routes = (cert_u, cert_v)
@@ -766,14 +770,13 @@ def uniqueness_bootstrap(
     # the segment inequality's constant, with a 2x safety factor: the
     # sampled Lipschitz ratio of the Duhamel term against the smoothing ratio
     C = 2.0 * max(c1, 0.0 if smoothing is None else smoothing.max_ratio, 1e-6)
-    status, rows = _segment_walk(prob, u, v, C, p)
-    # a row holds one segment's entries of the report's per-segment fields
-    return UniquenessReport(status, routes, float(C), dim_ok, smoothing, *map(tuple, zip(*rows)))
+    status, segments = _segment_walk(prob, u, v, C, p)
+    return UniquenessReport(status, routes, float(C), dim_ok, smoothing, segments)
 
 
 def _segment_walk(
     prob: NlheProblem | NsProblem, u: Trajectory, v: Trajectory, C: float, p: float
-) -> tuple[str, list[tuple]]:
+) -> tuple[str, tuple[Segment, ...]]:
     """The bootstrap's walk along two solutions with the same initial slice.
 
     On each segment the initial slice is mollified by a spectral cutoff
@@ -785,8 +788,7 @@ def _segment_walk(
     as the heat semigroup contracts every ``L^r``.  The resulting factor
     is at most 3/4, and the segment then advances; a segment that cannot
     be shrunk far enough renders the run inconclusive.  Returns the status
-    and one row per accepted segment: its span, mollification error,
-    cutoff radius, bracket quantities, factor and separation.
+    and the accepted segments.
     """
     q = prob.params.q
     nu = prob.nu
@@ -797,7 +799,7 @@ def _segment_walk(
     nodes = u.time_grid.nodes
     last = len(nodes) - 1
     i0 = 0
-    rows: list[tuple] = []
+    segments: list[Segment] = []
     while i0 < last:
         u0_eps, moll_err, radius = _mollify_by_cutoff(
             u.state(i0), 1.0 / (8.0 * C), nu, q
@@ -821,7 +823,8 @@ def _segment_walk(
         if not accepted:
             break
         separation = _time_lp(gap_q[seg], _trapezoid_weights(nodes[seg]), p)
+        factor = C * (q1 + q2 + q3)
         span = (float(t0), float(nodes[i1]))
-        rows.append((span, moll_err, radius, (q1, q2, q3), C * (q1 + q2 + q3), separation))
+        segments.append(Segment(*span, moll_err, radius, q1, q2, q3, factor, separation))
         i0 = i1
-    return ("complete" if i0 == last else "inconclusive"), rows
+    return ("complete" if i0 == last else "inconclusive"), tuple(segments)

@@ -48,9 +48,7 @@ __all__ = [
     "TorusGrid",
     "SpectralField",
     "FourierMultiplier",
-    "identity_multiplier",
     "laplacian_multiplier",
-    "heat_multiplier",
     "sector_multiplier",
     "constant_multiplier",
     "resolvent_scalar_multiplier",
@@ -496,10 +494,10 @@ class SpectralField(_CoefficientArithmetic):
     def components(self) -> int:
         return self.spectrum.shape[0]
 
-    def is_mean_free(self, tol: float = 1e-12) -> bool:
+    def is_mean_free(self) -> bool:
         zero_mode = self.spectrum[(slice(None),) + (0,) * self.grid.dimension]
         scale = max(1.0, float(np.max(np.abs(self.spectrum))))
-        return bool(np.all(np.abs(zero_mode) <= tol * scale))
+        return bool(np.all(np.abs(zero_mode) <= 1e-12 * scale))
 
     # -- transforms ----------------------------------------------------
 
@@ -557,22 +555,9 @@ class FourierMultiplier:
 # -- common symbols ----------------------------------------------------
 
 
-def identity_multiplier() -> FourierMultiplier:
-    return FourierMultiplier(lambda xi: np.ones(xi.shape[1:]), "identity")
-
-
 def laplacian_multiplier() -> FourierMultiplier:
     """Symbol of ``A = -Laplacian``: ``|xi|**2``."""
     return FourierMultiplier(lambda xi: np.sum(xi**2, axis=0), "minus-laplacian")
-
-
-def heat_multiplier(t: float) -> FourierMultiplier:
-    """Heat semigroup ``exp(t*Laplacian)`` at time ``t >= 0``."""
-    if t < 0:
-        raise ValueError("heat semigroup time must be nonnegative")
-    return FourierMultiplier(
-        lambda xi: np.exp(-t * np.sum(xi**2, axis=0)), f"heat(t={t})"
-    )
 
 
 def sector_multiplier(theta: float) -> FourierMultiplier:
@@ -645,7 +630,7 @@ def fractional_laplacian_apply(field: SpectralField, s: float) -> SpectralField:
     The zero mode is annihilated for ``s > 0`` and requires a mean-free
     field for ``s < 0`` (the inverse does not see constants).
     """
-    if s < 0 and not field.is_mean_free(tol=1e-12):
+    if s < 0 and not field.is_mean_free():
         raise ValueError("negative fractional power requires a mean-free field")
     if s == 0:
         return SpectralField(field.grid, field.spectrum.copy())

@@ -18,6 +18,8 @@ REMOVED = (
     "ns_law",
     "two_route_solutions",
     "weighted_bochner_norm",
+    "heat_multiplier",
+    "identity_multiplier",
 )
 
 
@@ -39,7 +41,13 @@ def test_no_public_name_is_an_alias():
 
 
 def test_folded_names_are_gone():
-    modules = [maxreg_lab, maxreg_lab.maxreg, maxreg_lab.norms, maxreg_lab.problems]
+    modules = [
+        maxreg_lab,
+        maxreg_lab.maxreg,
+        maxreg_lab.norms,
+        maxreg_lab.problems,
+        maxreg_lab.spectral,
+    ]
     assert [(m.__name__, n) for m in modules for n in REMOVED if hasattr(m, n)] == []
 
 

@@ -496,6 +496,12 @@ class TestDomainChecks:
             ({"experiment": "nlhe-unique", "params": {"nu": 4.0, "eta": 0.2}}, "n/(nu-1) below 1"),
             ({"experiment": "nlhe-unique", "params": {"nu": 400.0}}, "n/(nu-1) below 1"),
             ({"experiment": "nlhe-unique", "params": {"nu": 1e308}}, "n/(nu-1) below 1"),
+            # one time step damps the slowest heat mode below floating-point range
+            ({"experiment": "ns-unique", "time": {"horizon": 1e300}}, "damps every heat mode"),
+            ({"experiment": "ns-unique", "time": {"horizon": 1e308}}, "damps every heat mode"),
+            ({"experiment": "ns-exist", "time": {"horizon": 1e300}}, "damps every heat mode"),
+            # the power weights t^((1-mu)p) times the trapezoid weights underflow
+            ({"experiment": "weighted-maxreg", "time": {"horizon": 1e-300}}, "power-weighted time weights"),
         ],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):
@@ -587,6 +593,18 @@ class TestStrictJsonRecords:
         loaded = json.loads(record.read_text(), parse_constant=_refuse_constant)
         assert loaded["status"] == "fail"
         assert loaded["metrics"][metric] is None
+
+    def test_tiny_nonlinearity_exponent_runs_to_a_status(self, tmp_path, capsys):
+        """At ``nu = 1 + 1e-7`` the gate's ``(2M)**(1/epsilon)`` underflows;
+        the config is valid and its run ends with a status and strict JSON."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "nlhe-unique", "params": {"nu": 1.0000001}}))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) in (0, 1, 2)
+        record = json.loads(
+            (tmp_path / "nlhe-unique_record.json").read_text(), parse_constant=_refuse_constant
+        )
+        assert record["status"] in ("pass", "fail", "inconclusive")
 
     def test_underflowed_resolvent_probe_fails(self, tmp_path, capsys):
         """At Re z = 1e300 the probe and x/(z+A) are about 1e-300 x, so their

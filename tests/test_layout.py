@@ -220,7 +220,7 @@ class TestOperatorsKeepHalf:
 
     def test_momentum_map_and_leray(self, grid, tg):
         params = MixedNormParams(p=4.0, q=4.0)
-        ns = NsProblem(params=params, u0=taylor_green_field(grid, 0.1), time_grid=tg)
+        ns = NsProblem(params=params, u0=taylor_green_field(grid) * 0.1, time_grid=tg)
         u = heat_extension(ns.u0, tg)
         assert is_half(helmholtz_project(tensor_divergence(u, u)))
         assert is_half(ns_rhs_map(u, ns))

@@ -18,7 +18,6 @@ from maxreg_lab import (
     de_simon_multiplier_solve,
     estimate_maxreg_constant,
     hormander_check,
-    identity_multiplier,
     laplacian_multiplier,
     log_time_grid,
     multiplier_sup_norm,
@@ -332,7 +331,7 @@ class TestRBoundEstimate:
         assert est.estimate == pytest.approx(2.0, rel=0.05)
 
     def test_identity_family(self, grid1d):
-        est = rbound_estimate([identity_multiplier()], 2, 64, grid=grid1d)
+        est = rbound_estimate([constant_multiplier(1.0)], 2, 64, grid=grid1d)
         assert est.estimate == pytest.approx(1.0, rel=0.02)
 
     def test_prefix_families_share_samples(self, grid1d):
@@ -352,4 +351,4 @@ class TestRBoundEstimate:
         with pytest.raises(ValueError, match="at least one operator"):
             rbound_estimate([], 1, 64, grid=grid1d)
         with pytest.raises(ValueError, match="at least one trial"):
-            rbound_estimate([identity_multiplier()], 0, 64, grid=grid1d)
+            rbound_estimate([constant_multiplier(1.0)], 0, 64, grid=grid1d)

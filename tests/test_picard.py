@@ -81,6 +81,15 @@ class TestSmallnessGate:
         assert not ok
         assert 1.0 > delta
 
+    @pytest.mark.parametrize(
+        "M, expect",
+        [(0.4, (math.inf, True)), (0.6, (0.0, False)), (1e300, (0.0, False))],
+    )
+    def test_tiny_epsilon_saturates(self, M, expect):
+        """``(2M)**(1/epsilon)`` under- or overflows for a tiny ``epsilon``:
+        the ball is then everything (2M < 1) or a point (2M > 1)."""
+        assert smallness_gate(M, 1e-7, 1.0) == expect
+
     def test_validation(self):
         with pytest.raises(ValueError, match="M must be positive"):
             smallness_gate(0.0, 1.0, 0.1)

@@ -416,9 +416,8 @@ class TestUniqueness:
         assert report.status == "complete"
         assert report.max_factor <= 0.75
         assert report.max_separation <= 1e-9
-        assert report.segments[0][0] == 0.0
-        assert report.segments[-1][1] == pytest.approx(1.0)
-        assert len(report.factors) == len(report.segments)
+        assert report.segments[0].t_start == 0.0
+        assert report.segments[-1].t_end == pytest.approx(1.0)
 
     def test_unconverged_route_is_inconclusive(self, grid2d, monkeypatch):
         """A route that does not converge ends the run before the probe."""

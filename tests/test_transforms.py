@@ -251,7 +251,7 @@ class TestPicardTransformBudget:
     def problem(self, grid):
         tg = uniform_time_grid(0.5, 3)
         params = MixedNormParams(p=4.0, q=4.0)
-        ns = NsProblem(params=params, u0=taylor_green_field(grid, 0.1), time_grid=tg)
+        ns = NsProblem(params=params, u0=taylor_green_field(grid) * 0.1, time_grid=tg)
         return FixedPointProblem(
             base=heat_extension(ns.u0, tg),
             map_F=lambda traj: ns_rhs_map(traj, ns),
