@@ -380,10 +380,12 @@ def hormander_check(
 def de_simon_multiplier_solve(prob: LinearProblem, *, pad_factor: int = 4) -> Trajectory:
     """``A u`` through the bounded time-Fourier multiplier ``lam/(i tau + lam)``.
 
-    The forcing samples (uniform grid required) are zero-padded to at
-    least ``pad_factor`` times their length, rounded up to a length with
-    small prime factors (``scipy.fft.next_fast_len``), transformed in
-    time, multiplied modewise and transformed back.  A real forcing is
+    The multiplier acts one spatial mode at a time, so a mode whose forcing
+    is zero at every node gives zero.  Only the forcing's nonzero spatial
+    columns (uniform grid required) are zero-padded to at least
+    ``pad_factor`` times their length, rounded up to a length with small
+    prime factors (``scipy.fft.next_fast_len``), transformed in time,
+    multiplied modewise and transformed back.  A real forcing is
     transformed as its half spectrum.  Independent of the time-stepping
     route; agreement between the two validates both.
     """
@@ -398,36 +400,18 @@ def de_simon_multiplier_solve(prob: LinearProblem, *, pad_factor: int = 4) -> Tr
         raise ValueError("pad_factor must be at least 2")
     n_pad = scipy.fft.next_fast_len(pad_factor * k1)
     h = float(time_grid.nodes[1] - time_grid.nodes[0])
-    padded = np.zeros((n_pad,) + f.shape[1:], dtype=np.complex128)
-    padded[:k1] = f
+    flat = f.reshape(k1, -1)
+    support = np.flatnonzero(np.any(flat != 0, axis=0))
+    lam = np.broadcast_to(lam, f.shape[1:]).reshape(-1)[support]
+    padded = np.zeros((n_pad, support.size), dtype=np.complex128)
+    padded[:k1] = flat[:, support]
     spectrum = scipy.fft.fft(padded, axis=0, overwrite_x=True)
-    spectrum *= _time_multiplier(prob.operator, lam, forcing.grid, n_pad, h)
-    # own the k1 rows; astype, unlike copy, also drops the in-place result's
-    # non-canonical dtype, for which Trajectory would store a view instead
-    au = scipy.fft.ifft(spectrum, axis=0, overwrite_x=True)[:k1].astype(np.complex128)
-    return Trajectory(time_grid, forcing.grid, au)
-
-
-def _time_multiplier(
-    operator: FourierMultiplier, lam: np.ndarray, grid: TorusGrid, n_pad: int, h: float
-) -> np.ndarray:
-    """``lam/(i tau + lam)`` on ``n_pad`` time frequencies of step ``h``,
-    shaped ``(n_pad, 1) + lam.shape``, with ``0`` where ``lam = 0``.
-
-    The operator keeps the last one it was built for, so an ensemble solved
-    with one operator builds it once, and it goes when the operator does.
-    """
-    key = (grid, lam.shape, n_pad, h)
-    cached = vars(operator).get("_time_multiplier")
-    if cached is not None and cached[0] == key:
-        return cached[1]
     tau = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=h)
-    lam = lam[np.newaxis, np.newaxis]
-    denom = 1j * tau.reshape((n_pad,) + (1,) * (lam.ndim - 1)) + lam
     with np.errstate(divide="ignore", invalid="ignore"):
-        multiplier = np.where(lam == 0.0, 0.0, lam / denom)
-    vars(operator)["_time_multiplier"] = (key, multiplier)
-    return multiplier
+        spectrum *= np.where(lam == 0.0, 0.0, lam / (1j * tau[:, np.newaxis] + lam))
+    au = np.zeros(f.shape, dtype=np.complex128)
+    au.reshape(k1, -1)[:, support] = scipy.fft.ifft(spectrum, axis=0, overwrite_x=True)[:k1]
+    return Trajectory(time_grid, forcing.grid, au)
 
 
 def multiplier_sup_norm(

@@ -284,42 +284,47 @@ def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
     sum for ``q = 2``), and ``|u|**q`` is taken as ``(|u|**2)**(q/2)``: for
     ``q = 4`` a dot product of ``|u|**2`` with itself, for ``q = 3`` the
     product ``|u|**2 * sqrt(|u|**2)``, and a power only for other ``q``.
+    A nonzero finite field whose sum of powers (or largest ``|u|**2``, for
+    ``q = inf``) under- or overflows is measured divided by its largest
+    sample and scaled back.
     """
     n = grid.dimension
     if np.iscomplexobj(values):
         values = np.abs(values)
     flat = values.reshape(values.shape[:-n] + (-1,))
-    if q == 2:
-        total = np.einsum("...cp,...cp->...", flat, flat)
-        return (total * grid.cell_volume) ** 0.5
-    mag_sq = np.einsum("...cp,...cp->...p", flat, flat)
-    if math.isinf(q):
-        return np.sqrt(np.max(mag_sq, axis=-1))
-    if q == 4:
-        total = np.einsum("...p,...p->...", mag_sq, mag_sq)
-    elif q == 3:
-        # elementwise, not a dot product: a batched reduction then agrees
-        # bit for bit with the same field's own
-        total = np.sum(mag_sq * np.sqrt(mag_sq), axis=-1)
-    else:
-        with np.errstate(over="ignore"):
-            total = np.sum(mag_sq ** (q / 2.0), axis=-1)
-        # a large q under- or overflows the direct sum of a nonzero finite field
-        top = np.max(mag_sq, axis=-1)
-        lost = ((total == 0) | ~np.isfinite(total)) & (top > 0) & np.isfinite(top)
+    with np.errstate(over="ignore", under="ignore"):
+        if q == 2:
+            total = np.einsum("...cp,...cp->...", flat, flat)
+        else:
+            mag_sq = np.einsum("...cp,...cp->...p", flat, flat)
+            if math.isinf(q):
+                total = np.max(mag_sq, axis=-1)
+            elif q == 4:
+                total = np.einsum("...p,...p->...", mag_sq, mag_sq)
+            elif q == 3:
+                # elementwise, not a dot product: a batched reduction then agrees
+                # bit for bit with the same field's own
+                total = np.sum(mag_sq * np.sqrt(mag_sq), axis=-1)
+            else:
+                total = np.sum(mag_sq ** (q / 2.0), axis=-1)
+    norms = np.sqrt(total) if math.isinf(q) else (total * grid.cell_volume) ** (1.0 / q)
+    # a sum below the smallest normal float has lost its precision
+    suspect = ~(total >= sys.float_info.min) | (total == math.inf)
+    if np.any(suspect):
+        # scan only the suspect rows, and an all-suspect (say zero) stack uncopied
+        lead = total.shape
+        rows = flat.reshape((-1,) + flat.shape[-2:])
+        where = np.flatnonzero(suspect)
+        scan = rows if where.size == len(rows) else rows[where]
+        top = np.maximum(np.max(scan, axis=(1, 2)), -np.min(scan, axis=(1, 2)))
+        lost = (top > 0) & np.isfinite(top)
         if np.any(lost):
-            scaled = _scaled_lp(np.sqrt(mag_sq), grid.cell_volume, q)
-            return np.where(lost, scaled, (total * grid.cell_volume) ** (1.0 / q))
-    return (total * grid.cell_volume) ** (1.0 / q)
-
-
-def _scaled_lp(g: np.ndarray, weights: np.ndarray | float, p: float) -> np.ndarray:
-    """``(sum weights * g**p)**(1/p)`` over the last axis of nonnegative ``g``,
-    as ``max g * (sum weights * (g/max g)**p)**(1/p)``: a large ``p`` then
-    neither under- nor overflows."""
-    top = np.max(g, axis=-1, keepdims=True)
-    top = np.where(top > 0, top, 1.0)
-    return top[..., 0] * np.sum(weights * (g / top) ** p, axis=-1) ** (1.0 / p)
+            top, where = top[lost], where[lost]
+            unit = values.reshape((-1,) + values.shape[len(lead) :])[where]
+            norms = np.array(norms).reshape(-1)
+            norms[where] = top * _lq_magnitude(unit / top.reshape((-1,) + (1,) * (n + 1)), grid, q)
+            norms = norms.reshape(lead)
+    return norms
 
 
 def _parseval_l2(stored: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -346,10 +351,11 @@ def _time_lp(g: np.ndarray, weights: np.ndarray, p: float) -> float:
     ``max g`` when the sum under- or overflows; ``max g`` for ``p = inf``."""
     if math.isinf(p):
         return float(np.max(g))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         total = np.sum(weights * g**p)
-    if (total == 0 or not math.isfinite(total)) and 0 < np.max(g) < math.inf:
-        return float(_scaled_lp(g, weights, p))
+    top = float(np.max(g))
+    if not sys.float_info.min <= total < math.inf and 0 < top < math.inf:
+        return top * float(np.sum(weights * (g / top) ** p)) ** (1.0 / p)
     return float(total ** (1.0 / p))
 
 
@@ -460,8 +466,14 @@ def besov_heat_norm(
     for _ in range(3):
         tgrid = log_time_grid(t_min, t_max, num_nodes)
         value = _time_lp(_heat_node_norms(u0, tgrid, q), tgrid.weights, p)
-        tail = bound_amp**p * np.exp(-p * lam_min * t_max) / (p * lam_min)
-        if tail <= 1e-10 * p * value**p:
+        try:
+            tail = bound_amp**p * np.exp(-p * lam_min * t_max) / (p * lam_min)
+            small = tail <= 1e-10 * p * value**p
+        except OverflowError:  # a large field's powers: compare their logarithms
+            log_tail = p * (math.log(bound_amp) - lam_min * t_max) - math.log(p * lam_min)
+            tail = math.inf
+            small = log_tail <= math.log(1e-10 * p) + p * math.log(value)
+        if small:
             break
         t_max *= 2.0
     result = BesovHeatResult(float(value), float(tail), tgrid)

@@ -606,6 +606,31 @@ class TestStrictJsonRecords:
         )
         assert record["status"] in ("pass", "fail", "inconclusive")
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # the sampled pairs' L^q norms under- or overflow in their powers
+            {"experiment": "ns-exist", "time": {"horizon": 1e-300, "num_nodes": 17}},
+            {"experiment": "nlhe-unique", "time": {"horizon": 1e-300}},
+            {"experiment": "ns-unique", "time": {"horizon": 1e-300}},
+            # the data norm's powers of a 1e300-sized initial field overflow
+            {"experiment": "ns-exist", "params": {"perturbation": 1e300}, "time": {"num_nodes": 17}},
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_out_of_range_sizes_run_to_a_status(self, tmp_path, capsys, config):
+        """Sizes whose powers leave floating-point range are valid configs;
+        the norms rescale them, and the run ends with a status and strict JSON."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) in (0, 1, 2)
+        record = json.loads(
+            (tmp_path / f"{config['experiment']}_record.json").read_text(),
+            parse_constant=_refuse_constant,
+        )
+        assert record["status"] in ("pass", "fail", "inconclusive")
+
     def test_underflowed_resolvent_probe_fails(self, tmp_path, capsys):
         """At Re z = 1e300 the probe and x/(z+A) are about 1e-300 x, so their
         L^2 norms square to 0: both gates would compare underflowed zeros."""

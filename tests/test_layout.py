@@ -234,14 +234,70 @@ class TestOperatorsKeepHalf:
         assert is_half(nlhe_rhs_map(u, nlhe))
 
 
-def test_de_simon_multiplier_built_once(grid2d):
-    """An ensemble solved with one operator reuses the multiplier it built."""
+def dense_de_simon(forcing, pad_factor=4):
+    """``A u`` for ``A = -Laplacian`` with every stored column of the forcing
+    padded, transformed in time, multiplied by ``lam/(i tau + lam)`` and
+    transformed back."""
+    f = forcing.spectrum
+    lam = forcing.grid.layout(f).xi_sq
+    k1 = f.shape[0]
+    n_pad = scipy.fft.next_fast_len(pad_factor * k1)
+    h = float(forcing.time_grid.nodes[1] - forcing.time_grid.nodes[0])
+    padded = np.zeros((n_pad,) + f.shape[1:], dtype=np.complex128)
+    padded[:k1] = f
+    tau = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=h)
+    denom = 1j * tau.reshape((n_pad,) + (1,) * lam.ndim) + lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        multiplier = np.where(lam == 0.0, 0.0, lam / denom)
+    spectrum = scipy.fft.fft(padded, axis=0) * multiplier[:, np.newaxis]
+    return scipy.fft.ifft(spectrum, axis=0)[:k1]
+
+
+def test_de_simon_matches_dense_and_keeps_no_state(grid):
+    """Transforming only the forcing's nonzero columns gives the dense
+    result bit for bit, in the half layout, and stores nothing on the
+    operator."""
     tg = uniform_time_grid(2.0, 17)
     op = laplacian_multiplier()
-    first, second = synthetic_forcing_ensemble(grid2d, tg, 2, seed=5)
-    au = de_simon_multiplier_solve(LinearProblem(op, first))
-    multiplier = vars(op)["_time_multiplier"][1]
-    de_simon_multiplier_solve(LinearProblem(op, second))
-    assert vars(op)["_time_multiplier"][1] is multiplier
-    assert multiplier.shape[-1] == grid2d.half_shape[-1]
-    assert is_half(au)
+    before = dict(vars(op))
+    for forcing in synthetic_forcing_ensemble(grid, tg, 2, seed=5):
+        au = de_simon_multiplier_solve(LinearProblem(op, forcing))
+        assert np.array_equal(au.spectrum, dense_de_simon(forcing))
+        assert is_half(au)
+    assert vars(op) == before
+
+
+class TestDeSimonSupport:
+    @pytest.fixture
+    def tg(self):
+        return uniform_time_grid(2.0, 17)
+
+    def solve(self, forcing):
+        return de_simon_multiplier_solve(LinearProblem(laplacian_multiplier(), forcing))
+
+    def test_zero_forcing_gives_zeros(self, grid, tg):
+        forcing = Trajectory(tg, grid, np.zeros((tg.num_nodes, 1) + grid.half_shape, dtype=complex))
+        au = self.solve(forcing)
+        assert au.spectrum.shape == forcing.spectrum.shape
+        assert not np.any(au.spectrum)
+
+    def test_mean_column_gives_zero(self, grid, rng, tg):
+        """The ``k = 0`` column has ``lam = 0``: its solution is 0 there, and
+        the other forced column is the dense one's."""
+        coeff = np.zeros((tg.num_nodes, 1) + grid.half_shape, dtype=complex)
+        mean = (0,) * grid.dimension
+        mode = (0,) * (grid.dimension - 1) + (1,)
+        coeff[(slice(None), 0) + mean] = rng.standard_normal(tg.num_nodes)
+        coeff[(slice(None), 0) + mode] = rng.standard_normal(tg.num_nodes)
+        forcing = Trajectory(tg, grid, coeff)
+        au = self.solve(forcing)
+        assert not np.any(au.spectrum[(slice(None), 0) + mean])
+        assert np.any(au.spectrum[(slice(None), 0) + mode])
+        assert np.array_equal(au.spectrum, dense_de_simon(forcing))
+
+    def test_two_components_use_their_own_columns(self, grid, tg):
+        first, second = synthetic_forcing_ensemble(grid, tg, 2, seed=7)
+        forcing = Trajectory(tg, grid, np.concatenate([first.spectrum, second.spectrum], axis=1))
+        au = self.solve(forcing)
+        assert au.components == 2
+        assert np.array_equal(au.spectrum, dense_de_simon(forcing))

@@ -145,6 +145,18 @@ class TestSpatialNorm:
         assert 0 < got <= sup * grid2d.volume ** (1 / 1000) * (1 + 1e-12)
         assert got >= sup * grid2d.cell_volume ** (1 / 1000) * (1 - 1e-12)
 
+    @pytest.mark.parametrize("q", [2.0, 3.0, 4.0, 2.5, math.inf])
+    @pytest.mark.parametrize("size", [1e-170, 1e-100, 1e100, 1e160, 1e300])
+    def test_out_of_range_sizes_scale_back(self, grid2d, rng, q, size):
+        """``|u|**q`` under- or overflows for these sizes; the norm is then
+        ``size`` times the unit field's norm, not 0 or ``inf``."""
+        values = rng.standard_normal((2,) + grid2d.shape)
+        unit = SpectralField.from_physical(grid2d, values)
+        sized = SpectralField.from_physical(grid2d, values * size)
+        assert spatial_lq_norm(sized, q) == pytest.approx(
+            size * spatial_lq_norm(unit, q), rel=1e-12, abs=0
+        )
+
     @given(c=st.floats(-10, 10, allow_nan=False), q=st.floats(1.0, 8.0))
     @settings(max_examples=40, deadline=None)
     def test_homogeneity(self, c, q):
@@ -322,6 +334,16 @@ class TestBesovHeatNorm:
         f = single_mode_field(grid2d)
         res = besov_heat_norm(f, MixedNormParams(2.0, 2.0), details=True)
         assert res.tail_bound < 1e-12 * res.value**2
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_large_field_scales_back(self, grid2d, p):
+        """The tail bound's ``amp**p`` overflows for a 1e300-sized field; the
+        norm is still 1e300 times the unit field's."""
+        f = single_mode_field(grid2d)
+        params = MixedNormParams(p, 4.0)
+        assert besov_heat_norm(f * 1e300, params) == pytest.approx(
+            1e300 * besov_heat_norm(f, params), rel=1e-12
+        )
 
     def test_zero_field_gives_zero(self, grid2d):
         z = SpectralField.zeros(grid2d)

@@ -89,6 +89,26 @@ class TestDeSimonPadding:
         au = de_simon_multiplier_solve(problem)
         assert au.coefficients.base is None
 
+    def test_only_forced_columns_transformed(self, problem, monkeypatch):
+        """One solve transforms ``n_pad`` points per spatial column the
+        forcing reaches, not per stored column."""
+        points = []
+        for name in ("fft", "ifft"):
+            original = getattr(scipy.fft, name)
+
+            def counted(x, *args, _original=original, **kwargs):
+                points.append(np.size(x))
+                return _original(x, *args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counted)
+        de_simon_multiplier_solve(problem)
+        stored = problem.forcing.spectrum
+        k1 = stored.shape[0]
+        n_pad = scipy.fft.next_fast_len(4 * k1)
+        forced = np.count_nonzero(np.any(stored.reshape(k1, -1) != 0, axis=0))
+        assert 0 < forced < stored[0].size
+        assert points == [n_pad * forced] * 2
+
     def test_pad_factor_one_rejected(self, problem):
         with pytest.raises(ValueError, match="pad_factor must be at least 2"):
             de_simon_multiplier_solve(problem, pad_factor=1)
