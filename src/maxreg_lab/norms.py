@@ -27,7 +27,6 @@ from .spectral import (
     _CoefficientArithmetic,
     _energy,
     _physical_values,
-    _stored,
     divergence,
 )
 
@@ -159,41 +158,23 @@ class Trajectory(_CoefficientArithmetic):
     spectrum: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self, coefficients: np.ndarray) -> None:
-        coeff = np.asarray(coefficients, dtype=np.complex128)
-        expected = (self.time_grid.num_nodes,)
-        if coeff.ndim == self.grid.dimension + 1:
-            coeff = coeff[:, np.newaxis]
-        if coeff.shape[:1] != expected or coeff.shape[2:] not in (
-            self.grid.shape,
-            self.grid.half_shape,
-        ):
-            raise ValueError(
-                f"coefficient shape {coeff.shape} incompatible with "
-                f"{self.time_grid.num_nodes} nodes on grid shape {self.grid.shape}"
-            )
-        object.__setattr__(self, "spectrum", _stored(coeff, self.grid))
+        self._store(coefficients, (self.time_grid.num_nodes,))
 
     @classmethod
     def from_fields(cls, time_grid: TimeGrid, fields: Sequence[SpectralField]) -> "Trajectory":
         if len(fields) != time_grid.num_nodes:
             raise ValueError("one field per time node required")
-        grid = fields[0].grid
         for f in fields[1:]:
-            if f.grid != grid or f.components != fields[0].components:
-                raise ValueError("all states must share grid and component count")
+            fields[0]._check_compatible(f)
         arrays = [f.spectrum for f in fields]
         if len({a.shape for a in arrays}) > 1:  # mixed layouts are stacked in full
             arrays = [f.coefficients for f in fields]
-        return cls(time_grid, grid, np.stack(arrays))
+        return cls(time_grid, fields[0].grid, np.stack(arrays))
 
     @classmethod
     def zeros(cls, time_grid: TimeGrid, grid: TorusGrid, components: int = 1) -> "Trajectory":
         shape = (time_grid.num_nodes, components) + grid.half_shape
         return cls(time_grid, grid, np.zeros(shape, dtype=np.complex128))
-
-    @property
-    def components(self) -> int:
-        return self.spectrum.shape[1]
 
     @cached_property
     def max_divergence(self) -> float:
@@ -204,11 +185,8 @@ class Trajectory(_CoefficientArithmetic):
         return SpectralField(self.grid, self.spectrum[i])
 
     def _check_compatible(self, other: "Trajectory") -> None:
-        if (
-            self.grid != other.grid
-            or self.components != other.components
-            or not self.time_grid.same_nodes(other.time_grid)
-        ):
+        super()._check_compatible(other)
+        if not self.time_grid.same_nodes(other.time_grid):
             raise ValueError("trajectories live on different grids")
 
 
@@ -285,8 +263,8 @@ def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
     ``q = 4`` a dot product of ``|u|**2`` with itself, for ``q = 3`` the
     product ``|u|**2 * sqrt(|u|**2)``, and a power only for other ``q``.
     A nonzero finite field whose sum of powers (or largest ``|u|**2``, for
-    ``q = inf``) under- or overflows is measured divided by its largest
-    sample and scaled back.
+    ``q = inf``) under- or overflows is measured with its components
+    divided by the largest one, by :func:`_scaled_lp`, and scaled back.
     """
     n = grid.dimension
     if np.iscomplexobj(values):
@@ -312,7 +290,6 @@ def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
     suspect = ~(total >= sys.float_info.min) | (total == math.inf)
     if np.any(suspect):
         # scan only the suspect rows, and an all-suspect (say zero) stack uncopied
-        lead = total.shape
         rows = flat.reshape((-1,) + flat.shape[-2:])
         where = np.flatnonzero(suspect)
         scan = rows if where.size == len(rows) else rows[where]
@@ -320,11 +297,27 @@ def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
         lost = (top > 0) & np.isfinite(top)
         if np.any(lost):
             top, where = top[lost], where[lost]
-            unit = values.reshape((-1,) + values.shape[len(lead) :])[where]
+            # components at most 1 in size: the largest square is at least 1
+            unit = rows[where] / top[:, np.newaxis, np.newaxis]
+            magnitude = np.sqrt(np.einsum("rcp,rcp->rp", unit, unit))
             norms = np.array(norms).reshape(-1)
-            norms[where] = top * _lq_magnitude(unit / top.reshape((-1,) + (1,) * (n + 1)), grid, q)
-            norms = norms.reshape(lead)
+            norms[where] = top * _scaled_lp(magnitude, grid.cell_volume, q)
+            norms = norms.reshape(total.shape)
     return norms
+
+
+def _scaled_lp(terms: np.ndarray, weights: np.ndarray | float, p: float) -> np.ndarray:
+    """``(sum weights * terms**p)**(1/p)`` over the last axis, for sums out of
+    floating-point range: each row is divided by its largest weighted term
+    ``weights**(1/p) * terms``, so its sum of powers lies between 1 and the
+    row length, and scaled back.  A term with weight 0 never sets the scale."""
+    scaled = weights ** (1.0 / p) * terms
+    top = np.max(scaled, axis=-1, keepdims=True)
+    unit = np.where((top > 0) & (top < math.inf), top, 1.0)
+    # only a row whose largest term is not finite overflows: it sums to inf or NaN
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.sum((scaled / unit) ** p, axis=-1)
+    return top[..., 0] * total ** (1.0 / p)
 
 
 def _parseval_l2(stored: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -347,16 +340,17 @@ def _node_spatial_norms(traj: Trajectory, q: float) -> np.ndarray:
 
 
 def _time_lp(g: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """``(sum weights * g**p)**(1/p)`` over nodal norms ``g``, rescaled by
-    ``max g`` when the sum under- or overflows; ``max g`` for ``p = inf``."""
+    """``(sum weights * g**p)**(1/p)`` over nodal norms ``g``, by
+    :func:`_scaled_lp` when the sum under- or overflows; ``max g`` for
+    ``p = inf``."""
     if math.isinf(p):
         return float(np.max(g))
-    with np.errstate(over="ignore", under="ignore"):
+    # 0 * inf, an overflowed power at a zero weight, leaves the range as NaN
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         total = np.sum(weights * g**p)
-    top = float(np.max(g))
-    if not sys.float_info.min <= total < math.inf and 0 < top < math.inf:
-        return top * float(np.sum(weights * (g / top) ** p)) ** (1.0 / p)
-    return float(total ** (1.0 / p))
+    if sys.float_info.min <= total < math.inf:
+        return float(total ** (1.0 / p))
+    return float(_scaled_lp(g, weights, p))
 
 
 def _time_weights(

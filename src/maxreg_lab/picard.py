@@ -194,8 +194,8 @@ def run_picard(
 
     Starting from ``base`` (or ``start``), the iteration stops when the
     step difference drops to ``tol``, the iterate norm exceeds ten times
-    the certified ball diameter (recorded as divergence), or ``max_iter``
-    is exhausted.  Convergence additionally requires the directly measured
+    the certified ball diameter or is NaN (recorded as divergence), or
+    ``max_iter`` is exhausted.  Convergence additionally requires the directly measured
     residual ``||u - base - F(u)||`` to lie below ``2 tol / (1 - rate)``.
     """
     if max_iter < 1:
@@ -227,7 +227,7 @@ def run_picard(
         norms.append(prob.norm(u))
         if iterate_callback is not None:
             iterate_callback(k, u)
-        if norms[-1] > 10.0 * 2.0 * delta:
+        if not norms[-1] <= 10.0 * 2.0 * delta:  # a NaN norm: the iterate overflowed
             diverged = True
             break
         if step <= tol:

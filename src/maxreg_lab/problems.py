@@ -587,22 +587,27 @@ def _bootstrap_ratio(
     ``||F(r_u u) - F(r_v v)||_boot`` over ``||r_u u - r_v v||_boot`` times
     the sum of ``(max_t ||r w||_q)**(nu-1)`` over the pair.  Both maps are
     positively homogeneous of degree ``nu``, so ``F(r w) = r**nu F(w)``
-    comes from the gate's images.
+    comes from the gate's images; a power out of floating-point range gives ``inf``.
     """
     nu, q = prob.nu, prob.params.q
     boot = MixedNormParams(p=bootstrap_p, q=q)
-    scales, powers = [], 0.0
+    scales, peaks = [], []
     for traj in pair:
         nodal = _node_spatial_norms(traj, q)
         weights = traj.time_grid.weights
         gate, own = _time_lp(nodal, weights, prob.params.p), _time_lp(nodal, weights, bootstrap_p)
         r = amplitude * gate / own
         scales.append(r)
-        powers += float(r * np.max(nodal)) ** (nu - 1.0)
+        peaks.append(float(r * np.max(nodal)))
     (u, v), (fu, fv), (ru, rv) = pair, images, scales
+    try:
+        powers = peaks[0] ** (nu - 1.0) + peaks[1] ** (nu - 1.0)
+        lift_u, lift_v = ru**nu, rv**nu
+    except OverflowError:
+        return math.inf
     denom = bochner_mixed_norm(u * ru - v * rv, boot) * powers
     if denom > 0:
-        return bochner_mixed_norm(fu * ru**nu - fv * rv**nu, boot) / denom
+        return bochner_mixed_norm(fu * lift_u - fv * lift_v, boot) / denom
     return 0.0
 
 

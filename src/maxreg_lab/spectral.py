@@ -23,10 +23,8 @@ field.  The full array stays readable as ``coefficients``.
 Products (tensor divergence, momentum forcing, pointwise powers) are
 formed in physical space with two-thirds dealiasing applied before and
 after; the product spectra are differentiated (and Leray-projected) by one
-contraction with a per-mode kernel of the layout.  Multipliers, the Leray
-projection, divergence, tensor divergence, momentum forcing and pointwise
-power take a single field or a ``norms.Trajectory`` and act on every time
-node at once.
+contraction with a per-mode kernel of the layout.  Every operator takes a
+single field or a ``norms.Trajectory`` and acts on every time node at once.
 """
 
 from __future__ import annotations
@@ -390,18 +388,44 @@ def _with_component_axis(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 class _CoefficientArithmetic:
-    """Linear structure of an immutable dataclass holding ``grid`` and the
-    stored Fourier array ``spectrum``, and its derived views.
+    """Storage, linear structure and derived views of an immutable dataclass
+    holding ``grid`` and the stored Fourier array ``spectrum``.
 
-    Shared by :class:`SpectralField` and ``norms.Trajectory``; each defines
-    ``_check_compatible`` for its own notion of a matching operand.  The
-    linear operations carry ``samples`` through when every operand already
-    holds it and the operands and the result share a layout, so a sum,
-    difference or real multiple of transformed states needs no transform
-    of its own.
+    Shared by :class:`SpectralField` and ``norms.Trajectory``, which adds a
+    leading time axis.  The linear operations carry ``samples`` through
+    when every operand already holds it and the operands and the result
+    share a layout, so a sum, difference or real multiple of transformed
+    states needs no transform of its own.
     ``dataclasses.replace`` builds an instance without it, which is why
     ``spectrum`` is never written in place.
     """
+
+    def _store(self, coefficients: np.ndarray, lead: tuple[int, ...]) -> None:
+        """Keep ``coefficients``, shaped ``lead + (m,) + grid shape`` in either
+        layout (without the ``m`` axis for ``m = 1``), as ``spectrum``."""
+        coeff = np.asarray(coefficients, dtype=np.complex128)
+        grid, k = self.grid, len(lead)
+        if coeff.ndim == k + grid.dimension:
+            coeff = np.expand_dims(coeff, k)
+        if coeff.shape[:k] != lead or coeff.shape[k + 1 :] not in (grid.shape, grid.half_shape):
+            raise ValueError(
+                f"coefficient shape {coeff.shape} incompatible with {lead} + grid shape {grid.shape}"
+            )
+        object.__setattr__(self, "spectrum", _stored(coeff, grid))
+
+    @property
+    def components(self) -> int:
+        return self.spectrum.shape[-self.grid.dimension - 1]
+
+    def is_mean_free(self) -> bool:
+        """Whether the zero mode is negligible at every node."""
+        n, stored = self.grid.dimension, self.spectrum
+        peak = np.abs(stored).reshape(stored.shape[: -n - 1] + (-1,)).max(-1, keepdims=True)
+        return bool(np.all(np.abs(stored[(...,) + (0,) * n]) <= 1e-12 * np.maximum(1.0, peak)))
+
+    def _check_compatible(self, other) -> None:
+        if self.grid != other.grid or self.components != other.components:
+            raise ValueError("operands live on different grids or component counts")
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -479,25 +503,7 @@ class SpectralField(_CoefficientArithmetic):
     spectrum: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self, coefficients: np.ndarray) -> None:
-        coeff = np.asarray(coefficients, dtype=np.complex128)
-        if coeff.ndim == self.grid.dimension:
-            coeff = coeff[np.newaxis]
-        if coeff.shape[1:] not in (self.grid.shape, self.grid.half_shape):
-            raise ValueError(
-                f"coefficient shape {coeff.shape} incompatible with grid shape {self.grid.shape}"
-            )
-        object.__setattr__(self, "spectrum", _stored(coeff, self.grid))
-
-    # -- basic queries -------------------------------------------------
-
-    @property
-    def components(self) -> int:
-        return self.spectrum.shape[0]
-
-    def is_mean_free(self) -> bool:
-        zero_mode = self.spectrum[(slice(None),) + (0,) * self.grid.dimension]
-        scale = max(1.0, float(np.max(np.abs(self.spectrum))))
-        return bool(np.all(np.abs(zero_mode) <= 1e-12 * scale))
+        self._store(coefficients, ())
 
     # -- transforms ----------------------------------------------------
 
@@ -528,12 +534,6 @@ class SpectralField(_CoefficientArithmetic):
         if require_real:
             _require_real(self.spectrum, self.grid)
         return _physical_values(self.spectrum, self.grid)
-
-    # -- linear structure ----------------------------------------------
-
-    def _check_compatible(self, other: "SpectralField") -> None:
-        if self.grid != other.grid or self.components != other.components:
-            raise ValueError("fields live on different grids or component counts")
 
 
 @dataclass(frozen=True)
@@ -616,28 +616,28 @@ def apply_multiplier(u: _FieldOrStack, op: FourierMultiplier) -> _FieldOrStack:
     return replace(u, coefficients=out)
 
 
-def heat_semigroup_apply(field: SpectralField, t: float) -> SpectralField:
-    """``exp(t*Laplacian)`` applied to ``field``; contraction for ``t >= 0``."""
+def heat_semigroup_apply(u: _FieldOrStack, t: float) -> _FieldOrStack:
+    """``exp(t*Laplacian)`` applied to ``u``; contraction for ``t >= 0``."""
     if t < 0:
         raise ValueError("heat semigroup time must be nonnegative")
-    damp = np.exp(-t * field.grid.layout(field.spectrum).xi_sq)
-    return SpectralField(field.grid, field.spectrum * damp[np.newaxis])
+    damp = np.exp(-t * u.grid.layout(u.spectrum).xi_sq)
+    return replace(u, coefficients=u.spectrum * damp)
 
 
-def fractional_laplacian_apply(field: SpectralField, s: float) -> SpectralField:
+def fractional_laplacian_apply(u: _FieldOrStack, s: float) -> _FieldOrStack:
     """``(-Laplacian)**s`` through the symbol ``|xi|**(2s)``.
 
     The zero mode is annihilated for ``s > 0`` and requires a mean-free
-    field for ``s < 0`` (the inverse does not see constants).
+    field (at every node) for ``s < 0`` (the inverse does not see constants).
     """
-    if s < 0 and not field.is_mean_free():
+    if s < 0 and not u.is_mean_free():
         raise ValueError("negative fractional power requires a mean-free field")
     if s == 0:
-        return SpectralField(field.grid, field.spectrum.copy())
+        return replace(u, coefficients=u.spectrum.copy())
     with np.errstate(divide="ignore"):
-        sym = field.grid.layout(field.spectrum).xi_sq ** s
-    sym[(0,) * field.grid.dimension] = 0.0
-    return SpectralField(field.grid, field.spectrum * sym[np.newaxis])
+        sym = u.grid.layout(u.spectrum).xi_sq ** s
+    sym[(0,) * u.grid.dimension] = 0.0
+    return replace(u, coefficients=u.spectrum * sym)
 
 
 def helmholtz_project(field: _FieldOrStack) -> _FieldOrStack:
@@ -658,13 +658,12 @@ def helmholtz_project(field: _FieldOrStack) -> _FieldOrStack:
     return replace(field, coefficients=out)
 
 
-def gradient(field: SpectralField) -> SpectralField:
+def gradient(field: _FieldOrStack) -> _FieldOrStack:
     """Gradient of a scalar field: ``i*xi_j*c`` per direction."""
     if field.components != 1:
         raise ValueError("gradient expects a scalar field")
     coeff = _odd_input(field)
-    xi = field.grid.layout(coeff).xi
-    return SpectralField(field.grid, 1j * xi * coeff[0][np.newaxis])
+    return replace(field, coefficients=1j * field.grid.layout(coeff).xi * coeff)
 
 
 def divergence(field: _FieldOrStack) -> _FieldOrStack:
@@ -676,10 +675,10 @@ def divergence(field: _FieldOrStack) -> _FieldOrStack:
     return replace(field, coefficients=_with_component_axis(out, field.grid))
 
 
-def dealias(field: SpectralField) -> SpectralField:
+def dealias(field: _FieldOrStack) -> _FieldOrStack:
     """Zero all modes outside the 2/3-rule ball."""
     mask = field.grid.layout(field.spectrum).dealias_mask
-    return SpectralField(field.grid, field.spectrum * mask[np.newaxis])
+    return replace(field, coefficients=field.spectrum * mask)
 
 
 def _energy(block: np.ndarray, weights: np.ndarray, lead: int = 0) -> np.ndarray:

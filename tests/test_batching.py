@@ -7,7 +7,11 @@ from maxreg_lab import (
     SpectralField,
     TorusGrid,
     Trajectory,
+    dealias,
     divergence,
+    fractional_laplacian_apply,
+    gradient,
+    heat_semigroup_apply,
     helmholtz_project,
     pointwise_power_nonlinearity,
     spatial_lq_norm,
@@ -17,12 +21,15 @@ from maxreg_lab import (
 from maxreg_lab.norms import _node_spatial_norms
 
 
-def random_trajectory(grid, rng, components):
+def random_trajectory(grid, rng, components, mean_free=False):
     time_grid = uniform_time_grid(1.0, 3)
-    fields = [
-        SpectralField.from_physical(grid, rng.standard_normal((components,) + grid.shape))
-        for _ in range(time_grid.num_nodes)
-    ]
+    spatial = tuple(range(1, grid.dimension + 1))
+    fields = []
+    for _ in range(time_grid.num_nodes):
+        values = rng.standard_normal((components,) + grid.shape)
+        if mean_free:
+            values -= values.mean(axis=spatial, keepdims=True)
+        fields.append(SpectralField.from_physical(grid, values))
     return Trajectory.from_fields(time_grid, fields)
 
 
@@ -49,6 +56,27 @@ class TestStackedOperators:
         assert_nodewise(lambda a: tensor_divergence(a, a), u)
         assert_nodewise(tensor_divergence, u, v)
 
+    def test_scalar_operators(self, grid, rng):
+        u = random_trajectory(grid, rng, 1)
+        assert_nodewise(lambda a: heat_semigroup_apply(a, 0.3), u)
+        assert_nodewise(gradient, u)
+        assert_nodewise(dealias, random_trajectory(grid, rng, grid.dimension))
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, -0.5])
+    def test_fractional_laplacian(self, grid, rng, s):
+        u = random_trajectory(grid, rng, 1, mean_free=True)
+        assert u.is_mean_free()
+        assert_nodewise(lambda a: fractional_laplacian_apply(a, s), u)
+
+    def test_negative_power_needs_every_node_mean_free(self, grid, rng):
+        u = random_trajectory(grid, rng, 1, mean_free=True)
+        coefficients = u.coefficients.copy()
+        coefficients[1, (0,) * (grid.dimension + 1)] = 0.3
+        shifted = Trajectory(u.time_grid, grid, coefficients)
+        assert not shifted.is_mean_free()
+        with pytest.raises(ValueError, match="mean-free"):
+            fractional_laplacian_apply(shifted, -0.5)
+
     @pytest.mark.parametrize("variant", ["signed", "unsigned"])
     def test_pointwise_power(self, grid, rng, variant):
         u = random_trajectory(grid, rng, 1)
@@ -59,6 +87,31 @@ class TestStackedOperators:
         u = random_trajectory(grid, rng, grid.dimension)
         expected = [spatial_lq_norm(u.state(i), q) for i in range(u.time_grid.num_nodes)]
         assert np.array_equal(_node_spatial_norms(u, q), expected)
+
+
+class TestSharedConstructor:
+    """The field and the trajectory check their coefficients in one place."""
+
+    def test_trajectory_with_wrong_node_count(self, grid2d):
+        with pytest.raises(ValueError, match=r"incompatible with \(3,\) \+ grid shape"):
+            Trajectory(uniform_time_grid(1.0, 3), grid2d, np.zeros((4, 1) + grid2d.shape))
+
+    def test_field_with_wrong_spatial_shape(self, grid2d):
+        with pytest.raises(ValueError, match=r"incompatible with \(\) \+ grid shape"):
+            SpectralField(grid2d, np.zeros((1, 16, 15)))
+
+    def test_sum_on_different_time_nodes(self, grid2d):
+        a = Trajectory.zeros(uniform_time_grid(1.0, 3), grid2d)
+        b = Trajectory.zeros(uniform_time_grid(2.0, 3), grid2d)
+        with pytest.raises(ValueError, match="different grids"):
+            _ = a + b
+
+    def test_component_axis_is_optional(self, grid2d, rng):
+        coefficients = rng.standard_normal((3,) + grid2d.shape) + 0j
+        u = Trajectory(uniform_time_grid(1.0, 3), grid2d, coefficients)
+        assert u.components == 1
+        assert SpectralField(grid2d, coefficients[0]).components == 1
+        assert np.array_equal(u.coefficients[:, 0], coefficients)
 
 
 @pytest.mark.parametrize("shape", [(33, 3, 16), (65, 2, 64)], ids=["33x3x16^3", "65x2x64^2"])

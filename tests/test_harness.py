@@ -615,6 +615,28 @@ class TestStrictJsonRecords:
             {"experiment": "ns-unique", "time": {"horizon": 1e-300}},
             # the data norm's powers of a 1e300-sized initial field overflow
             {"experiment": "ns-exist", "params": {"perturbation": 1e300}, "time": {"num_nodes": 17}},
+            # |u|**q of a vector field overflows even with its components scaled to at most 1
+            *(
+                {
+                    "experiment": "ns-unique",
+                    "grid": {"points_per_axis": 8},
+                    "time": {"num_nodes": 17},
+                    "params": {"q": q},
+                }
+                for q in (3000, 10000, 1e300)
+            ),
+            {
+                "experiment": "ns-exist",
+                "grid": {"points_per_axis": 16},
+                "time": {"num_nodes": 17},
+                "params": {"q": 2100, "critical": False},
+            },
+            # the largest nodal norm sits at t = 0, where the power weight is 0
+            {"experiment": "weighted-maxreg", "time": {"num_nodes": 9}, "params": {"p": 1000}},
+            # the bootstrap's scale r has r**nu out of floating-point range
+            {"experiment": "ns-unique", "grid": {"points_per_axis": 8}, "params": {"eta": 1e160}},
+            {"experiment": "nlhe-unique", "params": {"eta": 1e160}},
+            {"experiment": "nlhe-unique", "params": {"eta": 1e300}},
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import logsumexp
 
 from maxreg_lab import (
     DivergentNormError,
@@ -157,6 +158,17 @@ class TestSpatialNorm:
             size * spatial_lq_norm(unit, q), rel=1e-12, abs=0
         )
 
+    @pytest.mark.parametrize("grid_name, q", [("grid2d", 2100.0), ("grid3d", 1300.0)])
+    def test_component_sum_out_of_range(self, request, grid_name, q):
+        """Each component is 1, so ``|u|**2`` is ``m`` and ``m**(q/2)``
+        overflows even after dividing by the largest component; the norm of
+        the constant field is ``|u| * volume**(1/q)``."""
+        grid = request.getfixturevalue(grid_name)
+        m = grid.dimension
+        f = SpectralField.from_physical(grid, np.ones((m,) + grid.shape))
+        expect = math.sqrt(m) * grid.volume ** (1 / q)
+        assert spatial_lq_norm(f, q) == pytest.approx(expect, rel=1e-12)
+
     @given(c=st.floats(-10, 10, allow_nan=False), q=st.floats(1.0, 8.0))
     @settings(max_examples=40, deadline=None)
     def test_homogeneity(self, c, q):
@@ -198,6 +210,23 @@ class TestBochnerNorm:
         g = np.array([spatial_lq_norm(traj.state(i), 2.0) for i in range(tg.num_nodes)])
         expect = g.max() * np.sum(tg.weights * (g / g.max()) ** 1000) ** (1 / 1000)
         got = bochner_mixed_norm(traj, MixedNormParams(p=1000.0, q=2.0))
+        assert got == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_weighted_norm_with_largest_value_at_zero_weight(self, grid1d, scale):
+        """The nodal norms peak at ``t = 0``, where the weight ``t**500`` is 0,
+        and every weighted term ``w g**1000`` underflows (``0 * inf`` at the
+        peak for the larger scale); the norm is still the positive
+        ``(sum w g**p)**(1/p)``, summed here in logarithms."""
+        tg = uniform_time_grid(1.0, 33)
+        traj = self.make_separable(grid1d, tg, scale * np.exp(-10 * tg.nodes))
+        params, weight = MixedNormParams(p=1000.0, q=2.0), WeightParams(mu=0.5)
+        g = scale * np.exp(-10 * tg.nodes) * spatial_lq_norm(single_mode_field(grid1d), 2.0)
+        w = tg.weights * tg.nodes**500
+        log_terms = np.log(w[w > 0]) + 1000 * np.log(g[w > 0])
+        expect = math.exp(logsumexp(log_terms) / 1000)
+        got = bochner_mixed_norm(traj, params, weight=weight)
+        assert got > 0
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_weighted_mu_one_is_exactly_unweighted(self, grid1d, rng):

@@ -136,6 +136,14 @@ class TestRunPicard:
         assert not cert.smallness_ok
         assert cert.residual == math.inf
 
+    def test_overflowed_iterate_diverges(self):
+        """At a = 1e160 the map's ``u**3 - u**2`` is ``inf - inf``: a NaN
+        iterate is flagged as divergence at once, not iterated to max_iter."""
+        prob = FixedPointProblem(base=1e160, map_F=lambda u: u * u * u - u * u, norm=abs, epsilon=1.0)
+        u, cert = run_picard(prob, 60, 1e-12, lipschitz_M=1.0)
+        assert cert.diverged and not cert.converged
+        assert cert.iterations == 1
+
     def test_max_iter_exhaustion_is_not_convergence(self):
         u, cert = run_picard(scalar_problem(0.1), 3, 1e-16, lipschitz_M=1.0)
         assert cert.iterations == 3
