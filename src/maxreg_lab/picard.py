@@ -90,12 +90,12 @@ def estimate_lipschitz_M(
     """
     ratios: list[float] = []
     amplitudes: list[float] = []
-    for u, v in sample_pairs:
-        sample = _pair_ratio(map_F, norm, epsilon, u, v)
+    for pair in sample_pairs:
+        sample = _pair_ratio(map_F, norm, epsilon, *pair)
         if sample is not None:
             ratios.append(sample[0])
             amplitudes.append(sample[1])
-        del sample  # and its images, before the next pair is drawn
+        del pair, sample  # with the images, before the next pair is drawn
     return _lipschitz_bound(ratios, amplitudes)
 
 
@@ -207,6 +207,7 @@ def run_picard(
     delta, small_ok = smallness_gate(lipschitz_M, prob.epsilon, a_norm)
     u = a if start is None else start
     norms = [a_norm if start is None else prob.norm(u)]
+    del start  # the iterate holds it until the first step replaces it
     diffs: list[float] = []
     factors: list[float] = []
     diverged = False
@@ -224,6 +225,7 @@ def run_picard(
         if len(diffs) >= 2 and diffs[-2] > 0:
             factors.append(diffs[-1] / diffs[-2])
         u = u + change
+        del change  # before the next map evaluation
         norms.append(prob.norm(u))
         if iterate_callback is not None:
             iterate_callback(k, u)
@@ -237,7 +239,8 @@ def run_picard(
         residual = float("inf")
         converged = False
     else:
-        residual = prob.norm(u - a - prob.map_F(u))
+        image = prob.map_F(u)  # before ``u - a``, which it would outlive
+        residual = prob.norm(u - a - image)
         rate = factors[-1] if factors else 0.0
         converged = hit_tol and rate < 1.0 and residual <= 2.0 * tol / (1.0 - rate)
     cert = PicardCertificate(

@@ -27,6 +27,7 @@ from .norms import (
     ScalingLaw,
     TimeGrid,
     Trajectory,
+    _lq_magnitude,
     _node_spatial_norms,
     _parseval_l2,
     _time_lp,
@@ -538,6 +539,7 @@ def _sample_trajectory_pairs(
             )
             traj = heat_extension(f, prob.time_grid)
             fields.append(traj * (scale / prob.norm(traj)))
+            del traj  # the unscaled extension
         yield fields[0], fields[1]
 
 
@@ -605,7 +607,9 @@ def _bootstrap_ratio(
         lift_u, lift_v = ru**nu, rv**nu
     except OverflowError:
         return math.inf
-    denom = bochner_mixed_norm(u * ru - v * rv, boot) * powers
+    # the norm of ``u * ru - v * rv`` from its samples, with no spectrum built
+    gap = _lq_magnitude(ru * u.samples - rv * v.samples, u.grid, q)
+    denom = _time_lp(gap, u.time_grid.weights, bootstrap_p) * powers
     if denom > 0:
         return bochner_mixed_norm(fu * lift_u - fv * lift_v, boot) / denom
     return 0.0
@@ -649,13 +653,14 @@ def existence_sweep(
         def track(_k: int, traj: Trajectory) -> None:
             worst_div[0] = max(worst_div[0], max_node_divergence(traj))
 
-        _, cert = run_picard(
+        # the solution is not bound: it is gone before the next run starts
+        cert = run_picard(
             fp,
             max_iter,
             tol,
             lipschitz_M=M,
             iterate_callback=track if prob.divergence_free else None,
-        )
+        )[1]
         entries.append(
             ExistenceEntry(
                 eta=eta,

@@ -1,4 +1,5 @@
-"""One-key-at-a-time sweep over every numeric config key of every experiment.
+"""One-key-at-a-time sweep over every numeric and list-valued config key of
+every experiment.
 
 Each config is a small base config (8-point grids, short time grids,
 two-member ensembles) with one key set to an edge value.  Whatever the
@@ -38,13 +39,34 @@ def _numeric(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _list_values(default):
+    """Edge values of a list key: empty, its first entry alone, and each
+    edge float alone and appended; for a list of pairs (``z_values``) the
+    float replaces either entry of the first pair, or both of an appended one."""
+    yield []
+    yield default[:1]
+    for x in FLOATS:
+        if x == 1.0000001:
+            continue
+        if isinstance(default[0], list):
+            re, im = default[0]
+            yield from ([[x, im]], [[re, x]], default + [[x, x]])
+        else:
+            yield from ([x], default + [x])
+
+
 def _sweep():
     for name, defaults in sorted(EXPERIMENT_DEFAULTS.items()):
+        params = defaults.get("params", {}).items()
         keys = [("time", "horizon", 1.0), ("grid", "period", 1.0)]
-        keys += [("params", k, v) for k, v in defaults.get("params", {}).items() if _numeric(v)]
+        keys += [("params", k, v) for k, v in params if _numeric(v)]
         for table, key, default in keys:
             for value in INTEGERS if isinstance(default, int) else FLOATS:
                 yield pytest.param(name, table, key, value, id=f"{name}-{table}.{key}={value!r}")
+        for key, default in params:
+            if isinstance(default, list):
+                for value in _list_values(default):
+                    yield pytest.param(name, "params", key, value, id=f"{name}-params.{key}={value!r}")
 
 
 def _config(name, table, key, value):

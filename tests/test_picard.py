@@ -5,6 +5,8 @@ The scalar model u = a + u^2 has the closed-form fixed point
 """
 
 import math
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,33 @@ from maxreg_lab import (
 
 def scalar_problem(a, epsilon=1.0):
     return FixedPointProblem(base=a, map_F=lambda u: u * u, norm=abs, epsilon=epsilon)
+
+
+class Tracked:
+    """A scalar state whose every instance is weakly recorded, so a test can
+    list the states still alive at a given moment."""
+
+    made: list = []
+
+    def __init__(self, x):
+        self.x = x
+        Tracked.made.append(weakref.ref(self))
+
+    def __add__(self, other):
+        return Tracked(self.x + other.x)
+
+    def __sub__(self, other):
+        return Tracked(self.x - other.x)
+
+    def __mul__(self, scalar):
+        return Tracked(self.x * scalar)
+
+    def __abs__(self):
+        return abs(self.x)
+
+    @classmethod
+    def alive(cls):
+        return [s for s in (ref() for ref in cls.made) if s is not None]
 
 
 class TestFixedPointProblem:
@@ -62,6 +91,21 @@ class TestLipschitzEstimate:
     def test_degenerate_pairs_rejected(self):
         with pytest.raises(ValueError, match="no usable sample pairs"):
             estimate_lipschitz_M(lambda u: u * u, abs, 1.0, [(1.0, 1.0), (0.0, 0.0)])
+
+    def test_pair_released_before_the_next_is_drawn(self):
+        """When the pairs are drawn one at a time, no state of a used pair
+        (nor its images or differences) is alive while the next is built."""
+        Tracked.made = []
+        leftovers = []
+
+        def pairs():
+            for a in (1.0, 0.5, 0.2):
+                leftovers.append(len(Tracked.alive()))
+                yield Tracked(a), Tracked(a / 3)
+
+        M = estimate_lipschitz_M(lambda u: u * u.x, abs, 1.0, pairs())
+        assert M == pytest.approx(1.5, rel=1e-12)
+        assert leftovers == [0, 0, 0]
 
     def test_linear_map_trips_trend_warning(self):
         """A linear map probed with epsilon = 1 has ratios ~ 1/amplitude."""
@@ -183,6 +227,41 @@ class TestRunPicard:
         _, cert = run_picard(prob, 60, 1e-12, lipschitz_M=1.0)
         assert cert.converged
         assert len(calls) == 2 + 2 * cert.iterations
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            None,
+            pytest.param(
+                0.2,
+                marks=pytest.mark.skipif(
+                    sys.version_info < (3, 11),
+                    reason="before 3.11 a caller's frame holds its call's arguments",
+                ),
+            ),
+        ],
+    )
+    def test_only_base_and_iterate_alive_at_each_map_call(self, start):
+        """Each map evaluation, the residual's included, sees only the base
+        and the current iterate alive: no step, difference, earlier iterate
+        or given start outlives its last use."""
+        seen = []
+
+        def map_F(u):
+            if checking:
+                seen.append(sorted(id(s) for s in Tracked.alive()) == sorted({id(a), id(u)}))
+            return u * u.x
+
+        a = Tracked(0.1)
+        checking = False
+        prob = FixedPointProblem(base=a, map_F=map_F, norm=abs, epsilon=1.0)
+        checking, Tracked.made = True, [weakref.ref(a)]
+        u, cert = run_picard(
+            prob, 60, 1e-12, lipschitz_M=1.0, start=None if start is None else Tracked(start)
+        )
+        assert cert.converged
+        assert u.x == pytest.approx((1.0 - math.sqrt(0.6)) / 2.0, abs=1e-9)
+        assert len(seen) == cert.iterations + 1 and all(seen)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_iter must be at least 1"):

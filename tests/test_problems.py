@@ -2,6 +2,7 @@
 existence/uniqueness experiments at desk scale."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from maxreg_lab import (
     NsProblem,
     SpectralField,
     TorusGrid,
+    Trajectory,
     criticality_check,
     default_smoothing_radii,
     heat_extension,
@@ -35,6 +37,7 @@ from maxreg_lab import (
 )
 from maxreg_lab import besov_heat_norm, bochner_mixed_norm, problems
 from maxreg_lab.harness import load_config, run_experiment
+from maxreg_lab.norms import _node_spatial_norms
 
 
 def scalar_data(grid, seed=0, band_limit=3):
@@ -381,6 +384,22 @@ class TestExistenceExperiments:
         with pytest.raises(ValueError, match="initial field must be nonzero"):
             existence_sweep(zero_prob, [0.1])
 
+    def test_each_run_starts_after_the_last_solution_died(self, grid2d, monkeypatch):
+        """The sweep keeps only certificates: a run's solution is gone
+        before the next run starts."""
+        solutions, alive = [], []
+        run = problems.run_picard
+
+        def tracked(*args, **kwargs):
+            alive.append([ref() is not None for ref in solutions])
+            u, cert = run(*args, **kwargs)
+            solutions.append(weakref.ref(u))
+            return u, cert
+
+        monkeypatch.setattr(problems, "run_picard", tracked)
+        existence_sweep(small_nlhe(grid2d), [0.01, 0.05, 0.1], max_iter=40)
+        assert alive == [[], [False], [False, False]]
+
     def test_ns_sweep_tracks_divergence(self, grid2d):
         prob = NsProblem(
             params=MixedNormParams(4.0, 4.0),
@@ -506,6 +525,46 @@ class TestSharedSampling:
         assert M == measured_lipschitz_M(prob, seed=3)
         expect = bootstrap_ratio_by_resampling(prob, bootstrap_p, seed=3)
         assert c1 == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["signed", "ns"])
+    def test_sampler_holds_only_the_pair_in_use(self, grid2d, kind):
+        """While a pair is in use, the sampler's frame holds no other
+        trajectory (the unscaled heat extensions are gone)."""
+        pairs = problems._sample_trajectory_pairs(self.make_problem(kind, grid2d))
+        for pair in pairs:
+            held = []
+            for value in pairs.gi_frame.f_locals.values():
+                held += value if isinstance(value, list) else [value]
+            assert all(any(x is w for w in pair) for x in held if isinstance(x, Trajectory))
+
+    @pytest.mark.parametrize("kind", ["signed", "ns"])
+    @pytest.mark.parametrize("bootstrap_p", [2.0, 3.0])
+    def test_bootstrap_gap_norm_builds_no_trajectory(self, grid2d, monkeypatch, kind, bootstrap_p):
+        """The ratio equals the one with the scaled gap formed as a
+        trajectory, ``bochner_mixed_norm(u * ru - v * rv, boot)``, bit for
+        bit; only the images' scaled difference is built (three trajectories)."""
+        prob = self.make_problem(kind, grid2d)
+        q, nu = prob.params.q, prob.nu
+        boot = MixedNormParams(bootstrap_p, q)
+        amplitude = max(spatial_lq_norm(prob.u0, q), 1e-3)
+        built = []
+        store = Trajectory.__post_init__
+        monkeypatch.setattr(
+            Trajectory, "__post_init__", lambda self, c: built.append(1) or store(self, c)
+        )
+        for pair in problems._sample_trajectory_pairs(prob, seed=3):
+            images = prob.rhs(pair[0]), prob.rhs(pair[1])
+            built.clear()
+            ratio = problems._bootstrap_ratio(prob, bootstrap_p, amplitude, pair, images)
+            assert len(built) == 3
+            (u, v), (fu, fv) = pair, images
+            ru, rv = (
+                amplitude * bochner_mixed_norm(w, prob.params) / bochner_mixed_norm(w, boot)
+                for w in pair
+            )
+            peaks = [r * float(np.max(_node_spatial_norms(w, q))) for r, w in zip((ru, rv), pair)]
+            denom = bochner_mixed_norm(u * ru - v * rv, boot) * sum(s ** (nu - 1.0) for s in peaks)
+            assert ratio == bochner_mixed_norm(fu * ru**nu - fv * rv**nu, boot) / denom
 
     def test_ns_unique_run_draws_each_sample_field_once(self, monkeypatch):
         streams = []
