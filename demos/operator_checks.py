@@ -60,7 +60,7 @@ def main():
     rule("Randomised bound of a scalar family")
     coeffs = [1.0, -0.5, 2.0, 0.25, -1.5, 0.75]
     family = [constant_multiplier(c) for c in coeffs]
-    est = rbound_estimate(family, trials=8, vectors_per_trial=4096, grid=grid, seed=0)
+    est = rbound_estimate(family, trials=8, grid=grid, seed=0)
     print(f"family coefficients:      {coeffs}")
     print(f"sign patterns enumerated: {est.sign_samples} (exact = {est.exact_signs})")
     print(f"estimate:                 {est.estimate:.6f}")

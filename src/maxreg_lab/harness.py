@@ -84,15 +84,13 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
             "ensemble_size": 20,
             "band_limit": 4,
             "modes_per_member": 6,
-            "sigma_max": 64.0,
-            "sigma_points": 33,
         },
     },
     "resolvent": {
         "grid": {"dimension": 2, "points_per_axis": 16, "period": _TWO_PI},
+        "time": {"num_nodes": 8193},
         "params": {
             "z_values": [[1.0, 0.0], [1.0, 10.0], [100.0, 0.0]],
-            "num_nodes": 8193,
             "band_limit": 4,
         },
     },
@@ -109,7 +107,6 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
             "coefficients": [1.0, -0.5, 2.0, 0.25, -1.5, 0.75],
             "sigmas": [0.5, 1.0, 2.0, 4.0, 8.0],
             "trials": 8,
-            "vectors_per_trial": 4096,
         },
     },
     "scaling": {
@@ -279,6 +276,8 @@ def load_config(source: str | Path | dict[str, Any]) -> ExperimentConfig:
     name = raw.pop("experiment", None)
     if name is None:
         raise ConfigError("config must name an 'experiment'")
+    if not isinstance(name, str):
+        raise ConfigError("config key 'experiment' must be a string")
     if name not in EXPERIMENT_DEFAULTS:
         known = ", ".join(experiment_names())
         raise ConfigError(f"unknown experiment {name!r}; known: {known}")
@@ -547,13 +546,6 @@ def _weighted_maxreg(
 
 
 def _desimon(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
-    p = cfg.params
-    sigma_max, sigma_points = float(p["sigma_max"]), int(p["sigma_points"])
-    if sigma_points < 1:
-        raise ValueError("params.sigma_points must be at least 1")
-    if not math.isfinite(sigma_max):
-        raise ValueError("params.sigma_max must be finite")
-    sigma = np.linspace(0.0, sigma_max, sigma_points)
     draw = _ensemble(cfg)
 
     def run() -> tuple[str, dict, dict]:
@@ -570,7 +562,8 @@ def _desimon(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeG
                 norms.bochner_mixed_norm(replace(au, coefficients=au.spectrum), params)
                 / norms.bochner_mixed_norm(replace(f, coefficients=f.spectrum), params)
             )
-        sup = maxreg.multiplier_sup_norm(op, sigma, grid)
+        # the zero mode makes the sup 1 on any grid with a nonzero frequency
+        sup = maxreg.multiplier_sup_norm(op, np.linspace(0.0, 64.0, 33), grid)
         metrics = {
             "ratio_max": max(ratios),
             "multiplier_sup_norm": sup,
@@ -591,14 +584,12 @@ def _resolvent(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.Tim
     p = cfg.params
     # unpacking rejects an entry that is not a (Re z, Im z) pair
     z_values = [(float(re_z), float(im_z)) for re_z, im_z in p["z_values"]]
-    num_nodes = int(p["num_nodes"])
-    # the probe integrates over [0, 1/Re z]
+    # each probe integrates over [0, 1/Re z] with the time grid's node count
+    num_nodes = tgrid.num_nodes
     if not all(
         re_z > 0 and 0 < 1.0 / re_z < math.inf and math.isfinite(im_z) for re_z, im_z in z_values
     ):
         raise ValueError("params.z_values entries need Re z > 0, with 1/Re z and Im z finite")
-    if num_nodes < 2:
-        raise ValueError("params.num_nodes must be at least 2")
     for re_z, _ in z_values:  # each probe's time grid, so a spacing it rejects is a config error
         norms.uniform_time_grid(1.0 / re_z, num_nodes)
     x = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
@@ -675,7 +666,7 @@ def _hormander(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.Tim
 
 def _rbound(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
     p = cfg.params
-    kind, trials, vectors = str(p["kind"]), int(p["trials"]), int(p["vectors_per_trial"])
+    kind, trials = str(p["kind"]), int(p["trials"])
     coefficients = [float(c) for c in p["coefficients"]]
     sigmas = [float(s) for s in p["sigmas"]]
     if trials < 1:
@@ -694,7 +685,7 @@ def _rbound(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGr
         raise ValueError("params.kind must be 'scalar', 'identity' or 'resolvent'")
 
     def run() -> tuple[str, dict, dict]:
-        est = maxreg.rbound_estimate(family, trials, vectors, grid=grid, seed=cfg.rng_seed)
+        est = maxreg.rbound_estimate(family, trials, grid=grid, seed=cfg.rng_seed)
         metrics: dict[str, Any] = {
             "estimate": est.estimate,
             "uniform_bound": est.uniform_bound,
@@ -1120,6 +1111,8 @@ def _prepare(cfg: ExperimentConfig) -> _Run:
     try:
         if cfg.threads < 1:
             raise ValueError("threads must be at least 1")
+        if cfg.rng_seed < 0:
+            raise ValueError("rng_seed must be nonnegative")
         return _EXPERIMENTS[cfg.experiment](cfg, cfg.make_grid(), cfg.make_time_grid())
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{cfg.experiment} set-up rejected the config: {exc}") from exc

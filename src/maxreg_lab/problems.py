@@ -52,6 +52,7 @@ from .picard import (
 from .spectral import (
     SpectralField,
     TorusGrid,
+    _physical_values,
     divergence,
     heat_semigroup_apply,
     helmholtz_project,
@@ -592,7 +593,6 @@ def _bootstrap_ratio(
     comes from the gate's images; a power out of floating-point range gives ``inf``.
     """
     nu, q = prob.nu, prob.params.q
-    boot = MixedNormParams(p=bootstrap_p, q=q)
     scales, peaks = [], []
     for traj in pair:
         nodal = _node_spatial_norms(traj, q)
@@ -607,11 +607,14 @@ def _bootstrap_ratio(
         lift_u, lift_v = ru**nu, rv**nu
     except OverflowError:
         return math.inf
-    # the norm of ``u * ru - v * rv`` from its samples, with no spectrum built
-    gap = _lq_magnitude(ru * u.samples - rv * v.samples, u.grid, q)
-    denom = _time_lp(gap, u.time_grid.weights, bootstrap_p) * powers
+    # each gap's norm from one array, with no trajectory built: the pair's
+    # from their samples, the images' from their spectra
+    grid, weights = u.grid, u.time_grid.weights
+    gap = _lq_magnitude(ru * u.samples - rv * v.samples, grid, q)
+    denom = _time_lp(gap, weights, bootstrap_p) * powers
     if denom > 0:
-        return bochner_mixed_norm(fu * lift_u - fv * lift_v, boot) / denom
+        image_gap = _physical_values(fu.spectrum * lift_u - fv.spectrum * lift_v, grid)
+        return _time_lp(_lq_magnitude(image_gap, grid, q), weights, bootstrap_p) / denom
     return 0.0
 
 

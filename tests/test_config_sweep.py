@@ -1,12 +1,13 @@
 """One-key-at-a-time sweep over every numeric and list-valued config key of
-every experiment.
+every experiment, plus the base keys and the smallest grids.
 
 Each config is a small base config (8-point grids, short time grids,
-two-member ensembles) with one key set to an edge value.  Whatever the
-value, the command line keeps its contract: ``validate`` accepts (0) or
-rejects (3) the config; an accepted config runs to a status (0, 1 or 2)
-and writes a strict-JSON record, and a rejected one is rejected by
-``run`` too, before anything is written.
+two-member ensembles) with one key set to an edge value, or with its grid
+or time grid at a minimum size.  Whatever the value, the command line
+keeps its contract: ``validate`` accepts (0) or rejects (3) the config; an
+accepted config runs to a status (0, 1 or 2) and writes a strict-JSON
+record, and a rejected one is rejected by ``run`` too, before anything is
+written.
 """
 
 import copy
@@ -19,14 +20,24 @@ from maxreg_lab.harness import EXPERIMENT_DEFAULTS
 
 FLOATS = (0.0, -1.0, 0.5, 1.0000001, 1e-320, 1e-300, 1e300, 1e308)
 INTEGERS = (0, 1, 2, 3)
+BASE_KEYS = ("rng_seed", "threads")
+
+#: The smallest grids and time grids, each one override of the base config.
+MINIMUM_SIZES = (
+    {"grid": {"points_per_axis": 4}},
+    {"time": {"num_nodes": 2}},
+    {"time": {"num_nodes": 3}},
+    {"grid": {"dimension": 1}},
+    {"grid": {"dimension": 3, "points_per_axis": 4}},
+)
 
 #: Per-experiment sizes that keep each run short; the swept key overrides them.
 SMALL = {
     "maxreg": {"time": {"num_nodes": 9}, "params": {"ensemble_size": 2}},
     "weighted-maxreg": {"time": {"num_nodes": 9}, "params": {"ensemble_size": 2}},
     "desimon": {"time": {"num_nodes": 9}, "params": {"ensemble_size": 2}},
-    "resolvent": {"params": {"num_nodes": 65}},
-    "rbound": {"params": {"trials": 2, "vectors_per_trial": 64}},
+    "resolvent": {"time": {"num_nodes": 65}},
+    "rbound": {"params": {"trials": 2}},
     "lipschitz": {"params": {"samples": 200}},
     "nlhe-exist": {"time": {"num_nodes": 17}},
     "ns-exist": {"time": {"num_nodes": 17}},
@@ -55,6 +66,10 @@ def _list_values(default):
             yield from ([x], default + [x])
 
 
+def _keyed(name, table, key, value):
+    return pytest.param(name, {table: {key: value}}, id=f"{name}-{table}.{key}={value!r}")
+
+
 def _sweep():
     for name, defaults in sorted(EXPERIMENT_DEFAULTS.items()):
         params = defaults.get("params", {}).items()
@@ -62,16 +77,26 @@ def _sweep():
         keys += [("params", k, v) for k, v in params if _numeric(v)]
         for table, key, default in keys:
             for value in INTEGERS if isinstance(default, int) else FLOATS:
-                yield pytest.param(name, table, key, value, id=f"{name}-{table}.{key}={value!r}")
+                yield _keyed(name, table, key, value)
         for key, default in params:
             if isinstance(default, list):
                 for value in _list_values(default):
-                    yield pytest.param(name, "params", key, value, id=f"{name}-params.{key}={value!r}")
+                    yield _keyed(name, "params", key, value)
+        for key in BASE_KEYS:
+            for value in (-1, *INTEGERS):
+                yield pytest.param(name, {key: value}, id=f"{name}-{key}={value!r}")
+        for sizes in MINIMUM_SIZES:
+            label = ",".join(f"{t}.{k}={v!r}" for t, table in sizes.items() for k, v in table.items())
+            yield pytest.param(name, sizes, id=f"{name}-{label}")
 
 
-def _config(name, table, key, value):
+def _config(name, overrides):
     config = {"experiment": name, "grid": {"points_per_axis": 8}, **copy.deepcopy(SMALL.get(name, {}))}
-    config.setdefault(table, {})[key] = value
+    for key, value in overrides.items():
+        if isinstance(value, dict):
+            config.setdefault(key, {}).update(value)
+        else:
+            config[key] = value
     return config
 
 
@@ -79,11 +104,11 @@ def _refuse_constant(name):
     raise AssertionError(f"non-strict JSON constant {name}")
 
 
-@pytest.mark.parametrize("name, table, key, value", _sweep())
+@pytest.mark.parametrize("name, overrides", _sweep())
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_config_keeps_the_exit_code_contract(tmp_path, capsys, name, table, key, value):
+def test_config_keeps_the_exit_code_contract(tmp_path, capsys, name, overrides):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_config(name, table, key, value)))
+    path.write_text(json.dumps(_config(name, overrides)))
     out = tmp_path / "out"
     checked = cli.main(["validate", str(path)])
     assert checked in (0, 3), capsys.readouterr().err

@@ -90,6 +90,18 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="unknown experiment 'turbulence'"):
             load_config({"experiment": "turbulence"})
 
+    @pytest.mark.parametrize("name", [["maxreg"], {}], ids=["list", "table"])
+    def test_experiment_name_must_be_a_string(self, tmp_path, capsys, name):
+        """A list or a table is not hashable, so it cannot even be looked up."""
+        with pytest.raises(ConfigError, match="'experiment' must be a string"):
+            load_config({"experiment": name})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": name}))
+        assert cli.main(["validate", str(path)]) == 3
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "'experiment' must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_validation_messages(self):
         """Ranges are checked by the set-up, for ``validate`` and ``run``."""
         cases = [
@@ -202,7 +214,7 @@ class TestRunExperiment:
             {"experiment": "maxreg", "params": {"ensemble_size": 2, "refine": True}},
             {"experiment": "weighted-maxreg", "params": {"ensemble_size": 2}},
             {"experiment": "desimon", "params": {"ensemble_size": 2}},
-            {"experiment": "resolvent", "params": {"num_nodes": 65}},
+            {"experiment": "resolvent"},
             {"experiment": "hormander"},
             {"experiment": "rbound", "params": {"kind": "resolvent", "trials": 1}},
             {"experiment": "scaling"},
@@ -224,6 +236,19 @@ class TestRunExperiment:
             table.clear()
         status, _, _ = run()
         assert status in ("pass", "fail", "inconclusive")
+
+    def test_resolvent_probes_take_the_time_grid_nodes(self, monkeypatch):
+        nodes = []
+        probe = maxreg.resolvent_via_maxreg
+
+        def recording(*args, num_nodes):
+            nodes.append(num_nodes)
+            return probe(*args, num_nodes=num_nodes)
+
+        monkeypatch.setattr(maxreg, "resolvent_via_maxreg", recording)
+        config = {"experiment": "resolvent", "grid": {"points_per_axis": 8}, "time": {"num_nodes": 65}}
+        run_experiment(load_config(config))
+        assert nodes == [65, 65, 65]
 
     def test_maxreg_tiny_run_passes(self):
         record = run_experiment(load_config(TINY_MAXREG))
@@ -345,6 +370,13 @@ class TestCli:
         assert cli.main(["run", str(path), "--threads", "0"]) == 3
         assert "threads must be at least 1" in capsys.readouterr().err
 
+    def test_negative_seed_override_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TINY_LIPSCHITZ))
+        assert cli.main(["run", str(path), "--seed", "-1", "--out", str(tmp_path / "out")]) == 3
+        assert "rng_seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_crash_during_run_exits_four(self, tmp_path, capsys, monkeypatch):
         """An error that is not a config error is a crash, not a failed run."""
 
@@ -419,7 +451,7 @@ class TestDomainChecks:
             ({"experiment": "hormander", "params": {"shifts": [0.0]}}, "shifts entries must be nonzero"),
             ({"experiment": "hormander", "params": {"scalar_lambdas": [0.0]}}, "scalar_lambdas entries must be positive"),
             ({"experiment": "resolvent", "params": {"z_values": [[-1.0, 0.0]]}}, "need Re z > 0"),
-            ({"experiment": "resolvent", "params": {"num_nodes": 1}}, "num_nodes must be at least 2"),
+            ({"experiment": "resolvent", "time": {"num_nodes": 1}}, "num_nodes must be at least 2"),
             ({"experiment": "resolvent", "params": {"band_limit": 0}}, "band_limit must be at least 1"),
             ({"experiment": "smoothing", "params": {"q": 1.5}}, "nq/(n+q) must exceed 1"),
             ({"experiment": "smoothing", "params": {"q": math.inf}}, "nq/(n+q) must exceed 1"),
@@ -428,7 +460,6 @@ class TestDomainChecks:
             ({"experiment": "rbound", "params": {"trials": 0}}, "trials must be at least 1"),
             ({"experiment": "scaling", "params": {"lambda_set": [-1.0]}}, "lambda_set entries must be positive"),
             ({"experiment": "scaling", "params": {"off_critical_shift": 1.0}}, "off_critical_shift must leave 1/p positive"),
-            ({"experiment": "desimon", "params": {"sigma_points": 0}}, "sigma_points must be at least 1"),
             ({"experiment": "desimon", "params": {"modes_per_member": 0}}, "modes_per_member must be at least 1"),
             ({"experiment": "nlhe-exist", "params": {"max_iter": 0}}, "max_iter must be at least 1"),
             ({"experiment": "nlhe-exist", "params": {"band_limit": 0}}, "band_limit must be at least 1"),
@@ -452,7 +483,7 @@ class TestDomainChecks:
             ({"experiment": "maxreg", "time": {"horizon": math.nan}}, "horizon must be positive and finite"),
             ({"experiment": "hormander", "grid": {"period": math.inf}}, "period must be positive and finite"),
             # 1/Re z, the probe's horizon, overflows
-            ({"experiment": "resolvent", "params": {"z_values": [[1e-320, 0.0]], "num_nodes": 65}}, "1/Re z and Im z finite"),
+            ({"experiment": "resolvent", "params": {"z_values": [[1e-320, 0.0]]}, "time": {"num_nodes": 65}}, "1/Re z and Im z finite"),
             ({"experiment": "scaling", "params": {"p": 1.5, "q": 1.01}}, "time integral diverges"),
             # non-finite numbers, and numbers whose use overflows
             ({"experiment": "hormander", "params": {"shifts": [math.inf]}}, "shifts entries must be nonzero and finite"),
@@ -464,8 +495,6 @@ class TestDomainChecks:
             ({"experiment": "scaling", "params": {"nu": 1.0001, "lambda_set": [0.5]}}, "lambda_set entry 0.5 takes a norm out of range"),
             # 2.0**octaves overflows in the radius ladder
             ({"experiment": "smoothing", "params": {"octaves": 1100}}, "smoothing set-up rejected the config"),
-            ({"experiment": "desimon", "params": {"sigma_max": math.inf}}, "sigma_max must be finite"),
-            ({"experiment": "desimon", "params": {"sigma_max": math.nan}}, "sigma_max must be finite"),
             ({"experiment": "rbound", "params": {"coefficients": [math.inf]}}, "coefficients entries must be finite"),
             ({"experiment": "rbound", "params": {"kind": "resolvent", "sigmas": [math.nan]}}, "sigmas entries must be finite"),
             ({"experiment": "scaling", "params": {"nu": math.inf}}, "nu must exceed 1 and be finite"),
@@ -502,6 +531,16 @@ class TestDomainChecks:
             ({"experiment": "ns-exist", "time": {"horizon": 1e300}}, "damps every heat mode"),
             # the power weights t^((1-mu)p) times the trapezoid weights underflow
             ({"experiment": "weighted-maxreg", "time": {"horizon": 1e-300}}, "power-weighted time weights"),
+            # keys that repeated another key or could not change a result
+            ({"experiment": "desimon", "params": {"sigma_max": 64.0}}, "unknown config key params.'sigma_max'"),
+            ({"experiment": "desimon", "params": {"sigma_points": 33}}, "unknown config key params.'sigma_points'"),
+            ({"experiment": "rbound", "params": {"vectors_per_trial": 4096}}, "unknown config key params.'vectors_per_trial'"),
+            ({"experiment": "resolvent", "params": {"num_nodes": 8193}}, "unknown config key params.'num_nodes'"),
+            # numpy's seed sequences refuse a negative seed
+            *(
+                ({"experiment": name, "rng_seed": -1}, "rng_seed must be nonnegative")
+                for name in experiment_names()
+            ),
         ],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):
@@ -580,7 +619,7 @@ class TestStrictJsonRecords:
             # every sample's violation is NaN at this exponent
             ({"experiment": "lipschitz", "params": {"nu_values": [1e308], "samples": 4}}, "max_violation"),
             # e^{zt} overflows on [0, 1/Re z], so the probe's values are NaN
-            ({"experiment": "resolvent", "params": {"z_values": [[1e-300, 1e300]], "num_nodes": 65}}, "max_deviation"),
+            ({"experiment": "resolvent", "params": {"z_values": [[1e-300, 1e300]]}, "time": {"num_nodes": 65}}, "max_deviation"),
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -656,7 +695,11 @@ class TestStrictJsonRecords:
     def test_underflowed_resolvent_probe_fails(self, tmp_path, capsys):
         """At Re z = 1e300 the probe and x/(z+A) are about 1e-300 x, so their
         L^2 norms square to 0: both gates would compare underflowed zeros."""
-        config = {"experiment": "resolvent", "params": {"z_values": [[1e300, 0.0]], "num_nodes": 65}}
+        config = {
+            "experiment": "resolvent",
+            "params": {"z_values": [[1e300, 0.0]]},
+            "time": {"num_nodes": 65},
+        }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 1

@@ -325,30 +325,30 @@ class TestDeSimonRoute:
 class TestRBoundEstimate:
     def test_scalar_family_pins_largest_coefficient(self, grid1d):
         family = [constant_multiplier(c) for c in (2.0, -0.5, 1.0, 0.25)]
-        est = rbound_estimate(family, 4, 64, grid=grid1d, seed=0)
+        est = rbound_estimate(family, 4, grid=grid1d, seed=0)
         assert est.exact_signs  # 4 <= 12 operators: all 16 sign patterns
         assert est.uniform_bound == 2.0
         assert est.estimate == pytest.approx(2.0, rel=0.05)
 
     def test_identity_family(self, grid1d):
-        est = rbound_estimate([constant_multiplier(1.0)], 2, 64, grid=grid1d)
+        est = rbound_estimate([constant_multiplier(1.0)], 2, grid=grid1d)
         assert est.estimate == pytest.approx(1.0, rel=0.02)
 
     def test_prefix_families_share_samples(self, grid1d):
         """Shared per-(trial, index) streams make prefix runs nested."""
         family = [constant_multiplier(c) for c in (1.0, -0.5, 2.0)]
-        full = rbound_estimate(family, 3, 64, grid=grid1d, seed=9)
-        prefix = rbound_estimate(family[:2], 3, 64, grid=grid1d, seed=9)
+        full = rbound_estimate(family, 3, grid=grid1d, seed=9)
+        prefix = rbound_estimate(family[:2], 3, grid=grid1d, seed=9)
         assert prefix.estimate <= full.estimate + 1e-12
 
     def test_estimate_dominates_individual_norms(self, grid1d):
         family = [resolvent_scalar_multiplier(s) for s in (0.5, 1.0, 2.0, 4.0)]
-        est = rbound_estimate(family, 4, 64, grid=grid1d)
+        est = rbound_estimate(family, 4, grid=grid1d)
         assert est.estimate >= est.uniform_bound - 1e-12
         assert est.uniform_bound <= 1.0 + 1e-12
 
     def test_validation(self, grid1d):
         with pytest.raises(ValueError, match="at least one operator"):
-            rbound_estimate([], 1, 64, grid=grid1d)
+            rbound_estimate([], 1, grid=grid1d)
         with pytest.raises(ValueError, match="at least one trial"):
-            rbound_estimate([constant_multiplier(1.0)], 0, 64, grid=grid1d)
+            rbound_estimate([constant_multiplier(1.0)], 0, grid=grid1d)
