@@ -4,14 +4,14 @@ An experiment is described by a single JSON config (see
 :data:`BASE_DEFAULTS` and :data:`EXPERIMENT_DEFAULTS` for the schema and
 per-experiment parameter blocks).  Loading fills defaults and rejects
 unknown keys and values of the wrong JSON type; it checks no ranges.
-Each experiment is one function of the config, the grid and the time
-grid.  It reads, converts and range-checks every key it uses and builds
-the domain objects (problems, initial data, the lists the run loops
-over; a forcing ensemble's keys are range-checked there and its members
-drawn only by the run), and it is the only range check: a value it
-rejects is a :class:`ConfigError`, for :func:`check_config` and
-:func:`run_experiment` alike, while an error from the numerics that
-follow is not.  It returns the run, a closure that gives the status of
+Each experiment is one function of the config, whose defaults name
+only the ``grid`` and ``time`` keys it reads.  It reads, converts and
+range-checks every key it uses and builds its grids and the domain
+objects (problems, initial data, the lists the run loops over; a forcing
+ensemble's keys are range-checked there and its members drawn only by
+the run), and it is the only range check: a value it rejects is a
+:class:`ConfigError`, for :func:`check_config` and :func:`run_experiment`
+alike, while an error from the numerics that follow is not.  It returns the run, a closure that gives the status of
 the experiment's own acceptance predicate, its metrics and its series.
 All randomness flows from the config seed through named substreams, so
 a rerun of the same config writes byte-identical CSV series regardless
@@ -53,12 +53,16 @@ BASE_DEFAULTS: dict[str, Any] = {
     "rng_seed": 0,
     "output_dir": "results",
     "threads": 1,
-    "grid": {"dimension": 2, "points_per_axis": 64, "period": _TWO_PI},
-    "time": {"horizon": 4.0, "num_nodes": 257},
 }
+
+# The base grid and time grid, named by each experiment whose run reads them.
+_GRID = {"dimension": 2, "points_per_axis": 64, "period": _TWO_PI}
+_TIME = {"horizon": 4.0, "num_nodes": 257}
 
 EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
     "maxreg": {
+        "grid": _GRID,
+        "time": _TIME,
         "params": {
             "p": 2.0,
             "q": 2.0,
@@ -69,6 +73,8 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
         }
     },
     "weighted-maxreg": {
+        "grid": _GRID,
+        "time": _TIME,
         "params": {
             "p": 2.0,
             "q": 2.0,
@@ -79,6 +85,7 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
         }
     },
     "desimon": {
+        "grid": _GRID,
         "time": {"horizon": 8.0, "num_nodes": 257},
         "params": {
             "ensemble_size": 20,
@@ -95,6 +102,7 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
         },
     },
     "hormander": {
+        "grid": _GRID,
         "params": {
             "shifts": [0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0],
             "scalar_lambdas": [1.0, 4.0, 16.0],
@@ -110,6 +118,7 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
         },
     },
     "scaling": {
+        "grid": {"dimension": 2},
         "params": {
             "law": "nlhe",
             "nu": 2.0,
@@ -120,12 +129,13 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
         }
     },
     "nlhe-exist": {
+        "grid": _GRID,
+        "time": _TIME,
         "params": {
             "nu": 2.0,
             "p": 2.0,
             "q": 2.0,
             "variant": "signed",
-            "critical": True,
             "eta_grid": [0.0, 0.02, 0.08, 0.32, 1.28, 2.56, 5.12, 10.24],
             "picard_tol": 1e-9,
             "max_iter": 60,
@@ -133,10 +143,11 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
         }
     },
     "ns-exist": {
+        "grid": _GRID,
+        "time": _TIME,
         "params": {
             "p": 4.0,
             "q": 4.0,
-            "critical": True,
             "perturbation": 0.3,
             "eta_grid": [0.0, 0.02, 0.08, 0.32, 1.28, 2.56, 5.12],
             "picard_tol": 1e-9,
@@ -174,7 +185,8 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
         "params": {"nu_values": [1.5, 2.0, 3.0], "samples": 1000000}
     },
     "smoothing": {
-        "params": {"q": 4.0, "octaves": 4, "num_fields": 5}
+        "grid": _GRID,
+        "params": {"q": 4.0, "octaves": 4, "num_fields": 5},
     },
 }
 
@@ -235,12 +247,14 @@ class ExperimentConfig:
     rng_seed: int
     output_dir: str
     threads: int
-    grid: dict[str, Any]
-    time: dict[str, Any]
+    grid: dict[str, Any] = field(default_factory=dict)
+    time: dict[str, Any] = field(default_factory=dict)
     params: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The config as :func:`load_config` takes it, without the empty
+        ``grid`` or ``time`` table of an experiment that has none."""
+        return {key: value for key, value in asdict(self).items() if value != {}}
 
     def make_grid(self) -> spectral.TorusGrid:
         return spectral.TorusGrid(
@@ -281,22 +295,13 @@ def load_config(source: str | Path | dict[str, Any]) -> ExperimentConfig:
     if name not in EXPERIMENT_DEFAULTS:
         known = ", ".join(experiment_names())
         raise ConfigError(f"unknown experiment {name!r}; known: {known}")
-    defaults = copy.deepcopy(BASE_DEFAULTS)
-    for key, value in EXPERIMENT_DEFAULTS[name].items():
-        if key in defaults and isinstance(defaults[key], dict):
-            defaults[key].update(copy.deepcopy(value))
-        else:
-            defaults[key] = copy.deepcopy(value)
-    defaults.setdefault("params", {})
-    merged = _merge_checked(defaults, raw, "")
+    merged = _merge_checked({**BASE_DEFAULTS, **EXPERIMENT_DEFAULTS[name]}, raw, "")
     return ExperimentConfig(
         experiment=name,
-        rng_seed=int(merged["rng_seed"]),
-        output_dir=str(merged["output_dir"]),
-        threads=int(merged["threads"]),
-        grid=merged["grid"],
-        time=merged["time"],
-        params=merged["params"],
+        rng_seed=int(merged.pop("rng_seed")),
+        output_dir=str(merged.pop("output_dir")),
+        threads=int(merged.pop("threads")),
+        **merged,
     )
 
 
@@ -460,7 +465,8 @@ def _ensemble(
     )
 
 
-def _maxreg(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+def _maxreg(cfg: ExperimentConfig) -> _Run:
+    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
     params = _mixed_params(cfg)
     draw = _ensemble(cfg)
     fine = None
@@ -503,9 +509,8 @@ def _maxreg(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGr
     return run
 
 
-def _weighted_maxreg(
-    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
-) -> _Run:
+def _weighted_maxreg(cfg: ExperimentConfig) -> _Run:
+    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
     params = _mixed_params(cfg)
     weight = norms.WeightParams(mu=float(cfg.params["mu"]))
     with np.errstate(over="ignore"):  # _time_weights checks mu against p
@@ -545,7 +550,8 @@ def _weighted_maxreg(
     return run
 
 
-def _desimon(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+def _desimon(cfg: ExperimentConfig) -> _Run:
+    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
     draw = _ensemble(cfg)
 
     def run() -> tuple[str, dict, dict]:
@@ -580,19 +586,21 @@ def _desimon(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeG
     return run
 
 
-def _resolvent(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+def _resolvent(cfg: ExperimentConfig) -> _Run:
     p = cfg.params
     # unpacking rejects an entry that is not a (Re z, Im z) pair
     z_values = [(float(re_z), float(im_z)) for re_z, im_z in p["z_values"]]
     # each probe integrates over [0, 1/Re z] with the time grid's node count
-    num_nodes = tgrid.num_nodes
+    num_nodes = int(cfg.time["num_nodes"])
     if not all(
         re_z > 0 and 0 < 1.0 / re_z < math.inf and math.isfinite(im_z) for re_z, im_z in z_values
     ):
         raise ValueError("params.z_values entries need Re z > 0, with 1/Re z and Im z finite")
     for re_z, _ in z_values:  # each probe's time grid, so a spacing it rejects is a config error
         norms.uniform_time_grid(1.0 / re_z, num_nodes)
-    x = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
+    x = problems.random_mean_free_field(
+        cfg.make_grid(), seed=cfg.rng_seed, band_limit=int(p["band_limit"])
+    )
     x = x * (1.0 / norms.spatial_lq_norm(x, 2))
 
     def run() -> tuple[str, dict, dict]:
@@ -620,7 +628,8 @@ def _resolvent(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.Tim
     return run
 
 
-def _hormander(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+def _hormander(cfg: ExperimentConfig) -> _Run:
+    grid = cfg.make_grid()
     p = cfg.params
     shifts = [float(s) for s in p["shifts"]]
     lams = [float(l) for l in p["scalar_lambdas"]]
@@ -664,7 +673,8 @@ def _hormander(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.Tim
     return run
 
 
-def _rbound(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+def _rbound(cfg: ExperimentConfig) -> _Run:
+    grid = cfg.make_grid()
     p = cfg.params
     kind, trials = str(p["kind"]), int(p["trials"])
     coefficients = [float(c) for c in p["coefficients"]]
@@ -714,7 +724,7 @@ def _rbound(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGr
     return run
 
 
-def _scaling(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+def _scaling(cfg: ExperimentConfig) -> _Run:
     p = cfg.params
     if p["law"] == "nlhe":
         law = norms.nlhe_scaling_law(float(p["nu"]))
@@ -731,7 +741,9 @@ def _scaling(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeG
     if not inv_p_off > 0:
         raise ValueError("params.off_critical_shift must leave 1/p positive")
     params_off = norms.MixedNormParams(p=1.0 / inv_p_off, q=params.q)
-    n = grid.dimension
+    n = int(cfg.grid["dimension"])
+    if n < 1:
+        raise ValueError("dimension must be positive")
     # the profile scaling_invariance_test measures by default; every continuum
     # norm the run takes, of it and of its rescalings, must converge and stay
     # in floating-point range (a rescaling that leaves it raises ArithmeticError)
@@ -889,7 +901,8 @@ def _existence(cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsPr
     return run
 
 
-def _nlhe_exist(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+def _nlhe_exist(cfg: ExperimentConfig) -> _Run:
+    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
     p = cfg.params
     u0 = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
     prob = problems.NlheProblem(
@@ -898,7 +911,7 @@ def _nlhe_exist(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.Ti
         u0=u0,
         time_grid=tgrid,
         variant=str(p["variant"]),
-        critical=bool(p["critical"]),
+        critical=True,
     )
     return _existence(cfg, prob)
 
@@ -927,11 +940,10 @@ def _taylor_green_type_field(
     return u0
 
 
-def _ns_exist(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+def _ns_exist(cfg: ExperimentConfig) -> _Run:
+    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
     u0 = _taylor_green_type_field(grid, float(cfg.params["perturbation"]), cfg.rng_seed)
-    prob = problems.NsProblem(
-        params=_mixed_params(cfg), u0=u0, time_grid=tgrid, critical=bool(cfg.params["critical"])
-    )
+    prob = problems.NsProblem(params=_mixed_params(cfg), u0=u0, time_grid=tgrid, critical=True)
     return _existence(cfg, prob)
 
 
@@ -1009,7 +1021,8 @@ def _uniqueness(cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsP
     return run
 
 
-def _nlhe_unique(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+def _nlhe_unique(cfg: ExperimentConfig) -> _Run:
+    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
     p = cfg.params
     params = _mixed_params(cfg)
     u0 = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
@@ -1023,13 +1036,14 @@ def _nlhe_unique(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.T
     return _uniqueness(cfg, prob)
 
 
-def _ns_unique(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+def _ns_unique(cfg: ExperimentConfig) -> _Run:
+    grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
     params = _mixed_params(cfg)
     u0 = _scaled_to_eta(cfg, problems.taylor_green_field(grid), params)
     return _uniqueness(cfg, problems.NsProblem(params=params, u0=u0, time_grid=tgrid))
 
 
-def _lipschitz(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+def _lipschitz(cfg: ExperimentConfig) -> _Run:
     p = cfg.params
     nu_values = [float(nu) for nu in p["nu_values"]]
     samples = int(p["samples"])
@@ -1052,7 +1066,8 @@ def _lipschitz(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.Tim
     return run
 
 
-def _smoothing(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> _Run:
+def _smoothing(cfg: ExperimentConfig) -> _Run:
+    grid = cfg.make_grid()
     p = cfg.params
     q, octaves, num_fields = float(p["q"]), int(p["octaves"]), int(p["num_fields"])
     _check_source_exponent(grid.dimension, q)
@@ -1082,9 +1097,7 @@ def _smoothing(cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.Tim
     return run
 
 
-_EXPERIMENTS: dict[
-    str, Callable[[ExperimentConfig, spectral.TorusGrid, norms.TimeGrid], _Run]
-] = {
+_EXPERIMENTS: dict[str, Callable[[ExperimentConfig], _Run]] = {
     "maxreg": _maxreg,
     "weighted-maxreg": _weighted_maxreg,
     "desimon": _desimon,
@@ -1103,17 +1116,13 @@ _EXPERIMENTS: dict[
 
 def _prepare(cfg: ExperimentConfig) -> _Run:
     """The experiment's run, every key checked; a value rejected on the way
-    is a config error.
-
-    The grid and the time grid are built for every experiment, so a bad
-    ``grid`` or ``time`` block is rejected even where the run ignores it.
-    """
+    is a config error."""
     try:
         if cfg.threads < 1:
             raise ValueError("threads must be at least 1")
         if cfg.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
-        return _EXPERIMENTS[cfg.experiment](cfg, cfg.make_grid(), cfg.make_time_grid())
+        return _EXPERIMENTS[cfg.experiment](cfg)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{cfg.experiment} set-up rejected the config: {exc}") from exc
 

@@ -125,9 +125,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="eta_grid entries must be nonnegative"):
             check_config(load_config({"experiment": "nlhe-exist", "params": {"eta_grid": [-0.1]}}))
 
-    def test_to_dict_round_trip_is_idempotent(self):
-        cfg = load_config(TINY_MAXREG)
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_to_dict_round_trip_is_idempotent(self, name):
+        """A record's ``config`` loads again, also for an experiment
+        without a ``grid`` or ``time`` table."""
+        cfg = load_config({"experiment": name, "rng_seed": 7})
         again = load_config(cfg.to_dict())
+        assert again == cfg
         assert again.to_dict() == cfg.to_dict()
 
     def test_factory_methods(self):
@@ -230,7 +234,13 @@ class TestRunExperiment:
     def test_run_reads_no_config_key(self, config):
         """Every key is read and checked before the run is returned, so the
         run works with the config's tables emptied."""
-        cfg = load_config({**config, "grid": {"points_per_axis": 8}, "time": {"num_nodes": 17}})
+        declared = harness.EXPERIMENT_DEFAULTS[config["experiment"]]
+        small = {"grid": {"points_per_axis": 8}, "time": {"num_nodes": 17}}
+        sizes = {
+            table: {key: value for key, value in small[table].items() if key in declared[table]}
+            for table in small.keys() & declared.keys()
+        }
+        cfg = load_config({**config, **sizes})
         run = harness._prepare(cfg)
         for table in (cfg.grid, cfg.time, cfg.params):
             table.clear()
@@ -536,6 +546,14 @@ class TestDomainChecks:
             ({"experiment": "desimon", "params": {"sigma_points": 33}}, "unknown config key params.'sigma_points'"),
             ({"experiment": "rbound", "params": {"vectors_per_trial": 4096}}, "unknown config key params.'vectors_per_trial'"),
             ({"experiment": "resolvent", "params": {"num_nodes": 8193}}, "unknown config key params.'num_nodes'"),
+            ({"experiment": "ns-exist", "params": {"critical": False}}, "unknown config key params.'critical'"),
+            ({"experiment": "nlhe-exist", "params": {"critical": True}}, "unknown config key params.'critical'"),
+            # grid and time keys that no run of the experiment reads
+            ({"experiment": "lipschitz", "grid": {"dimension": 3}}, "unknown config key 'grid'"),
+            ({"experiment": "scaling", "grid": {"period": 1.0}}, "unknown config key grid.'period'"),
+            ({"experiment": "resolvent", "time": {"horizon": 2.0}}, "unknown config key time.'horizon'"),
+            ({"experiment": "hormander", "time": {"horizon": 1e-320}}, "unknown config key 'time'"),
+            ({"experiment": "scaling", "grid": {"dimension": 0}}, "dimension must be positive"),
             # numpy's seed sequences refuse a negative seed
             *(
                 ({"experiment": name, "rng_seed": -1}, "rng_seed must be nonnegative")
@@ -668,7 +686,8 @@ class TestStrictJsonRecords:
                 "experiment": "ns-exist",
                 "grid": {"points_per_axis": 16},
                 "time": {"num_nodes": 17},
-                "params": {"q": 2100, "critical": False},
+                # 2/p + 2/q = 1: the exponents are critical
+                "params": {"p": 2100 / 1049, "q": 2100},
             },
             # the largest nodal norm sits at t = 0, where the power weight is 0
             {"experiment": "weighted-maxreg", "time": {"num_nodes": 9}, "params": {"p": 1000}},
