@@ -24,6 +24,7 @@ import copy
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -109,12 +110,9 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
         }
     },
     "rbound": {
-        "grid": {"dimension": 2, "points_per_axis": 16, "period": _TWO_PI},
         "params": {
             "kind": "scalar",
             "coefficients": [1.0, -0.5, 2.0, 0.25, -1.5, 0.75],
-            "sigmas": [0.5, 1.0, 2.0, 4.0, 8.0],
-            "trials": 8,
         },
     },
     "scaling": {
@@ -633,10 +631,14 @@ def _hormander(cfg: ExperimentConfig) -> _Run:
     p = cfg.params
     shifts = [float(s) for s in p["shifts"]]
     lams = [float(l) for l in p["scalar_lambdas"]]
-    if not all(s != 0 and math.isfinite(s) for s in shifts):
-        raise ValueError("params.shifts entries must be nonzero and finite")
     if not all(0 < lam < math.inf for lam in lams):
         raise ValueError("params.scalar_lambdas entries must be positive and finite")
+    # the run integrates over t > 2|x| for each shift x = s and x = s/lam
+    scaled = shifts + [s / lam for lam in lams for s in shifts]
+    if not all(x != 0 and math.isfinite(2.0 * x) for x in scaled):
+        raise ValueError(
+            "params.shifts entries s and each s/lam must be nonzero, with twice each finite"
+        )
 
     def run() -> tuple[str, dict, dict]:
         report = maxreg.hormander_check(spectral.laplacian_multiplier(), shifts, grid)
@@ -674,23 +676,20 @@ def _hormander(cfg: ExperimentConfig) -> _Run:
 
 
 def _rbound(cfg: ExperimentConfig) -> _Run:
-    grid = cfg.make_grid()
-    p = cfg.params
-    kind, trials = str(p["kind"]), int(p["trials"])
-    coefficients = [float(c) for c in p["coefficients"]]
-    sigmas = [float(s) for s in p["sigmas"]]
-    if trials < 1:
-        raise ValueError("params.trials must be at least 1")
+    # On the Hilbert space L^2 R-boundedness is uniform boundedness, so the
+    # estimate equals the uniform bound whatever the grid, trials or sign draws
+    grid = spectral.TorusGrid(dimension=2, points_per_axis=16, period=_TWO_PI)
+    trials = 8
+    kind = str(cfg.params["kind"])
+    coefficients = [float(c) for c in cfg.params["coefficients"]]
+    if not all(math.isfinite(c) for c in coefficients):
+        raise ValueError("params.coefficients entries must be finite")
     if kind == "scalar":
-        if not all(math.isfinite(c) for c in coefficients):
-            raise ValueError("params.coefficients entries must be finite")
         family = [spectral.constant_multiplier(c) for c in coefficients]
     elif kind == "identity":
         family = [spectral.constant_multiplier(1.0) for _ in coefficients]
     elif kind == "resolvent":
-        if not all(math.isfinite(s) for s in sigmas):
-            raise ValueError("params.sigmas entries must be finite")
-        family = [spectral.resolvent_scalar_multiplier(s) for s in sigmas]
+        family = [spectral.resolvent_scalar_multiplier(s) for s in coefficients]
     else:
         raise ValueError("params.kind must be 'scalar', 'identity' or 'resolvent'")
 
@@ -703,7 +702,7 @@ def _rbound(cfg: ExperimentConfig) -> _Run:
             "sign_samples": est.sign_samples,
         }
         if kind == "resolvent":
-            sup = maxreg.multiplier_sup_norm(spectral.laplacian_multiplier(), sigmas, grid)
+            sup = maxreg.multiplier_sup_norm(spectral.laplacian_multiplier(), coefficients, grid)
             metrics["multiplier_sup_norm"] = sup
             ok = est.estimate >= sup - 0.05 and math.isfinite(est.estimate)
         elif kind == "identity":
@@ -1122,6 +1121,12 @@ def _prepare(cfg: ExperimentConfig) -> _Run:
             raise ValueError("threads must be at least 1")
         if cfg.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
+        # a file at or above output_dir would stop write_results only after the run
+        existing = os.path.abspath(cfg.output_dir)
+        while not os.path.exists(existing) and existing != os.path.dirname(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ValueError(f"output_dir {cfg.output_dir!r}: {existing} is not a directory")
         return _EXPERIMENTS[cfg.experiment](cfg)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{cfg.experiment} set-up rejected the config: {exc}") from exc
@@ -1132,9 +1137,10 @@ def check_config(cfg: ExperimentConfig) -> None:
 
     This is the range check of every config value: it raises
     :class:`ConfigError` for any value that :func:`load_config` accepts
-    but the experiment rejects, from the grid, the time grid and
-    ``threads`` to the experiment's problem, initial field, forcing-ensemble
-    keys or parameter lists.  It draws no forcing ensemble.
+    but the experiment rejects, from the grid, the time grid, ``threads``
+    and an ``output_dir`` at or under a file to the experiment's problem,
+    initial field, forcing-ensemble keys or parameter lists.  It draws no
+    forcing ensemble.
     """
     _prepare(cfg)
 

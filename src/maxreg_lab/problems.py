@@ -319,14 +319,12 @@ def nonlinearity_lipschitz_check(nu: float, samples: int, *, seed: int = 0) -> f
     quarter = max(samples // 4, 1)
     xs = [rng.uniform(-3.0, 3.0, quarter), rng.standard_normal(quarter)]
     ys = [rng.uniform(-3.0, 3.0, quarter), rng.standard_normal(quarter)]
-    # near-zero, opposite-sign and coincident pairs are the delicate cases
+    # near-zero and opposite-sign pairs are the delicate cases; coincident
+    # pairs are not probed, as both sides vanish there
     xs.append(rng.uniform(-1e-8, 1e-8, quarter))
     ys.append(rng.uniform(-1e-8, 1e-8, quarter))
     xs.append(np.abs(rng.standard_normal(quarter)))
     ys.append(-np.abs(rng.standard_normal(quarter)))
-    equal = rng.standard_normal(quarter)
-    xs.append(equal)
-    ys.append(equal.copy())
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     power = lambda t: np.abs(t) ** (nu - 1.0) * t

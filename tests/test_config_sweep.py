@@ -1,10 +1,12 @@
 """One-key-at-a-time sweep over every numeric and list-valued config key of
-every experiment, plus the base keys and the smallest grids.
+every experiment, plus the base keys and the smallest grids, and a fixed,
+seeded set of pairs of its rows.
 
 Each config is a small base config (8-point grids, short time grids,
 two-member ensembles) with one key set to an edge value, or with its grid
 or time grid at a minimum size; a grid or time key is swept only where the
-experiment's defaults have it.  Whatever the value, the command line
+experiment's defaults have it.  A pair sets the keys of two rows of one
+experiment that share no key.  Whatever the values, the command line
 keeps its contract: ``validate`` accepts (0) or rejects (3) the config; an
 accepted config runs to a status (0, 1 or 2) and writes a strict-JSON
 record, and a rejected one is rejected by ``run`` too, before anything is
@@ -14,6 +16,7 @@ by both.
 
 import copy
 import json
+import random
 
 import pytest
 
@@ -45,7 +48,6 @@ SMALL = {
     "weighted-maxreg": {"time": {"num_nodes": 9}, "params": {"ensemble_size": 2}},
     "desimon": {"time": {"num_nodes": 9}, "params": {"ensemble_size": 2}},
     "resolvent": {"time": {"num_nodes": 65}},
-    "rbound": {"params": {"trials": 2}},
     "lipschitz": {"params": {"samples": 200}},
     "nlhe-exist": {"time": {"num_nodes": 17}},
     "ns-exist": {"time": {"num_nodes": 17}},
@@ -112,6 +114,40 @@ def _sweep():
                 yield pytest.param(name, sizes, id=f"{name}-{label}")
 
 
+#: Pairs drawn per experiment, and the seed of the draw.
+PAIRS_PER_EXPERIMENT = 40
+PAIR_SEED = 0
+
+
+def _leaves(overrides):
+    """The keys a row sets, as ``(table, key)`` or ``(base key, None)``."""
+    return {
+        (key, inner)
+        for key, value in overrides.items()
+        for inner in (value if isinstance(value, dict) else [None])
+    }
+
+
+def _pairs():
+    """Two rows of one experiment's sweep, merged; the rows set different keys."""
+    rng = random.Random(PAIR_SEED)
+    rows = {}
+    for row in _sweep():
+        rows.setdefault(row.values[0], []).append(row)
+    for name, own in sorted(rows.items()):
+        drawn = set()
+        while len(drawn) < PAIRS_PER_EXPERIMENT:
+            first, second = sorted(rng.sample(range(len(own)), 2))
+            a, b = own[first], own[second]
+            if (first, second) in drawn or _leaves(a.values[1]) & _leaves(b.values[1]):
+                continue
+            drawn.add((first, second))
+            merged = copy.deepcopy(a.values[1])
+            for key, value in b.values[1].items():
+                merged[key] = {**merged.get(key, {}), **value} if isinstance(value, dict) else value
+            yield pytest.param(name, merged, id=f"{a.id}+{b.id.removeprefix(name + '-')}")
+
+
 def _undeclared():
     """One config per experiment and grid or time table its defaults lack,
     and per key its defaults lack in a table they have."""
@@ -144,7 +180,7 @@ def _refuse_constant(name):
     raise AssertionError(f"non-strict JSON constant {name}")
 
 
-@pytest.mark.parametrize("name, overrides", _sweep())
+@pytest.mark.parametrize("name, overrides", [*_sweep(), *_pairs()])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_config_keeps_the_exit_code_contract(tmp_path, capsys, name, overrides):
     path = tmp_path / "cfg.json"

@@ -220,7 +220,7 @@ class TestRunExperiment:
             {"experiment": "desimon", "params": {"ensemble_size": 2}},
             {"experiment": "resolvent"},
             {"experiment": "hormander"},
-            {"experiment": "rbound", "params": {"kind": "resolvent", "trials": 1}},
+            {"experiment": "rbound", "params": {"kind": "resolvent"}},
             {"experiment": "scaling"},
             {"experiment": "nlhe-exist", "params": {"eta_grid": [0.0, 0.1]}},
             {"experiment": "ns-exist", "params": {"eta_grid": [0.0, 0.1]}},
@@ -407,12 +407,6 @@ class TestCli:
         assert capsys.readouterr().err == "crash: RuntimeError: numerics broke\n"
         assert not (tmp_path / "out").exists()
 
-    def test_unwritable_output_exits_four(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(TINY_LIPSCHITZ))
-        assert cli.main(["run", str(path), "--out", str(path)]) == 4  # a file, not a directory
-        assert capsys.readouterr().err.startswith("crash: FileExistsError")
-
     def test_usage_error_folds_to_three(self, capsys):
         assert cli.main([]) == 3
         assert cli.main(["frobnicate"]) == 3
@@ -458,7 +452,7 @@ class TestDomainChecks:
             ({"experiment": "ns-unique", "params": {"q": 1.5}}, "nq/(n+q) must exceed 1"),
             ({"experiment": "lipschitz", "params": {"nu_values": [0.5]}}, "nu_values entries must exceed 1"),
             ({"experiment": "lipschitz", "params": {"samples": 0}}, "samples must be at least 1"),
-            ({"experiment": "hormander", "params": {"shifts": [0.0]}}, "shifts entries must be nonzero"),
+            ({"experiment": "hormander", "params": {"shifts": [0.0]}}, "shifts entries s and each s/lam must be nonzero"),
             ({"experiment": "hormander", "params": {"scalar_lambdas": [0.0]}}, "scalar_lambdas entries must be positive"),
             ({"experiment": "resolvent", "params": {"z_values": [[-1.0, 0.0]]}}, "need Re z > 0"),
             ({"experiment": "resolvent", "time": {"num_nodes": 1}}, "num_nodes must be at least 2"),
@@ -467,7 +461,6 @@ class TestDomainChecks:
             ({"experiment": "smoothing", "params": {"q": math.inf}}, "nq/(n+q) must exceed 1"),
             ({"experiment": "smoothing", "params": {"octaves": -1}}, "octaves must be nonnegative"),
             ({"experiment": "smoothing", "params": {"num_fields": 0}}, "num_fields must be at least 1"),
-            ({"experiment": "rbound", "params": {"trials": 0}}, "trials must be at least 1"),
             ({"experiment": "scaling", "params": {"lambda_set": [-1.0]}}, "lambda_set entries must be positive"),
             ({"experiment": "scaling", "params": {"off_critical_shift": 1.0}}, "off_critical_shift must leave 1/p positive"),
             ({"experiment": "desimon", "params": {"modes_per_member": 0}}, "modes_per_member must be at least 1"),
@@ -496,8 +489,11 @@ class TestDomainChecks:
             ({"experiment": "resolvent", "params": {"z_values": [[1e-320, 0.0]]}, "time": {"num_nodes": 65}}, "1/Re z and Im z finite"),
             ({"experiment": "scaling", "params": {"p": 1.5, "q": 1.01}}, "time integral diverges"),
             # non-finite numbers, and numbers whose use overflows
-            ({"experiment": "hormander", "params": {"shifts": [math.inf]}}, "shifts entries must be nonzero and finite"),
+            ({"experiment": "hormander", "params": {"shifts": [math.inf]}}, "must be nonzero, with twice each finite"),
             ({"experiment": "hormander", "params": {"scalar_lambdas": [math.inf]}}, "scalar_lambdas entries must be positive and finite"),
+            # a shift s/lam the scalar checks integrate underflows to 0, or 2 s/lam overflows
+            ({"experiment": "hormander", "params": {"shifts": [1e-320], "scalar_lambdas": [1e308]}}, "each s/lam must be nonzero"),
+            ({"experiment": "hormander", "params": {"scalar_lambdas": [0.5], "shifts": [1e308]}}, "each s/lam must be nonzero"),
             ({"experiment": "scaling", "params": {"lambda_set": [math.inf]}}, "lambda_set entries must be positive and finite"),
             # lam**(rho - 2 sigma) overflows in the rescaled amplitude
             ({"experiment": "scaling", "params": {"lambda_set": [1e-320]}}, "scaling set-up rejected the config"),
@@ -506,7 +502,7 @@ class TestDomainChecks:
             # 2.0**octaves overflows in the radius ladder
             ({"experiment": "smoothing", "params": {"octaves": 1100}}, "smoothing set-up rejected the config"),
             ({"experiment": "rbound", "params": {"coefficients": [math.inf]}}, "coefficients entries must be finite"),
-            ({"experiment": "rbound", "params": {"kind": "resolvent", "sigmas": [math.nan]}}, "sigmas entries must be finite"),
+            ({"experiment": "rbound", "params": {"kind": "resolvent", "coefficients": [math.nan]}}, "coefficients entries must be finite"),
             ({"experiment": "scaling", "params": {"nu": math.inf}}, "nu must exceed 1 and be finite"),
             ({"experiment": "nlhe-unique", "params": {"nu": math.inf}}, "nu must exceed 1 and be finite"),
             ({"experiment": "nlhe-exist", "params": {"eta_grid": [math.inf]}}, "eta_grid entries must be nonnegative and finite"),
@@ -518,7 +514,7 @@ class TestDomainChecks:
                 ({"experiment": name, "grid": {"period": period}}, "period out of range")
                 for period, names in [
                     (1e-320, ["maxreg", "weighted-maxreg", "desimon", "hormander", "nlhe-exist", "ns-exist"]),
-                    (1e300, ["maxreg", "weighted-maxreg", "desimon", "rbound", "nlhe-exist"]),
+                    (1e300, ["maxreg", "weighted-maxreg", "desimon", "nlhe-exist"]),
                 ]
                 for name in names
             ),
@@ -548,11 +544,14 @@ class TestDomainChecks:
             ({"experiment": "resolvent", "params": {"num_nodes": 8193}}, "unknown config key params.'num_nodes'"),
             ({"experiment": "ns-exist", "params": {"critical": False}}, "unknown config key params.'critical'"),
             ({"experiment": "nlhe-exist", "params": {"critical": True}}, "unknown config key params.'critical'"),
+            ({"experiment": "rbound", "params": {"trials": 8}}, "unknown config key params.'trials'"),
+            ({"experiment": "rbound", "params": {"sigmas": [0.5, 1.0]}}, "unknown config key params.'sigmas'"),
             # grid and time keys that no run of the experiment reads
             ({"experiment": "lipschitz", "grid": {"dimension": 3}}, "unknown config key 'grid'"),
             ({"experiment": "scaling", "grid": {"period": 1.0}}, "unknown config key grid.'period'"),
             ({"experiment": "resolvent", "time": {"horizon": 2.0}}, "unknown config key time.'horizon'"),
             ({"experiment": "hormander", "time": {"horizon": 1e-320}}, "unknown config key 'time'"),
+            ({"experiment": "rbound", "grid": {"points_per_axis": 8}}, "unknown config key 'grid'"),
             ({"experiment": "scaling", "grid": {"dimension": 0}}, "dimension must be positive"),
             # numpy's seed sequences refuse a negative seed
             *(
@@ -569,6 +568,27 @@ class TestDomainChecks:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("below", [(), ("sub", "deeper")], ids=["file", "under-file"])
+    @pytest.mark.parametrize("from_option", [False, True], ids=["config", "option"])
+    def test_output_dir_at_or_under_a_file_exits_three(self, tmp_path, capsys, from_option, below):
+        """An output directory that cannot be made is rejected before the run."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker.joinpath(*below)
+        config = {"experiment": "hormander"}
+        option = ["--out", str(out)] if from_option else []
+        if not from_option:
+            config["output_dir"] = str(out)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        if not from_option:
+            assert cli.main(["validate", str(path)]) == 3
+            assert f"{blocker} is not a directory" in capsys.readouterr().err
+        assert cli.main(["run", str(path), *option]) == 3
+        assert f"{blocker} is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == ""
+        assert sorted(tmp_path.iterdir()) == [path, blocker]
 
     def test_wrong_value_types_rejected_at_load(self):
         with pytest.raises(ConfigError, match="params.'refine' must be true or false"):

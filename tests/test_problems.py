@@ -250,6 +250,15 @@ class TestNonlinearityInequality:
         """Two-sided power bound holds on random and adversarial pairs."""
         assert nonlinearity_lipschitz_check(nu, 10_000) <= 0.0
 
+    @pytest.mark.parametrize("nu", [1.5, 2.0, 3.0])
+    def test_violation_depends_on_the_draw(self, nu):
+        """A passing check reports a negative margin that moves with the
+        seed and the sample count, not a pinned 0.0."""
+        base = nonlinearity_lipschitz_check(nu, 200, seed=0)
+        assert base < 0.0
+        assert nonlinearity_lipschitz_check(nu, 200, seed=1) != base
+        assert nonlinearity_lipschitz_check(nu, 300, seed=0) != base
+
     def test_validation(self):
         with pytest.raises(ValueError, match="nu must exceed 1"):
             nonlinearity_lipschitz_check(1.0, 10)

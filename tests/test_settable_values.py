@@ -33,7 +33,7 @@ BASE = {
     "desimon": {"grid": {"points_per_axis": 8}, "time": {"num_nodes": 9}, "params": {"ensemble_size": 2}},
     "resolvent": {"grid": {"points_per_axis": 8}, "time": {"num_nodes": 65}},
     "hormander": {"grid": {"points_per_axis": 8}},
-    "rbound": {"grid": {"points_per_axis": 8}, "params": {"trials": 2}},
+    "rbound": {},
     "scaling": {},
     "nlhe-exist": {"grid": {"points_per_axis": 8}, "time": {"num_nodes": 17}},
     "ns-exist": {"grid": {"points_per_axis": 8}, "time": {"num_nodes": 17}},
@@ -64,8 +64,6 @@ ALTERNATIVES = {
     "params.scalar_lambdas": [2.0, 8.0],
     "params.kind": "identity",
     "params.coefficients": [1.0, -3.0],
-    "params.sigmas": [0.5, 1.0],
-    "params.trials": 3,
     "params.law": "ns",
     "params.lambda_set": [0.5, 2.0],
     "params.off_critical_shift": 0.2,
@@ -108,18 +106,8 @@ ALLOWED = {
     # deterministic: no draw reads the seed
     ("hormander", "rng_seed"),
     ("scaling", "rng_seed"),
-    # a passing check reports exactly 0.0, the violation of its coincident pairs
-    ("lipschitz", "rng_seed"),
-    ("lipschitz", "params.samples"),
-    # the estimate equals the uniform bound for these families, whatever the
-    # sign draws, the trial count or the grid the operators act on
+    # the estimate equals the uniform bound whatever the sign draws
     ("rbound", "rng_seed"),
-    ("rbound", "params.trials"),
-    ("rbound", "grid.dimension"),
-    ("rbound", "grid.points_per_axis"),
-    ("rbound", "grid.period"),
-    # read only by the kind the config does not select
-    ("rbound", "params.sigmas"),  # under kind "scalar"
 }
 
 
