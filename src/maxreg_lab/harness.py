@@ -435,12 +435,12 @@ def write_results(record: ResultRecord, out_dir: str | Path) -> list[Path]:
 
 # -- experiments -------------------------------------------------------
 #
-# An experiment is one function of the config plus the grid and the time
-# grid built from it.  It reads, converts and range-checks every key it
-# uses and builds the domain objects, then returns its run: a closure that
-# computes and gives the status, metrics and series.  A config value's
-# range is checked only here, by a domain object the function builds or
-# else by the function itself, and never again by the run.
+# An experiment is one function of the config alone.  It reads, converts
+# and range-checks every key it uses and builds its grids and the domain
+# objects, then returns its run: a closure that computes and gives the
+# status, metrics and series.  A config value's range is checked only here,
+# by a domain object the function builds or else by the function itself,
+# and never again by the run.
 
 _Run = Callable[[], tuple[str, dict, dict]]
 
@@ -496,12 +496,8 @@ def _maxreg(cfg: ExperimentConfig) -> _Run:
             [i, m.forcing, m.solution, m.derivative, m.operator_term, m.ratio]
             for i, m in enumerate(report.members)
         ]
-        series = {
-            "members": {
-                "columns": ["member", "f_norm", "u_norm", "dtu_norm", "au_norm", "ratio"],
-                "rows": rows,
-            }
-        }
+        columns = ["member", "f_norm", "u_norm", "dtu_norm", "au_norm", "ratio"]
+        series = {"members": {"columns": columns, "rows": rows}}
         return status, metrics, series
 
     return run
@@ -533,16 +529,10 @@ def _weighted_maxreg(cfg: ExperimentConfig) -> _Run:
             "mu1_matches_unweighted": mu1_exact,
         }
         status = "pass" if mu1_exact and math.isfinite(weighted.C_estimate) else "fail"
-        rows = [
-            [i, w.ratio, pl.ratio]
-            for i, (w, pl) in enumerate(zip(weighted.members, plain.members))
-        ]
-        series = {
-            "members": {
-                "columns": ["member", "weighted_ratio", "unweighted_ratio"],
-                "rows": rows,
-            }
-        }
+        pairs = zip(weighted.members, plain.members)
+        rows = [[i, w.ratio, pl.ratio] for i, (w, pl) in enumerate(pairs)]
+        columns = ["member", "weighted_ratio", "unweighted_ratio"]
+        series = {"members": {"columns": columns, "rows": rows}}
         return status, metrics, series
 
     return run
@@ -573,12 +563,8 @@ def _desimon(cfg: ExperimentConfig) -> _Run:
             "multiplier_sup_norm": sup,
         }
         status = "pass" if max(ratios) <= 1.05 and 0.99 <= sup <= 1.0 else "fail"
-        series = {
-            "members": {
-                "columns": ["member", "au_over_f"],
-                "rows": [[i, r] for i, r in enumerate(ratios)],
-            }
-        }
+        rows = [[i, r] for i, r in enumerate(ratios)]
+        series = {"members": {"columns": ["member", "au_over_f"], "rows": rows}}
         return status, metrics, series
 
     return run
@@ -615,12 +601,8 @@ def _resolvent(cfg: ExperimentConfig) -> _Run:
         least_bound = min(row[3] for row in rows)
         ok = worst_dev < 1e-6 and 0 < least_bound and worst_bound <= 2.1
         status = "pass" if ok else "fail"
-        series = {
-            "probes": {
-                "columns": ["re_z", "im_z", "deviation", "bound_constant"],
-                "rows": rows,
-            }
-        }
+        columns = ["re_z", "im_z", "deviation", "bound_constant"]
+        series = {"probes": {"columns": columns, "rows": rows}}
         return status, metrics, series
 
     return run
@@ -664,12 +646,8 @@ def _hormander(cfg: ExperimentConfig) -> _Run:
             "smallest_shift_integral": report.integrals[0],
         }
         status = "pass" if invariance <= 1e-6 and oracle_gap <= 1e-6 else "fail"
-        series = {
-            "shifts": {
-                "columns": ["s", "integral"],
-                "rows": [[s, v] for s, v in zip(report.shifts, report.integrals)],
-            }
-        }
+        rows = [[s, v] for s, v in zip(report.shifts, report.integrals)]
+        series = {"shifts": {"columns": ["s", "integral"], "rows": rows}}
         return status, metrics, series
 
     return run
@@ -712,12 +690,8 @@ def _rbound(cfg: ExperimentConfig) -> _Run:
             metrics["expected"] = expected
             ok = abs(est.estimate - expected) <= 0.05 * expected
         status = "pass" if ok else "fail"
-        series = {
-            "estimate": {
-                "columns": ["estimate", "uniform_bound"],
-                "rows": [[est.estimate, est.uniform_bound]],
-            }
-        }
+        rows = [[est.estimate, est.uniform_bound]]
+        series = {"estimate": {"columns": ["estimate", "uniform_bound"], "rows": rows}}
         return status, metrics, series
 
     return run
@@ -769,15 +743,8 @@ def _scaling(cfg: ExperimentConfig) -> _Run:
             and off.max_exponent_error <= 1e-4
         )
         status = "pass" if ok else "fail"
-        series = {
-            "lambdas": {
-                "columns": ["lam", "critical_norm", "off_norm"],
-                "rows": [
-                    [lam, cn, on]
-                    for lam, cn, on in zip(lams, critical.norms, off.norms)
-                ],
-            }
-        }
+        rows = [[lam, cn, on] for lam, cn, on in zip(lams, critical.norms, off.norms)]
+        series = {"lambdas": {"columns": ["lam", "critical_norm", "off_norm"], "rows": rows}}
         return status, metrics, series
 
     return run
@@ -803,43 +770,23 @@ def _check_time_step(prob: problems.NlheProblem | problems.NsProblem) -> None:
         raise ValueError(f"time.horizon: a time step of {step:.3g} damps every heat mode to 0")
 
 
+#: The certificate fields of the ``eta_sweep`` columns after ``eta`` and ``a_norm``.
+_SWEEP_FIELDS = (
+    "delta", "smallness_ok", "converged", "diverged", "iterations", "final_norm", "residual",
+    "contraction_rate",
+)
+
+
 def _existence_series(report: problems.ExistenceReport) -> dict[str, dict[str, Any]]:
-    sweep_rows = []
-    iter_rows = []
-    for e in report.entries:
-        c = e.certificate
-        sweep_rows.append(
-            [
-                e.eta,
-                c.iterate_norms[0],
-                c.delta,
-                c.smallness_ok,
-                c.converged,
-                c.diverged,
-                c.iterations,
-                c.final_norm,
-                c.residual,
-                c.contraction_rate,
-            ]
-        )
-        for k, nrm in enumerate(c.iterate_norms):
-            iter_rows.append([e.eta, k, nrm])
+    sweep_rows = [
+        [e.eta, e.certificate.iterate_norms[0], *(getattr(e.certificate, f) for f in _SWEEP_FIELDS)]
+        for e in report.entries
+    ]
+    iter_rows = [
+        [e.eta, k, nrm] for e in report.entries for k, nrm in enumerate(e.certificate.iterate_norms)
+    ]
     return {
-        "eta_sweep": {
-            "columns": [
-                "eta",
-                "a_norm",
-                "delta",
-                "smallness_ok",
-                "converged",
-                "diverged",
-                "iterations",
-                "final_norm",
-                "residual",
-                "contraction_rate",
-            ],
-            "rows": sweep_rows,
-        },
+        "eta_sweep": {"columns": ["eta", "a_norm", *_SWEEP_FIELDS], "rows": sweep_rows},
         "iterates": {"columns": ["eta", "iteration", "norm"], "rows": iter_rows},
     }
 

@@ -264,7 +264,8 @@ def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
     product ``|u|**2 * sqrt(|u|**2)``, and a power only for other ``q``.
     A nonzero finite field whose sum of powers (or largest ``|u|**2``, for
     ``q = inf``) under- or overflows is measured with its components
-    divided by the largest one, by :func:`_scaled_lp`, and scaled back.
+    divided by the largest one, by :func:`_scaled_lp`, and scaled back; for
+    other ``q`` that is decided from its largest power, before the sum.
     """
     n = grid.dimension
     if np.iscomplexobj(values):
@@ -284,7 +285,14 @@ def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
                 # bit for bit with the same field's own
                 total = np.sum(mag_sq * np.sqrt(mag_sq), axis=-1)
             else:
-                total = np.sum(mag_sq ** (q / 2.0), axis=-1)
+                # a row whose largest |u|**q leaves the normal range is not
+                # summed: its 0 sends it to the scaled pass below
+                peak = np.max(mag_sq, axis=-1)
+                top_q = peak ** (q / 2.0)
+                kept = (top_q >= sys.float_info.min) & (top_q * mag_sq.shape[-1] < math.inf)
+                kept |= ~(peak < math.inf)  # inf or NaN: the plain sum says so
+                total = np.zeros(peak.shape)
+                total[kept] = np.sum(mag_sq[kept] ** (q / 2.0), axis=-1)
     norms = np.sqrt(total) if math.isinf(q) else (total * grid.cell_volume) ** (1.0 / q)
     # a sum below the smallest normal float has lost its precision
     suspect = ~(total >= sys.float_info.min) | (total == math.inf)

@@ -195,8 +195,10 @@ def run_picard(
     Starting from ``base`` (or ``start``), the iteration stops when the
     step difference drops to ``tol``, the iterate norm exceeds ten times
     the certified ball diameter or is NaN (recorded as divergence), or
-    ``max_iter`` is exhausted.  Convergence additionally requires the directly measured
-    residual ``||u - base - F(u)||`` to lie below ``2 tol / (1 - rate)``.
+    ``max_iter`` is exhausted.  Convergence additionally requires the
+    directly measured residual ``||u - base - F(u)||`` to lie below
+    ``2 tol / (1 - rate)``.  A zero ``base`` with zero drift and no
+    ``start`` is its own fixed point: one zero step, with no map evaluation.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -205,6 +207,13 @@ def run_picard(
     a = prob.base
     a_norm = prob.norm(a)
     delta, small_ok = smallness_gate(lipschitz_M, prob.epsilon, a_norm)
+    if start is None and a_norm == 0.0 and prob.drift == 0.0:
+        if iterate_callback is not None:
+            iterate_callback(0, a)
+            iterate_callback(1, a)
+        return a, PicardCertificate(
+            lipschitz_M, delta, small_ok, 1, (0.0, 0.0), (0.0,), (), 0.0, True, False
+        )
     u = a if start is None else start
     norms = [a_norm if start is None else prob.norm(u)]
     del start  # the iterate holds it until the first step replaces it
@@ -218,8 +227,11 @@ def run_picard(
         # The step is measured on the difference of the states themselves,
         # which is exact for close iterates, and the new iterate is formed
         # as ``u + change``: a state that caches what its norm computed
-        # (a trajectory's samples) then carries it to the iterate.
-        change = a + prob.map_F(u) - u
+        # (a trajectory's samples) then carries it to the iterate.  A state
+        # with ``_plus_minus`` forms ``a + F(u) - u`` in one new array.
+        image = prob.map_F(u)
+        change = a._plus_minus(image, u) if hasattr(a, "_plus_minus") else a + image - u
+        del image
         step = prob.norm(change)
         diffs.append(step)
         if len(diffs) >= 2 and diffs[-2] > 0:

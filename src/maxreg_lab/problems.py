@@ -226,7 +226,7 @@ def ns_rhs_map(u: Trajectory, prob: NsProblem) -> Trajectory:
     n = u.grid.dimension
     if u.components != n:
         raise ValueError("momentum trajectory needs one component per dimension")
-    amp = float(np.max(_parseval_l2(u.spectrum, u.grid)))
+    amp = math.sqrt(u.grid.volume * float(np.max(u._node_energy)))  # Parseval, as cached
     if max_node_divergence(u) > 1e-8 * max(1.0, amp):
         raise ValueError("input trajectory is not divergence-free")
     forcing = momentum_forcing(u)  # -P div(u (x) u): the sign of F is in the forcing

@@ -30,6 +30,7 @@ single field or a ``norms.Trajectory`` and acts on every time node at once.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import operator
 from dataclasses import InitVar, dataclass, replace
@@ -137,13 +138,15 @@ class _Layout:
 
     @cached_property
     def forcing_kernel(self) -> np.ndarray:
-        """``-P div(u (x) u)`` from the ``n(n+1)/2`` product spectra: the
-        symmetric divergence kernel with the Leray projector
-        ``P = I - xi xi^T / |xi|**2`` and the sign folded in."""
+        """``-P div(u (x) u)`` from the ``n(n+1)/2 - 1`` product spectra of
+        ``u (x) u - u_n**2 I``: the symmetric divergence kernel with the Leray
+        projector ``P = I - xi xi^T / |xi|**2`` and the sign folded in, less
+        its ``(n, n)`` slot.  ``P`` removes the gradient ``div(u_n**2 I)``,
+        so the dropped slot's column sums to zero up to rounding."""
         symbol = self._divergence_symbol(symmetric=True)
         xi_dot = np.einsum("a...,as...->s...", self.xi, symbol)
         projected = symbol - self.xi[:, np.newaxis] * (xi_dot * self.inv_xi_sq)
-        return np.repeat(-projected, 2, axis=-1)
+        return np.repeat(-projected[:, :-1], 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -453,6 +456,18 @@ class _CoefficientArithmetic:
             vars(self)["_samples"] = samples
         return samples
 
+    @property
+    def _node_energy(self) -> np.ndarray:
+        """``sum |c|**2`` over the components and modes at each leading index
+        (per node of a trajectory, 0-d for a field), computed once."""
+        energy = vars(self).get("_energy")
+        if energy is None:
+            stored, grid = self.spectrum, self.grid
+            lead = stored.ndim - grid.dimension - 1
+            energy = _energy(stored, grid.layout(stored).weights, lead)
+            vars(self)["_energy"] = energy
+        return energy
+
     def _linear(self, op: Callable[..., np.ndarray], *others):
         """``op`` of the Fourier arrays, and of the samples when every operand
         holds them and the result keeps their layout; operands in different
@@ -474,6 +489,12 @@ class _CoefficientArithmetic:
     def __sub__(self, other):
         self._check_compatible(other)
         return self._linear(operator.sub, other)
+
+    def _plus_minus(self, plus, minus):
+        """``self + plus - minus`` in one new array, added before subtracted."""
+        for other in (plus, minus):
+            self._check_compatible(other)
+        return self._linear(lambda x, y, z: operator.isub(x + y, z), plus, minus)
 
     def __mul__(self, scalar: complex):
         if isinstance(scalar, numbers.Real):
@@ -692,22 +713,23 @@ def _energy(block: np.ndarray, weights: np.ndarray, lead: int = 0) -> np.ndarray
     return per_part.reshape(per_part.shape[:-1] + (-1, 2)).sum(axis=-1) @ weights
 
 
-def _negligible(stored: np.ndarray, grid: TorusGrid, blocks: list[tuple[int, int | slice]]) -> bool:
+def _negligible(u: _FieldOrStack, blocks: list[tuple[int, int | slice]]) -> bool:
     """Whether the modes in ``blocks`` carry at most ``_MASK_TOL`` of the
-    ``l^2`` size of ``stored``.
+    ``l^2`` size of ``u``'s stored array (its cached energy).
 
     A block is an ``(axis, index)`` pair selecting an index or a slice along
     one spatial axis (a slice on the last axis).  A mode in several blocks
     is counted once per block, which only makes the test stricter; each
     stored column counts as often as it occurs in the full spectrum.
     """
+    grid, stored = u.grid, u.spectrum
     n = grid.dimension
     weights = grid.layout(stored).weights
     part = 0.0
     for axis, index in blocks:
         block = stored[(Ellipsis, index) + (slice(None),) * (n - 1 - axis)]
         part += float(_energy(block, weights[index] if axis == n - 1 else weights))
-    return part == 0.0 or part <= _MASK_TOL**2 * float(_energy(stored, weights))
+    return part == 0.0 or part <= _MASK_TOL**2 * float(np.sum(u._node_energy))
 
 
 def _odd_input(u: _FieldOrStack) -> np.ndarray:
@@ -724,7 +746,7 @@ def _odd_input(u: _FieldOrStack) -> np.ndarray:
     N, n = grid.points_per_axis, grid.dimension
     # a slice on the last axis, so that ``_negligible`` keeps its weights an array
     rows = [(axis, N // 2) for axis in range(n - 1)] + [(n - 1, slice(N // 2, N // 2 + 1))]
-    if not _is_half(u.spectrum, grid) or _negligible(u.spectrum, grid, rows):
+    if not _is_half(u.spectrum, grid) or _negligible(u, rows):
         return u.spectrum
     return u.coefficients
 
@@ -742,19 +764,22 @@ def _dealiased_samples(u: _FieldOrStack) -> np.ndarray:
     layout = grid.layout(stored)
     n = grid.dimension
     slabs = [(axis, grid._dealias_dropped) for axis in range(n - 1)] + [(n - 1, layout.dealias_last)]
-    if _negligible(stored, grid, slabs):
+    if _negligible(u, slabs):
         return u.samples
     return _physical_values(stored * layout.dealias_mask, grid)
 
 
-def _product_spectra(u: _FieldOrStack, v: _FieldOrStack) -> np.ndarray:
+def _product_spectra(u: _FieldOrStack, v: _FieldOrStack, shifted: bool = False) -> np.ndarray:
     """Fourier arrays of the dealiased products ``u_i v_j`` in
     :func:`_product_slots` order, shaped ``(..., slots) + layout shape``.
 
     The products are formed in physical space from dealiased samples and
     transformed in one stacked call.  When ``v`` is ``u`` itself it is not
     transformed again, and only the products with ``i <= j`` are formed; a
-    ``u`` inside the dealias mask then gives its cached samples.
+    ``u`` inside the dealias mask then gives its cached samples.  With
+    ``shifted`` (``v`` is ``u``) they are the products of
+    ``u (x) u - u_n**2 I``: the last slot ``u_n u_n`` is dropped and each
+    other diagonal slot holds ``u_k**2 - u_n**2``.
     """
     u._check_compatible(v)
     grid = u.grid
@@ -769,16 +794,21 @@ def _product_spectra(u: _FieldOrStack, v: _FieldOrStack) -> np.ndarray:
             _physical_values(w.spectrum * grid.layout(w.spectrum).dealias_mask, grid) for w in (u, v)
         )
     rows, cols = _product_slots(n, symmetric=v is u)
+    if shifted:
+        rows, cols = rows[:-1], cols[:-1]
     # one multiply per pair into a stacked array (a fancy-indexed product
     # would gather both operand stacks first)
     stack = u_phys.shape[: -(n + 1)] + (rows.size,) + grid.shape
     products = np.empty(stack, dtype=np.result_type(u_phys, v_phys))
-    for k, (i, j) in enumerate(zip(rows, cols)):
-        np.multiply(
-            u_phys[(Ellipsis, i) + space],
-            v_phys[(Ellipsis, j) + space],
-            out=products[(Ellipsis, k) + space],
-        )
+    slots = [products[(Ellipsis, k) + space] for k in range(rows.size)]
+    if shifted and slots:
+        # u_n**2 in the last slot, (n-1, n): the loop writes it after every diagonal one
+        last = u_phys[(Ellipsis, n - 1) + space]
+        np.multiply(last, last, out=slots[-1])
+    for out, i, j in zip(slots, rows, cols):
+        np.multiply(u_phys[(Ellipsis, i) + space], v_phys[(Ellipsis, j) + space], out=out)
+        if shifted and i == j:
+            out -= slots[-1]
     return _fourier_coefficients(products, grid)
 
 
@@ -789,8 +819,9 @@ def _contract(kernel: np.ndarray, products: np.ndarray) -> np.ndarray:
     n, slots = kernel.shape[:2]
     space = products.shape[2 - kernel.ndim :]
     lead = products.shape[: -len(space) - 1]
-    parts = products.view(np.float64).reshape(lead + (slots, -1))
-    out = np.einsum("ksq,...sq->...kq", kernel.reshape(n, slots, -1), parts)
+    floats = 2 * math.prod(space)  # per slot, explicit: there may be no slots
+    parts = products.view(np.float64).reshape(lead + (slots, floats))
+    out = np.einsum("ksq,...sq->...kq", kernel.reshape(n, slots, floats), parts)
     out = out.view(np.complex128).reshape(lead + (n,) + space)
     out *= 1j
     return out
@@ -814,11 +845,13 @@ def momentum_forcing(u: _FieldOrStack) -> _FieldOrStack:
     """The Navier–Stokes forcing ``-P div(u (x) u)``.
 
     Equal to ``-helmholtz_project(tensor_divergence(u, u))`` up to rounding,
-    in one contraction of the symmetric product spectra with the layout's
-    forcing kernel (dealias mask, ``i xi``, Leray projector and sign in one
-    array).  The result is zero outside the dealias mask.
+    in one contraction of the product spectra of ``u (x) u - u_n**2 I``
+    (``P`` removes the gradient the shift adds, so one product fewer is
+    transformed) with the layout's forcing kernel (dealias mask, ``i xi``,
+    Leray projector and sign in one array).  The result is zero outside the
+    dealias mask.
     """
-    products = _product_spectra(u, u)
+    products = _product_spectra(u, u, shifted=True)
     return replace(u, coefficients=_contract(u.grid.layout(products).forcing_kernel, products))
 
 

@@ -61,19 +61,25 @@ def _numeric(value):
 
 
 def _list_values(default):
-    """Edge values of a list key: empty, its first entry alone, and each
-    edge float alone and appended; for a list of pairs (``z_values``) the
-    float replaces either entry of the first pair, or both of an appended one."""
-    yield []
-    yield default[:1]
+    """Edge values of a list key, each once: empty, its first entry alone,
+    and each edge float alone and appended; for a list of pairs
+    (``z_values``) the float replaces either entry of the first pair, or
+    both of an appended one.  A value that equals one before it (the first
+    entry alone, when it is an edge value) is skipped."""
+    values = [[], default[:1]]
     for x in FLOATS:
         if x == 1.0000001:
             continue
         if isinstance(default[0], list):
             re, im = default[0]
-            yield from ([[x, im]], [[re, x]], default + [[x, x]])
+            values += [[[x, im]], [[re, x]], default + [[x, x]]]
         else:
-            yield from ([x], default + [x])
+            values += [[x], default + [x]]
+    seen = set()
+    for value in values:
+        if repr(value) not in seen:
+            seen.add(repr(value))
+            yield value
 
 
 def _declares(name, overrides):

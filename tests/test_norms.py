@@ -158,6 +158,29 @@ class TestSpatialNorm:
             size * spatial_lq_norm(unit, q), rel=1e-12, abs=0
         )
 
+    #: ``spatial_lq_norm`` of a fixed field times ``size``, as the two-pass
+    #: form (the plain sum of powers first, then the scaled pass for every
+    #: row out of range) gives them.
+    TWO_PASS = {
+        (2.5, 1e-170): 6.617741463662697e-170,
+        (2.5, 1.0): 6.617741463662698,
+        (2.5, 1e160): 6.617741463662697e160,
+        (2.5, 1e300): 6.617741463662698e300,
+        (3000.0, 1e-170): 3.2433065324236574e-170,
+        (3000.0, 1.0): 3.2433065324236567,
+        (3000.0, 1e160): 3.2433065324236574e160,
+        (3000.0, 1e300): 3.243306532423657e300,
+    }
+
+    @pytest.mark.parametrize("q, size", list(TWO_PASS))
+    def test_large_q_in_one_pass_matches_two_pass(self, grid2d, q, size):
+        """A row whose largest ``|u|**q`` leaves the normal range goes
+        straight to the scaled pass; the norm is the two-pass one."""
+        values = np.random.default_rng(24).standard_normal((2,) + grid2d.shape)
+        field = SpectralField.from_physical(grid2d, values * size)
+        expect = self.TWO_PASS[q, size]
+        assert spatial_lq_norm(field, q) == pytest.approx(expect, rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("grid_name, q", [("grid2d", 2100.0), ("grid3d", 1300.0)])
     def test_component_sum_out_of_range(self, request, grid_name, q):
         """Each component is 1, so ``|u|**2`` is ``m`` and ``m**(q/2)``

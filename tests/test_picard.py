@@ -213,6 +213,33 @@ class TestRunPicard:
         )
         assert seen == list(range(cert.iterations + 1))
 
+    def test_zero_data_evaluates_no_map(self):
+        """A zero base with ``F(0) = 0`` is its own fixed point: the run
+        records the loop's one zero step without calling the map, and the
+        callback sees the base as iterates 0 and 1."""
+        calls, seen = [], []
+
+        def map_F(u):
+            calls.append(u)
+            return u * u
+
+        prob = FixedPointProblem(base=0.0, map_F=map_F, norm=abs, epsilon=1.0)
+        calls.clear()
+        u, cert = run_picard(
+            prob, 60, 1e-12, lipschitz_M=1.0, iterate_callback=lambda k, v: seen.append((k, v))
+        )
+        assert calls == [] and u == 0.0 and seen == [(0, 0.0), (1, 0.0)]
+        assert (cert.iterations, cert.iterate_norms, cert.step_diffs) == (1, (0.0, 0.0), (0.0,))
+        assert cert.contraction_factors == () and cert.residual == 0.0
+        assert cert.converged and not cert.diverged
+        # a given start runs the loop, which certifies the same outcome
+        _, looped = run_picard(prob, 60, 1e-12, lipschitz_M=1.0, start=0.0)
+        assert len(calls) == 2 and looped == cert
+        calls.clear()
+        u, cert = run_picard(prob, 60, 1e-12, lipschitz_M=1.0, start=0.05)
+        assert cert.converged and cert.iterations > 1 and abs(u) < 1e-12
+        assert len(calls) == cert.iterations + 1
+
     def test_data_norm_evaluated_once(self):
         """One norm for the gate, which is also the first iterate's, then
         one per step and per iterate, and one for the residual."""

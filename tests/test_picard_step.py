@@ -115,6 +115,71 @@ class TestContractionKernels:
         assert grid.layout(u.spectrum).forcing_kernel is kernel
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_forcing_on_full_layout_at_four_points(n, rng):
+    """A stack that is not real keeps the full layout and complex samples;
+    at 4 points per axis the forcing still matches the projected divergence."""
+    grid = TorusGrid(n, 4)
+    shape = (5, n) + grid.shape
+    coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    u = Trajectory(uniform_time_grid(1.0, 5), grid, coeff)
+    assert u.spectrum.shape[2:] == grid.shape and np.iscomplexobj(u.samples)
+    forcing = momentum_forcing(u)
+    expected = -helmholtz_project(tensor_divergence(u, u)).spectrum
+    assert forcing.spectrum.shape == expected.shape
+    assert max_rel(forcing.spectrum, expected) <= 1e-15
+
+
+def test_forcing_in_one_dimension_is_zero(rng):
+    """In 1-D ``u (x) u - u_1**2 I`` is zero, no product is formed, and
+    ``P`` removes every nonzero mode of the divergence."""
+    grid = TorusGrid(1, 8)
+    u = Trajectory(uniform_time_grid(1.0, 3), grid, rng.standard_normal((3, 1, 8)) + 0j)
+    assert not np.any(momentum_forcing(u).spectrum)
+    assert not np.any(helmholtz_project(tensor_divergence(u, u)).spectrum[..., 1:])
+
+
+class TestStateEnergy:
+    @pytest.fixture
+    def prob(self, grid2d):
+        u0 = random_mean_free_field(
+            grid2d, seed=0, components=2, band_limit=2, divergence_free=True
+        )
+        time_grid = uniform_time_grid(1.0, 9)
+        return NsProblem(params=MixedNormParams(4.0, 4.0), u0=u0, time_grid=time_grid)
+
+    def test_map_sums_its_input_once(self, prob, monkeypatch):
+        """The amplitude and both guards of a map evaluation read one total
+        energy of the input, kept on it and released with it."""
+        u = heat_extension(prob.u0, prob.time_grid)
+        whole = []
+        energy = spectral._energy
+
+        def counting(block, *args):
+            whole.append(block is u.spectrum)
+            return energy(block, *args)
+
+        monkeypatch.setattr(spectral, "_energy", counting)
+        problems.ns_rhs_map(u, prob)
+        problems.ns_rhs_map(u, prob)
+        assert sum(whole) == 1
+        ref = weakref.ref(u._node_energy)
+        assert ref().shape == (prob.time_grid.num_nodes,)
+        del u
+        gc.collect()
+        assert ref() is None
+
+    def test_plus_minus_is_sum_then_difference(self, grid2d, rng):
+        a, f, u = (rough_stack(grid2d, 5, rng) for _ in range(3))
+        for holding in ((a, u), (a, f, u)):
+            for x in holding:
+                x.samples
+            got, want = a._plus_minus(f, u), a + f - u
+            assert np.array_equal(got.spectrum, want.spectrum)
+            assert ("_samples" in vars(got)) == ("_samples" in vars(want))
+            assert np.array_equal(got.samples, want.samples)
+
+
 def reference_duhamel(lam, f, nodes):
     """The recurrence ``solve_linear_duhamel`` ran before its coefficients were precombined."""
     u = np.zeros_like(f)
@@ -223,6 +288,22 @@ class TestZeroMapOncePerSweep:
         report = problems.existence_sweep(prob, [0.01, 0.02, 0.04])
         assert len(report.entries) == 3
         assert len(zero_inputs) == 1
+
+    def test_zero_size_maps_zero_only_for_the_drift(self, prob, monkeypatch):
+        """The ``eta = 0`` run is the zero data path: neither its step nor
+        its residual evaluates the map."""
+        zero_inputs = []
+        ns_rhs_map = problems.ns_rhs_map
+
+        def counting(u, p):
+            zero_inputs.append(not np.any(u.spectrum))
+            return ns_rhs_map(u, p)
+
+        monkeypatch.setattr(problems, "ns_rhs_map", counting)
+        report = problems.existence_sweep(prob, [0.0, 0.01])
+        assert sum(zero_inputs) == 1
+        cert = report.entries[0].certificate
+        assert cert.converged and cert.iterations == 1 and cert.final_norm == 0.0
 
     def test_map_not_vanishing_at_zero_is_rejected(self, prob, monkeypatch):
         offset = heat_extension(prob.u0 * 1e-3, prob.time_grid)
