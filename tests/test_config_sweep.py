@@ -15,8 +15,8 @@ by both.
 """
 
 import copy
+import hashlib
 import json
-import random
 
 import pytest
 
@@ -134,20 +134,27 @@ def _leaves(overrides):
     }
 
 
+def _rank(a, b):
+    """The pair's place in its experiment's draw: a hash of the seed and
+    the two row ids, so a pair's rank does not depend on the other rows."""
+    return hashlib.sha256(f"{PAIR_SEED}|{a.id}|{b.id}".encode()).hexdigest()
+
+
 def _pairs():
-    """Two rows of one experiment's sweep, merged; the rows set different keys."""
-    rng = random.Random(PAIR_SEED)
+    """Two rows of one experiment's sweep, merged; the rows set different
+    keys.  Each experiment keeps its lowest-ranked pairs, so adding or
+    removing a row replaces only the pairs that contain it."""
     rows = {}
     for row in _sweep():
         rows.setdefault(row.values[0], []).append(row)
     for name, own in sorted(rows.items()):
-        drawn = set()
-        while len(drawn) < PAIRS_PER_EXPERIMENT:
-            first, second = sorted(rng.sample(range(len(own)), 2))
-            a, b = own[first], own[second]
-            if (first, second) in drawn or _leaves(a.values[1]) & _leaves(b.values[1]):
-                continue
-            drawn.add((first, second))
+        disjoint = [
+            (a, b)
+            for i, a in enumerate(own)
+            for b in own[i + 1 :]
+            if not _leaves(a.values[1]) & _leaves(b.values[1])
+        ]
+        for a, b in sorted(disjoint, key=lambda pair: _rank(*pair))[:PAIRS_PER_EXPERIMENT]:
             merged = copy.deepcopy(a.values[1])
             for key, value in b.values[1].items():
                 merged[key] = {**merged.get(key, {}), **value} if isinstance(value, dict) else value
