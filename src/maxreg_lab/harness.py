@@ -131,7 +131,6 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
         "time": _TIME,
         "params": {
             "nu": 2.0,
-            "p": 2.0,
             "q": 2.0,
             "variant": "signed",
             "eta_grid": [0.0, 0.02, 0.08, 0.32, 1.28, 2.56, 5.12, 10.24],
@@ -144,7 +143,6 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
         "grid": _GRID,
         "time": _TIME,
         "params": {
-            "p": 4.0,
             "q": 4.0,
             "perturbation": 0.3,
             "eta_grid": [0.0, 0.02, 0.08, 0.32, 1.28, 2.56, 5.12],
@@ -702,6 +700,8 @@ def _scaling(cfg: ExperimentConfig) -> _Run:
     if p["law"] == "nlhe":
         law = norms.nlhe_scaling_law(float(p["nu"]))
     elif p["law"] == "ns":
+        if float(p["nu"]) != 2.0:
+            raise ValueError("params.nu must be 2.0 under law 'ns': the momentum term is quadratic")
         law = norms.ns_scaling_law()
     else:
         raise ValueError("params.law must be 'nlhe' or 'ns'")
@@ -802,16 +802,31 @@ def _contraction_bound_ok(report: problems.ExistenceReport) -> bool:
     return True
 
 
+def _critical_params(cfg: ExperimentConfig, law: norms.ScalingLaw) -> norms.MixedNormParams:
+    """The config's ``q`` and the ``p`` that makes ``L^p(L^q)`` critical for
+    ``law`` in the grid's dimension ``n``: ``alpha/p = law.exponent - n/q``.
+    The existence sweep measures its data by :func:`norms.besov_heat_norm`,
+    which needs a finite ``p``."""
+    params = norms.MixedNormParams(p=math.inf, q=float(cfg.params["q"]))
+    n = int(cfg.grid["dimension"])
+    keys = ", ".join(f"params.{k} = {cfg.params[k]}" for k in ("q", "nu") if k in cfg.params)
+    keys += f" and grid.dimension = {n}"
+    time_part = law.exponent - n / params.q
+    if not 0 <= time_part < law.alpha:
+        raise ValueError(f"{keys} admit no critical time exponent p above 1")
+    p = law.alpha / time_part if time_part else math.inf
+    if math.isinf(p):
+        raise ValueError(f"{keys} give p = inf: the data norm requires finite exponents")
+    return replace(params, p=p)
+
+
 def _existence(cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsProblem) -> _Run:
-    """The existence sweep of ``nlhe-exist`` and ``ns-exist``; it measures
-    its data by :func:`norms.besov_heat_norm`, which needs a finite ``p``."""
+    """The existence sweep of ``nlhe-exist`` and ``ns-exist``."""
     tol, max_iter = _picard_args(cfg)
     _check_time_step(prob)
     eta_grid = [float(e) for e in cfg.params["eta_grid"]]
     if not all(0 <= eta < math.inf for eta in eta_grid):
         raise ValueError("params.eta_grid entries must be nonnegative and finite")
-    if math.isinf(prob.params.p):
-        raise ValueError("params.p: the heat-extension data norm requires finite exponents")
 
     def run() -> tuple[str, dict, dict]:
         report = problems.existence_sweep(
@@ -851,9 +866,10 @@ def _nlhe_exist(cfg: ExperimentConfig) -> _Run:
     grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
     p = cfg.params
     u0 = problems.random_mean_free_field(grid, seed=cfg.rng_seed, band_limit=int(p["band_limit"]))
+    nu = float(p["nu"])
     prob = problems.NlheProblem(
-        nu=float(p["nu"]),
-        params=_mixed_params(cfg),
+        nu=nu,
+        params=_critical_params(cfg, norms.nlhe_scaling_law(nu)),
         u0=u0,
         time_grid=tgrid,
         variant=str(p["variant"]),
@@ -889,7 +905,8 @@ def _taylor_green_type_field(
 def _ns_exist(cfg: ExperimentConfig) -> _Run:
     grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
     u0 = _taylor_green_type_field(grid, float(cfg.params["perturbation"]), cfg.rng_seed)
-    prob = problems.NsProblem(params=_mixed_params(cfg), u0=u0, time_grid=tgrid, critical=True)
+    params = _critical_params(cfg, norms.ns_scaling_law())
+    prob = problems.NsProblem(params=params, u0=u0, time_grid=tgrid, critical=True)
     return _existence(cfg, prob)
 
 

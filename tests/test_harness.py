@@ -446,7 +446,7 @@ class TestDomainChecks:
         "config, message",
         [
             ({"experiment": "ns-exist", "grid": {"dimension": 1}}, "dimensions 2 and 3"),
-            ({"experiment": "ns-exist", "params": {"p": "abc"}}, "params.'p' must be a number"),
+            ({"experiment": "ns-exist", "params": {"q": "abc"}}, "params.'q' must be a number"),
             ({"experiment": "maxreg", "params": {"ensemble_size": 0}}, "ensemble size"),
             ({"experiment": "nlhe-unique", "params": {"q": 2.0}}, "nq/(n+q) must exceed 1"),
             ({"experiment": "ns-unique", "params": {"q": 1.5}}, "nq/(n+q) must exceed 1"),
@@ -479,9 +479,10 @@ class TestDomainChecks:
             ({"experiment": "nlhe-unique", "params": {"bootstrap_p": -1.0}}, "bootstrap_p must exceed 1"),
             ({"experiment": "ns-unique", "params": {"bootstrap_p": 0.5}}, "bootstrap_p must exceed 1"),
             ({"experiment": "ns-unique", "params": {"bootstrap_p": -1.0}}, "bootstrap_p must exceed 1"),
-            # critical (2/p + n/q = 1), but the sweep's heat-extension data norm needs finite p
-            ({"experiment": "ns-exist", "params": {"p": math.inf, "q": 2.0}}, "requires finite exponents"),
-            ({"experiment": "nlhe-exist", "params": {"nu": 3.0, "p": math.inf, "q": 2.0}}, "requires finite exponents"),
+            # the critical p is inf (n/q is the whole scaling exponent), but the
+            # sweep's heat-extension data norm needs finite p
+            ({"experiment": "ns-exist", "params": {"q": 2.0}}, "requires finite exponents"),
+            ({"experiment": "nlhe-exist", "params": {"nu": 3.0, "q": 2.0}}, "requires finite exponents"),
             ({"experiment": "maxreg", "time": {"horizon": math.inf}}, "horizon must be positive and finite"),
             ({"experiment": "maxreg", "time": {"horizon": math.nan}}, "horizon must be positive and finite"),
             ({"experiment": "hormander", "grid": {"period": math.inf}}, "period must be positive and finite"),
@@ -558,6 +559,18 @@ class TestDomainChecks:
                 ({"experiment": name, "rng_seed": -1}, "rng_seed must be nonnegative")
                 for name in experiment_names()
             ),
+            # the existence runs derive p from q, nu and the dimension
+            ({"experiment": "ns-exist", "params": {"p": 4.0}}, "unknown config key params.'p'"),
+            ({"experiment": "nlhe-exist", "params": {"p": 2.0}}, "unknown config key params.'p'"),
+            # no critical p above 1, or only p = 1
+            ({"experiment": "ns-exist", "params": {"q": 1.5}}, "admit no critical time exponent p above 1"),
+            ({"experiment": "nlhe-exist", "params": {"nu": 1.5, "q": 1e300}}, "admit no critical time exponent p above 1"),
+            ({"experiment": "nlhe-exist", "grid": {"dimension": 3}, "params": {"q": 1.2}}, "admit no critical time exponent p above 1"),
+            # the momentum law is quadratic: a nu it would ignore is refused
+            *(
+                ({"experiment": "scaling", "params": {"law": "ns", "nu": nu}}, "params.nu must be 2.0 under law 'ns'")
+                for nu in (3.0, 5.0, 1.5)
+            ),
         ],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):
@@ -604,6 +617,38 @@ class TestDomainChecks:
         check_config(load_config(TINY_MAXREG))
         with pytest.raises(ConfigError, match="dimensions 2 and 3"):
             check_config(load_config({"experiment": "ns-unique", "grid": {"dimension": 1}}))
+
+    @pytest.mark.parametrize(
+        "config, p",
+        [
+            ({"experiment": "nlhe-exist"}, 2.0),
+            ({"experiment": "ns-exist"}, 4.0),
+            ({"experiment": "ns-exist", "params": {"q": 2100}}, 2100 / 1049),
+            ({"experiment": "ns-exist", "grid": {"dimension": 3}}, 8.0),
+        ],
+    )
+    def test_existence_runs_derive_the_critical_p(self, monkeypatch, config, p):
+        """``alpha/p = law.exponent - n/q``, bit for bit at these values."""
+        built = []
+        monkeypatch.setattr(harness, "_existence", lambda cfg, prob: built.append(prob))
+        cfg = load_config(config)
+        assert "p" not in cfg.params
+        check_config(cfg)
+        assert built[0].params.p == p
+
+    def test_ns_exist_in_three_dimensions_from_the_dimension_alone(self, tmp_path, capsys):
+        """The 3-D run takes the critical p of ``q = 4``, which is 8."""
+        config = {
+            "experiment": "ns-exist",
+            "grid": {"dimension": 3, "points_per_axis": 8},
+            "time": {"num_nodes": 17},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) in (0, 1, 2)
+        record = json.loads((tmp_path / "ns-exist_record.json").read_text())
+        assert record["status"] in ("pass", "fail", "inconclusive")
 
     def test_validate_draws_no_ensemble(self, tmp_path, capsys, monkeypatch):
         """The ensemble keys are range-checked without drawing a member."""
@@ -706,8 +751,8 @@ class TestStrictJsonRecords:
                 "experiment": "ns-exist",
                 "grid": {"points_per_axis": 16},
                 "time": {"num_nodes": 17},
-                # 2/p + 2/q = 1: the exponents are critical
-                "params": {"p": 2100 / 1049, "q": 2100},
+                # the critical p is 2100/1049
+                "params": {"q": 2100},
             },
             # the largest nodal norm sits at t = 0, where the power weight is 0
             {"experiment": "weighted-maxreg", "time": {"num_nodes": 9}, "params": {"p": 1000}},

@@ -20,7 +20,7 @@ import json
 import pytest
 from golden import snapshot
 
-from maxreg_lab.harness import experiment_names, load_config, run_experiment
+from maxreg_lab.harness import ConfigError, experiment_names, load_config, run_experiment
 
 EXEMPT = ("experiment", "output_dir", "threads")
 
@@ -80,20 +80,13 @@ ALTERNATIVES = {
     "params.num_fields": 2,
 }
 
-#: Changes of one experiment that replace the entry above, as overrides.
-#: ``nlhe-exist`` and ``ns-exist`` hold ``n/q + 2/p = 2/(nu - 1)`` and
-#: ``n/q + 2/p = 1``, so each change of ``nu``, ``p``, ``q`` or the
-#: dimension moves one more exponent to stay critical (a different one,
-#: or to a different value, for each key).
+#: Changes of one experiment that replace the entry above, as overrides;
+#: each sets only the key it stands for.
 SPECIAL = {
-    ("nlhe-exist", "grid.dimension"): {"grid": {"dimension": 3}, "params": {"q": 3.0}},
-    ("nlhe-exist", "params.nu"): {"params": {"nu": 3.0, "p": 4.0, "q": 4.0}},
-    ("nlhe-exist", "params.p"): {"params": {"p": 4.0 / 3.0, "q": 4.0}},
-    ("nlhe-exist", "params.q"): {"params": {"q": 4.0 / 3.0, "p": 4.0}},
-    ("ns-exist", "grid.dimension"): {"grid": {"dimension": 3}, "params": {"q": 6.0}},
-    ("ns-exist", "params.p"): {"params": {"p": 8.0 / 3.0, "q": 8.0}},
-    ("ns-exist", "params.q"): {"params": {"q": 3.0, "p": 6.0}},
+    # at q = 2 in 2-D, nu = 3 makes the derived p infinite; nu = 2.5 gives p = 6
+    ("nlhe-exist", "params.nu"): {"params": {"nu": 2.5}},
     # the incompressible problems take dimensions 2 and 3 only
+    ("ns-exist", "grid.dimension"): {"grid": {"dimension": 3}},
     ("ns-unique", "grid.dimension"): {"grid": {"dimension": 2}},
     ("ns-unique", "params.q"): {"params": {"q": 4.0}},
     # in one dimension the smoothing source exponent nq/(n+q) is below 1
@@ -111,15 +104,19 @@ ALLOWED = {
 }
 
 
-def _settable(name):
-    """The experiment's settable keys, as ``table.key`` or a base key."""
-    for key, value in load_config({"experiment": name}).to_dict().items():
-        if key in EXEMPT:
-            continue
+def _leaves(overrides):
+    """The keys ``overrides`` sets, as ``table.key`` or a base key."""
+    for key, value in overrides.items():
         if isinstance(value, dict):
             yield from (f"{key}.{inner}" for inner in value)
         else:
             yield key
+
+
+def _settable(name):
+    """The experiment's settable keys, as ``table.key`` or a base key."""
+    overrides = load_config({"experiment": name}).to_dict()
+    yield from (path for path in _leaves(overrides) if path not in EXEMPT)
 
 
 def _overrides(name, path):
@@ -161,3 +158,17 @@ def test_each_value_changes_the_record(name, path):
         assert same, f"{name} {path} changes the record: take it off the allow-list"
     else:
         assert not same, f"changing {name} {path} leaves the record as it was"
+
+
+@pytest.mark.parametrize("name, path", sorted(SPECIAL))
+def test_each_special_change_sets_one_key(name, path):
+    assert list(_leaves(SPECIAL[name, path])) == [path]
+
+
+def test_nu_under_the_ns_law_changes_the_outcome():
+    """The momentum law is quadratic, so ``scaling`` refuses a ``nu`` other
+    than 2 under it rather than ignoring it."""
+    base = _config("scaling", {"params": {"law": "ns"}})
+    _run(base)
+    with pytest.raises(ConfigError, match="params.nu must be 2.0 under law 'ns'"):
+        _run(_config("scaling", {"params": {"law": "ns", "nu": ALTERNATIVES["params.nu"]}}))
