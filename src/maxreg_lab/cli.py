@@ -8,7 +8,9 @@ configuration error, reported on one line of stderr).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 
 from .harness import (
@@ -57,6 +59,18 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
     return cfg
 
 
+def _print_lines(lines: Iterable[str]) -> None:
+    """Print ``lines``; a reader that closes the pipe early (``| head``)
+    costs the lines that are left, not the exit code."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout goes to devnull, so the interpreter's exit flush cannot raise too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -66,15 +80,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 3
 
     if args.command == "list-experiments":
-        for name in experiment_names():
-            print(name)
+        _print_lines(experiment_names())
         return 0
 
     try:
         cfg = load_config(args.config)
         if args.command == "validate":
             check_config(cfg)
-            print(f"ok: {cfg.experiment} config is valid")
+            _print_lines([f"ok: {cfg.experiment} config is valid"])
             return 0
         cfg = _apply_overrides(cfg, args)
         record = run_experiment(cfg)
@@ -86,11 +99,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"crash: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
-    for key, value in sorted(record.metrics.items()):
-        print(f"{key} = {value}")
-    print(f"status: {record.status}  ({record.wall_time_s:.2f} s)")
-    for path in paths:
-        print(f"wrote {path}")
+    lines = [f"{key} = {value}" for key, value in sorted(record.metrics.items())]
+    lines.append(f"status: {record.status}  ({record.wall_time_s:.2f} s)")
+    _print_lines(lines + [f"wrote {path}" for path in paths])
     return _STATUS_CODES[record.status]
 
 

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
@@ -312,7 +313,7 @@ def synthetic_forcing_ensemble(
     band_limit: int = 4,
     modes_per_member: int = 6,
     seed: int = 0,
-) -> list[norms.Trajectory]:
+) -> Sequence[norms.Trajectory]:
     """Random band-limited forcings with smooth decaying time envelopes.
 
     Each member is a fixed function of ``(t, x)`` determined by its
@@ -320,15 +321,42 @@ def synthetic_forcing_ensemble(
     band_limit]^n`` and time envelopes are damped sinusoids — so
     regenerating on a refined grid samples the same continuum forcing.
     The members are real and built as half spectra.
+
+    The arguments are range-checked here, but no member is drawn: the
+    sequence draws member ``i`` each time it is read, so it holds no member
+    and every read of ``i`` gives the same member bit for bit.
     """
     _check_ensemble_args(size, band_limit, modes_per_member)
-    members = []
-    t = time_grid.nodes
-    columns = grid.half_shape[-1]
-    for member in range(size):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 11, member]))
+    return _ForcingEnsemble(grid, time_grid, size, band_limit, modes_per_member, seed)
+
+
+@dataclass(frozen=True, eq=False)
+class _ForcingEnsemble(Sequence[norms.Trajectory]):
+    """The members of :func:`synthetic_forcing_ensemble`, drawn when read."""
+
+    grid: spectral.TorusGrid
+    time_grid: norms.TimeGrid
+    size: int
+    band_limit: int
+    modes_per_member: int
+    seed: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index):
+        picked = range(self.size)[index]  # a list's index rules and errors
+        if isinstance(picked, range):
+            return [self._draw(member) for member in picked]
+        return self._draw(picked)
+
+    def _draw(self, member: int) -> norms.Trajectory:
+        grid, time_grid, band_limit = self.grid, self.time_grid, self.band_limit
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 11, member]))
+        t = time_grid.nodes
+        columns = grid.half_shape[-1]
         coeff = np.zeros((time_grid.num_nodes, 1) + grid.half_shape, dtype=np.complex128)
-        for _ in range(modes_per_member):
+        for _ in range(self.modes_per_member):
             while True:
                 k = rng.integers(-band_limit, band_limit + 1, size=grid.dimension)
                 if np.any(k != 0):
@@ -342,8 +370,7 @@ def synthetic_forcing_ensemble(
                 idx = tuple(int(sign * ki) % grid.points_per_axis for ki in k)
                 if idx[-1] < columns:  # the mode k or -k the half spectrum keeps
                     coeff[(slice(None), 0) + idx] += value * envelope
-        members.append(norms.Trajectory(time_grid, grid, coeff))
-    return members
+        return norms.Trajectory(time_grid, grid, coeff)
 
 
 def _check_ensemble_args(size: int, band_limit: int, modes_per_member: int) -> None:
@@ -449,7 +476,7 @@ def _mixed_params(cfg: ExperimentConfig) -> norms.MixedNormParams:
 
 def _ensemble(
     cfg: ExperimentConfig,
-) -> Callable[[spectral.TorusGrid, norms.TimeGrid], list[norms.Trajectory]]:
+) -> Callable[[spectral.TorusGrid, norms.TimeGrid], Sequence[norms.Trajectory]]:
     """The drawer of the config's forcing ensemble, its three keys
     range-checked; only a run draws the members."""
     size, band_limit, modes = (
@@ -792,10 +819,16 @@ def _existence_series(report: problems.ExistenceReport) -> dict[str, dict[str, A
 
 
 def _contraction_bound_ok(report: problems.ExistenceReport) -> bool:
-    """Converged runs must contract no faster than the certified rate + 0.05."""
+    """Every size the smallness gate admits must converge, with contraction
+    factors at most the certified rate + 0.05.  The gate's ``M`` is sampled,
+    not proved, so an admitted size that does not converge refutes it."""
     for e in report.entries:
         c = e.certificate
-        if c.converged and c.smallness_ok and c.contraction_factors:
+        if not c.smallness_ok:
+            continue
+        if not c.converged:
+            return False
+        if c.contraction_factors:
             bound = 2.0 * c.M_used * (2.0 * c.delta) ** report.epsilon + 0.05
             if max(c.contraction_factors) > bound:
                 return False

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -190,9 +191,13 @@ def _member_profiles(
     operator: FourierMultiplier, q: float, ensemble: Sequence[Trajectory], threads: int
 ) -> list[tuple[TimeGrid, list[np.ndarray]]]:
     """One Duhamel solve per nonzero member and the nodal ``L^q`` norms of
-    ``u``, ``u' = f - A u``, ``A u`` and ``f``, in that order."""
+    ``u``, ``u' = f - A u``, ``A u`` and ``f``, in that order.  Each member
+    is read from the ensemble by the solve that uses it, and at most
+    ``threads`` solves are in flight, so a lazily drawn ensemble holds at
+    most ``threads`` members at once."""
 
-    def member(f_traj: Trajectory) -> tuple[TimeGrid, list[np.ndarray]] | None:
+    def member(index: int) -> tuple[TimeGrid, list[np.ndarray]] | None:
+        f_traj = ensemble[index]
         if float(np.max(np.abs(f_traj.spectrum))) == 0.0:
             return None
         u = solve_linear_duhamel(LinearProblem(operator, f_traj))
@@ -206,11 +211,18 @@ def _member_profiles(
         f_q, au_q = _node_spatial_norms(f, q), _node_spatial_norms(au, q)
         return f_traj.time_grid, [u_q, _node_spatial_norms(f - au, q), au_q, f_q]
 
+    indices = range(len(ensemble))
     if threads > 1:
+        raw = []
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(member, ensemble))
+            window: deque[Future] = deque()
+            for index in indices:
+                if len(window) == threads:  # gather in input order
+                    raw.append(window.popleft().result())
+                window.append(pool.submit(member, index))
+            raw.extend(future.result() for future in window)
     else:
-        raw = [member(f) for f in ensemble]
+        raw = [member(index) for index in indices]
     profiles = [m for m in raw if m is not None]
     skipped = len(raw) - len(profiles)
     if skipped:

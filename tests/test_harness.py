@@ -1,8 +1,12 @@
 """Tests for experiment configuration, the experiment registry, result files
 and the command-line front end."""
 
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +35,18 @@ TINY_MAXREG = {
     "time": {"horizon": 1.0, "num_nodes": 33},
     "params": {"ensemble_size": 4},
 }
+
+
+def _config_id(config):
+    """``experiment:key=value,...``, the config's other keys flattened in
+    order: a test id that does not depend on the row's position."""
+    leaves = []
+    for key, value in config.items():
+        if isinstance(value, dict):
+            leaves += [f"{key}.{leaf}={json.dumps(v)}" for leaf, v in value.items()]
+        elif key != "experiment":
+            leaves.append(f"{key}={json.dumps(value)}")
+    return f"{config['experiment']}:{','.join(leaves)}"
 
 
 class TestConfigLoading:
@@ -157,7 +173,75 @@ class TestConfigLoading:
             assert expected in names
 
 
+def _eager_ensemble(grid, time_grid, size, band_limit, modes_per_member, seed):
+    """The ensemble drawn as a list, member after member: the reference the
+    lazily drawn sequence must reproduce bit for bit."""
+    members = []
+    t = time_grid.nodes
+    for member in range(size):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 11, member]))
+        coeff = np.zeros((time_grid.num_nodes, 1) + grid.half_shape, dtype=np.complex128)
+        for _ in range(modes_per_member):
+            while True:
+                k = rng.integers(-band_limit, band_limit + 1, size=grid.dimension)
+                if np.any(k != 0):
+                    break
+            amp = rng.standard_normal() + 1j * rng.standard_normal()
+            decay = rng.uniform(0.3, 1.5)
+            freq = rng.uniform(0.5, 3.0)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            envelope = np.exp(-decay * t) * np.sin(freq * t + phase)
+            for sign, value in ((1, 0.5 * amp), (-1, 0.5 * np.conj(amp))):
+                idx = tuple(int(sign * ki) % grid.points_per_axis for ki in k)
+                if idx[-1] < grid.half_shape[-1]:
+                    coeff[(slice(None), 0) + idx] += value * envelope
+        members.append(coeff)
+    return members
+
+
 class TestSyntheticEnsemble:
+    @pytest.mark.parametrize(
+        "dimension, points, nodes, band_limit, modes, seed",
+        [(1, 32, 9, 3, 2, 5), (2, 16, 17, 4, 6, 0), (2, 64, 33, 8, 10, 123), (3, 8, 5, 2, 6, 7)],
+    )
+    def test_members_match_the_eager_draw(self, dimension, points, nodes, band_limit, modes, seed):
+        grid = TorusGrid(dimension=dimension, points_per_axis=points)
+        tg = uniform_time_grid(1.0, nodes)
+        ensemble = synthetic_forcing_ensemble(
+            grid, tg, 4, band_limit=band_limit, modes_per_member=modes, seed=seed
+        )
+        expected = _eager_ensemble(grid, tg, 4, band_limit, modes, seed)
+        assert [m.spectrum.tobytes() for m in ensemble] == [c.tobytes() for c in expected]
+
+    def test_sequence_reads_agree(self):
+        """Length, indices from either end, slices and repeated iteration
+        all give the same members."""
+        grid = TorusGrid(dimension=2, points_per_axis=16)
+        ensemble = synthetic_forcing_ensemble(grid, uniform_time_grid(1.0, 9), 3, seed=4)
+        first = [m.spectrum.tobytes() for m in ensemble]
+        assert len(ensemble) == 3 and len(set(first)) == 3
+        assert [m.spectrum.tobytes() for m in ensemble] == first
+        assert [ensemble[i].spectrum.tobytes() for i in (-3, -2, -1)] == first
+        assert [m.spectrum.tobytes() for m in ensemble[1:]] == first[1:]
+        with pytest.raises(IndexError):
+            ensemble[3]
+        with pytest.raises(IndexError):
+            ensemble[-4]
+
+    def test_range_errors_at_call_time(self):
+        """The arguments are checked by the call, before any member is read."""
+        grid = TorusGrid(dimension=2, points_per_axis=16)
+        tg = uniform_time_grid(1.0, 9)
+        for kwargs, message in [
+            ({"band_limit": 0}, "band_limit must be at least 1"),
+            ({"band_limit": -2}, "band_limit must be at least 1"),
+            ({"modes_per_member": 0}, "modes_per_member must be at least 1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                synthetic_forcing_ensemble(grid, tg, 2, **kwargs)
+        with pytest.raises(ValueError, match="ensemble size must be at least 1"):
+            synthetic_forcing_ensemble(grid, tg, 0)
+
     def test_deterministic_and_member_distinct(self):
         grid = TorusGrid(dimension=2, points_per_axis=16)
         tg = uniform_time_grid(1.0, 17)
@@ -444,7 +528,7 @@ class TestDomainChecks:
 
     @pytest.mark.parametrize(
         "config, message",
-        [
+        [pytest.param(config, message, id=_config_id(config)) for config, message in [
             ({"experiment": "ns-exist", "grid": {"dimension": 1}}, "dimensions 2 and 3"),
             ({"experiment": "ns-exist", "params": {"q": "abc"}}, "params.'q' must be a number"),
             ({"experiment": "maxreg", "params": {"ensemble_size": 0}}, "ensemble size"),
@@ -571,7 +655,7 @@ class TestDomainChecks:
                 ({"experiment": "scaling", "params": {"law": "ns", "nu": nu}}, "params.nu must be 2.0 under law 'ns'")
                 for nu in (3.0, 5.0, 1.5)
             ),
-        ],
+        ]],
     )
     def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"
@@ -802,3 +886,66 @@ class TestStrictJsonRecords:
         text = (tmp_path / "ns-exist_record.json").read_text()
         loaded = json.loads(text, parse_constant=_refuse_constant)
         assert loaded["metrics"]["best_residual"] is None
+
+
+class TestExistenceGate:
+    @pytest.mark.parametrize(
+        "config, eta",
+        [
+            # delta 8.39 admits a_norm 6.42, and the run diverges
+            ({"experiment": "nlhe-exist", "time": {"num_nodes": 17}}, 5.12),
+            # delta 19.93 admits a_norm 11.12, and the run stops at max_iter
+            (
+                {
+                    "experiment": "ns-exist",
+                    "time": {"num_nodes": 17},
+                    "params": {"eta_grid": [5.12, 10.24]},
+                },
+                10.24,
+            ),
+        ],
+        ids=["nlhe-exist", "ns-exist"],
+    )
+    def test_admitted_size_that_does_not_converge_fails(self, tmp_path, capsys, config, eta):
+        """The gate's ``M`` is sampled, so it can admit a size whose Picard
+        run does not converge; the run then contradicts its own certificate."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 1
+        assert "status: fail" in capsys.readouterr().out
+        name = config["experiment"]
+        with open(tmp_path / f"{name}_eta_sweep.csv", newline="") as handle:
+            rows = {float(row["eta"]): row for row in csv.DictReader(handle)}
+        assert (rows[eta]["smallness_ok"], rows[eta]["converged"]) == ("True", "False")
+        record = json.loads((tmp_path / f"{name}_record.json").read_text())
+        assert record["metrics"]["contraction_bound_ok"] is False
+
+
+@pytest.mark.parametrize("command", [["list-experiments"], ["validate"], ["run"]], ids=lambda c: c[0])
+def test_closed_stdout_pipe_keeps_the_status_code(tmp_path, command):
+    """A reader that closes the pipe early (``maxreg-lab run cfg | head -1``)
+    costs the printed lines, not the status."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "rbound"}))
+    if command != ["list-experiments"]:
+        command = [*command, str(path)]
+    if command[0] == "run":
+        command += ["--out", str(tmp_path / "out")]
+    src = [str(_REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, src))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxreg_lab.cli", *command],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if command[0] == "run":
+        assert (tmp_path / "out" / "rbound_record.json").exists()
