@@ -15,10 +15,7 @@ from .spectral import (
     TorusGrid,
     apply_multiplier,
     constant_multiplier,
-    dealias,
     divergence,
-    fractional_laplacian_apply,
-    gradient,
     heat_semigroup_apply,
     helmholtz_project,
     laplacian_multiplier,
@@ -35,7 +32,6 @@ from .norms import (
     MixedNormParams,
     ParabolicGaussianProfile,
     ScalingLaw,
-    SeparableGaussianProfile,
     TimeGrid,
     Trajectory,
     WeightParams,

@@ -326,7 +326,12 @@ def synthetic_forcing_ensemble(
     sequence draws member ``i`` each time it is read, so it holds no member
     and every read of ``i`` gives the same member bit for bit.
     """
-    _check_ensemble_args(size, band_limit, modes_per_member)
+    if size < 1:
+        raise ValueError("ensemble size must be at least 1")
+    if band_limit < 1:
+        raise ValueError("band_limit must be at least 1")
+    if modes_per_member < 1:
+        raise ValueError("modes_per_member must be at least 1")
     return _ForcingEnsemble(grid, time_grid, size, band_limit, modes_per_member, seed)
 
 
@@ -371,17 +376,6 @@ class _ForcingEnsemble(Sequence[norms.Trajectory]):
                 if idx[-1] < columns:  # the mode k or -k the half spectrum keeps
                     coeff[(slice(None), 0) + idx] += value * envelope
         return norms.Trajectory(time_grid, grid, coeff)
-
-
-def _check_ensemble_args(size: int, band_limit: int, modes_per_member: int) -> None:
-    """The range check of :func:`synthetic_forcing_ensemble`; ``validate``
-    runs it without drawing the members."""
-    if size < 1:
-        raise ValueError("ensemble size must be at least 1")
-    if band_limit < 1:
-        raise ValueError("band_limit must be at least 1")
-    if modes_per_member < 1:
-        raise ValueError("modes_per_member must be at least 1")
 
 
 # -- results -----------------------------------------------------------
@@ -475,15 +469,14 @@ def _mixed_params(cfg: ExperimentConfig) -> norms.MixedNormParams:
 
 
 def _ensemble(
-    cfg: ExperimentConfig,
-) -> Callable[[spectral.TorusGrid, norms.TimeGrid], Sequence[norms.Trajectory]]:
-    """The drawer of the config's forcing ensemble, its three keys
+    cfg: ExperimentConfig, grid: spectral.TorusGrid, tgrid: norms.TimeGrid
+) -> Sequence[norms.Trajectory]:
+    """The config's forcing ensemble on ``grid`` and ``tgrid``, its three keys
     range-checked; only a run draws the members."""
     size, band_limit, modes = (
         int(cfg.params[key]) for key in ("ensemble_size", "band_limit", "modes_per_member")
     )
-    _check_ensemble_args(size, band_limit, modes)
-    return lambda grid, tgrid: synthetic_forcing_ensemble(
+    return synthetic_forcing_ensemble(
         grid, tgrid, size, band_limit=band_limit, modes_per_member=modes, seed=cfg.rng_seed
     )
 
@@ -491,27 +484,28 @@ def _ensemble(
 def _maxreg(cfg: ExperimentConfig) -> _Run:
     grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
     params = _mixed_params(cfg)
-    draw = _ensemble(cfg)
+    forcing = _ensemble(cfg, grid, tgrid)
     fine = None
     if bool(cfg.params["refine"]):
-        fine = (
+        fine = _ensemble(
+            cfg,
             replace(grid, points_per_axis=2 * grid.points_per_axis),
             norms.uniform_time_grid(tgrid.horizon, 2 * tgrid.num_nodes - 1),
         )
     op = spectral.laplacian_multiplier()
 
-    def measure(grid: spectral.TorusGrid, tgrid: norms.TimeGrid) -> maxreg.MaxRegReport:
-        return maxreg.estimate_maxreg_constant(op, params, draw(grid, tgrid), threads=cfg.threads)
+    def measure(ensemble: Sequence[norms.Trajectory]) -> maxreg.MaxRegReport:
+        return maxreg.estimate_maxreg_constant(op, params, ensemble, threads=cfg.threads)
 
     def run() -> tuple[str, dict, dict]:
-        report = measure(grid, tgrid)
+        report = measure(forcing)
         metrics: dict[str, Any] = {
             "C_estimate": report.C_estimate,
             "ensemble_size": report.ensemble_size,
         }
         status = "pass" if math.isfinite(report.C_estimate) else "fail"
         if fine is not None:
-            refined = measure(*fine)
+            refined = measure(fine)
             rel = abs(refined.C_estimate - report.C_estimate) / report.C_estimate
             metrics["C_estimate_refined"] = refined.C_estimate
             metrics["refinement_rel_change"] = rel
@@ -536,11 +530,11 @@ def _weighted_maxreg(cfg: ExperimentConfig) -> _Run:
         weights = norms._time_weights(tgrid, params, weight)
     if not np.all((weights[1:] > 0) & (weights[1:] < math.inf)):
         raise ValueError("the power-weighted time weights t^((1-mu)p) w underflow or overflow")
-    draw = _ensemble(cfg)
+    forcing = _ensemble(cfg, grid, tgrid)
 
     def run() -> tuple[str, dict, dict]:
         profiles = maxreg._member_profiles(
-            spectral.laplacian_multiplier(), params.q, draw(grid, tgrid), cfg.threads
+            spectral.laplacian_multiplier(), params.q, forcing, cfg.threads
         )
         weighted = maxreg._reduce_profiles(profiles, params, weight)
         unit_weight = maxreg._reduce_profiles(profiles, params, norms.WeightParams(mu=1.0))
@@ -565,7 +559,7 @@ def _weighted_maxreg(cfg: ExperimentConfig) -> _Run:
 
 def _desimon(cfg: ExperimentConfig) -> _Run:
     grid, tgrid = cfg.make_grid(), cfg.make_time_grid()
-    draw = _ensemble(cfg)
+    forcing = _ensemble(cfg, grid, tgrid)
 
     def run() -> tuple[str, dict, dict]:
         # The L^2(L^2) (Plancherel) case of De Simon's theorem: the multiplier
@@ -573,7 +567,7 @@ def _desimon(cfg: ExperimentConfig) -> _Run:
         params = norms.MixedNormParams(p=2.0, q=2.0)
         op = spectral.laplacian_multiplier()
         ratios = []
-        for f in draw(grid, tgrid):
+        for f in forcing:
             au = maxreg.de_simon_multiplier_solve(maxreg.LinearProblem(op, f))
             # Each norm reads a local alias, so the samples it caches go with the
             # alias: they would outlive their one use on au or on the ensemble.
@@ -1137,7 +1131,7 @@ def check_config(cfg: ExperimentConfig) -> None:
     but the experiment rejects, from the grid, the time grid, ``threads``
     and an ``output_dir`` at or under a file to the experiment's problem,
     initial field, forcing-ensemble keys or parameter lists.  It draws no
-    forcing ensemble.
+    forcing-ensemble member.
     """
     _prepare(cfg)
 

@@ -5,9 +5,9 @@ time-indexed stack of spectral fields and the mixed norms
 ``L^p_t(L^q_x)`` (plain or power-weighted in time) are quadratures over
 the trajectory's time grid.  On the continuum side, a small fixed
 catalogue of space-time profiles on ``(0, inf) x R^n`` carries spatial
-``L^q`` norms of the form ``k * (t + a)**e`` or ``k * exp(-b t)``, so
-their mixed norms are closed forms too, with no quadrature, and
-parabolic rescaling can be tested against exact predictions.
+``L^q`` norms of the form ``k * (t + a)**e``, so their mixed norms are
+closed forms too, with no quadrature, and parabolic rescaling can be
+tested against exact predictions.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "besov_heat_norm",
     "BesovHeatResult",
     "ParabolicGaussianProfile",
-    "SeparableGaussianProfile",
     "InverseSqrtRadialProfile",
     "continuum_mixed_norm",
     "scaling_transform",
@@ -506,27 +505,6 @@ class ParabolicGaussianProfile:
         e = n / (2.0 * q)
         return abs(self.amplitude) * (4.0 * np.pi / q) ** e, self.offset, e - self.sigma
 
-    def spatial_lq(self, t: float, q: float, n: int) -> float:
-        k, a, e = self.power_law(q, n)
-        return k * (t + a) ** e
-
-
-@dataclass(frozen=True)
-class SeparableGaussianProfile:
-    """``A * exp(-b t) * exp(-|x|**2 / (4 w))``, separable in time and space."""
-
-    amplitude: float = 1.0
-    rate: float = 1.0
-    width: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0 or self.width <= 0:
-            raise ValueError("rate and width must be positive")
-
-    def spatial_lq(self, t: float, q: float, n: int) -> float:
-        const = (4.0 * np.pi * self.width / q) ** (n / (2.0 * q))
-        return abs(self.amplitude) * const * np.exp(-self.rate * t)
-
 
 @dataclass(frozen=True)
 class InverseSqrtRadialProfile:
@@ -551,16 +529,8 @@ class InverseSqrtRadialProfile:
         )
         return abs(self.amplitude) * radial ** (1.0 / q), 0.0, n / (2.0 * q) - 0.5
 
-    def spatial_lq(self, t: float, q: float, n: int) -> float:
-        k, _, e = self.power_law(q, n)
-        if t <= 0:
-            raise ValueError("profile is only defined for t > 0")
-        return k * t**e
 
-
-ContinuumProfile = (
-    ParabolicGaussianProfile | SeparableGaussianProfile | InverseSqrtRadialProfile
-)
+ContinuumProfile = ParabolicGaussianProfile | InverseSqrtRadialProfile
 
 
 def continuum_mixed_norm(
@@ -572,22 +542,15 @@ def continuum_mixed_norm(
     """``L^p_t(L^q_x)`` norm of a catalogue profile, in closed form.
 
     ``t_window`` restricts the time norm to ``[t0, t1]``; the default is all
-    of ``(0, inf)``.  The spatial norm is ``k * exp(-b t)`` for the
-    separable profile and ``k * (t + a)**e`` for the others, so its ``p``-th
-    power integrates in closed form, and it is monotone in time, so for
-    ``p = inf`` the supremum sits at an end of the window.  A norm that
+    of ``(0, inf)``.  The spatial norm is ``k * (t + a)**e``, so its
+    ``p``-th power integrates in closed form, and it is monotone in time,
+    so for ``p = inf`` the supremum sits at an end of the window.  A norm that
     diverges raises :class:`DivergentNormError`.
     """
     p, q = params.p, params.q
     t0, t1 = (0.0, math.inf) if t_window is None else t_window
     if not 0 <= t0 < t1:
         raise ValueError("time window must satisfy 0 <= t0 < t1")
-    if isinstance(profile, SeparableGaussianProfile):
-        head = float(profile.spatial_lq(t0, q, n))
-        if math.isinf(p):
-            return head
-        rate = profile.rate * p
-        return head * (-math.expm1(-rate * (t1 - t0)) / rate) ** (1.0 / p)
     k, a, e = profile.power_law(q, n)
     s0, s1 = t0 + a, t1 + a
     if math.isinf(p):

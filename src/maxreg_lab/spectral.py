@@ -53,14 +53,11 @@ __all__ = [
     "resolvent_scalar_multiplier",
     "apply_multiplier",
     "heat_semigroup_apply",
-    "fractional_laplacian_apply",
     "helmholtz_project",
-    "gradient",
     "divergence",
     "tensor_divergence",
     "momentum_forcing",
     "pointwise_power_nonlinearity",
-    "dealias",
 ]
 
 #: Relative tolerance of the conjugate-symmetry check a full coefficient
@@ -359,11 +356,6 @@ def _full_spectrum(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.concatenate([half, tail], axis=-1)
 
 
-def _require_real(stored: np.ndarray, grid: TorusGrid) -> None:
-    if not _is_half(stored, grid):
-        raise ValueError("field is not real: conjugate symmetry is broken")
-
-
 def _on_layout(symbol: np.ndarray, u: _FieldOrStack) -> tuple[np.ndarray, np.ndarray]:
     """A symbol evaluated on the full grid, and ``u``'s Fourier array, in one layout.
 
@@ -545,15 +537,9 @@ class SpectralField(_CoefficientArithmetic):
     def zeros(cls, grid: TorusGrid, components: int = 1) -> "SpectralField":
         return cls(grid, np.zeros((components,) + grid.half_shape, dtype=np.complex128))
 
-    def to_physical(self, *, require_real: bool = False) -> np.ndarray:
+    def to_physical(self) -> np.ndarray:
         """Physical samples, freshly transformed: real for a real field,
-        complex otherwise.
-
-        With ``require_real`` a field stored in the full layout (one that is
-        not conjugate symmetric) raises a ``ValueError``.
-        """
-        if require_real:
-            _require_real(self.spectrum, self.grid)
+        complex otherwise."""
         return _physical_values(self.spectrum, self.grid)
 
 
@@ -562,8 +548,7 @@ class FourierMultiplier:
     """Operator acting modewise through a symbol ``xi -> a(xi)``.
 
     ``symbol`` receives the stacked wavevector array of shape
-    ``(n,) + shape`` and returns either a scalar symbol of shape ``shape``
-    or a matrix symbol of shape ``(m, m) + shape``.
+    ``(n,) + shape`` and returns a scalar symbol of shape ``shape``.
     """
 
     symbol: Callable[[np.ndarray], np.ndarray]
@@ -617,24 +602,15 @@ def apply_multiplier(u: _FieldOrStack, op: FourierMultiplier) -> _FieldOrStack:
     """Apply a Fourier multiplier modewise to a field or to every state of a
     trajectory.
 
-    Scalar symbols broadcast over components; matrix symbols contract the
-    component index and must match the field's component count.  A symbol
-    that does not map real fields to real fields gives a full-layout result.
+    The scalar symbol broadcasts over components.  A symbol that does not
+    map real fields to real fields gives a full-layout result.
     """
     grid = u.grid
-    m = u.components
     sym = op.evaluate(grid)
-    if sym.shape not in (grid.shape, (m, m) + grid.shape):
-        raise ValueError(
-            f"symbol shape {sym.shape} does not match grid shape {grid.shape} "
-            f"or matrix form for {m} components"
-        )
+    if sym.shape != grid.shape:
+        raise ValueError(f"symbol shape {sym.shape} does not match grid shape {grid.shape}")
     sym, coeff = _on_layout(sym, u)
-    if sym.ndim == grid.dimension:
-        return replace(u, coefficients=coeff * sym)
-    space = list(range(2, sym.ndim))
-    out = np.einsum(sym, [0, 1, *space], coeff, [..., 1, *space], [..., 0, *space])
-    return replace(u, coefficients=out)
+    return replace(u, coefficients=coeff * sym)
 
 
 def heat_semigroup_apply(u: _FieldOrStack, t: float) -> _FieldOrStack:
@@ -643,22 +619,6 @@ def heat_semigroup_apply(u: _FieldOrStack, t: float) -> _FieldOrStack:
         raise ValueError("heat semigroup time must be nonnegative")
     damp = np.exp(-t * u.grid.layout(u.spectrum).xi_sq)
     return replace(u, coefficients=u.spectrum * damp)
-
-
-def fractional_laplacian_apply(u: _FieldOrStack, s: float) -> _FieldOrStack:
-    """``(-Laplacian)**s`` through the symbol ``|xi|**(2s)``.
-
-    The zero mode is annihilated for ``s > 0`` and requires a mean-free
-    field (at every node) for ``s < 0`` (the inverse does not see constants).
-    """
-    if s < 0 and not u.is_mean_free():
-        raise ValueError("negative fractional power requires a mean-free field")
-    if s == 0:
-        return replace(u, coefficients=u.spectrum.copy())
-    with np.errstate(divide="ignore"):
-        sym = u.grid.layout(u.spectrum).xi_sq ** s
-    sym[(0,) * u.grid.dimension] = 0.0
-    return replace(u, coefficients=u.spectrum * sym)
 
 
 def helmholtz_project(field: _FieldOrStack) -> _FieldOrStack:
@@ -679,14 +639,6 @@ def helmholtz_project(field: _FieldOrStack) -> _FieldOrStack:
     return replace(field, coefficients=out)
 
 
-def gradient(field: _FieldOrStack) -> _FieldOrStack:
-    """Gradient of a scalar field: ``i*xi_j*c`` per direction."""
-    if field.components != 1:
-        raise ValueError("gradient expects a scalar field")
-    coeff = _odd_input(field)
-    return replace(field, coefficients=1j * field.grid.layout(coeff).xi * coeff)
-
-
 def divergence(field: _FieldOrStack) -> _FieldOrStack:
     """Divergence of a vector field: ``i * sum_j xi_j c_j``."""
     if field.components != field.grid.dimension:
@@ -694,12 +646,6 @@ def divergence(field: _FieldOrStack) -> _FieldOrStack:
     coeff = _odd_input(field)
     out = 1j * _xi_dot(field.grid.layout(coeff).xi, coeff)
     return replace(field, coefficients=_with_component_axis(out, field.grid))
-
-
-def dealias(field: _FieldOrStack) -> _FieldOrStack:
-    """Zero all modes outside the 2/3-rule ball."""
-    mask = field.grid.layout(field.spectrum).dealias_mask
-    return replace(field, coefficients=field.spectrum * mask)
 
 
 def _energy(block: np.ndarray, weights: np.ndarray, lead: int = 0) -> np.ndarray:
@@ -871,7 +817,8 @@ def pointwise_power_nonlinearity(
     if variant not in ("signed", "unsigned"):
         raise ValueError(f"unknown variant {variant!r}; use 'signed' or 'unsigned'")
     grid = u.grid
-    _require_real(u.spectrum, grid)
+    if not _is_half(u.spectrum, grid):
+        raise ValueError("field is not real: conjugate symmetry is broken")
     values = _dealiased_samples(u)
     if variant == "signed":
         w = np.abs(values) ** (nu - 1.0) * values

@@ -20,6 +20,10 @@ REMOVED = (
     "weighted_bochner_norm",
     "heat_multiplier",
     "identity_multiplier",
+    "fractional_laplacian_apply",
+    "gradient",
+    "dealias",
+    "SeparableGaussianProfile",
 )
 
 

@@ -7,10 +7,7 @@ from maxreg_lab import (
     SpectralField,
     TorusGrid,
     Trajectory,
-    dealias,
     divergence,
-    fractional_laplacian_apply,
-    gradient,
     heat_semigroup_apply,
     helmholtz_project,
     pointwise_power_nonlinearity,
@@ -21,15 +18,12 @@ from maxreg_lab import (
 from maxreg_lab.norms import _node_spatial_norms
 
 
-def random_trajectory(grid, rng, components, mean_free=False):
+def random_trajectory(grid, rng, components):
     time_grid = uniform_time_grid(1.0, 3)
-    spatial = tuple(range(1, grid.dimension + 1))
-    fields = []
-    for _ in range(time_grid.num_nodes):
-        values = rng.standard_normal((components,) + grid.shape)
-        if mean_free:
-            values -= values.mean(axis=spatial, keepdims=True)
-        fields.append(SpectralField.from_physical(grid, values))
+    fields = [
+        SpectralField.from_physical(grid, rng.standard_normal((components,) + grid.shape))
+        for _ in range(time_grid.num_nodes)
+    ]
     return Trajectory.from_fields(time_grid, fields)
 
 
@@ -59,23 +53,6 @@ class TestStackedOperators:
     def test_scalar_operators(self, grid, rng):
         u = random_trajectory(grid, rng, 1)
         assert_nodewise(lambda a: heat_semigroup_apply(a, 0.3), u)
-        assert_nodewise(gradient, u)
-        assert_nodewise(dealias, random_trajectory(grid, rng, grid.dimension))
-
-    @pytest.mark.parametrize("s", [0.0, 0.5, -0.5])
-    def test_fractional_laplacian(self, grid, rng, s):
-        u = random_trajectory(grid, rng, 1, mean_free=True)
-        assert u.is_mean_free()
-        assert_nodewise(lambda a: fractional_laplacian_apply(a, s), u)
-
-    def test_negative_power_needs_every_node_mean_free(self, grid, rng):
-        u = random_trajectory(grid, rng, 1, mean_free=True)
-        coefficients = u.coefficients.copy()
-        coefficients[1, (0,) * (grid.dimension + 1)] = 0.3
-        shifted = Trajectory(u.time_grid, grid, coefficients)
-        assert not shifted.is_mean_free()
-        with pytest.raises(ValueError, match="mean-free"):
-            fractional_laplacian_apply(shifted, -0.5)
 
     @pytest.mark.parametrize("variant", ["signed", "unsigned"])
     def test_pointwise_power(self, grid, rng, variant):

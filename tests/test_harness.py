@@ -255,7 +255,7 @@ class TestSyntheticEnsemble:
         grid = TorusGrid(dimension=2, points_per_axis=16)
         tg = uniform_time_grid(1.0, 9)
         (member,) = synthetic_forcing_ensemble(grid, tg, 1, band_limit=2, seed=1)
-        member.state(3).to_physical(require_real=True)  # no symmetry error
+        assert member.state(3).to_physical().dtype == np.float64  # a real field's samples
         k = np.fft.fftfreq(16, d=1 / 16)
         outside = np.abs(k) > 2
         assert np.all(member.coefficients[:, 0][:, outside, :] == 0)
@@ -738,9 +738,9 @@ class TestDomainChecks:
         """The ensemble keys are range-checked without drawing a member."""
 
         def refuse(*args, **kwargs):
-            raise AssertionError("validate drew a forcing ensemble")
+            raise AssertionError("validate drew a forcing-ensemble member")
 
-        monkeypatch.setattr(harness, "synthetic_forcing_ensemble", refuse)
+        monkeypatch.setattr(harness._ForcingEnsemble, "_draw", refuse)
         shipped = _REPO / "demos" / "configs" / "desimon.json"
         check_config(load_config(shipped))
         for key in ("ensemble_size", "band_limit"):

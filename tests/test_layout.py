@@ -13,7 +13,6 @@ import pytest
 import scipy.fft
 
 from maxreg_lab import (
-    FourierMultiplier,
     LinearProblem,
     MixedNormParams,
     NlheProblem,
@@ -25,7 +24,6 @@ from maxreg_lab import (
     constant_multiplier,
     de_simon_multiplier_solve,
     divergence,
-    gradient,
     heat_extension,
     helmholtz_project,
     laplacian_multiplier,
@@ -94,8 +92,6 @@ class TestConstructorLayout:
         assert f.spectrum.shape == (1,) + grid.shape
         assert np.array_equal(f.coefficients, coeff)
         assert np.iscomplexobj(f.samples)
-        with pytest.raises(ValueError, match="not real"):
-            f.to_physical(require_real=True)
 
     def test_coefficients_are_read_only(self, grid, rng):
         f = random_real_trajectory(grid, rng, nodes=2).state(0)
@@ -119,14 +115,9 @@ class TestMultiplierLayout:
         np.testing.assert_allclose(g.coefficients, f.coefficients * grid.xi_sq[np.newaxis], atol=1e-12)
 
     def test_trajectory_matches_each_state(self, grid, rng):
-        """Scalar and matrix symbols act on every node of a trajectory as on
-        each state alone."""
+        """A symbol acts on every node of a trajectory as on each state alone."""
         u = random_real_trajectory(grid, rng, components=2)
-        rotation = FourierMultiplier(
-            lambda xi: np.stack([np.stack([xi[0], -xi[-1]]), np.stack([xi[-1], xi[0]])]),
-            "rotation",
-        )
-        for op in (laplacian_multiplier(), sector_multiplier(0.4), rotation):
+        for op in (laplacian_multiplier(), sector_multiplier(0.4)):
             out = apply_multiplier(u, op)
             assert isinstance(out, Trajectory) and out.time_grid is u.time_grid
             for i in range(u.time_grid.num_nodes):
@@ -159,19 +150,6 @@ class TestNyquistOddDerivatives:
             half[(slice(None),) * axis + (grid.points_per_axis // 2,)] = 0.0
         assert np.any(half[..., -1])
         return SpectralField(grid, half)
-
-    def test_gradient_keeps_complex_samples(self, any_grid, rng):
-        grid = any_grid
-        u = self.last_nyquist_field(grid, rng, 1)
-        assert is_half(u)
-        g = gradient(u)
-        expected = 1j * grid.xi * u.coefficients[0][np.newaxis]
-        assert not is_half(g)
-        np.testing.assert_allclose(g.coefficients, expected, rtol=0, atol=1e-13)
-        physical = scipy.fft.ifftn(expected, axes=tuple(range(1, 1 + grid.dimension)), norm="forward")
-        np.testing.assert_allclose(g.samples, physical, rtol=0, atol=1e-12)
-        with pytest.raises(ValueError, match="not real"):
-            g.to_physical(require_real=True)
 
     def test_divergence_and_leray_match_full_layout(self, any_grid, rng):
         grid = any_grid

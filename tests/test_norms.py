@@ -15,7 +15,6 @@ from maxreg_lab import (
     MixedNormParams,
     ParabolicGaussianProfile,
     ScalingLaw,
-    SeparableGaussianProfile,
     SpectralField,
     TimeGrid,
     TorusGrid,
@@ -104,7 +103,7 @@ class TestSpatialNorm:
     def test_l2_parseval(self, grid2d, rng):
         f = SpectralField.from_physical(grid2d, rng.standard_normal((1,) + grid2d.shape))
         direct = np.sqrt(
-            np.sum(f.to_physical(require_real=True) ** 2) * grid2d.cell_volume
+            np.sum(f.to_physical() ** 2) * grid2d.cell_volume
         )
         assert spatial_lq_norm(f, 2) == pytest.approx(direct, rel=1e-12)
 
@@ -449,6 +448,12 @@ class TestScalingLaws:
             _ = law.exponent
 
 
+def spatial_lq(prof, t, q, n):
+    """A catalogue profile's spatial ``L^q`` norm ``k * (t + a)**e`` at time ``t``."""
+    k, a, e = prof.power_law(q, n)
+    return k * (t + a) ** e
+
+
 class TestContinuumProfiles:
     def test_parabolic_gaussian_spatial_norm_vs_radial_quadrature(self):
         """Closed-form L^q of the Gaussian against an independent integral."""
@@ -460,33 +465,25 @@ class TestContinuumProfiles:
             lambda r: (1.3 / s * math.exp(-(r**2) / (4 * s))) ** q * 2 * math.pi * r
         )
         oracle, _ = integrate.quad(integrand, 0, np.inf)
-        assert prof.spatial_lq(t, q, n) == pytest.approx(oracle ** (1 / q), rel=1e-9)
+        assert spatial_lq(prof, t, q, n) == pytest.approx(oracle ** (1 / q), rel=1e-9)
 
     def test_inverse_sqrt_spatial_norm_vs_radial_quadrature(self):
         prof = InverseSqrtRadialProfile(amplitude=0.8)
         t, q, n = 0.5, 4.0, 2
         integrand = lambda r: (0.8 * (t + r**2) ** -0.5) ** q * 2 * math.pi * r
         oracle, _ = integrate.quad(integrand, 0, np.inf)
-        assert prof.spatial_lq(t, q, n) == pytest.approx(oracle ** (1 / q), rel=1e-9)
+        assert spatial_lq(prof, t, q, n) == pytest.approx(oracle ** (1 / q), rel=1e-9)
 
     def test_inverse_sqrt_needs_q_above_n(self):
         prof = InverseSqrtRadialProfile()
         with pytest.raises(DivergentNormError, match="diverges for this profile"):
-            prof.spatial_lq(1.0, 2.0, 2)
-        with pytest.raises(ValueError, match="only defined for t > 0"):
-            prof.spatial_lq(0.0, 4.0, 2)
+            prof.power_law(2.0, 2)
 
     def test_parabolic_gaussian_full_norm_closed_form(self):
         """sigma = 3/2, p = q = 2, n = 2: norm is exactly sqrt(2 pi)."""
         prof = ParabolicGaussianProfile(sigma=1.5)
         got = continuum_mixed_norm(prof, MixedNormParams(2.0, 2.0), 2)
         assert got == pytest.approx(math.sqrt(2 * math.pi), rel=1e-8)
-
-    def test_separable_gaussian_full_norm_closed_form(self):
-        """Separable profile: time and space integrals factor exactly."""
-        prof = SeparableGaussianProfile()
-        got = continuum_mixed_norm(prof, MixedNormParams(2.0, 2.0), 2)
-        assert got == pytest.approx(math.sqrt(math.pi), rel=1e-8)
 
     def test_divergence_at_infinity_detected(self):
         prof = ParabolicGaussianProfile(sigma=0.5)
@@ -503,7 +500,7 @@ class TestContinuumProfiles:
         params = MixedNormParams(4.0, 4.0)
         with pytest.raises(DivergentNormError, match="diverges at t -> 0"):
             continuum_mixed_norm(prof, params, 2)
-        c1 = prof.spatial_lq(1.0, 4.0, 2)
+        c1 = spatial_lq(prof, 1.0, 4.0, 2)
         got = continuum_mixed_norm(prof, params, 2, t_window=(1.0, 4.0))
         assert got == pytest.approx(c1 * math.log(4.0) ** 0.25, rel=1e-8)
 
@@ -515,7 +512,7 @@ class TestContinuumProfiles:
     def test_sup_norm_paths(self):
         prof = ParabolicGaussianProfile(sigma=1.5)
         got = continuum_mixed_norm(prof, MixedNormParams(math.inf, 2.0), 2)
-        assert got == pytest.approx(prof.spatial_lq(0.0, 2.0, 2), rel=1e-6)
+        assert got == pytest.approx(spatial_lq(prof, 0.0, 2.0, 2), rel=1e-6)
         with pytest.raises(DivergentNormError, match="sup over"):
             continuum_mixed_norm(
                 InverseSqrtRadialProfile(), MixedNormParams(math.inf, 4.0), 2
@@ -532,13 +529,12 @@ class TestContinuumClosedForms:
     windowed supremum against a dense sample that includes both ends."""
 
     PARABOLIC = ParabolicGaussianProfile(amplitude=1.3, offset=0.7, sigma=1.5)
-    SEPARABLE = SeparableGaussianProfile(amplitude=0.9, rate=0.8, width=1.7)
     INVERSE_SQRT = InverseSqrtRadialProfile(amplitude=0.8)
 
     @staticmethod
     def quad_norm(prof, params, n, t0, t1):
         def integrand(t):
-            return prof.spatial_lq(t, params.q, n) ** params.p
+            return spatial_lq(prof, t, params.q, n) ** params.p
 
         value, _ = integrate.quad(integrand, t0, t1, epsabs=0.0, epsrel=1e-13, limit=200)
         return value ** (1.0 / params.p)
@@ -548,9 +544,8 @@ class TestContinuumClosedForms:
         [
             (PARABOLIC, MixedNormParams(2.5, 3.0), 2),
             (PARABOLIC, MixedNormParams(2.0, 2.0), 3),
-            (SEPARABLE, MixedNormParams(3.0, 2.0), 3),
         ],
-        ids=["parabolic-2d", "parabolic-3d", "separable"],
+        ids=["parabolic-2d", "parabolic-3d"],
     )
     def test_whole_half_line(self, prof, params, n):
         got = continuum_mixed_norm(prof, params, n)
@@ -561,7 +556,6 @@ class TestContinuumClosedForms:
         [
             (PARABOLIC, MixedNormParams(2.5, 3.0), (0.3, 2.5)),
             (PARABOLIC, MixedNormParams(2.5, 3.0), (0.0, 1e-3)),
-            (SEPARABLE, MixedNormParams(3.0, 2.0), (0.5, 3.0)),
             (INVERSE_SQRT, MixedNormParams(2.0, 4.0), (0.0, 2.0)),
             # p e + 1 = 0: the time integrand is t**-1 and the norm a logarithm
             (INVERSE_SQRT, MixedNormParams(4.0, 4.0), (0.5, 3.0)),
@@ -569,7 +563,7 @@ class TestContinuumClosedForms:
             (INVERSE_SQRT, MixedNormParams(4.000001, 4.0), (0.5, 3.0)),
             (INVERSE_SQRT, MixedNormParams(3.0, 4.0), (1.0, 1.0 + 1e-6)),
         ],
-        ids=["parabolic", "parabolic-short", "separable", "inverse-sqrt-from-0",
+        ids=["parabolic", "parabolic-short", "inverse-sqrt-from-0",
              "inverse-sqrt-log", "inverse-sqrt-near-log", "inverse-sqrt-narrow"],
     )
     def test_finite_window(self, prof, params, window):
@@ -581,14 +575,13 @@ class TestContinuumClosedForms:
         [
             (PARABOLIC, 3.0, (0.0, 2.5)),  # decreasing: the sup is at t = 0
             (ParabolicGaussianProfile(sigma=0.25), 2.0, (0.5, 2.5)),  # increasing
-            (SEPARABLE, 2.0, (0.5, 3.0)),
             (INVERSE_SQRT, 4.0, (0.5, 3.0)),
         ],
-        ids=["parabolic-decreasing", "parabolic-increasing", "separable", "inverse-sqrt"],
+        ids=["parabolic-decreasing", "parabolic-increasing", "inverse-sqrt"],
     )
     def test_windowed_sup_is_exact(self, prof, q, window):
         got = continuum_mixed_norm(prof, MixedNormParams(math.inf, q), 2, t_window=window)
-        sampled = max(prof.spatial_lq(t, q, 2) for t in np.linspace(*window, 1001))
+        sampled = max(spatial_lq(prof, t, q, 2) for t in np.linspace(*window, 1001))
         assert got == pytest.approx(sampled, rel=1e-12)
 
     def test_sup_diverges_at_the_open_end(self):
@@ -617,8 +610,14 @@ class TestScalingTransform:
         assert out == prof
 
     def test_separable_profile_not_closed(self):
-        with pytest.raises(TypeError, match="not closed under rescaling"):
-            scaling_transform(SeparableGaussianProfile(), 2.0, ns_scaling_law())
+        """A profile outside the catalogue, such as a separable
+        ``exp(-b t) g(x)``, has no closed rescaling."""
+
+        class SeparableProfile:
+            pass
+
+        with pytest.raises(TypeError, match="SeparableProfile is not closed under rescaling"):
+            scaling_transform(SeparableProfile(), 2.0, ns_scaling_law())
 
     def test_bad_factor_and_laws(self):
         prof = ParabolicGaussianProfile(sigma=1.5)

@@ -129,7 +129,7 @@ class TestOneTransformBackend:
         tg = uniform_time_grid(0.5, 5)
         params = MixedNormParams(p=4.0, q=4.0)
         field = SpectralField.from_physical(grid2d, np.cos(grid2d.coordinates[:1]))
-        assert field.to_physical(require_real=True).shape == (1,) + grid2d.shape
+        assert field.to_physical().shape == (1,) + grid2d.shape
         assert spatial_lq_norm(field, 3.0) > 0
 
         ns = NsProblem(params=params, u0=taylor_green_field(grid2d), time_grid=tg)
