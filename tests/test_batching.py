@@ -7,10 +7,15 @@ from maxreg_lab import (
     SpectralField,
     TorusGrid,
     Trajectory,
+    apply_multiplier,
+    constant_multiplier,
     divergence,
     heat_semigroup_apply,
     helmholtz_project,
+    laplacian_multiplier,
     pointwise_power_nonlinearity,
+    resolvent_scalar_multiplier,
+    sector_multiplier,
     spatial_lq_norm,
     tensor_divergence,
     uniform_time_grid,
@@ -18,12 +23,15 @@ from maxreg_lab import (
 from maxreg_lab.norms import _node_spatial_norms
 
 
-def random_trajectory(grid, rng, components):
+def random_trajectory(grid, rng, components, mean_free=False):
     time_grid = uniform_time_grid(1.0, 3)
-    fields = [
-        SpectralField.from_physical(grid, rng.standard_normal((components,) + grid.shape))
-        for _ in range(time_grid.num_nodes)
-    ]
+    spatial = tuple(range(1, grid.dimension + 1))
+    fields = []
+    for _ in range(time_grid.num_nodes):
+        values = rng.standard_normal((components,) + grid.shape)
+        if mean_free:
+            values -= values.mean(axis=spatial, keepdims=True)
+        fields.append(SpectralField.from_physical(grid, values))
     return Trajectory.from_fields(time_grid, fields)
 
 
@@ -53,6 +61,31 @@ class TestStackedOperators:
     def test_scalar_operators(self, grid, rng):
         u = random_trajectory(grid, rng, 1)
         assert_nodewise(lambda a: heat_semigroup_apply(a, 0.3), u)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            laplacian_multiplier(),
+            sector_multiplier(0.4),
+            constant_multiplier(2.5),
+            resolvent_scalar_multiplier(1.5),
+        ],
+        ids=["laplacian", "sector", "constant", "resolvent"],
+    )
+    def test_multiplier(self, grid, rng, op):
+        u = random_trajectory(grid, rng, 2)
+        assert_nodewise(lambda a: apply_multiplier(a, op), u)
+
+    def test_mean_free_check_sees_every_node(self, grid, rng):
+        """A trajectory is mean-free only if each of its nodes is."""
+        u = random_trajectory(grid, rng, 1, mean_free=True)
+        assert u.is_mean_free()
+        assert all(u.state(i).is_mean_free() for i in range(u.time_grid.num_nodes))
+        coefficients = u.coefficients.copy()
+        coefficients[1, (0,) * (grid.dimension + 1)] = 0.3
+        shifted = Trajectory(u.time_grid, grid, coefficients)
+        assert not shifted.is_mean_free()
+        assert [shifted.state(i).is_mean_free() for i in range(3)] == [True, False, True]
 
     @pytest.mark.parametrize("variant", ["signed", "unsigned"])
     def test_pointwise_power(self, grid, rng, variant):

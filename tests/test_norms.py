@@ -474,6 +474,29 @@ class TestContinuumProfiles:
         oracle, _ = integrate.quad(integrand, 0, np.inf)
         assert spatial_lq(prof, t, q, n) == pytest.approx(oracle ** (1 / q), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "prof, q, n",
+        [
+            (ParabolicGaussianProfile(amplitude=1.3, offset=2.0, sigma=1.0), 3.0, 1),
+            (ParabolicGaussianProfile(amplitude=1.3, offset=2.0, sigma=1.0), 1.5, 2),
+            (ParabolicGaussianProfile(amplitude=1.3, offset=2.0, sigma=1.0), 2.5, 3),
+            (InverseSqrtRadialProfile(amplitude=0.8), 4.0, 1),
+            (InverseSqrtRadialProfile(amplitude=0.8), 5.0, 3),
+        ],
+        ids=["parabolic-1d", "parabolic-2d-q1.5", "parabolic-3d", "inverse-sqrt-1d", "inverse-sqrt-3d"],
+    )
+    def test_spatial_norm_vs_radial_quadrature_in_n_dimensions(self, prof, q, n):
+        """``power_law`` against ``|S^{n-1}| * int_0^inf u(t, r)**q r**(n-1) dr``."""
+        t = 0.7
+        if isinstance(prof, ParabolicGaussianProfile):
+            s = t + prof.offset
+            value = lambda r: prof.amplitude * s**-prof.sigma * math.exp(-(r**2) / (4 * s))
+        else:
+            value = lambda r: prof.amplitude * (t + r**2) ** -0.5
+        sphere = 2 * math.pi ** (n / 2) / math.gamma(n / 2)
+        radial, _ = integrate.quad(lambda r: value(r) ** q * r ** (n - 1), 0, np.inf)
+        assert spatial_lq(prof, t, q, n) == pytest.approx((sphere * radial) ** (1 / q), rel=1e-9)
+
     def test_inverse_sqrt_needs_q_above_n(self):
         prof = InverseSqrtRadialProfile()
         with pytest.raises(DivergentNormError, match="diverges for this profile"):
@@ -544,8 +567,9 @@ class TestContinuumClosedForms:
         [
             (PARABOLIC, MixedNormParams(2.5, 3.0), 2),
             (PARABOLIC, MixedNormParams(2.0, 2.0), 3),
+            (PARABOLIC, MixedNormParams(2.0, 2.0), 1),
         ],
-        ids=["parabolic-2d", "parabolic-3d"],
+        ids=["parabolic-2d", "parabolic-3d", "parabolic-1d"],
     )
     def test_whole_half_line(self, prof, params, n):
         got = continuum_mixed_norm(prof, params, n)
@@ -556,6 +580,8 @@ class TestContinuumClosedForms:
         [
             (PARABOLIC, MixedNormParams(2.5, 3.0), (0.3, 2.5)),
             (PARABOLIC, MixedNormParams(2.5, 3.0), (0.0, 1e-3)),
+            # e = n / (2q) - sigma = 0: the spatial norm is constant in time
+            (ParabolicGaussianProfile(sigma=0.5), MixedNormParams(2.5, 2.0), (0.3, 2.5)),
             (INVERSE_SQRT, MixedNormParams(2.0, 4.0), (0.0, 2.0)),
             # p e + 1 = 0: the time integrand is t**-1 and the norm a logarithm
             (INVERSE_SQRT, MixedNormParams(4.0, 4.0), (0.5, 3.0)),
@@ -563,7 +589,7 @@ class TestContinuumClosedForms:
             (INVERSE_SQRT, MixedNormParams(4.000001, 4.0), (0.5, 3.0)),
             (INVERSE_SQRT, MixedNormParams(3.0, 4.0), (1.0, 1.0 + 1e-6)),
         ],
-        ids=["parabolic", "parabolic-short", "inverse-sqrt-from-0",
+        ids=["parabolic", "parabolic-short", "parabolic-constant", "inverse-sqrt-from-0",
              "inverse-sqrt-log", "inverse-sqrt-near-log", "inverse-sqrt-narrow"],
     )
     def test_finite_window(self, prof, params, window):
@@ -575,9 +601,10 @@ class TestContinuumClosedForms:
         [
             (PARABOLIC, 3.0, (0.0, 2.5)),  # decreasing: the sup is at t = 0
             (ParabolicGaussianProfile(sigma=0.25), 2.0, (0.5, 2.5)),  # increasing
+            (ParabolicGaussianProfile(sigma=0.5), 2.0, (0.5, 2.5)),  # constant
             (INVERSE_SQRT, 4.0, (0.5, 3.0)),
         ],
-        ids=["parabolic-decreasing", "parabolic-increasing", "inverse-sqrt"],
+        ids=["parabolic-decreasing", "parabolic-increasing", "parabolic-constant", "inverse-sqrt"],
     )
     def test_windowed_sup_is_exact(self, prof, q, window):
         got = continuum_mixed_norm(prof, MixedNormParams(math.inf, q), 2, t_window=window)

@@ -17,6 +17,7 @@ from maxreg_lab import (
     laplacian_multiplier,
     pointwise_power_nonlinearity,
     random_mean_free_field,
+    resolvent_scalar_multiplier,
     sector_multiplier,
     spatial_lq_norm,
     tensor_divergence,
@@ -101,6 +102,16 @@ class TestSpectralField:
         coeff[0, 2] = coeff[0, -2] = 0.5
         assert SpectralField(grid1d, coeff).is_mean_free()
 
+    def test_broken_symmetry_gives_complex_samples(self, grid1d):
+        """A lone positive-frequency mode is not a real field: its samples
+        are the complex exponential ``exp(3ix)``."""
+        coeff = np.zeros((1, 16), dtype=complex)
+        coeff[0, 3] = 1.0
+        values = SpectralField(grid1d, coeff).to_physical()
+        assert np.iscomplexobj(values)
+        x = grid1d.coordinates[0]
+        np.testing.assert_allclose(values[0], np.exp(3j * x), atol=1e-13)
+
     def test_arithmetic_matches_physical_space(self, grid2d, rng):
         f = random_real_field(grid2d, rng)
         g = random_real_field(grid2d, rng)
@@ -156,6 +167,13 @@ class TestMultipliers:
             g.coefficients, coeff * np.exp(-9 * 0.25), atol=1e-15
         )
 
+    def test_heat_semigroup_property(self, grid2d, rng):
+        """e^{t Laplacian} e^{s Laplacian} = e^{(t+s) Laplacian}."""
+        f = random_real_field(grid2d, rng)
+        twice = heat_semigroup_apply(heat_semigroup_apply(f, 0.2), 0.3)
+        once = heat_semigroup_apply(f, 0.5)
+        np.testing.assert_allclose(twice.coefficients, once.coefficients, rtol=0, atol=1e-15)
+
     def test_negative_heat_time_rejected(self, grid1d, rng):
         with pytest.raises(ValueError, match="nonnegative"):
             heat_semigroup_apply(random_real_field(grid1d, rng), -0.1)
@@ -169,6 +187,14 @@ class TestMultipliers:
         f = random_real_field(grid2d, rng)
         g = apply_multiplier(f, constant_multiplier(2.5))
         np.testing.assert_allclose(g.coefficients, 2.5 * f.coefficients)
+
+    def test_resolvent_inverts_shifted_laplacian(self, grid2d, rng):
+        """``w = i sigma (i sigma + A)^{-1} f`` solves ``i sigma w + A w = i sigma f``."""
+        sigma = 1.5
+        f = random_real_field(grid2d, rng)
+        w = apply_multiplier(f, resolvent_scalar_multiplier(sigma))
+        lhs = w * (1j * sigma) + apply_multiplier(w, laplacian_multiplier())
+        np.testing.assert_allclose(lhs.coefficients, 1j * sigma * f.coefficients, atol=1e-13)
 
     def test_matrix_symbol_rejected(self, grid2d, rng):
         """Symbols are scalar: an ``(m, m)`` matrix symbol does not match the grid."""
@@ -198,6 +224,24 @@ class TestVectorCalculus:
     def test_divergence_needs_matching_components(self, grid2d, rng):
         with pytest.raises(ValueError, match="one component per dimension"):
             divergence(random_real_field(grid2d, rng, components=3))
+
+    def test_divergence_of_sine_field_is_cosine(self, grid2d):
+        """div (sin x, sin 2y) = cos x + 2 cos 2y."""
+        x, y = grid2d.coordinates
+        u = SpectralField.from_physical(grid2d, np.stack([np.sin(x), np.sin(2 * y)]))
+        np.testing.assert_allclose(
+            divergence(u).to_physical()[0], np.cos(x) + 2 * np.cos(2 * y), atol=1e-12
+        )
+
+    def test_gradient_field_projects_to_zero(self, grid2d):
+        """For ``phi = sin x cos 2y`` the field ``grad phi`` has divergence
+        ``Laplacian phi = -5 phi`` and no divergence-free part."""
+        x, y = grid2d.coordinates
+        phi = np.sin(x) * np.cos(2 * y)
+        grad = np.stack([np.cos(x) * np.cos(2 * y), -2 * np.sin(x) * np.sin(2 * y)])
+        u = SpectralField.from_physical(grid2d, grad)
+        np.testing.assert_allclose(divergence(u).to_physical()[0], -5 * phi, atol=1e-12)
+        assert np.max(np.abs(helmholtz_project(u).coefficients)) < 1e-14
 
     def test_helmholtz_output_is_divergence_free(self, grid2d, rng):
         u = helmholtz_project(random_real_field(grid2d, rng, components=2))
@@ -264,6 +308,13 @@ class TestNonlinearities:
             pointwise_power_nonlinearity(u, 1.0)
         with pytest.raises(ValueError, match="unknown variant"):
             pointwise_power_nonlinearity(u, 2.0, variant="absolute")
+
+    def test_rejects_field_with_broken_symmetry(self, grid1d):
+        """The power of a field that is not real is refused."""
+        coeff = np.zeros((1, 16), dtype=complex)
+        coeff[0, 3] = 1.0
+        with pytest.raises(ValueError, match="conjugate symmetry is broken"):
+            pointwise_power_nonlinearity(SpectralField(grid1d, coeff), 2.0)
 
     def test_tensor_divergence_matches_hand_computation(self, grid2d):
         """div(u (x) u) for u = (sin y, 0): pure y-transport of sin y."""
