@@ -32,6 +32,7 @@ from .norms import (
     TimeGrid,
     Trajectory,
     WeightParams,
+    _lq_magnitude,
     _node_spatial_norms,
     _parseval_l2,
     _time_lp,
@@ -39,7 +40,14 @@ from .norms import (
     spatial_lq_norm,
     uniform_time_grid,
 )
-from .spectral import FourierMultiplier, SpectralField, TorusGrid, _on_layout, apply_multiplier
+from .spectral import (
+    FourierMultiplier,
+    SpectralField,
+    TorusGrid,
+    _is_half,
+    _on_layout,
+    apply_multiplier,
+)
 
 __all__ = [
     "LinearProblem",
@@ -87,8 +95,6 @@ def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _scalar_symbol(op: FourierMultiplier, grid: TorusGrid) -> np.ndarray:
     """The symbol on the full grid, in its own (real or complex) dtype."""
     sym = op.evaluate(grid)
-    if sym.shape != grid.shape:
-        raise ValueError("operation requires a scalar (non-matrix) symbol")
     return np.asarray(sym, dtype=np.result_type(sym, np.float64))
 
 
@@ -207,9 +213,15 @@ def _member_profiles(
         # The norm caches the forcing's samples on a local alias, so they go
         # with this member instead of living on in the ensemble; with those
         # of ``A u`` they give the samples of ``f - A u`` without a transform.
+        # When both are half spectra no spectrum of ``f - A u`` is formed (a
+        # sector symbol gives a full-layout ``A u``, which takes ``f - A u``).
         f = replace(f_traj, coefficients=f_traj.spectrum)
         f_q, au_q = _node_spatial_norms(f, q), _node_spatial_norms(au, q)
-        return f_traj.time_grid, [u_q, _node_spatial_norms(f - au, q), au_q, f_q]
+        if au.spectrum.shape == f.spectrum.shape and _is_half(f.spectrum, f.grid):
+            du_q = _lq_magnitude(f.samples - au.samples, f.grid, q)
+        else:
+            du_q = _node_spatial_norms(f - au, q)
+        return f_traj.time_grid, [u_q, du_q, au_q, f_q]
 
     indices = range(len(ensemble))
     if threads > 1:

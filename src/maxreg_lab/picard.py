@@ -58,7 +58,9 @@ class FixedPointProblem:
         self._check_drift()
 
     def _check_drift(self) -> None:
-        if self.drift > 1e-12 * max(1.0, self.norm(self.base)):
+        # the base's norm can only matter above 1e-12: a vanishing drift
+        # leaves the base unmeasured, and so without cached samples
+        if self.drift > 1e-12 and self.drift > 1e-12 * max(1.0, self.norm(self.base)):
             raise ValueError(f"map_F(0) must vanish; got norm {self.drift:.3e}")
 
     def with_base(self, base: Any) -> "FixedPointProblem":
@@ -95,16 +97,16 @@ def estimate_lipschitz_M(
         if sample is not None:
             ratios.append(sample[0])
             amplitudes.append(sample[1])
-        del pair, sample  # with the images, before the next pair is drawn
+        del pair, sample  # before the next pair is drawn
     return _lipschitz_bound(ratios, amplitudes)
 
 
 def _pair_ratio(
     map_F: Callable[[Any], Any], norm: Callable[[Any], float], epsilon: float, u: Any, v: Any
-) -> tuple[float, float, tuple[Any, Any]] | None:
-    """One pair's ratio ``||F(u)-F(v)|| / (||u-v|| (||u||**e + ||v||**e))``,
-    its amplitude ``max(||u||, ||v||)`` and the images ``(F(u), F(v))``;
-    ``None`` for a degenerate pair, whose images are not computed."""
+) -> tuple[float, float] | None:
+    """One pair's ratio ``||F(u)-F(v)|| / (||u-v|| (||u||**e + ||v||**e))``
+    and its amplitude ``max(||u||, ||v||)``; ``None`` for a degenerate pair,
+    whose images are not computed."""
     diff = norm(u - v)
     if diff == 0.0:
         return None
@@ -112,8 +114,7 @@ def _pair_ratio(
     denom = diff * (nu_**epsilon + nv**epsilon)
     if denom == 0.0:
         return None
-    images = map_F(u), map_F(v)
-    return norm(images[0] - images[1]) / denom, max(nu_, nv), images
+    return norm(map_F(u) - map_F(v)) / denom, max(nu_, nv)
 
 
 def _lipschitz_bound(ratios: list[float], amplitudes: list[float]) -> float:
@@ -205,7 +206,11 @@ def run_picard(
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = prob.base
-    a_norm = prob.norm(a)
+    # A container base starts the loop as a shallow copy: what the gate's
+    # norm caches on it (the samples) goes with that first iterate when
+    # the first step replaces it, and is not kept on the caller's base.
+    first = copy.copy(a) if start is None and hasattr(a, "_add_in_place") else a
+    a_norm = prob.norm(first)
     delta, small_ok = smallness_gate(lipschitz_M, prob.epsilon, a_norm)
     if start is None and a_norm == 0.0 and prob.drift == 0.0:
         if iterate_callback is not None:
@@ -214,9 +219,9 @@ def run_picard(
         return a, PicardCertificate(
             lipschitz_M, delta, small_ok, 1, (0.0, 0.0), (0.0,), (), 0.0, True, False
         )
-    u = a if start is None else start
+    u = first if start is None else start
     norms = [a_norm if start is None else prob.norm(u)]
-    del start  # the iterate holds it until the first step replaces it
+    del start, first  # the iterate holds them until the first step replaces it
     diffs: list[float] = []
     factors: list[float] = []
     diverged = False
@@ -228,7 +233,8 @@ def run_picard(
         # which is exact for close iterates, and the new iterate is formed
         # as ``u + change``: a state that caches what its norm computed
         # (a trajectory's samples) then carries it to the iterate.  A state
-        # with ``_plus_minus`` forms ``a + F(u) - u`` in one new array.
+        # with ``_plus_minus`` forms ``a + F(u) - u`` in one new array, and
+        # the loop, its only holder, then adds ``u`` into that array.
         image = prob.map_F(u)
         change = a._plus_minus(image, u) if hasattr(a, "_plus_minus") else a + image - u
         del image
@@ -236,7 +242,7 @@ def run_picard(
         diffs.append(step)
         if len(diffs) >= 2 and diffs[-2] > 0:
             factors.append(diffs[-1] / diffs[-2])
-        u = u + change
+        u = change._add_in_place(u) if hasattr(change, "_add_in_place") else u + change
         del change  # before the next map evaluation
         norms.append(prob.norm(u))
         if iterate_callback is not None:
@@ -252,7 +258,10 @@ def run_picard(
         converged = False
     else:
         image = prob.map_F(u)  # before ``u - a``, which it would outlive
-        residual = prob.norm(u - a - image)
+        # a state with ``_minus_minus`` forms ``u - a - F(u)`` in one new array
+        gap = u._minus_minus(a, image) if hasattr(u, "_minus_minus") else u - a - image
+        del image  # before the gap's norm
+        residual = prob.norm(gap)
         rate = factors[-1] if factors else 0.0
         converged = hit_tol and rate < 1.0 and residual <= 2.0 * tol / (1.0 - rate)
     cert = PicardCertificate(

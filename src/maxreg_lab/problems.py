@@ -45,8 +45,6 @@ from .picard import (
     FixedPointProblem,
     PicardCertificate,
     _lipschitz_bound,
-    _pair_ratio,
-    estimate_lipschitz_M,
     run_picard,
 )
 from .spectral import (
@@ -515,14 +513,16 @@ class ExistenceReport:
 
 def _sample_trajectory_pairs(
     prob: _SemilinearProblem, *, seed: int = 0
-) -> Iterator[tuple[Trajectory, Trajectory]]:
+) -> Iterator[list[Trajectory]]:
     """Four pairs of random heat-flow trajectories at a 10x range of
-    amplitudes in the problem's norm.
+    amplitudes in the problem's norm, each holding the samples its norm
+    cached.
 
     The trajectories have the problem's component count and, for the
     incompressible problem, are divergence-free.  The pairs are drawn one
-    at a time, so only the pair in use (and the samples its norms cached)
-    is held.
+    at a time, so only the pair in use is held, and each comes as a
+    two-item list that the consumer may empty to release a trajectory
+    before the next pair is drawn.
     """
     grid = prob.u0.grid
     for i, scale in enumerate(np.geomspace(0.1, 1.0, 4)):
@@ -539,14 +539,63 @@ def _sample_trajectory_pairs(
             traj = heat_extension(f, prob.time_grid)
             fields.append(traj * (scale / prob.norm(traj)))
             del traj  # the unscaled extension
-        yield fields[0], fields[1]
+        yield fields
+
+
+def _pair_denominator(
+    prob: NlheProblem | NsProblem, u: Trajectory, v: Trajectory
+) -> tuple[float, float] | None:
+    """The gate ratio's denominator ``||u - v|| (||u||**e + ||v||**e)`` on a
+    sampled pair and the pair's amplitude ``max(||u||, ||v||)``, bit for bit
+    as :func:`picard.estimate_lipschitz_M` forms them; ``None`` for a
+    degenerate pair.  ``||u - v||`` is taken from ``u.samples - v.samples``,
+    the samples ``u - v`` would carry, with no difference trajectory built."""
+    gap = _lq_magnitude(u.samples - v.samples, u.grid, prob.params.q)
+    diff = _time_lp(gap, u.time_grid.weights, prob.params.p)
+    if diff == 0.0:
+        return None
+    nu_, nv = prob.norm(u), prob.norm(v)
+    denom = diff * (nu_**prob.epsilon + nv**prob.epsilon)
+    if denom == 0.0:
+        return None
+    return denom, max(nu_, nv)
+
+
+def _released_pair_ratio(
+    prob: NlheProblem | NsProblem, pair: list[Trajectory]
+) -> tuple[float, float] | None:
+    """A sampled pair's gate ratio ``||F(u) - F(v)||`` over
+    :func:`_pair_denominator`, and its amplitude; ``None`` for a degenerate
+    pair.  The call empties ``pair``, so each trajectory goes, with its
+    samples, once its image exists."""
+    u, v = pair
+    pair.clear()
+    scale = _pair_denominator(prob, u, v)
+    if scale is None:
+        return None
+    fu = prob.rhs(u)
+    del u
+    fv = prob.rhs(v)
+    del v
+    return prob.norm(fu - fv) / scale[0], scale[1]
 
 
 def measured_lipschitz_M(prob: NlheProblem | NsProblem, *, seed: int = 0) -> float:
     """Contraction constant of the problem's Duhamel map from sampled pairs,
-    with :func:`picard.estimate_lipschitz_M`'s 1.5x safety factor."""
-    pairs = _sample_trajectory_pairs(prob, seed=seed)
-    return estimate_lipschitz_M(prob.rhs, prob.norm, prob.epsilon, pairs)
+    with :func:`picard.estimate_lipschitz_M`'s 1.5x safety factor.
+
+    ``M`` is the one :func:`picard.estimate_lipschitz_M` gives on the same
+    pairs, bit for bit, from a pass that holds less: no pair outlives its
+    images, nor its gap an array of samples.
+    """
+    ratios: list[float] = []
+    amplitudes: list[float] = []
+    for pair in _sample_trajectory_pairs(prob, seed=seed):
+        sample = _released_pair_ratio(prob, pair)
+        if sample is not None:
+            ratios.append(sample[0])
+            amplitudes.append(sample[1])
+    return _lipschitz_bound(ratios, amplitudes)
 
 
 def _sampled_constants(
@@ -564,12 +613,14 @@ def _sampled_constants(
     amplitudes: list[float] = []
     c1 = 0.0
     for pair in _sample_trajectory_pairs(prob, seed=seed):
-        sample = _pair_ratio(prob.rhs, prob.norm, prob.epsilon, *pair)
-        if sample is not None:
-            ratios.append(sample[0])
-            amplitudes.append(sample[1])
-            c1 = max(c1, _bootstrap_ratio(prob, bootstrap_p, amplitude, pair, sample[2]))
-        del pair, sample  # with the images, before the next pair is drawn
+        scale = _pair_denominator(prob, *pair)
+        if scale is not None:
+            images = prob.rhs(pair[0]), prob.rhs(pair[1])
+            ratios.append(prob.norm(images[0] - images[1]) / scale[0])
+            amplitudes.append(scale[1])
+            c1 = max(c1, _bootstrap_ratio(prob, bootstrap_p, amplitude, pair, images))
+            del images
+        pair.clear()  # before the next pair is drawn
     return _lipschitz_bound(ratios, amplitudes), c1
 
 
@@ -769,6 +820,7 @@ def uniqueness_bootstrap(
     lipschitz_M, c1 = _sampled_constants(prob, p, seed=seed)
     a = heat_extension(prob.u0, prob.time_grid)
     fp = FixedPointProblem(base=a, map_F=prob.rhs, norm=prob.norm, epsilon=prob.epsilon)
+    a.samples  # transformed once, for both routes and route two's start ``a * 1.001``
     u, cert_u = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M)
     v, cert_v = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M, start=a * 1.001)
     routes = (cert_u, cert_v)

@@ -391,8 +391,10 @@ class _CoefficientArithmetic:
     when every operand already holds it and the operands and the result
     share a layout, so a sum, difference or real multiple of transformed
     states needs no transform of its own.
-    ``dataclasses.replace`` builds an instance without it, which is why
-    ``spectrum`` is never written in place.
+    ``dataclasses.replace`` builds an instance without it.  A state is
+    written in place only by :meth:`_add_in_place`, on behalf of its only
+    holder and before it is handed out, and that drops every cached view
+    the write would leave stale.
     """
 
     def _store(self, coefficients: np.ndarray, lead: tuple[int, ...]) -> None:
@@ -488,6 +490,39 @@ class _CoefficientArithmetic:
             self._check_compatible(other)
         return self._linear(lambda x, y, z: operator.isub(x + y, z), plus, minus)
 
+    def _minus_minus(self, first, second):
+        """``self - first - second``, subtracted left to right: in one new
+        array when the three share a layout, as two differences otherwise."""
+        for other in (first, second):
+            self._check_compatible(other)
+        if not self.spectrum.shape == first.spectrum.shape == second.spectrum.shape:
+            return self - first - second
+        return self._linear(lambda x, y, z: operator.isub(x - y, z), first, second)
+
+    def _add_in_place(self, other):
+        """``other + self``, written into this state's arrays when both are
+        half spectra of one shape; ``other + self`` as a new state otherwise
+        (a full-layout sum may be stored half by the constructor).
+
+        Only for a state that its caller alone holds and has handed to no
+        one.  Its samples have ``other``'s added when both hold them and
+        are dropped otherwise, as ``+`` carries them; every other cached
+        view (the node energy, a trajectory's ``max_divergence``) is
+        dropped.  IEEE addition commutes, so every bit is that of ``other + self``.
+        """
+        self._check_compatible(other)
+        if other.spectrum.shape != self.spectrum.shape or not _is_half(self.spectrum, self.grid):
+            return other + self
+        cached = vars(self)
+        samples = cached.get("_samples") if "_samples" in vars(other) else None
+        for name in set(cached) - {f.name for f in dataclasses.fields(self)}:
+            del cached[name]
+        np.add(self.spectrum, other.spectrum, out=self.spectrum)
+        if samples is not None:
+            samples += other.samples
+            cached["_samples"] = samples
+        return self
+
     def __mul__(self, scalar: complex):
         if isinstance(scalar, numbers.Real):
             return self._linear(lambda c: c * scalar)
@@ -555,7 +590,12 @@ class FourierMultiplier:
     descriptor: str = "multiplier"
 
     def evaluate(self, grid: TorusGrid) -> np.ndarray:
-        return np.asarray(self.symbol(grid.xi))
+        """The symbol on ``grid``'s full wavevector array; any other shape
+        than the grid's (a matrix symbol, say) is rejected."""
+        sym = np.asarray(self.symbol(grid.xi))
+        if sym.shape != grid.shape:
+            raise ValueError(f"symbol shape {sym.shape} does not match grid shape {grid.shape}")
+        return sym
 
 
 # -- common symbols ----------------------------------------------------
@@ -605,11 +645,7 @@ def apply_multiplier(u: _FieldOrStack, op: FourierMultiplier) -> _FieldOrStack:
     The scalar symbol broadcasts over components.  A symbol that does not
     map real fields to real fields gives a full-layout result.
     """
-    grid = u.grid
-    sym = op.evaluate(grid)
-    if sym.shape != grid.shape:
-        raise ValueError(f"symbol shape {sym.shape} does not match grid shape {grid.shape}")
-    sym, coeff = _on_layout(sym, u)
+    sym, coeff = _on_layout(op.evaluate(u.grid), u)
     return replace(u, coefficients=coeff * sym)
 
 

@@ -96,6 +96,14 @@ class TestDuhamelSolver:
         with pytest.raises(ValueError, match="nonnegative real part"):
             LinearProblem(constant_multiplier(-1.0), forcing)
 
+    def test_matrix_symbol_rejected(self, grid1d):
+        """The symbol check of ``apply_multiplier`` guards the solver too."""
+        tg = uniform_time_grid(1.0, 9)
+        forcing = cosine_forcing(grid1d, tg, np.ones(9))
+        matrix = FourierMultiplier(lambda xi: np.stack([xi[0] ** 2, xi[0] ** 2]), "matrix")
+        with pytest.raises(ValueError, match="does not match grid shape"):
+            LinearProblem(matrix, forcing)
+
     def test_sectorial_rotation_allowed_up_to_boundary(self, grid1d):
         """Rotations with Re e^{i theta} >= 0 stay admissible."""
         tg = uniform_time_grid(1.0, 9)
@@ -127,6 +135,21 @@ class TestMaxRegEstimate:
         )
         assert serial.C_estimate == pooled.C_estimate
         assert [m.ratio for m in serial.members] == [m.ratio for m in pooled.members]
+
+    @pytest.mark.parametrize("operator", [laplacian_multiplier(), sector_multiplier(0.5)])
+    def test_derivative_profile_is_that_of_the_difference(self, grid2d, operator):
+        """The nodal norms of ``u' = f - A u`` are those of the trajectory
+        ``f - A u`` formed after the norms of ``f`` and ``A u``, bit for bit:
+        from the samples when ``A u`` keeps the half layout, from the
+        difference when a sector symbol makes it full."""
+        tg = uniform_time_grid(1.0, 9)
+        ensemble = synthetic_forcing_ensemble(grid2d, tg, 2, seed=4)
+        profiles = maxreg._member_profiles(operator, 3.0, ensemble, threads=1)
+        for f, (_, nodal) in zip(ensemble, profiles):
+            au = apply_multiplier(solve_linear_duhamel(LinearProblem(operator, f)), operator)
+            f.samples, au.samples  # as the norms of f and A u leave them
+            expect = maxreg._node_spatial_norms(f - au, 3.0)
+            assert np.array_equal(nodal[1], expect)
 
     def test_zero_members_skipped_with_warning(self, grid2d):
         tg = uniform_time_grid(1.0, 17)

@@ -1,23 +1,28 @@
 """Peak traced memory of whole Navier–Stokes runs, in trajectories.
 
-A Picard step needs the base, the current iterate and one map evaluation;
-the Lipschitz sampler needs one pair.  Every trajectory that outlives its
-last use adds its spectrum and its cached samples to the peak, so the
-peak is measured in units of one trajectory's spectrum plus samples.
+A Picard step needs the base's spectrum, the current iterate and one map
+evaluation, and writes the next iterate into the step's own array; the
+Lipschitz sampler needs one pair, and frees each trajectory once its image
+exists.  Every trajectory that outlives its last use adds its spectrum and
+its cached samples to the peak, so the peak is measured in units of one
+trajectory's spectrum plus samples.
 
-The bounds sit half a unit above the peaks of the release that holds only
-live trajectories (4.6 units on ``ns-exist``, 5.8 on ``ns-unique``): a
-single stray trajectory with its samples crosses them.  Keeping every
-dead trajectory alive read 6.8 and 8.5 units.
+The bounds sit about half a unit above the peaks of the release that holds
+only live trajectories (4.13 units on ``ns-exist``, 5.79 on ``ns-unique``):
+a single stray trajectory with its samples crosses them.  Keeping the
+base's samples, both trajectories of a sampled pair and a new array for
+each iterate read 4.6 units on ``ns-exist``; keeping every dead trajectory
+alive read 6.8 and 8.5 units.
 
 The linear runs read their forcing ensemble one member at a time: a
 member is drawn when its solve starts and dropped when it ends, and at
 most ``threads`` solves are in flight.  Their peak is measured in units of
-one member's half spectrum, and each bound sits half a unit above the
-peak of that release (6.13 units for ``maxreg`` at ``threads`` 1, up to
-11.94 at ``threads`` 2, where it depends on how the two solves overlap,
-and 5.38 for ``desimon``).  Drawing the whole ensemble of eight members
-up front read 13.1, 16.0 and 10.2 units.
+one member's half spectrum, and each bound sits about half a unit above
+the peak of that release (5.05 units for ``maxreg`` at ``threads`` 1, up
+to 9.98 at ``threads`` 2, where it depends on how the two solves overlap,
+and 5.38 for ``desimon``).  Forming the spectrum of ``f - A u`` read 6.05
+and up to 11.94 units; drawing the whole ensemble of eight members up
+front read 13.1, 16.0 and 10.2 units.
 """
 
 import json
@@ -39,7 +44,7 @@ CASES = {
         2,
         32,
         33,
-        5.1,
+        4.6,
     ),
     "ns-unique": (
         {"experiment": "ns-unique", "grid": {"points_per_axis": 8}, "time": {"num_nodes": 17}},
@@ -93,8 +98,8 @@ _LINEAR = {"grid": {"points_per_axis": 32}, "time": {"num_nodes": 33}, "params":
 
 MEMBER_CASES = {
     # (config, bound in units of one member on the 32^2 grid at 33 nodes)
-    "maxreg-threads-1": ({"experiment": "maxreg", **_LINEAR}, 6.6),
-    "maxreg-threads-2": ({"experiment": "maxreg", "threads": 2, **_LINEAR}, 12.4),
+    "maxreg-threads-1": ({"experiment": "maxreg", **_LINEAR}, 5.5),
+    "maxreg-threads-2": ({"experiment": "maxreg", "threads": 2, **_LINEAR}, 10.5),
     "desimon": ({"experiment": "desimon", **_LINEAR}, 5.9),
 }
 

@@ -81,6 +81,20 @@ class TestFixedPointProblem:
         assert len(calls) == 1 and prob.base == 1e3
 
 
+    def test_vanishing_drift_leaves_the_base_unmeasured(self):
+        """A drift of at most ``1e-12`` passes whatever the base's norm, so
+        the base is not measured (nor its samples cached) until a run."""
+        measured = []
+
+        def norm(u):
+            measured.append(u)
+            return abs(u)
+
+        prob = FixedPointProblem(base=0.3, map_F=lambda u: u * u, norm=norm, epsilon=1.0)
+        assert prob.drift == 0.0 and measured == [0.0]
+        assert prob.with_base(0.2).base == 0.2 and measured == [0.0]
+
+
 class TestLipschitzEstimate:
     def test_quadratic_map_ratio_is_one(self):
         """|u^2 - v^2| = |u - v| |u + v| with |u + v| = |u| + |v| on one sign."""

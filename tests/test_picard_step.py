@@ -5,29 +5,35 @@ spectra with a per-mode kernel kept on the grid's layout; the Duhamel
 recurrence runs in place on precombined coefficients; the nodewise ``L^q``
 norms reduce ``|u|**2`` without full-size temporaries; the heat damping
 table is kept on its time grid; the conjugate-symmetry check reads its
-input in blocks; and the existence sweep maps zero once.  Each new path is
-checked against the formula it replaced, kept here as the reference.
+input in blocks; the existence sweep maps zero once; and the next iterate
+is written into the step's own array.  Each new path is checked against
+the formula it replaced, kept here as the reference.
 """
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.fft
 
 from maxreg_lab import (
+    FixedPointProblem,
     LinearProblem,
     MixedNormParams,
+    NlheProblem,
     NsProblem,
     TorusGrid,
     Trajectory,
+    besov_heat_norm,
     heat_extension,
     helmholtz_project,
     laplacian_multiplier,
     log_time_grid,
     momentum_forcing,
     random_mean_free_field,
+    run_picard,
     solve_linear_duhamel,
     tensor_divergence,
     uniform_time_grid,
@@ -311,3 +317,129 @@ class TestZeroMapOncePerSweep:
         monkeypatch.setattr(problems, "ns_rhs_map", lambda u, p: ns_rhs_map(u, p) + offset)
         with pytest.raises(ValueError, match=r"map_F\(0\) must vanish"):
             problems.existence_sweep(prob, [0.01, 0.02, 0.04])
+
+
+class Plain:
+    """A trajectory behind the generic state interface only (``+``, ``-``
+    and ``*``), so ``run_picard`` takes its generic path on it: ``a + F(u)
+    - u``, ``u + change`` and ``u - a - F(u)`` as new states, and the base
+    itself as the first iterate."""
+
+    def __init__(self, traj):
+        self.traj = traj
+
+    def __add__(self, other):
+        return Plain(self.traj + other.traj)
+
+    def __sub__(self, other):
+        return Plain(self.traj - other.traj)
+
+    def __mul__(self, scalar):
+        return Plain(self.traj * scalar)
+
+
+def picard_problems(prob, base):
+    """The same fixed-point problem over trajectories and over :class:`Plain`."""
+    direct = FixedPointProblem(base=base, map_F=prob.rhs, norm=prob.norm, epsilon=prob.epsilon)
+    plain = FixedPointProblem(
+        base=Plain(replace(base, coefficients=base.spectrum)),
+        map_F=lambda w: Plain(prob.rhs(w.traj)),
+        norm=lambda w: prob.norm(w.traj),
+        epsilon=prob.epsilon,
+    )
+    return direct, plain
+
+
+def ns_problem(grid):
+    u0 = random_mean_free_field(
+        grid, seed=0, components=grid.dimension, band_limit=2, divergence_free=True
+    )
+    params = MixedNormParams(4.0, 4.0)
+    u0 = u0 * (0.3 / besov_heat_norm(u0, params))
+    return NsProblem(params=params, u0=u0, time_grid=uniform_time_grid(1.0, 9))
+
+
+class TestIterateInPlace:
+    """The next iterate is written into the step's own array, the residual
+    is one new array, and the base keeps no samples; every bit is that of
+    the generic path."""
+
+    @pytest.fixture(params=["ns-16^2", "ns-4^2", "nlhe-16^2"])
+    def prob(self, request):
+        if request.param == "nlhe-16^2":
+            u0 = random_mean_free_field(TorusGrid(2, 16), seed=0, band_limit=3) * 0.3
+            return NlheProblem(
+                nu=2.0, params=MixedNormParams(4.0, 4.0), u0=u0, time_grid=uniform_time_grid(1.0, 9)
+            )
+        return ns_problem(TorusGrid(2, 4 if request.param == "ns-4^2" else 16))
+
+    @pytest.mark.parametrize("routed", [False, True], ids=["from-base", "from-start"])
+    def test_bits_of_the_generic_path(self, prob, routed):
+        """Certificate and solution equal the generic path's, from the base
+        and from a start that carries the base's samples (route two of the
+        uniqueness run)."""
+        a = heat_extension(prob.u0, prob.time_grid)
+        direct, plain = picard_problems(prob, a)
+        start, plain_start = None, None
+        if routed:
+            a.samples, plain.base.traj.samples
+            start, plain_start = a * 1.001, Plain(plain.base.traj * 1.001)
+        u, cert = run_picard(direct, 12, 1e-12, lipschitz_M=0.01, start=start)
+        w, want = run_picard(plain, 12, 1e-12, lipschitz_M=0.01, start=plain_start)
+        assert cert == want and cert.iterations > 1
+        assert np.array_equal(u.spectrum, w.traj.spectrum)
+        assert np.array_equal(u.samples, w.traj.samples)
+
+    def test_full_layout_change_takes_the_new_state(self, monkeypatch):
+        """At 4 points per axis the iterate and the step differ in layout:
+        the step is not written, and ``u + change`` is formed as before."""
+        written = []
+        add = spectral._CoefficientArithmetic._add_in_place
+
+        def recorded(self, other):
+            out = add(self, other)
+            written.append(out is self)
+            return out
+
+        monkeypatch.setattr(spectral._CoefficientArithmetic, "_add_in_place", recorded)
+        prob = ns_problem(TorusGrid(2, 4))
+        direct, plain = picard_problems(prob, heat_extension(prob.u0, prob.time_grid))
+        u, cert = run_picard(direct, 12, 1e-12, lipschitz_M=0.01)
+        w, want = run_picard(plain, 12, 1e-12, lipschitz_M=0.01)
+        assert written and not any(written)
+        assert cert == want and np.array_equal(u.spectrum, w.traj.spectrum)
+
+    def test_handed_out_iterates_are_never_written(self, prob):
+        handed = []
+
+        def keep(_k, traj):
+            handed.append((traj, traj.spectrum.copy(), vars(traj).get("_samples").copy()))
+
+        a = heat_extension(prob.u0, prob.time_grid)
+        direct, _ = picard_problems(prob, a)
+        _, cert = run_picard(direct, 12, 1e-12, lipschitz_M=0.01, iterate_callback=keep)
+        assert len(handed) == cert.iterations + 1 > 2
+        assert len({id(traj) for traj, _, _ in handed}) == len(handed)
+        for traj, spectrum, samples in handed:
+            assert np.array_equal(traj.spectrum, spectrum)
+            assert np.array_equal(traj.samples, samples)
+
+    def test_base_keeps_no_samples(self, prob):
+        """The gate's norm caches the samples on the first iterate, which
+        the first step replaces, and not on the base the caller holds."""
+        a = heat_extension(prob.u0, prob.time_grid)
+        direct, _ = picard_problems(prob, a)
+        seen = []
+        run_picard(
+            direct, 12, 1e-12, lipschitz_M=0.01,
+            iterate_callback=lambda k, traj: seen.append(traj is a or "_samples" in vars(a)),
+        )
+        assert seen and not any(seen) and "_samples" not in vars(a)
+
+    def test_residual_is_one_array(self, grid2d, rng):
+        a, f, u = (rough_stack(grid2d, 5, rng) for _ in range(3))
+        for x in (a, u):
+            x.samples
+        got, want = u._minus_minus(a, f), u - a - f
+        assert np.array_equal(got.spectrum, want.spectrum)
+        assert "_samples" not in vars(got)

@@ -547,6 +547,50 @@ class TestSharedSampling:
             assert all(any(x is w for w in pair) for x in held if isinstance(x, Trajectory))
 
     @pytest.mark.parametrize("kind", ["signed", "ns"])
+    def test_gate_releases_each_field_once_mapped(self, grid2d, monkeypatch, kind):
+        """While ``M`` is measured, each sampled trajectory goes once its
+        image exists: the map's first call on a pair sees both fields
+        alive, its second only the field it maps."""
+        prob = self.make_problem(kind, grid2d)
+        drawn, alive = [], []
+        pairs = problems._sample_trajectory_pairs
+
+        def recorded(*args, **kwargs):
+            for pair in pairs(*args, **kwargs):
+                drawn.extend(weakref.ref(w) for w in pair)
+                yield pair
+
+        name = "ns_rhs_map" if kind == "ns" else "nlhe_rhs_map"
+        rhs = getattr(problems, name)
+
+        def counted(u, p):
+            alive.append(sum(ref() is not None for ref in drawn))
+            return rhs(u, p)
+
+        monkeypatch.setattr(problems, "_sample_trajectory_pairs", recorded)
+        monkeypatch.setattr(problems, name, counted)
+        measured_lipschitz_M(prob, seed=3)
+        assert alive == [2, 1] * 4
+
+    @pytest.mark.parametrize("kind", ["signed", "ns"])
+    def test_gate_gap_norm_builds_no_trajectory(self, grid2d, monkeypatch, kind):
+        """The gate's denominator equals ``norm(u - v) (norm(u)**e +
+        norm(v)**e)`` bit for bit, and the call builds no trajectory."""
+        prob = self.make_problem(kind, grid2d)
+        built = []
+        store = Trajectory.__post_init__
+        monkeypatch.setattr(
+            Trajectory, "__post_init__", lambda self, c: built.append(1) or store(self, c)
+        )
+        for u, v in problems._sample_trajectory_pairs(prob, seed=3):
+            built.clear()
+            denom, amplitude = problems._pair_denominator(prob, u, v)
+            assert len(built) == 0
+            norms = prob.norm(u), prob.norm(v)
+            expect = prob.norm(u - v) * (norms[0] ** prob.epsilon + norms[1] ** prob.epsilon)
+            assert denom == expect and amplitude == max(norms)
+
+    @pytest.mark.parametrize("kind", ["signed", "ns"])
     @pytest.mark.parametrize("bootstrap_p", [2.0, 3.0])
     def test_bootstrap_gap_norm_builds_no_trajectory(self, grid2d, monkeypatch, kind, bootstrap_p):
         """The ratio equals the one with the scaled gap formed as a
