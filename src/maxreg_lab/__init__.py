@@ -63,7 +63,6 @@ from .maxreg import (
 from .picard import (
     FixedPointProblem,
     PicardCertificate,
-    estimate_lipschitz_M,
     run_picard,
     smallness_gate,
 )

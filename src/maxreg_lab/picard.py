@@ -19,14 +19,13 @@ import copy
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
 __all__ = [
     "FixedPointProblem",
     "PicardCertificate",
-    "estimate_lipschitz_M",
     "smallness_gate",
     "run_picard",
 ]
@@ -52,7 +51,7 @@ class FixedPointProblem:
     drift: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN included
             raise ValueError("nonlinearity exponent epsilon must be positive")
         object.__setattr__(self, "drift", self.norm(self.map_F(self.base * 0.0)))
         self._check_drift()
@@ -75,50 +74,16 @@ class FixedPointProblem:
         return prob
 
 
-def estimate_lipschitz_M(
-    map_F: Callable[[Any], Any],
-    norm: Callable[[Any], float],
-    epsilon: float,
-    sample_pairs: Iterable[tuple[Any, Any]],
-) -> float:
-    """Empirical constant for ``||F(u)-F(v)|| <= M ||u-v|| (||u||**e + ||v||**e)``.
-
-    Returns the max ratio over the sampled pairs times a 1.5 safety factor.
-    This is a sampled lower bound dressed up for gate use, not a proof.
-    Pairs with ``u = v`` are skipped.  When the ratios grow systematically
-    as the pair amplitude shrinks — the signature of a misspecified
-    exponent, e.g. a linear map probed with ``epsilon > 0`` — a warning is
-    emitted.
-    """
-    ratios: list[float] = []
-    amplitudes: list[float] = []
-    for pair in sample_pairs:
-        sample = _pair_ratio(map_F, norm, epsilon, *pair)
-        if sample is not None:
-            ratios.append(sample[0])
-            amplitudes.append(sample[1])
-        del pair, sample  # before the next pair is drawn
-    return _lipschitz_bound(ratios, amplitudes)
-
-
-def _pair_ratio(
-    map_F: Callable[[Any], Any], norm: Callable[[Any], float], epsilon: float, u: Any, v: Any
-) -> tuple[float, float] | None:
-    """One pair's ratio ``||F(u)-F(v)|| / (||u-v|| (||u||**e + ||v||**e))``
-    and its amplitude ``max(||u||, ||v||)``; ``None`` for a degenerate pair,
-    whose images are not computed."""
-    diff = norm(u - v)
-    if diff == 0.0:
-        return None
-    nu_, nv = norm(u), norm(v)
-    denom = diff * (nu_**epsilon + nv**epsilon)
-    if denom == 0.0:
-        return None
-    return norm(map_F(u) - map_F(v)) / denom, max(nu_, nv)
-
-
 def _lipschitz_bound(ratios: list[float], amplitudes: list[float]) -> float:
-    """:func:`estimate_lipschitz_M` from the sampled ratios and amplitudes."""
+    """Empirical constant for ``||F(u)-F(v)|| <= M ||u-v|| (||u||**e + ||v||**e)``
+    from the ratios sampled on nondegenerate pairs and the pairs' amplitudes.
+
+    Returns the max ratio times a 1.5 safety factor; a NaN ratio makes it
+    NaN.  This is a sampled lower bound dressed up for gate use, not a
+    proof.  When the ratios grow systematically as the pair amplitude
+    shrinks — the signature of a misspecified exponent, e.g. a linear map
+    probed with ``epsilon > 0`` — a warning is emitted.
+    """
     if not ratios:
         raise ValueError("no usable sample pairs (all degenerate)")
     if len(ratios) >= 4:
@@ -132,7 +97,7 @@ def _lipschitz_bound(ratios: list[float], amplitudes: list[float]) -> float:
                     "may be misspecified",
                     stacklevel=3,
                 )
-    return float(max(ratios)) * 1.5
+    return float(np.max(ratios)) * 1.5
 
 
 def smallness_gate(M: float, epsilon: float, a_norm: float) -> tuple[float, bool]:
@@ -143,9 +108,9 @@ def smallness_gate(M: float, epsilon: float, a_norm: float) -> tuple[float, bool
     ``epsilon`` the power under- or overflows, and ``delta`` is then its
     limit: ``inf`` for ``2 M < 1``, 0 for ``2 M > 1``.
     """
-    if M <= 0:
+    if not M > 0:  # NaN included
         raise ValueError("Lipschitz constant M must be positive")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("nonlinearity exponent epsilon must be positive")
     if a_norm < 0:
         raise ValueError("a_norm must be nonnegative")

@@ -546,9 +546,8 @@ def _pair_denominator(
     prob: NlheProblem | NsProblem, u: Trajectory, v: Trajectory
 ) -> tuple[float, float] | None:
     """The gate ratio's denominator ``||u - v|| (||u||**e + ||v||**e)`` on a
-    sampled pair and the pair's amplitude ``max(||u||, ||v||)``, bit for bit
-    as :func:`picard.estimate_lipschitz_M` forms them; ``None`` for a
-    degenerate pair.  ``||u - v||`` is taken from ``u.samples - v.samples``,
+    sampled pair and the pair's amplitude ``max(||u||, ||v||)``; ``None`` for
+    a degenerate pair.  ``||u - v||`` is taken from ``u.samples - v.samples``,
     the samples ``u - v`` would carry, with no difference trajectory built."""
     gap = _lq_magnitude(u.samples - v.samples, u.grid, prob.params.q)
     diff = _time_lp(gap, u.time_grid.weights, prob.params.p)
@@ -561,77 +560,62 @@ def _pair_denominator(
     return denom, max(nu_, nv)
 
 
-def _released_pair_ratio(
-    prob: NlheProblem | NsProblem, pair: list[Trajectory]
-) -> tuple[float, float] | None:
-    """A sampled pair's gate ratio ``||F(u) - F(v)||`` over
-    :func:`_pair_denominator`, and its amplitude; ``None`` for a degenerate
-    pair.  The call empties ``pair``, so each trajectory goes, with its
-    samples, once its image exists."""
-    u, v = pair
-    pair.clear()
-    scale = _pair_denominator(prob, u, v)
-    if scale is None:
-        return None
-    fu = prob.rhs(u)
-    del u
-    fv = prob.rhs(v)
-    del v
-    return prob.norm(fu - fv) / scale[0], scale[1]
-
-
 def measured_lipschitz_M(prob: NlheProblem | NsProblem, *, seed: int = 0) -> float:
     """Contraction constant of the problem's Duhamel map from sampled pairs,
-    with :func:`picard.estimate_lipschitz_M`'s 1.5x safety factor.
-
-    ``M`` is the one :func:`picard.estimate_lipschitz_M` gives on the same
-    pairs, bit for bit, from a pass that holds less: no pair outlives its
-    images, nor its gap an array of samples.
-    """
-    ratios: list[float] = []
-    amplitudes: list[float] = []
-    for pair in _sample_trajectory_pairs(prob, seed=seed):
-        sample = _released_pair_ratio(prob, pair)
-        if sample is not None:
-            ratios.append(sample[0])
-            amplitudes.append(sample[1])
-    return _lipschitz_bound(ratios, amplitudes)
+    with :func:`picard._lipschitz_bound`'s 1.5x safety factor."""
+    return _sampled_constants(prob, None, seed=seed)[0]
 
 
 def _sampled_constants(
-    prob: NlheProblem | NsProblem, bootstrap_p: float, *, seed: int = 0
+    prob: NlheProblem | NsProblem, bootstrap_p: float | None, *, seed: int = 0
 ) -> tuple[float, float]:
-    """The Picard gate's constant ``M`` and the uniqueness bootstrap's sampled
-    Lipschitz ratio ``c1``, from one pass over the sampled pairs.
+    """The Picard gate's constant ``M`` and, for a ``bootstrap_p``, the
+    uniqueness bootstrap's sampled Lipschitz ratio ``c1`` (0 without one),
+    from one pass over the sampled pairs.
 
-    ``M`` is :func:`measured_lipschitz_M`'s, bit for bit.  ``c1`` is
-    measured on the same fields at the bootstrap's scale (see
-    :func:`_bootstrap_ratio`), from the images the gate computed.
+    ``c1`` is measured on the same fields at the bootstrap's scale (see
+    :func:`_bootstrap_denominator`), from the images the gate computed.
+    The pass holds only the pair in use: each field's part of both ratios
+    is taken before its image exists, each field goes once its image
+    exists, and both images go before the next pair is drawn.
     """
-    amplitude = max(spatial_lq_norm(prob.u0, prob.params.q), 1e-3)
+    if bootstrap_p is not None:
+        amplitude = max(spatial_lq_norm(prob.u0, prob.params.q), 1e-3)
     ratios: list[float] = []
     amplitudes: list[float] = []
     c1 = 0.0
     for pair in _sample_trajectory_pairs(prob, seed=seed):
-        scale = _pair_denominator(prob, *pair)
-        if scale is not None:
-            images = prob.rhs(pair[0]), prob.rhs(pair[1])
-            ratios.append(prob.norm(images[0] - images[1]) / scale[0])
-            amplitudes.append(scale[1])
-            c1 = max(c1, _bootstrap_ratio(prob, bootstrap_p, amplitude, pair, images))
-            del images
-        pair.clear()  # before the next pair is drawn
+        u, v = pair
+        pair.clear()
+        scale = _pair_denominator(prob, u, v)
+        if scale is None:
+            del u, v  # before the next pair is drawn
+            continue
+        if bootstrap_p is not None:
+            boot = _bootstrap_denominator(prob, bootstrap_p, amplitude, u, v)
+        fu = prob.rhs(u)
+        del u
+        fv = prob.rhs(v)
+        del v
+        ratios.append(prob.norm(fu - fv) / scale[0])
+        amplitudes.append(scale[1])
+        if bootstrap_p is not None:
+            c1 = max(c1, _bootstrap_ratio(prob, bootstrap_p, fu, fv, boot))
+        del fu, fv  # before the next pair is drawn
     return _lipschitz_bound(ratios, amplitudes), c1
 
 
-def _bootstrap_ratio(
+def _bootstrap_denominator(
     prob: NlheProblem | NsProblem,
     bootstrap_p: float,
     amplitude: float,
-    pair: tuple[Trajectory, Trajectory],
-    images: tuple[Trajectory, Trajectory],
-) -> float:
-    """The bootstrap's Lipschitz ratio on a gate pair brought to its scale.
+    u: Trajectory,
+    v: Trajectory,
+) -> tuple[float, float, float] | None:
+    """The pair's side of the bootstrap's Lipschitz ratio on a gate pair
+    brought to the bootstrap's scale: the ratio's denominator and the lifts
+    ``r_u**nu``, ``r_v**nu`` of the images; ``None`` when a power leaves
+    floating-point range (the ratio is then ``inf``).
 
     The bootstrap samples each field at ``amplitude`` in the
     ``(bootstrap_p, q)`` norm: the gate's field ``w`` times
@@ -639,31 +623,46 @@ def _bootstrap_ratio(
     ``||F(r_u u) - F(r_v v)||_boot`` over ``||r_u u - r_v v||_boot`` times
     the sum of ``(max_t ||r w||_q)**(nu-1)`` over the pair.  Both maps are
     positively homogeneous of degree ``nu``, so ``F(r w) = r**nu F(w)``
-    comes from the gate's images; a power out of floating-point range gives ``inf``.
+    comes from the gate's images.  The gap's norm is taken from
+    ``ru * u.samples - rv * v.samples``, with no trajectory built.
     """
     nu, q = prob.nu, prob.params.q
     scales, peaks = [], []
-    for traj in pair:
+    for traj in (u, v):
         nodal = _node_spatial_norms(traj, q)
         weights = traj.time_grid.weights
         gate, own = _time_lp(nodal, weights, prob.params.p), _time_lp(nodal, weights, bootstrap_p)
         r = amplitude * gate / own
         scales.append(r)
         peaks.append(float(r * np.max(nodal)))
-    (u, v), (fu, fv), (ru, rv) = pair, images, scales
+    ru, rv = scales
     try:
         powers = peaks[0] ** (nu - 1.0) + peaks[1] ** (nu - 1.0)
-        lift_u, lift_v = ru**nu, rv**nu
+        lifts = ru**nu, rv**nu
     except OverflowError:
+        return None
+    gap = _lq_magnitude(ru * u.samples - rv * v.samples, u.grid, q)
+    return _time_lp(gap, u.time_grid.weights, bootstrap_p) * powers, *lifts
+
+
+def _bootstrap_ratio(
+    prob: NlheProblem | NsProblem,
+    bootstrap_p: float,
+    fu: Trajectory,
+    fv: Trajectory,
+    boot: tuple[float, float, float] | None,
+) -> float:
+    """The bootstrap's Lipschitz ratio from the gate's images and the pair's
+    side :func:`_bootstrap_denominator`: ``inf`` past floating-point range,
+    0 for a vanishing gap.  The images' gap's norm is taken from one array
+    of spectra, with no trajectory built."""
+    if boot is None:
         return math.inf
-    # each gap's norm from one array, with no trajectory built: the pair's
-    # from their samples, the images' from their spectra
-    grid, weights = u.grid, u.time_grid.weights
-    gap = _lq_magnitude(ru * u.samples - rv * v.samples, grid, q)
-    denom = _time_lp(gap, weights, bootstrap_p) * powers
+    denom, lift_u, lift_v = boot
     if denom > 0:
+        grid, weights = fu.grid, fu.time_grid.weights
         image_gap = _physical_values(fu.spectrum * lift_u - fv.spectrum * lift_v, grid)
-        return _time_lp(_lq_magnitude(image_gap, grid, q), weights, bootstrap_p) / denom
+        return _time_lp(_lq_magnitude(image_gap, grid, prob.params.q), weights, bootstrap_p) / denom
     return 0.0
 
 
@@ -684,6 +683,9 @@ def existence_sweep(
     For the incompressible problem the worst nodewise divergence over all
     Picard iterates of each run is tracked alongside the certificate.
     """
+    etas = sorted(float(e) for e in eta_grid)
+    if any(eta < 0 for eta in etas):
+        raise ValueError("data sizes must be nonnegative")
     base_size = besov_heat_norm(prob.u0, prob.params)
     if base_size == 0.0:
         raise ValueError("initial field must be nonzero")
@@ -691,9 +693,7 @@ def existence_sweep(
     M = measured_lipschitz_M(prob, seed=seed)
     entries = []
     fp = None
-    for eta in sorted(float(e) for e in eta_grid):
-        if eta < 0:
-            raise ValueError("data sizes must be nonnegative")
+    for eta in etas:
         a = heat_extension(u0_hat * eta, prob.time_grid)
         # one evaluation of the map at zero serves every eta
         if fp is None:
@@ -815,6 +815,8 @@ def uniqueness_bootstrap(
     When both routes converge, the smoothing probe fixes the constant and
     :func:`_segment_walk` runs; otherwise the run is inconclusive.
     """
+    if not p > 1:
+        raise ValueError("the bootstrap's time exponent p must exceed 1")
     n, q = prob.dimension, prob.params.q
     dim_ok = math.isclose(q, prob.q_endpoint, rel_tol=1e-12)
     lipschitz_M, c1 = _sampled_constants(prob, p, seed=seed)

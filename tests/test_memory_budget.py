@@ -2,8 +2,9 @@
 
 A Picard step needs the base's spectrum, the current iterate and one map
 evaluation, and writes the next iterate into the step's own array; the
-Lipschitz sampler needs one pair, and frees each trajectory once its image
-exists.  Every trajectory that outlives its last use adds its spectrum and
+Lipschitz sampler, which serves both the gate's constant and the
+bootstrap's ratio, needs one pair, takes the pair's side of both ratios
+before mapping, and frees each trajectory once its image exists.  Every trajectory that outlives its last use adds its spectrum and
 its cached samples to the peak, so the peak is measured in units of one
 trajectory's spectrum plus samples.
 

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from maxreg_lab import (
     FixedPointProblem,
-    estimate_lipschitz_M,
     run_picard,
     smallness_gate,
 )
+from maxreg_lab.picard import _lipschitz_bound
 
 
 def scalar_problem(a, epsilon=1.0):
@@ -56,9 +56,10 @@ class TestFixedPointProblem:
         prob = scalar_problem(0.1)
         assert prob.epsilon == 1.0
 
-    def test_epsilon_must_be_positive(self):
+    @pytest.mark.parametrize("epsilon", [0.0, math.nan])
+    def test_epsilon_must_be_positive(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            FixedPointProblem(base=0.1, map_F=lambda u: u * u, norm=abs, epsilon=0.0)
+            FixedPointProblem(base=0.1, map_F=lambda u: u * u, norm=abs, epsilon=epsilon)
 
     def test_nonvanishing_map_rejected(self):
         with pytest.raises(ValueError, match=r"map_F\(0\) must vanish"):
@@ -95,37 +96,28 @@ class TestFixedPointProblem:
         assert prob.with_base(0.2).base == 0.2 and measured == [0.0]
 
 
-class TestLipschitzEstimate:
+class TestLipschitzBound:
     def test_quadratic_map_ratio_is_one(self):
         """|u^2 - v^2| = |u - v| |u + v| with |u + v| = |u| + |v| on one sign."""
         pairs = [(1.0, 2.0), (0.5, 0.3), (0.2, 0.9)]
-        M = estimate_lipschitz_M(lambda u: u * u, abs, 1.0, pairs)
+        ratios = [abs(u * u - v * v) / (abs(u - v) * (abs(u) + abs(v))) for u, v in pairs]
+        M = _lipschitz_bound(ratios, [max(u, v) for u, v in pairs])
         assert M == pytest.approx(1.5, rel=1e-12)  # the ratio times the 1.5 safety factor
 
-    def test_degenerate_pairs_rejected(self):
+    def test_no_ratios_rejected(self):
         with pytest.raises(ValueError, match="no usable sample pairs"):
-            estimate_lipschitz_M(lambda u: u * u, abs, 1.0, [(1.0, 1.0), (0.0, 0.0)])
-
-    def test_pair_released_before_the_next_is_drawn(self):
-        """When the pairs are drawn one at a time, no state of a used pair
-        (nor its images or differences) is alive while the next is built."""
-        Tracked.made = []
-        leftovers = []
-
-        def pairs():
-            for a in (1.0, 0.5, 0.2):
-                leftovers.append(len(Tracked.alive()))
-                yield Tracked(a), Tracked(a / 3)
-
-        M = estimate_lipschitz_M(lambda u: u * u.x, abs, 1.0, pairs())
-        assert M == pytest.approx(1.5, rel=1e-12)
-        assert leftovers == [0, 0, 0]
+            _lipschitz_bound([], [])
 
     def test_linear_map_trips_trend_warning(self):
         """A linear map probed with epsilon = 1 has ratios ~ 1/amplitude."""
-        pairs = [(a, a / 2) for a in (1.0, 0.1, 0.01, 0.001)]
+        amplitudes = [1.0, 0.1, 0.01, 0.001]
         with pytest.warns(UserWarning, match="may be misspecified"):
-            estimate_lipschitz_M(lambda u: 0.5 * u, abs, 1.0, pairs)
+            _lipschitz_bound([0.5 / a for a in amplitudes], amplitudes)
+
+    @pytest.mark.parametrize("ratios", [[math.nan, 1.0], [1.0, math.nan]])
+    def test_nan_ratio_reaches_M(self, ratios):
+        """A NaN ratio makes ``M`` NaN wherever it sits among the pairs."""
+        assert math.isnan(_lipschitz_bound(ratios, [1.0, 0.5]))
 
 
 class TestSmallnessGate:
@@ -147,6 +139,13 @@ class TestSmallnessGate:
         """``(2M)**(1/epsilon)`` under- or overflows for a tiny ``epsilon``:
         the ball is then everything (2M < 1) or a point (2M > 1)."""
         assert smallness_gate(M, 1e-7, 1.0) == expect
+
+    @pytest.mark.parametrize("M, epsilon", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_constants_rejected(self, M, epsilon):
+        """A NaN ``M`` or ``epsilon`` is refused like a nonpositive one,
+        not read as a ball that admits every size."""
+        with pytest.raises(ValueError, match="must be positive"):
+            smallness_gate(M, epsilon, 1e300)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="M must be positive"):

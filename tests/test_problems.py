@@ -393,6 +393,16 @@ class TestExistenceExperiments:
         with pytest.raises(ValueError, match="initial field must be nonzero"):
             existence_sweep(zero_prob, [0.1])
 
+    def test_negative_eta_rejected_before_sampling(self, grid2d, monkeypatch):
+        """A negative data size is refused before ``M`` is measured."""
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("sampled before the sizes were checked")
+
+        monkeypatch.setattr(problems, "_sample_trajectory_pairs", unreached)
+        with pytest.raises(ValueError, match="sizes must be nonnegative"):
+            existence_sweep(small_nlhe(grid2d), [0.1, -0.1])
+
     def test_each_run_starts_after_the_last_solution_died(self, grid2d, monkeypatch):
         """The sweep keeps only certificates: a run's solution is gone
         before the next run starts."""
@@ -456,6 +466,18 @@ class TestUniqueness:
         assert report.status == "inconclusive"
         assert report.segments == () and report.smoothing is None and probes == []
         assert math.isnan(report.C_used)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_time_exponent_at_most_one_rejected_before_sampling(self, grid2d, monkeypatch, p):
+        """The bootstrap's time exponent must exceed 1, and is checked
+        before any pair is sampled."""
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("sampled before p was checked")
+
+        monkeypatch.setattr(problems, "_sample_trajectory_pairs", unreached)
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            uniqueness_bootstrap(self.make_problem(grid2d), p=p)
 
     def test_ns_dimension_restriction_recorded(self, grid3d):
         """q = n = 3 satisfies the endpoint the argument needs."""
@@ -546,11 +568,12 @@ class TestSharedSampling:
                 held += value if isinstance(value, list) else [value]
             assert all(any(x is w for w in pair) for x in held if isinstance(x, Trajectory))
 
+    @pytest.mark.parametrize("bootstrap_p", [None, 2.0])
     @pytest.mark.parametrize("kind", ["signed", "ns"])
-    def test_gate_releases_each_field_once_mapped(self, grid2d, monkeypatch, kind):
-        """While ``M`` is measured, each sampled trajectory goes once its
-        image exists: the map's first call on a pair sees both fields
-        alive, its second only the field it maps."""
+    def test_gate_releases_each_field_once_mapped(self, grid2d, monkeypatch, kind, bootstrap_p):
+        """While ``M`` is measured, alone or with the bootstrap's ``c1``, each
+        sampled trajectory goes once its image exists: the map's first call
+        on a pair sees both fields alive, its second only the field it maps."""
         prob = self.make_problem(kind, grid2d)
         drawn, alive = [], []
         pairs = problems._sample_trajectory_pairs
@@ -569,7 +592,10 @@ class TestSharedSampling:
 
         monkeypatch.setattr(problems, "_sample_trajectory_pairs", recorded)
         monkeypatch.setattr(problems, name, counted)
-        measured_lipschitz_M(prob, seed=3)
+        if bootstrap_p is None:
+            measured_lipschitz_M(prob, seed=3)
+        else:
+            problems._sampled_constants(prob, bootstrap_p, seed=3)
         assert alive == [2, 1] * 4
 
     @pytest.mark.parametrize("kind", ["signed", "ns"])
@@ -595,7 +621,7 @@ class TestSharedSampling:
     def test_bootstrap_gap_norm_builds_no_trajectory(self, grid2d, monkeypatch, kind, bootstrap_p):
         """The ratio equals the one with the scaled gap formed as a
         trajectory, ``bochner_mixed_norm(u * ru - v * rv, boot)``, bit for
-        bit, and the call builds no trajectory."""
+        bit, and neither side of it builds a trajectory."""
         prob = self.make_problem(kind, grid2d)
         q, nu = prob.params.q, prob.nu
         boot = MixedNormParams(bootstrap_p, q)
@@ -606,9 +632,12 @@ class TestSharedSampling:
             Trajectory, "__post_init__", lambda self, c: built.append(1) or store(self, c)
         )
         for pair in problems._sample_trajectory_pairs(prob, seed=3):
+            built.clear()
+            side = problems._bootstrap_denominator(prob, bootstrap_p, amplitude, *pair)
+            assert len(built) == 0
             images = prob.rhs(pair[0]), prob.rhs(pair[1])
             built.clear()
-            ratio = problems._bootstrap_ratio(prob, bootstrap_p, amplitude, pair, images)
+            ratio = problems._bootstrap_ratio(prob, bootstrap_p, *images, side)
             assert len(built) == 0
             (u, v), (fu, fv) = pair, images
             ru, rv = (
