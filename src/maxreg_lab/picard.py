@@ -1,8 +1,10 @@
 """Quantitative Picard iteration with an explicit smallness certificate.
 
-Works over any vector-like state supporting ``+``, ``-`` and scalar
+Works over any vector-like state supporting ``+``, ``-`` and real scalar
 multiplication together with a norm callable — plain floats for sanity
-checks, full space-time trajectories for PDE runs.  The contraction
+checks, full space-time trajectories for PDE runs.  A state that defines
+``+=`` and ``-=`` has them applied to the states the loop has just built
+with ``+`` and ``-``; any other falls back to ``+`` and ``-``.  The contraction
 argument assumes the nonlinear map satisfies
 
     ||F(u) - F(v)||  <=  M ||u - v|| (||u||**eps + ||v||**eps),
@@ -17,11 +19,8 @@ from __future__ import annotations
 
 import copy
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
-
-import numpy as np
 
 __all__ = [
     "FixedPointProblem",
@@ -72,32 +71,6 @@ class FixedPointProblem:
         object.__setattr__(prob, "base", base)
         prob._check_drift()
         return prob
-
-
-def _lipschitz_bound(ratios: list[float], amplitudes: list[float]) -> float:
-    """Empirical constant for ``||F(u)-F(v)|| <= M ||u-v|| (||u||**e + ||v||**e)``
-    from the ratios sampled on nondegenerate pairs and the pairs' amplitudes.
-
-    Returns the max ratio times a 1.5 safety factor; a NaN ratio makes it
-    NaN.  This is a sampled lower bound dressed up for gate use, not a
-    proof.  When the ratios grow systematically as the pair amplitude
-    shrinks — the signature of a misspecified exponent, e.g. a linear map
-    probed with ``epsilon > 0`` — a warning is emitted.
-    """
-    if not ratios:
-        raise ValueError("no usable sample pairs (all degenerate)")
-    if len(ratios) >= 4:
-        la = np.log(np.asarray(amplitudes))
-        lr = np.log(np.maximum(np.asarray(ratios), 1e-300))
-        if np.ptp(la) > 0:
-            slope = float(np.polyfit(la, lr, 1)[0])
-            if slope < -0.5:
-                warnings.warn(
-                    "ratio grows as amplitude shrinks; nonlinearity exponent "
-                    "may be misspecified",
-                    stacklevel=3,
-                )
-    return float(np.max(ratios)) * 1.5
 
 
 def smallness_gate(M: float, epsilon: float, a_norm: float) -> tuple[float, bool]:
@@ -171,10 +144,10 @@ def run_picard(
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = prob.base
-    # A container base starts the loop as a shallow copy: what the gate's
-    # norm caches on it (the samples) goes with that first iterate when
-    # the first step replaces it, and is not kept on the caller's base.
-    first = copy.copy(a) if start is None and hasattr(a, "_add_in_place") else a
+    # The loop starts from a shallow copy of the base: what the gate's norm
+    # caches on it (a trajectory's samples) goes with that first iterate
+    # when the first step replaces it, and is not kept on the caller's base.
+    first = copy.copy(a) if start is None else a
     a_norm = prob.norm(first)
     delta, small_ok = smallness_gate(lipschitz_M, prob.epsilon, a_norm)
     if start is None and a_norm == 0.0 and prob.drift == 0.0:
@@ -195,19 +168,18 @@ def run_picard(
         iterate_callback(0, u)
     for k in range(1, max_iter + 1):
         # The step is measured on the difference of the states themselves,
-        # which is exact for close iterates, and the new iterate is formed
-        # as ``u + change``: a state that caches what its norm computed
-        # (a trajectory's samples) then carries it to the iterate.  A state
-        # with ``_plus_minus`` forms ``a + F(u) - u`` in one new array, and
-        # the loop, its only holder, then adds ``u`` into that array.
-        image = prob.map_F(u)
-        change = a._plus_minus(image, u) if hasattr(a, "_plus_minus") else a + image - u
-        del image
+        # which is exact for close iterates, and the new iterate is the
+        # change plus ``u``: a state that caches what its norm computed (a
+        # trajectory's samples) then carries it to the iterate.  The loop
+        # alone holds ``change``, so ``-=`` and ``+=`` may write into it.
+        change = a + prob.map_F(u)
+        change -= u
         step = prob.norm(change)
         diffs.append(step)
         if len(diffs) >= 2 and diffs[-2] > 0:
             factors.append(diffs[-1] / diffs[-2])
-        u = change._add_in_place(u) if hasattr(change, "_add_in_place") else u + change
+        change += u
+        u = change
         del change  # before the next map evaluation
         norms.append(prob.norm(u))
         if iterate_callback is not None:
@@ -223,8 +195,8 @@ def run_picard(
         converged = False
     else:
         image = prob.map_F(u)  # before ``u - a``, which it would outlive
-        # a state with ``_minus_minus`` forms ``u - a - F(u)`` in one new array
-        gap = u._minus_minus(a, image) if hasattr(u, "_minus_minus") else u - a - image
+        gap = u - a
+        gap -= image
         del image  # before the gap's norm
         residual = prob.norm(gap)
         rate = factors[-1] if factors else 0.0

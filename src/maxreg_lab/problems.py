@@ -44,7 +44,6 @@ from .norms import (
 from .picard import (
     FixedPointProblem,
     PicardCertificate,
-    _lipschitz_bound,
     run_picard,
 )
 from .spectral import (
@@ -562,7 +561,7 @@ def _pair_denominator(
 
 def measured_lipschitz_M(prob: NlheProblem | NsProblem, *, seed: int = 0) -> float:
     """Contraction constant of the problem's Duhamel map from sampled pairs,
-    with :func:`picard._lipschitz_bound`'s 1.5x safety factor."""
+    with :func:`_lipschitz_bound`'s 1.5x safety factor."""
     return _sampled_constants(prob, None, seed=seed)[0]
 
 
@@ -603,6 +602,32 @@ def _sampled_constants(
             c1 = max(c1, _bootstrap_ratio(prob, bootstrap_p, fu, fv, boot))
         del fu, fv  # before the next pair is drawn
     return _lipschitz_bound(ratios, amplitudes), c1
+
+
+def _lipschitz_bound(ratios: list[float], amplitudes: list[float]) -> float:
+    """Empirical constant for ``||F(u)-F(v)|| <= M ||u-v|| (||u||**e + ||v||**e)``
+    from the ratios sampled on nondegenerate pairs and the pairs' amplitudes.
+
+    Returns the max ratio times a 1.5 safety factor; a NaN ratio makes it
+    NaN.  This is a sampled lower bound dressed up for gate use, not a
+    proof.  When the ratios grow systematically as the pair amplitude
+    shrinks — the signature of a misspecified exponent, e.g. a linear map
+    probed with ``epsilon > 0`` — a warning is emitted.
+    """
+    if not ratios:
+        raise ValueError("no usable sample pairs (all degenerate)")
+    if len(ratios) >= 4:
+        la = np.log(np.asarray(amplitudes))
+        lr = np.log(np.maximum(np.asarray(ratios), 1e-300))
+        if np.ptp(la) > 0:
+            slope = float(np.polyfit(la, lr, 1)[0])
+            if slope < -0.5:
+                warnings.warn(
+                    "ratio grows as amplitude shrinks; nonlinearity exponent "
+                    "may be misspecified",
+                    stacklevel=3,
+                )
+    return float(np.max(ratios)) * 1.5
 
 
 def _bootstrap_denominator(

@@ -391,10 +391,11 @@ class _CoefficientArithmetic:
     when every operand already holds it and the operands and the result
     share a layout, so a sum, difference or real multiple of transformed
     states needs no transform of its own.
-    ``dataclasses.replace`` builds an instance without it.  A state is
-    written in place only by :meth:`_add_in_place`, on behalf of its only
-    holder and before it is handed out, and that drops every cached view
-    the write would leave stale.
+    ``dataclasses.replace`` builds an instance without it.  Like numpy's,
+    ``+=`` and ``-=`` write into the state they are given when both
+    operands are half spectra of one shape, and drop every cached view the
+    write would leave stale; the package applies them only to a state it
+    has just built with ``+`` or ``-``, before it is handed out.
     """
 
     def _store(self, coefficients: np.ndarray, lead: tuple[int, ...]) -> None:
@@ -484,44 +485,35 @@ class _CoefficientArithmetic:
         self._check_compatible(other)
         return self._linear(operator.sub, other)
 
-    def _plus_minus(self, plus, minus):
-        """``self + plus - minus`` in one new array, added before subtracted."""
-        for other in (plus, minus):
-            self._check_compatible(other)
-        return self._linear(lambda x, y, z: operator.isub(x + y, z), plus, minus)
+    def _in_place(self, op: np.ufunc, other):
+        """``op(self, other)`` written into this state's arrays when both are
+        half spectra of one shape; a new state otherwise (a full-layout
+        result may be stored half by the constructor).
 
-    def _minus_minus(self, first, second):
-        """``self - first - second``, subtracted left to right: in one new
-        array when the three share a layout, as two differences otherwise."""
-        for other in (first, second):
-            self._check_compatible(other)
-        if not self.spectrum.shape == first.spectrum.shape == second.spectrum.shape:
-            return self - first - second
-        return self._linear(lambda x, y, z: operator.isub(x - y, z), first, second)
-
-    def _add_in_place(self, other):
-        """``other + self``, written into this state's arrays when both are
-        half spectra of one shape; ``other + self`` as a new state otherwise
-        (a full-layout sum may be stored half by the constructor).
-
-        Only for a state that its caller alone holds and has handed to no
-        one.  Its samples have ``other``'s added when both hold them and
-        are dropped otherwise, as ``+`` carries them; every other cached
-        view (the node energy, a trajectory's ``max_divergence``) is
-        dropped.  IEEE addition commutes, so every bit is that of ``other + self``.
+        Its samples are combined with ``other``'s when both hold them and
+        are dropped otherwise, as ``+`` and ``-`` carry them; every other
+        cached view (the node energy, a trajectory's ``max_divergence``) is
+        dropped.
         """
         self._check_compatible(other)
         if other.spectrum.shape != self.spectrum.shape or not _is_half(self.spectrum, self.grid):
-            return other + self
+            return self._linear(op, other)
         cached = vars(self)
-        samples = cached.get("_samples") if "_samples" in vars(other) else None
+        # both read before the drop: ``other`` may be this state
+        samples, other_samples = cached.get("_samples"), vars(other).get("_samples")
         for name in set(cached) - {f.name for f in dataclasses.fields(self)}:
             del cached[name]
-        np.add(self.spectrum, other.spectrum, out=self.spectrum)
-        if samples is not None:
-            samples += other.samples
+        op(self.spectrum, other.spectrum, out=self.spectrum)
+        if samples is not None and other_samples is not None:
+            op(samples, other_samples, out=samples)
             cached["_samples"] = samples
         return self
+
+    def __iadd__(self, other):
+        return self._in_place(np.add, other)
+
+    def __isub__(self, other):
+        return self._in_place(np.subtract, other)
 
     def __mul__(self, scalar: complex):
         if isinstance(scalar, numbers.Real):

@@ -11,6 +11,7 @@ the formula it replaced, kept here as the reference.
 """
 
 import gc
+import operator
 import weakref
 from dataclasses import replace
 
@@ -180,7 +181,10 @@ class TestStateEnergy:
         for holding in ((a, u), (a, f, u)):
             for x in holding:
                 x.samples
-            got, want = a._plus_minus(f, u), a + f - u
+            got = total = a + f
+            got -= u
+            want = a + f - u
+            assert got is total
             assert np.array_equal(got.spectrum, want.spectrum)
             assert ("_samples" in vars(got)) == ("_samples" in vars(want))
             assert np.array_equal(got.samples, want.samples)
@@ -320,22 +324,38 @@ class TestZeroMapOncePerSweep:
 
 
 class Plain:
-    """A trajectory behind the generic state interface only (``+``, ``-``
-    and ``*``), so ``run_picard`` takes its generic path on it: ``a + F(u)
-    - u``, ``u + change`` and ``u - a - F(u)`` as new states, and the base
-    itself as the first iterate."""
+    """A trajectory behind ``+``, ``-`` and ``*`` only, so each ``-=`` and
+    ``+=`` of ``run_picard`` on it forms a new state: ``a + F(u) - u``,
+    ``change + u`` and ``u - a - F(u)``."""
 
     def __init__(self, traj):
         self.traj = traj
 
     def __add__(self, other):
-        return Plain(self.traj + other.traj)
+        return type(self)(self.traj + other.traj)
 
     def __sub__(self, other):
-        return Plain(self.traj - other.traj)
+        return type(self)(self.traj - other.traj)
 
     def __mul__(self, scalar):
-        return Plain(self.traj * scalar)
+        return type(self)(self.traj * scalar)
+
+
+class Counted(Plain):
+    """:class:`Plain` with ``+=`` and ``-=`` written through the
+    trajectory's own, each call counted."""
+
+    calls = 0
+
+    def __iadd__(self, other):
+        Counted.calls += 1
+        self.traj += other.traj
+        return self
+
+    def __isub__(self, other):
+        Counted.calls += 1
+        self.traj -= other.traj
+        return self
 
 
 def picard_problems(prob, base):
@@ -362,7 +382,7 @@ def ns_problem(grid):
 class TestIterateInPlace:
     """The next iterate is written into the step's own array, the residual
     is one new array, and the base keeps no samples; every bit is that of
-    the generic path."""
+    ``+`` and ``-`` alone."""
 
     @pytest.fixture(params=["ns-16^2", "ns-4^2", "nlhe-16^2"])
     def prob(self, request):
@@ -375,7 +395,7 @@ class TestIterateInPlace:
 
     @pytest.mark.parametrize("routed", [False, True], ids=["from-base", "from-start"])
     def test_bits_of_the_generic_path(self, prob, routed):
-        """Certificate and solution equal the generic path's, from the base
+        """Certificate and solution equal those over :class:`Plain`, from the base
         and from a start that carries the base's samples (route two of the
         uniqueness run)."""
         a = heat_extension(prob.u0, prob.time_grid)
@@ -391,38 +411,61 @@ class TestIterateInPlace:
         assert np.array_equal(u.samples, w.traj.samples)
 
     def test_full_layout_change_takes_the_new_state(self, monkeypatch):
-        """At 4 points per axis the iterate and the step differ in layout:
-        the step is not written, and ``u + change`` is formed as before."""
+        """At 4 points per axis the iterate is full-layout and the step half:
+        neither ``-=`` nor ``+=`` of a step writes, each forms a new state."""
         written = []
-        add = spectral._CoefficientArithmetic._add_in_place
+        in_place = spectral._CoefficientArithmetic._in_place
 
-        def recorded(self, other):
-            out = add(self, other)
+        def recorded(self, op, other):
+            out = in_place(self, op, other)
             written.append(out is self)
             return out
 
-        monkeypatch.setattr(spectral._CoefficientArithmetic, "_add_in_place", recorded)
+        monkeypatch.setattr(spectral._CoefficientArithmetic, "_in_place", recorded)
         prob = ns_problem(TorusGrid(2, 4))
         direct, plain = picard_problems(prob, heat_extension(prob.u0, prob.time_grid))
         u, cert = run_picard(direct, 12, 1e-12, lipschitz_M=0.01)
         w, want = run_picard(plain, 12, 1e-12, lipschitz_M=0.01)
-        assert written and not any(written)
+        steps = written[: 2 * cert.iterations]
+        assert len(written) == len(steps) + 1 and steps and not any(steps)
         assert cert == want and np.array_equal(u.spectrum, w.traj.spectrum)
 
+    def test_in_place_operators_counted(self, prob):
+        """A state with ``+=`` and ``-=`` has them applied twice per step
+        and once for the residual, and gets the certificate of one without."""
+        a = heat_extension(prob.u0, prob.time_grid)
+        _, plain = picard_problems(prob, a)
+        counted = replace(
+            plain, base=Counted(plain.base.traj), map_F=lambda w: Counted(prob.rhs(w.traj))
+        )
+        Counted.calls = 0
+        _, cert = run_picard(counted, 12, 1e-12, lipschitz_M=0.01)
+        _, want = run_picard(plain, 12, 1e-12, lipschitz_M=0.01)
+        assert Counted.calls == 2 * cert.iterations + 1
+        assert cert == want and cert.converged
+
     def test_handed_out_iterates_are_never_written(self, prob):
-        handed = []
-
-        def keep(_k, traj):
-            handed.append((traj, traj.spectrum.copy(), vars(traj).get("_samples").copy()))
-
+        """Neither the base, a given start nor any iterate handed to the
+        callback is written by the run."""
         a = heat_extension(prob.u0, prob.time_grid)
         direct, _ = picard_problems(prob, a)
-        _, cert = run_picard(direct, 12, 1e-12, lipschitz_M=0.01, iterate_callback=keep)
-        assert len(handed) == cert.iterations + 1 > 2
-        assert len({id(traj) for traj, _, _ in handed}) == len(handed)
-        for traj, spectrum, samples in handed:
-            assert np.array_equal(traj.spectrum, spectrum)
-            assert np.array_equal(traj.samples, samples)
+        for start in (None, a * 1.001):
+            handed = []
+
+            def keep(_k, traj):
+                handed.append((traj, traj.spectrum.copy(), vars(traj).get("_samples").copy()))
+
+            given = [(x, x.spectrum.copy()) for x in (a, start) if x is not None]
+            _, cert = run_picard(
+                direct, 12, 1e-12, lipschitz_M=0.01, start=start, iterate_callback=keep
+            )
+            assert len(handed) == cert.iterations + 1 > 2
+            assert len({id(traj) for traj, _, _ in handed}) == len(handed)
+            for traj, spectrum, samples in handed:
+                assert np.array_equal(traj.spectrum, spectrum)
+                assert np.array_equal(traj.samples, samples)
+            for x, spectrum in given:
+                assert np.array_equal(x.spectrum, spectrum)
 
     def test_base_keeps_no_samples(self, prob):
         """The gate's norm caches the samples on the first iterate, which
@@ -440,6 +483,51 @@ class TestIterateInPlace:
         a, f, u = (rough_stack(grid2d, 5, rng) for _ in range(3))
         for x in (a, u):
             x.samples
-        got, want = u._minus_minus(a, f), u - a - f
+        got = gap = u - a
+        got -= f
+        want = u - a - f
+        assert got is gap
         assert np.array_equal(got.spectrum, want.spectrum)
         assert "_samples" not in vars(got)
+
+
+class TestInPlaceOperators:
+    def test_state_with_itself(self, grid2d, rng):
+        """``u += u`` and ``u -= u`` give the spectrum and samples of
+        ``u + u`` and ``u - u`` bit for bit, in ``u``'s own arrays."""
+        for op, iop in ((operator.add, operator.iadd), (operator.sub, operator.isub)):
+            u = rough_stack(grid2d, 5, rng)
+            u.samples
+            want = op(u, u)
+            got = iop(u, u)
+            assert got is u
+            assert np.array_equal(got.spectrum, want.spectrum)
+            assert "_samples" in vars(got)
+            assert np.array_equal(got.samples, want.samples)
+
+    @pytest.mark.parametrize(
+        "layouts", [("full", "full"), ("half", "full"), ("full", "half")], ids="-".join
+    )
+    def test_full_or_mixed_layout_forms_a_new_state(self, layouts, rng):
+        """Unless both operands are half spectra of one shape, ``+=`` returns
+        ``x + y`` as a new state and leaves ``x`` unchanged."""
+        grid, time_grid = TorusGrid(2, 8), uniform_time_grid(1.0, 3)
+        shape = (3, 2) + grid.shape
+
+        def stack(layout):
+            values = rng.standard_normal(shape)
+            if layout == "full":
+                values = values + 1j * rng.standard_normal(shape)
+            return Trajectory(time_grid, grid, scipy.fft.fftn(values, axes=(2, 3), norm="forward"))
+
+        x, y = (stack(layout) for layout in layouts)
+        widths = [8 if layout == "full" else 5 for layout in layouts]
+        assert [w.spectrum.shape[-1] for w in (x, y)] == widths
+        x.samples, y.samples
+        kept = x.spectrum.copy(), x.samples.copy()
+        got = x
+        got += y
+        want = x + y
+        assert got is not x
+        assert np.array_equal(got.spectrum, want.spectrum)
+        assert np.array_equal(x.spectrum, kept[0]) and np.array_equal(x.samples, kept[1])

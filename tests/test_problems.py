@@ -38,6 +38,7 @@ from maxreg_lab import (
 from maxreg_lab import besov_heat_norm, bochner_mixed_norm, problems
 from maxreg_lab.harness import load_config, run_experiment
 from maxreg_lab.norms import _node_spatial_norms
+from maxreg_lab.problems import _lipschitz_bound
 
 
 def scalar_data(grid, seed=0, band_limit=3):
@@ -358,6 +359,30 @@ class TestMeasuredLipschitz:
             time_grid=uniform_time_grid(1.0, 17),
         )
         assert measured_lipschitz_M(prob) > 0
+
+
+class TestLipschitzBound:
+    def test_quadratic_map_ratio_is_one(self):
+        """|u^2 - v^2| = |u - v| |u + v| with |u + v| = |u| + |v| on one sign."""
+        pairs = [(1.0, 2.0), (0.5, 0.3), (0.2, 0.9)]
+        ratios = [abs(u * u - v * v) / (abs(u - v) * (abs(u) + abs(v))) for u, v in pairs]
+        M = _lipschitz_bound(ratios, [max(u, v) for u, v in pairs])
+        assert M == pytest.approx(1.5, rel=1e-12)  # the ratio times the 1.5 safety factor
+
+    def test_no_ratios_rejected(self):
+        with pytest.raises(ValueError, match="no usable sample pairs"):
+            _lipschitz_bound([], [])
+
+    def test_linear_map_trips_trend_warning(self):
+        """A linear map probed with epsilon = 1 has ratios ~ 1/amplitude."""
+        amplitudes = [1.0, 0.1, 0.01, 0.001]
+        with pytest.warns(UserWarning, match="may be misspecified"):
+            _lipschitz_bound([0.5 / a for a in amplitudes], amplitudes)
+
+    @pytest.mark.parametrize("ratios", [[math.nan, 1.0], [1.0, math.nan]])
+    def test_nan_ratio_reaches_M(self, ratios):
+        """A NaN ratio makes ``M`` NaN wherever it sits among the pairs."""
+        assert math.isnan(_lipschitz_bound(ratios, [1.0, 0.5]))
 
 
 class TestExistenceExperiments:
