@@ -141,6 +141,8 @@ def solve_linear_duhamel(prob: LinearProblem) -> Trajectory:
     lam, f = _on_layout(_accretive_symbol(prob.operator, prob.forcing.grid), prob.forcing)
     u = np.empty_like(f)
     u[0] = 0.0
+    # one node's ``decay u_i`` and ``c0 f_i``, written in place at every step
+    step, forced = np.empty_like(f[0]), np.empty_like(f[0])
     uniform = grid.is_uniform
     for i, h in enumerate(np.diff(grid.nodes)):
         if i == 0 or not uniform:
@@ -154,8 +156,8 @@ def solve_linear_duhamel(prob: LinearProblem) -> Trajectory:
             rows = slice(1, None) if uniform else i + 1
             np.multiply(c1, f[rows], out=u[rows])
         # (c1 f_{i+1}) + (decay u_i + c0 f_i): the same bits in either order
-        step = decay * u[i]
-        step += c0 * f[i]
+        np.multiply(decay, u[i], out=step)
+        step += np.multiply(c0, f[i], out=forced)
         u[i + 1] += step
     return Trajectory(grid, prob.forcing.grid, u)
 

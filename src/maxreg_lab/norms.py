@@ -24,6 +24,7 @@ import numpy as np
 from .spectral import (
     SpectralField,
     TorusGrid,
+    _NODE_BLOCK,
     _CoefficientArithmetic,
     _energy,
     _physical_values,
@@ -51,12 +52,6 @@ __all__ = [
     "nlhe_scaling_law",
     "ns_scaling_law",
 ]
-
-
-#: Time nodes of a heat extension that :func:`besov_heat_norm` samples at
-#: once (a 514-node extension of a 16^3 vector field would otherwise hold
-#: about 100 MB of coefficients and samples).
-_HEAT_NODE_BLOCK = 32
 
 
 class DivergentNormError(ArithmeticError):
@@ -282,7 +277,9 @@ def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
             elif q == 3:
                 # elementwise, not a dot product: a batched reduction then agrees
                 # bit for bit with the same field's own
-                total = np.sum(mag_sq * np.sqrt(mag_sq), axis=-1)
+                root = np.sqrt(mag_sq)
+                root *= mag_sq
+                total = np.sum(root, axis=-1)
             else:
                 # a row whose largest |u|**q leaves the normal range is not
                 # summed: its 0 sends it to the scaled pass below
@@ -412,13 +409,15 @@ def _heat_node_norms(u0: SpectralField, time_grid: TimeGrid, q: float) -> np.nda
     """Nodal ``L^q`` norms of :func:`heat_extension`, equal to
     ``_node_spatial_norms(heat_extension(u0, time_grid), q)``.
 
-    The extension is built and sampled ``_HEAT_NODE_BLOCK`` nodes at a
-    time, so only one block of it is ever held.
+    The extension is built and sampled ``_NODE_BLOCK`` nodes at a time, the
+    block of the nonlinear maps, so only one block of it is ever held (a
+    514-node extension of a 16^3 vector field would otherwise hold about
+    100 MB of coefficients and samples).
     """
     damp = _heat_damping(time_grid, u0)
     norms = []
-    for start in range(0, len(damp), _HEAT_NODE_BLOCK):
-        block = u0.spectrum[np.newaxis] * damp[start : start + _HEAT_NODE_BLOCK, np.newaxis]
+    for start in range(0, len(damp), _NODE_BLOCK):
+        block = u0.spectrum[np.newaxis] * damp[start : start + _NODE_BLOCK, np.newaxis]
         norms.append(_lq_magnitude(_physical_values(block, u0.grid), u0.grid, q))
     return np.concatenate(norms)
 

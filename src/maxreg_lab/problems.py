@@ -536,8 +536,9 @@ def _sample_trajectory_pairs(
                 divergence_free=prob.divergence_free,
             )
             traj = heat_extension(f, prob.time_grid)
-            fields.append(traj * (scale / prob.norm(traj)))
-            del traj  # the unscaled extension
+            traj *= scale / prob.norm(traj)  # in the arrays the norm transformed
+            fields.append(traj)
+            del traj  # the list the consumer may empty holds the only reference
         yield fields
 
 

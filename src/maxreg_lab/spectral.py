@@ -24,7 +24,9 @@ Products (tensor divergence, momentum forcing, pointwise powers) are
 formed in physical space with two-thirds dealiasing applied before and
 after; the product spectra are differentiated (and Leray-projected) by one
 contraction with a per-mode kernel of the layout.  Every operator takes a
-single field or a ``norms.Trajectory`` and acts on every time node at once.
+single field or a ``norms.Trajectory`` and acts on every time node; the
+nonlinear maps form, transform and contract the products of a block of
+``_NODE_BLOCK`` nodes at a time, into one output spectrum.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numbers
 import operator
 from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 import numpy as np
 import scipy.fft
@@ -72,6 +74,10 @@ _HERMITIAN_BLOCK = 1 << 16
 #: which a field counts as dealiased already (the rounding of a band-limited
 #: field).
 _MASK_TOL = 1e-14
+
+#: Time nodes of a trajectory whose products a nonlinear map forms,
+#: transforms and contracts at once (:func:`_node_blocks`).
+_NODE_BLOCK = 8
 
 #: A single field or a time-node stack; the operators that accept either
 #: work over stored arrays shaped ``(..., m) + layout shape``.
@@ -393,9 +399,11 @@ class _CoefficientArithmetic:
     states needs no transform of its own.
     ``dataclasses.replace`` builds an instance without it.  Like numpy's,
     ``+=`` and ``-=`` write into the state they are given when both
-    operands are half spectra of one shape, and drop every cached view the
-    write would leave stale; the package applies them only to a state it
-    has just built with ``+`` or ``-``, before it is handed out.
+    operands are half spectra of one shape, and ``*=`` when the state is a
+    half spectrum and the scalar real; each writes the spectrum and the
+    cached samples and drops every other cached view the write would leave
+    stale.  The package applies them only to a state it has just built,
+    before it is handed out.
     """
 
     def _store(self, coefficients: np.ndarray, lead: tuple[int, ...]) -> None:
@@ -486,24 +494,34 @@ class _CoefficientArithmetic:
         return self._linear(operator.sub, other)
 
     def _in_place(self, op: np.ufunc, other):
-        """``op(self, other)`` written into this state's arrays when both are
-        half spectra of one shape; a new state otherwise (a full-layout
-        result may be stored half by the constructor).
+        """``op(self, other)``, for a state or a real scalar ``other``, written
+        into this state's arrays when this state is a half spectrum and
+        ``other`` a scalar or a half spectrum of its shape; a new state
+        otherwise (a full-layout result may be stored half by the
+        constructor).
 
-        Its samples are combined with ``other``'s when both hold them and
-        are dropped otherwise, as ``+`` and ``-`` carry them; every other
-        cached view (the node energy, a trajectory's ``max_divergence``) is
-        dropped.
+        Its samples are combined with ``other``'s (or the scalar) when both
+        hold them and are dropped otherwise, as ``+``, ``-`` and real ``*``
+        carry them; every other cached view (the node energy, a trajectory's
+        ``max_divergence``) is dropped.
         """
-        self._check_compatible(other)
-        if other.spectrum.shape != self.spectrum.shape or not _is_half(self.spectrum, self.grid):
-            return self._linear(op, other)
+        real = isinstance(other, numbers.Real)  # a real multiple keeps the layout
+        if not real:
+            self._check_compatible(other)
+            if other.spectrum.shape != self.spectrum.shape:
+                return self._linear(op, other)
+        if not _is_half(self.spectrum, self.grid):
+            return self._linear(lambda c: op(c, other)) if real else self._linear(op, other)
         cached = vars(self)
         # both read before the drop: ``other`` may be this state
-        samples, other_samples = cached.get("_samples"), vars(other).get("_samples")
+        samples = cached.get("_samples")
+        if real:
+            operand = other_samples = other
+        else:
+            operand, other_samples = other.spectrum, vars(other).get("_samples")
         for name in set(cached) - {f.name for f in dataclasses.fields(self)}:
             del cached[name]
-        op(self.spectrum, other.spectrum, out=self.spectrum)
+        op(self.spectrum, operand, out=self.spectrum)
         if samples is not None and other_samples is not None:
             op(samples, other_samples, out=samples)
             cached["_samples"] = samples
@@ -514,6 +532,11 @@ class _CoefficientArithmetic:
 
     def __isub__(self, other):
         return self._in_place(np.subtract, other)
+
+    def __imul__(self, scalar: complex):
+        if isinstance(scalar, numbers.Real):
+            return self._in_place(np.multiply, scalar)
+        return self * scalar  # a complex multiple is full: a new state
 
     def __mul__(self, scalar: complex):
         if isinstance(scalar, numbers.Real):
@@ -725,49 +748,53 @@ def _odd_input(u: _FieldOrStack) -> np.ndarray:
     return u.coefficients
 
 
-def _dealiased_samples(u: _FieldOrStack) -> np.ndarray:
-    """Physical samples of ``u`` with the modes outside the dealias mask dropped.
+def _node_blocks(stored: np.ndarray, grid: TorusGrid) -> list[tuple[slice, ...]]:
+    """Indices of ``_NODE_BLOCK`` consecutive time nodes of a stored array,
+    covering it; a single field, which has no node axis, is one block."""
+    if stored.ndim == grid.dimension + 1:
+        return [()]
+    return [(slice(s, s + _NODE_BLOCK),) for s in range(0, len(stored), _NODE_BLOCK)]
 
-    A field already inside the mask, up to ``_MASK_TOL``, gives its cached
-    ``samples``; any other is masked and transformed.  The dropped modes
-    are the union over the axes of the slab where that axis runs through
-    the dropped block.
+
+def _dealiased_blocks(
+    u: _FieldOrStack, cached: bool = True
+) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
+    """Each node block's index (:func:`_node_blocks`) and the physical samples
+    of ``u`` there with the modes outside the dealias mask dropped.
+
+    With ``cached``, a field already inside the mask, up to ``_MASK_TOL``,
+    gives blocks of its cached ``samples``; any other is masked and
+    transformed one block at a time.  The dropped modes are the union over
+    the axes of the slab where that axis runs through the dropped block.
     """
     grid = u.grid
     stored = u.spectrum
     layout = grid.layout(stored)
     n = grid.dimension
     slabs = [(axis, grid._dealias_dropped) for axis in range(n - 1)] + [(n - 1, layout.dealias_last)]
-    if _negligible(u, slabs):
-        return u.samples
-    return _physical_values(stored * layout.dealias_mask, grid)
+    samples = u.samples if cached and _negligible(u, slabs) else None
+    for index in _node_blocks(stored, grid):
+        if samples is not None:
+            yield index, samples[index]
+        else:
+            yield index, _physical_values(stored[index] * layout.dealias_mask, grid)
 
 
-def _product_spectra(u: _FieldOrStack, v: _FieldOrStack, shifted: bool = False) -> np.ndarray:
-    """Fourier arrays of the dealiased products ``u_i v_j`` in
-    :func:`_product_slots` order, shaped ``(..., slots) + layout shape``.
+def _product_spectra(
+    u_phys: np.ndarray, v_phys: np.ndarray, grid: TorusGrid, symmetric: bool, shifted: bool
+) -> np.ndarray:
+    """Fourier arrays of the products ``u_i v_j`` of dealiased samples in
+    :func:`_product_slots` order, shaped ``(..., slots) + layout shape``,
+    transformed in one stacked call.
 
-    The products are formed in physical space from dealiased samples and
-    transformed in one stacked call.  When ``v`` is ``u`` itself it is not
-    transformed again, and only the products with ``i <= j`` are formed; a
-    ``u`` inside the dealias mask then gives its cached samples.  With
-    ``shifted`` (``v`` is ``u``) they are the products of
+    With ``symmetric`` (``v`` is ``u``) only the products with ``i <= j``
+    are formed.  With ``shifted`` as well they are the products of
     ``u (x) u - u_n**2 I``: the last slot ``u_n u_n`` is dropped and each
     other diagonal slot holds ``u_k**2 - u_n**2``.
     """
-    u._check_compatible(v)
-    grid = u.grid
     n = grid.dimension
-    if u.components != n:
-        raise ValueError("tensor divergence expects one component per dimension")
     space = (slice(None),) * n
-    if v is u:
-        u_phys = v_phys = _dealiased_samples(u)
-    else:
-        u_phys, v_phys = (
-            _physical_values(w.spectrum * grid.layout(w.spectrum).dealias_mask, grid) for w in (u, v)
-        )
-    rows, cols = _product_slots(n, symmetric=v is u)
+    rows, cols = _product_slots(n, symmetric)
     if shifted:
         rows, cols = rows[:-1], cols[:-1]
     # one multiply per pair into a stacked array (a fancy-indexed product
@@ -786,18 +813,56 @@ def _product_spectra(u: _FieldOrStack, v: _FieldOrStack, shifted: bool = False) 
     return _fourier_coefficients(products, grid)
 
 
-def _contract(kernel: np.ndarray, products: np.ndarray) -> np.ndarray:
+def _contract(kernel: np.ndarray, products: np.ndarray, out: np.ndarray) -> None:
     """``i sum_s R[k, s] m_s`` per mode for a layout kernel ``R`` and product
-    spectra ``m`` shaped ``(..., slots) + layout shape``: one real pass over
+    spectra ``m`` shaped ``(..., slots) + layout shape``, written into the
+    contiguous ``out`` shaped ``(..., n) + layout shape``: one real pass over
     the float view of the spectra, then the factor ``i``."""
     n, slots = kernel.shape[:2]
     space = products.shape[2 - kernel.ndim :]
     lead = products.shape[: -len(space) - 1]
     floats = 2 * math.prod(space)  # per slot, explicit: there may be no slots
     parts = products.view(np.float64).reshape(lead + (slots, floats))
-    out = np.einsum("ksq,...sq->...kq", kernel.reshape(n, slots, floats), parts)
-    out = out.view(np.complex128).reshape(lead + (n,) + space)
+    written = out.view(np.float64).reshape(lead + (n, floats))
+    np.einsum("ksq,...sq->...kq", kernel.reshape(n, slots, floats), parts, out=written)
     out *= 1j
+
+
+def _divergence_of_products(
+    u: _FieldOrStack, v: _FieldOrStack, shifted: bool = False
+) -> np.ndarray:
+    """The contraction (:func:`_contract`) of the dealiased product spectra
+    of ``u (x) v`` with the layout's divergence kernel, or, with ``shifted``
+    (``v`` is ``u``), of ``u (x) u - u_n**2 I`` with its forcing kernel.
+
+    The products are formed, transformed and contracted one node block at
+    a time (:func:`_node_blocks`), each block into its rows of one output
+    spectrum, so no product stack or product spectrum of a whole trajectory
+    exists.  When ``v`` is ``u`` itself it is not transformed again, and a
+    ``u`` inside the dealias mask gives blocks of its cached samples.
+    """
+    u._check_compatible(v)
+    grid = u.grid
+    n = grid.dimension
+    if u.components != n:
+        raise ValueError("tensor divergence expects one component per dimension")
+    symmetric = v is u
+    # real samples give real products, whose spectra are half
+    half = _is_half(u.spectrum, grid) and _is_half(v.spectrum, grid)
+    lead = u.spectrum.shape[: -(n + 1)]
+    out = np.empty(lead + (n,) + (grid.half_shape if half else grid.shape), dtype=np.complex128)
+    layout = grid.layout(out)
+    if shifted:
+        kernel = layout.forcing_kernel
+    else:
+        kernel = layout.symmetric_divergence_kernel if symmetric else layout.divergence_kernel
+    if symmetric:
+        blocks = ((index, w, w) for index, w in _dealiased_blocks(u))
+    else:
+        pairs = zip(_dealiased_blocks(u, cached=False), _dealiased_blocks(v, cached=False))
+        blocks = ((index, wu, wv) for (index, wu), (_, wv) in pairs)
+    for index, u_phys, v_phys in blocks:
+        _contract(kernel, _product_spectra(u_phys, v_phys, grid, symmetric, shifted), out[index])
     return out
 
 
@@ -806,13 +871,11 @@ def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
 
     The tensor product is formed in physical space with dealiasing before
     and after (:func:`_product_spectra`), then differentiated by one
-    contraction with the layout's divergence kernel.  The result is zero
-    outside the dealias mask.
+    contraction with the layout's divergence kernel, one node block at a
+    time (:func:`_divergence_of_products`).  The result is zero outside the
+    dealias mask.
     """
-    products = _product_spectra(u, v)
-    layout = u.grid.layout(products)
-    kernel = layout.symmetric_divergence_kernel if v is u else layout.divergence_kernel
-    return replace(u, coefficients=_contract(kernel, products))
+    return replace(u, coefficients=_divergence_of_products(u, v))
 
 
 def momentum_forcing(u: _FieldOrStack) -> _FieldOrStack:
@@ -825,8 +888,7 @@ def momentum_forcing(u: _FieldOrStack) -> _FieldOrStack:
     Leray projector and sign in one array).  The result is zero outside the
     dealias mask.
     """
-    products = _product_spectra(u, u, shifted=True)
-    return replace(u, coefficients=_contract(u.grid.layout(products).forcing_kernel, products))
+    return replace(u, coefficients=_divergence_of_products(u, u, shifted=True))
 
 
 def pointwise_power_nonlinearity(
@@ -836,7 +898,10 @@ def pointwise_power_nonlinearity(
 
     ``signed`` produces ``|u|**(nu-1) * u`` and ``unsigned`` produces
     ``|u|**nu``.  A field stored in the full layout is not real and is
-    rejected; one inside the dealias mask gives its cached samples.
+    rejected; one inside the dealias mask gives its cached samples.  The
+    powers are formed, transformed and masked one node block at a time
+    (:func:`_dealiased_blocks`), each block into its rows of one output
+    spectrum.
     """
     if u.components != 1:
         raise ValueError("pointwise power expects a scalar field")
@@ -847,10 +912,12 @@ def pointwise_power_nonlinearity(
     grid = u.grid
     if not _is_half(u.spectrum, grid):
         raise ValueError("field is not real: conjugate symmetry is broken")
-    values = _dealiased_samples(u)
-    if variant == "signed":
-        w = np.abs(values) ** (nu - 1.0) * values
-    else:
-        w = np.abs(values) ** nu
-    coeff = _fourier_coefficients(w, grid)
-    return replace(u, coefficients=coeff * grid.layout(coeff).dealias_mask)
+    out = np.empty(u.spectrum.shape, dtype=np.complex128)
+    mask = grid.layout(out).dealias_mask
+    for index, values in _dealiased_blocks(u):
+        if variant == "signed":
+            w = np.abs(values) ** (nu - 1.0) * values
+        else:
+            w = np.abs(values) ** nu
+        np.multiply(_fourier_coefficients(w, grid), mask, out=out[index])
+    return replace(u, coefficients=out)

@@ -10,21 +10,25 @@ from maxreg_lab import (
     apply_multiplier,
     constant_multiplier,
     divergence,
+    heat_extension,
     heat_semigroup_apply,
     helmholtz_project,
     laplacian_multiplier,
+    momentum_forcing,
     pointwise_power_nonlinearity,
+    random_mean_free_field,
     resolvent_scalar_multiplier,
     sector_multiplier,
     spatial_lq_norm,
     tensor_divergence,
     uniform_time_grid,
 )
+from maxreg_lab import spectral
 from maxreg_lab.norms import _node_spatial_norms
 
 
-def random_trajectory(grid, rng, components, mean_free=False):
-    time_grid = uniform_time_grid(1.0, 3)
+def random_trajectory(grid, rng, components, mean_free=False, nodes=3):
+    time_grid = uniform_time_grid(1.0, nodes)
     spatial = tuple(range(1, grid.dimension + 1))
     fields = []
     for _ in range(time_grid.num_nodes):
@@ -139,3 +143,85 @@ def test_nodewise_norm_on_long_stacks(rng, shape, q):
     u = Trajectory(uniform_time_grid(1.0, nodes), grid, coefficients)
     expected = [spatial_lq_norm(u.state(i), q) for i in range(nodes)]
     np.testing.assert_allclose(_node_spatial_norms(u, q), expected, rtol=1e-15, atol=0)
+
+
+# -- node blocks of the nonlinear maps ---------------------------------
+
+BLOCK = spectral._NODE_BLOCK
+#: a trajectory has at least two nodes; a single field, the one-node case,
+#: is each per-node reference
+NODE_COUNTS = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+MAPS = {
+    # (components: vector or scalar, map of two operands)
+    "momentum_forcing": ("vector", lambda u, v: momentum_forcing(u)),
+    "tensor_divergence-uu": ("vector", lambda u, v: tensor_divergence(u, u)),
+    "tensor_divergence-uv": ("vector", tensor_divergence),
+    "power-signed": ("scalar", lambda u, v: pointwise_power_nonlinearity(u, 2.5, "signed")),
+    "power-unsigned": ("scalar", lambda u, v: pointwise_power_nonlinearity(u, 3.0, "unsigned")),
+}
+
+
+def map_operands(grid, rng, kind, nodes, band_limited):
+    """Two real trajectories of ``nodes`` nodes: random samples at every
+    node (the masked transform path) or a heat flow inside the dealias
+    mask (the cached samples path)."""
+    components = grid.dimension if kind == "vector" else 1
+    if not band_limited:
+        return [random_trajectory(grid, rng, components, nodes=nodes) for _ in range(2)]
+    time_grid = uniform_time_grid(0.5, nodes)
+    return [
+        heat_extension(
+            random_mean_free_field(
+                grid,
+                seed=3,
+                stream=s,
+                components=components,
+                band_limit=2,
+                divergence_free=kind == "vector",
+            ),
+            time_grid,
+        )
+        for s in range(2)
+    ]
+
+
+@pytest.mark.parametrize("band_limited", [False, True], ids=["rough", "band-limited"])
+@pytest.mark.parametrize("nodes", NODE_COUNTS)
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_maps_equal_their_nodes_at_every_block_count(grid, rng, name, nodes, band_limited):
+    """Each map of a trajectory equals the map of each of its nodes (a
+    single field, which has no node axis), stacked, bit for bit, whether
+    the nodes fill their last block or not."""
+    kind, op = MAPS[name]
+    u, v = map_operands(grid, rng, kind, nodes, band_limited)
+    assert_nodewise(op, u, v)
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_maps_do_not_depend_on_the_block_size(grid3d, rng, name, monkeypatch):
+    """One node per block, or every node in one block, gives the bits of
+    the module's block size."""
+    kind, op = MAPS[name]
+    u, v = map_operands(grid3d, rng, kind, 2 * BLOCK + 3, band_limited=False)
+    want = op(u, v).spectrum
+    for size in (1, 4 * BLOCK):
+        monkeypatch.setattr(spectral, "_NODE_BLOCK", size)
+        assert np.array_equal(op(u, v).spectrum, want)
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_maps_hold_no_whole_trajectory_product_stack(grid3d, rng, name, monkeypatch):
+    """Every product stack a map transforms holds at most one block of nodes."""
+    kind, op = MAPS[name]
+    u, v = map_operands(grid3d, rng, kind, 2 * BLOCK + 3, band_limited=False)
+    sizes = []
+    forward = spectral._fourier_coefficients
+
+    def watched(values, grid):
+        sizes.append(values.shape[0])
+        return forward(values, grid)
+
+    monkeypatch.setattr(spectral, "_fourier_coefficients", watched)
+    op(u, v)
+    assert sizes == [BLOCK, BLOCK, 3]

@@ -531,3 +531,93 @@ class TestInPlaceOperators:
         assert got is not x
         assert np.array_equal(got.spectrum, want.spectrum)
         assert np.array_equal(x.spectrum, kept[0]) and np.array_equal(x.samples, kept[1])
+
+    def test_real_scale_writes_spectrum_and_samples(self, rng):
+        """``u *= r`` for a real ``r`` gives the spectrum and samples of
+        ``u * r`` bit for bit, in ``u``'s own arrays, and drops the node
+        energy and ``max_divergence``."""
+        grid = TorusGrid(2, 16)
+        u, twin = (rough_stack(grid, 5, np.random.default_rng(7)) for _ in range(2))
+        for w in (u, twin):
+            w.samples, w._node_energy, w.max_divergence
+        want = twin * 0.37
+        arrays = u.spectrum, u.samples
+        got = u
+        got *= 0.37
+        assert got is u
+        assert got.spectrum is arrays[0] and vars(got)["_samples"] is arrays[1]
+        assert np.array_equal(got.spectrum, want.spectrum)
+        assert np.array_equal(got.samples, want.samples)
+        assert "_energy" not in vars(got) and "max_divergence" not in vars(got)
+
+    def test_real_scale_without_samples_transforms_nothing(self, rng):
+        u = rough_stack(TorusGrid(2, 16), 5, rng)
+        want = u * 2.5
+        got = u
+        got *= 2.5
+        assert got is u and "_samples" not in vars(got)
+        assert np.array_equal(got.spectrum, want.spectrum)
+
+    @pytest.mark.parametrize("scalar", [0.5j, 1.0 + 0.0j], ids=["imaginary", "complex-one"])
+    def test_complex_scale_forms_a_new_state(self, scalar, rng):
+        """``u *= c`` for a complex ``c`` writes nothing: it returns ``u * c``."""
+        u = rough_stack(TorusGrid(2, 16), 5, rng)
+        u.samples
+        kept = u.spectrum.copy(), u.samples.copy()
+        got = u
+        got *= scalar
+        assert got is not u
+        assert np.array_equal(got.spectrum, (u * scalar).spectrum)
+        assert np.array_equal(u.spectrum, kept[0]) and np.array_equal(u.samples, kept[1])
+
+    def test_real_scale_of_a_full_layout_forms_a_new_state(self, rng):
+        """A full-layout state is scaled as ``u * r``: by 0 it is stored half."""
+        grid, time_grid = TorusGrid(2, 8), uniform_time_grid(1.0, 3)
+        values = rng.standard_normal((3, 2) + grid.shape) * (1 + 1j)
+        u = Trajectory(time_grid, grid, scipy.fft.fftn(values, axes=(2, 3), norm="forward"))
+        kept = u.spectrum.copy()
+        for scalar in (2.0, 0.0):
+            got = u
+            got *= scalar
+            assert got is not u
+            assert np.array_equal(got.spectrum, (u * scalar).spectrum)
+            assert np.array_equal(u.spectrum, kept)
+
+
+def temporaries_duhamel(lam, f, nodes):
+    """The recurrence ``solve_linear_duhamel`` ran before its node buffers:
+    the same operations, each into a fresh array."""
+    u = np.empty_like(f)
+    u[0] = 0.0
+    for i, h in enumerate(np.diff(nodes)):
+        z = -lam * h
+        decay = np.exp(z)
+        phi1, phi2 = _phi12(z)
+        c0, c1 = h * (phi1 - phi2), h * phi2
+        u[i + 1] = c1 * f[i + 1]
+        step = decay * u[i]
+        step += c0 * f[i]
+        u[i + 1] += step
+    return u
+
+
+@pytest.mark.parametrize(
+    "time_grid", [uniform_time_grid(2.0, 33), log_time_grid(1e-3, 2.0, 24)], ids=["uniform", "log"]
+)
+def test_duhamel_buffers_keep_the_bits(grid2d, time_grid, rng):
+    values = rng.standard_normal((time_grid.num_nodes, 2) + grid2d.shape)
+    forcing = Trajectory(time_grid, grid2d, scipy.fft.rfftn(values, axes=(2, 3), norm="forward"))
+    out = solve_linear_duhamel(LinearProblem(laplacian_multiplier(), forcing))
+    lam = grid2d.layout(forcing.spectrum).xi_sq
+    assert np.array_equal(out.spectrum, temporaries_duhamel(lam, forcing.spectrum, time_grid.nodes))
+
+
+def test_lq_magnitude_at_three_keeps_the_bits(grid3d, rng):
+    """``q = 3`` sums ``sqrt(|u|**2) * |u|**2``, formed in place, with the
+    bits of the product of two arrays."""
+    values = rng.standard_normal((5, 3) + grid3d.shape)
+    flat = values.reshape(5, 3, -1)
+    mag_sq = np.einsum("...cp,...cp->...p", flat, flat)
+    total = np.sum(mag_sq * np.sqrt(mag_sq), axis=-1)
+    expected = (total * grid3d.cell_volume) ** (1 / 3)
+    assert np.array_equal(_lq_magnitude(values, grid3d, 3.0), expected)

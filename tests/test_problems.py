@@ -593,6 +593,30 @@ class TestSharedSampling:
                 held += value if isinstance(value, list) else [value]
             assert all(any(x is w for w in pair) for x in held if isinstance(x, Trajectory))
 
+    @pytest.mark.parametrize("kind", ["signed", "ns"])
+    def test_sampler_frees_the_fields_the_consumer_drops(self, grid2d, kind):
+        """Once the consumer empties a pair's list, both trajectories are gone
+        while the sampler waits to draw the next pair."""
+        pairs = problems._sample_trajectory_pairs(self.make_problem(kind, grid2d))
+        for pair in pairs:
+            refs = [weakref.ref(w) for w in pair]
+            pair.clear()
+            assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("kind", ["signed", "ns"])
+    def test_sampled_pairs_are_scaled_extensions(self, grid2d, monkeypatch, kind):
+        """Each sampled trajectory, scaled in its own arrays by ``*=``, has the
+        spectrum and samples of ``heat_extension(f) * factor`` bit for bit."""
+        prob = self.make_problem(kind, grid2d)
+        got = [w for pair in problems._sample_trajectory_pairs(prob, seed=3) for w in pair]
+        monkeypatch.setattr(Trajectory, "__imul__", lambda self, scalar: self * scalar)
+        want = [w for pair in problems._sample_trajectory_pairs(prob, seed=3) for w in pair]
+        assert len(got) == len(want) == 8
+        for a, b in zip(got, want):
+            assert "_samples" in vars(a)
+            assert np.array_equal(a.spectrum, b.spectrum)
+            assert np.array_equal(a.samples, b.samples)
+
     @pytest.mark.parametrize("bootstrap_p", [None, 2.0])
     @pytest.mark.parametrize("kind", ["signed", "ns"])
     def test_gate_releases_each_field_once_mapped(self, grid2d, monkeypatch, kind, bootstrap_p):
