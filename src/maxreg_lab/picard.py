@@ -144,10 +144,12 @@ def run_picard(
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = prob.base
-    # The loop starts from a shallow copy of the base: what the gate's norm
-    # caches on it (a trajectory's samples) goes with that first iterate
-    # when the first step replaces it, and is not kept on the caller's base.
-    first = copy.copy(a) if start is None else a
+    # The gate measures a shallow copy of the base, with or without a
+    # ``start``: what its norm caches (a trajectory's samples) goes with
+    # that copy and is never kept on the caller's base, so the residual's
+    # ``u - a`` forms no samples.  Without a ``start`` the copy is the
+    # first iterate, which the first step replaces.
+    first = copy.copy(a)
     a_norm = prob.norm(first)
     delta, small_ok = smallness_gate(lipschitz_M, prob.epsilon, a_norm)
     if start is None and a_norm == 0.0 and prob.drift == 0.0:
@@ -158,8 +160,9 @@ def run_picard(
             lipschitz_M, delta, small_ok, 1, (0.0, 0.0), (0.0,), (), 0.0, True, False
         )
     u = first if start is None else start
+    del first  # beside a ``start``, the copy goes before the start's own norm
     norms = [a_norm if start is None else prob.norm(u)]
-    del start, first  # the iterate holds them until the first step replaces it
+    del start  # the iterate alone holds it until the first step replaces it
     diffs: list[float] = []
     factors: list[float] = []
     diverged = False

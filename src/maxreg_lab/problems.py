@@ -13,6 +13,7 @@ uniqueness bootstrap all live here.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -821,6 +822,14 @@ def _mollify_by_cutoff(
     return u0, 0.0, float(radii[-1])
 
 
+def _inflated(a: Trajectory, factor: float) -> Trajectory:
+    """``a * factor`` carrying the samples ``a.samples * factor``, scaled from
+    a copy that holds ``a``'s own transform, so ``a`` caches no samples."""
+    twin = copy.copy(a)
+    twin.samples
+    return twin * factor
+
+
 def uniqueness_bootstrap(
     prob: NlheProblem | NsProblem,
     *,
@@ -848,9 +857,9 @@ def uniqueness_bootstrap(
     lipschitz_M, c1 = _sampled_constants(prob, p, seed=seed)
     a = heat_extension(prob.u0, prob.time_grid)
     fp = FixedPointProblem(base=a, map_F=prob.rhs, norm=prob.norm, epsilon=prob.epsilon)
-    a.samples  # transformed once, for both routes and route two's start ``a * 1.001``
     u, cert_u = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M)
-    v, cert_v = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M, start=a * 1.001)
+    v, cert_v = run_picard(fp, max_iter, tol, lipschitz_M=lipschitz_M, start=_inflated(a, 1.001))
+    del fp, a  # before the probe and the walk
     routes = (cert_u, cert_v)
     if not (cert_u.converged and cert_v.converged):
         return UniquenessReport("inconclusive", routes, float("nan"), dim_ok, None)

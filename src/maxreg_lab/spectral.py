@@ -36,7 +36,7 @@ import math
 import numbers
 import operator
 from dataclasses import InitVar, dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 import numpy as np
@@ -84,13 +84,16 @@ _NODE_BLOCK = 8
 _FieldOrStack = TypeVar("_FieldOrStack", "SpectralField", "Trajectory")
 
 
+@cache
 def _product_slots(n: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
     """Operand indices ``(i, j)`` of the products ``u_i v_j`` in stack order:
     the pairs ``i <= j`` when ``v`` is ``u`` (``u_j u_i`` is ``u_i u_j``),
-    all ``n**2`` pairs otherwise."""
-    if symmetric:
-        return np.triu_indices(n)
-    return np.indices((n, n)).reshape(2, -1)
+    all ``n**2`` pairs otherwise.  Built once per ``(n, symmetric)`` and
+    read-only, as every node block of a map reads them."""
+    rows, cols = np.triu_indices(n) if symmetric else np.indices((n, n)).reshape(2, -1)
+    for index in (rows, cols):
+        index.flags.writeable = False
+    return rows, cols
 
 
 @dataclass(frozen=True)

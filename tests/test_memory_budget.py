@@ -37,6 +37,15 @@ that formed the products of all 17 nodes at once, and their spectra,
 read 2.12 units.  A sampler that keeps a reference to a pair's last
 field, or both images across pairs, fails these bounds too.
 
+The uniqueness bootstrap's peak on ``ns-unique`` (``uniqueness_bootstrap``,
+4.58 units) and route one's (the first ``run_picard``, 3.52 units) are
+bounded above the memory traced when the run started, each in a run of
+its own, as a nested call would reset the outer one's peak.  The base
+holds no samples: each route's gate caches them on a copy of it, and
+route two's start is scaled from a copy that holds them.  Caching them on
+the base, for route two's start and for both routes, read 5.08 and 4.04
+units.  Route two is not bounded: the wrapper holds its ``start``.
+
 The linear runs read their forcing ensemble one member at a time: a
 member is drawn when its solve starts and dropped when it ends, and at
 most ``threads`` solves are in flight.  Their peak is measured in units of
@@ -176,6 +185,23 @@ def test_ns_unique_phase_peaks_in_trajectories(tmp_path):
     assert len(phases["_sampled_constants"]) == 1 and phases["ns_rhs_map"]
     assert phases["_sampled_constants"][0][0] / unit <= NS_UNIQUE_SAMPLER_BOUND
     assert max(own for _, own in phases["ns_rhs_map"]) / unit <= NS_UNIQUE_MAP_BOUND
+
+
+#: bounds in units on the ``ns-unique`` case of the bootstrap's peak and of
+#: route one's, above the memory traced when the run started
+NS_UNIQUE_BOOTSTRAP_BOUNDS = {"uniqueness_bootstrap": 4.8, "run_picard": 3.8}
+
+
+@pytest.mark.parametrize("name", sorted(NS_UNIQUE_BOOTSTRAP_BOUNDS))
+def test_ns_unique_bootstrap_peaks_in_trajectories(tmp_path, name):
+    config, n, N, nodes, _ = CASES["ns-unique"]
+    phases = {name: []}
+    code, _ = traced_peak(tmp_path, config, phases)
+    assert code == 0
+    # one bootstrap; two routes, of which the first is route one
+    assert len(phases[name]) == (1 if name == "uniqueness_bootstrap" else 2)
+    peak = phases[name][0][0]
+    assert peak / trajectory_bytes(n, N, nodes) <= NS_UNIQUE_BOOTSTRAP_BOUNDS[name]
 
 
 _LINEAR = {"grid": {"points_per_axis": 32}, "time": {"num_nodes": 33}, "params": {"ensemble_size": 8}}

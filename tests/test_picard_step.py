@@ -12,6 +12,7 @@ the formula it replaced, kept here as the reference.
 
 import gc
 import operator
+import sys
 import weakref
 from dataclasses import replace
 
@@ -40,8 +41,10 @@ from maxreg_lab import (
     uniform_time_grid,
 )
 from maxreg_lab import problems, spectral
+from maxreg_lab.harness import load_config, run_experiment
 from maxreg_lab.maxreg import _phi12
 from maxreg_lab.norms import _lq_magnitude
+from test_memory_budget import CASES
 
 STACKS = [(TorusGrid(2, 64), 65), (TorusGrid(3, 16), 33)]
 STACK_IDS = ["65x64^2", "33x16^3"]
@@ -120,6 +123,19 @@ class TestContractionKernels:
         kernel = layout.forcing_kernel
         momentum_forcing(u * 0.5)
         assert grid.layout(u.spectrum).forcing_kernel is kernel
+
+    def test_product_slots_built_once(self, grid, nodes, monkeypatch):
+        """Every node block of a map reads the same read-only operand indices."""
+        n = grid.dimension
+        u = band_limited_stack(grid, nodes)
+        rows, cols = spectral._product_slots(n, True)
+        built = []
+        monkeypatch.setattr(np, "triu_indices", lambda *args: built.append(args))
+        momentum_forcing(u)
+        assert not built and spectral._product_slots(n, True)[0] is rows
+        assert not rows.flags.writeable and not cols.flags.writeable
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        assert list(zip(rows.tolist(), cols.tolist())) == pairs
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -396,14 +412,14 @@ class TestIterateInPlace:
     @pytest.mark.parametrize("routed", [False, True], ids=["from-base", "from-start"])
     def test_bits_of_the_generic_path(self, prob, routed):
         """Certificate and solution equal those over :class:`Plain`, from the base
-        and from a start that carries the base's samples (route two of the
-        uniqueness run)."""
+        and from a start that carries the base's samples times 1.001 (route
+        two of the uniqueness run)."""
         a = heat_extension(prob.u0, prob.time_grid)
         direct, plain = picard_problems(prob, a)
         start, plain_start = None, None
         if routed:
-            a.samples, plain.base.traj.samples
-            start, plain_start = a * 1.001, Plain(plain.base.traj * 1.001)
+            start = problems._inflated(a, 1.001)
+            plain_start = Plain(problems._inflated(plain.base.traj, 1.001))
         u, cert = run_picard(direct, 12, 1e-12, lipschitz_M=0.01, start=start)
         w, want = run_picard(plain, 12, 1e-12, lipschitz_M=0.01, start=plain_start)
         assert cert == want and cert.iterations > 1
@@ -478,6 +494,23 @@ class TestIterateInPlace:
             iterate_callback=lambda k, traj: seen.append(traj is a or "_samples" in vars(a)),
         )
         assert seen and not any(seen) and "_samples" not in vars(a)
+
+    def test_base_keeps_no_samples_beside_a_start(self, prob):
+        """With a ``start``, the gate's norm caches the samples on a copy
+        of the base, which goes before the start's own norm."""
+        a = heat_extension(prob.u0, prob.time_grid)
+        direct, _ = picard_problems(prob, a)
+        _, cert = run_picard(direct, 12, 1e-12, lipschitz_M=0.01, start=a * 1.001)
+        assert cert.iterations > 1 and "_samples" not in vars(a)
+
+    def test_inflated_start_carries_scaled_samples(self, prob):
+        """Route two's start holds ``a.samples * 1.001`` bit for bit, and
+        ``a`` no samples."""
+        a = heat_extension(prob.u0, prob.time_grid)
+        start = problems._inflated(a, 1.001)
+        assert "_samples" not in vars(a)
+        assert np.array_equal(start.spectrum, (a * 1.001).spectrum)
+        assert np.array_equal(vars(start)["_samples"], a.samples * 1.001)
 
     def test_residual_is_one_array(self, grid2d, rng):
         a, f, u = (rough_stack(grid2d, 5, rng) for _ in range(3))
@@ -621,3 +654,23 @@ def test_lq_magnitude_at_three_keeps_the_bits(grid3d, rng):
     total = np.sum(mag_sq * np.sqrt(mag_sq), axis=-1)
     expected = (total * grid3d.cell_volume) ** (1 / 3)
     assert np.array_equal(_lq_magnitude(values, grid3d, 3.0), expected)
+
+
+def test_only_the_walk_subtracts_samples(monkeypatch):
+    """On the ``ns-unique`` memory-budget case neither route's residual
+    ``u - a`` forms samples, as the base holds none: the one subtraction
+    that carries them is the walk's ``u - v`` of two iterates."""
+    config = CASES["ns-unique"][0]
+    carrying = []
+    sub = spectral._CoefficientArithmetic.__sub__
+
+    def recorded(self, other):
+        out = sub(self, other)
+        if "_samples" in vars(out):
+            carrying.append(sys._getframe(1).f_code.co_name)
+        return out
+
+    monkeypatch.setattr(spectral._CoefficientArithmetic, "__sub__", recorded)
+    record = run_experiment(load_config(config))
+    assert record.status == "pass"
+    assert carrying == ["_segment_walk"]
