@@ -37,7 +37,7 @@ def main():
 
     rule("The cellular flow degeneracy")
     tg = taylor_green_field(grid)
-    b = helmholtz_project(tensor_divergence(tg, tg))
+    b = helmholtz_project(tensor_divergence(tg))
     print(f"||P div(u x u)|| for the pure cellular flow: "
           f"{spatial_lq_norm(b, 2):.2e}")
     noise = random_mean_free_field(
@@ -45,7 +45,7 @@ def main():
     )
     scale = 0.3 * spatial_lq_norm(tg, 2) / spatial_lq_norm(noise, 2)
     u0 = tg + noise * scale
-    b = helmholtz_project(tensor_divergence(u0, u0))
+    b = helmholtz_project(tensor_divergence(u0))
     print(f"after adding a 30% random divergence-free perturbation: "
           f"{spatial_lq_norm(b, 2):.2e}")
     print("The perturbed field genuinely drives the quadratic term.")

@@ -85,12 +85,11 @@ _FieldOrStack = TypeVar("_FieldOrStack", "SpectralField", "Trajectory")
 
 
 @cache
-def _product_slots(n: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Operand indices ``(i, j)`` of the products ``u_i v_j`` in stack order:
-    the pairs ``i <= j`` when ``v`` is ``u`` (``u_j u_i`` is ``u_i u_j``),
-    all ``n**2`` pairs otherwise.  Built once per ``(n, symmetric)`` and
+def _product_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Operand indices ``(i, j)``, ``i <= j``, of the products ``u_i u_j`` in
+    stack order (``u_j u_i`` is ``u_i u_j``).  Built once per ``n`` and
     read-only, as every node block of a map reads them."""
-    rows, cols = np.triu_indices(n) if symmetric else np.indices((n, n)).reshape(2, -1)
+    rows, cols = np.triu_indices(n)
     for index in (rows, cols):
         index.flags.writeable = False
     return rows, cols
@@ -114,17 +113,17 @@ class _Layout:
     #: how often each last-axis column occurs in the full spectrum
     weights: np.ndarray
 
-    def _divergence_symbol(self, symmetric: bool) -> np.ndarray:
-        """Real ``R`` with ``div(u (x) v)_k = i sum_s R[k, s] m_s`` for the
+    def _divergence_symbol(self) -> np.ndarray:
+        """Real ``R`` with ``div(u (x) u)_k = i sum_s R[k, s] m_s`` for the
         dealiased product spectra ``m_s`` in :func:`_product_slots` order,
         shaped ``(n, slots) + layout shape``; zero outside the dealias mask."""
         n = self.xi.shape[0]
         dealiased_xi = self.xi * self.dealias_mask
-        rows, cols = _product_slots(n, symmetric)
+        rows, cols = _product_slots(n)
         symbol = np.zeros((n, rows.size) + self.xi_sq.shape)
         for s, (i, j) in enumerate(zip(rows, cols)):
-            symbol[j, s] += dealiased_xi[i]  # d_i (u_i v_j) in component j
-            if symmetric and i != j:
+            symbol[j, s] += dealiased_xi[i]  # d_i (u_i u_j) in component j
+            if i != j:
                 symbol[i, s] += dealiased_xi[j]  # the slot stands for u_j u_i too
         return symbol
 
@@ -134,22 +133,17 @@ class _Layout:
 
     @cached_property
     def divergence_kernel(self) -> np.ndarray:
-        """``div(u (x) v)`` from the ``n**2`` product spectra ``u_i v_j``."""
-        return np.repeat(self._divergence_symbol(symmetric=False), 2, axis=-1)
-
-    @cached_property
-    def symmetric_divergence_kernel(self) -> np.ndarray:
         """``div(u (x) u)`` from the ``n(n+1)/2`` product spectra ``u_i u_j``, ``i <= j``."""
-        return np.repeat(self._divergence_symbol(symmetric=True), 2, axis=-1)
+        return np.repeat(self._divergence_symbol(), 2, axis=-1)
 
     @cached_property
     def forcing_kernel(self) -> np.ndarray:
         """``-P div(u (x) u)`` from the ``n(n+1)/2 - 1`` product spectra of
-        ``u (x) u - u_n**2 I``: the symmetric divergence kernel with the Leray
+        ``u (x) u - u_n**2 I``: the divergence kernel with the Leray
         projector ``P = I - xi xi^T / |xi|**2`` and the sign folded in, less
         its ``(n, n)`` slot.  ``P`` removes the gradient ``div(u_n**2 I)``,
         so the dropped slot's column sums to zero up to rounding."""
-        symbol = self._divergence_symbol(symmetric=True)
+        symbol = self._divergence_symbol()
         xi_dot = np.einsum("a...,as...->s...", self.xi, symbol)
         projected = symbol - self.xi[:, np.newaxis] * (xi_dot * self.inv_xi_sq)
         return np.repeat(-projected[:, :-1], 2, axis=-1)
@@ -433,7 +427,8 @@ class _CoefficientArithmetic:
         return bool(np.all(np.abs(stored[(...,) + (0,) * n]) <= 1e-12 * np.maximum(1.0, peak)))
 
     def _check_compatible(self, other) -> None:
-        if self.grid != other.grid or self.components != other.components:
+        same_kind = type(other) is type(self)  # a field and a trajectory never mix
+        if not same_kind or self.grid != other.grid or self.components != other.components:
             raise ValueError("operands live on different grids or component counts")
 
     @property
@@ -759,23 +754,21 @@ def _node_blocks(stored: np.ndarray, grid: TorusGrid) -> list[tuple[slice, ...]]
     return [(slice(s, s + _NODE_BLOCK),) for s in range(0, len(stored), _NODE_BLOCK)]
 
 
-def _dealiased_blocks(
-    u: _FieldOrStack, cached: bool = True
-) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
+def _dealiased_blocks(u: _FieldOrStack) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
     """Each node block's index (:func:`_node_blocks`) and the physical samples
     of ``u`` there with the modes outside the dealias mask dropped.
 
-    With ``cached``, a field already inside the mask, up to ``_MASK_TOL``,
-    gives blocks of its cached ``samples``; any other is masked and
-    transformed one block at a time.  The dropped modes are the union over
-    the axes of the slab where that axis runs through the dropped block.
+    A field already inside the mask, up to ``_MASK_TOL``, gives blocks of
+    its cached ``samples``; any other is masked and transformed one block
+    at a time.  The dropped modes are the union over the axes of the slab
+    where that axis runs through the dropped block.
     """
     grid = u.grid
     stored = u.spectrum
     layout = grid.layout(stored)
     n = grid.dimension
     slabs = [(axis, grid._dealias_dropped) for axis in range(n - 1)] + [(n - 1, layout.dealias_last)]
-    samples = u.samples if cached and _negligible(u, slabs) else None
+    samples = u.samples if _negligible(u, slabs) else None
     for index in _node_blocks(stored, grid):
         if samples is not None:
             yield index, samples[index]
@@ -783,34 +776,31 @@ def _dealiased_blocks(
             yield index, _physical_values(stored[index] * layout.dealias_mask, grid)
 
 
-def _product_spectra(
-    u_phys: np.ndarray, v_phys: np.ndarray, grid: TorusGrid, symmetric: bool, shifted: bool
-) -> np.ndarray:
-    """Fourier arrays of the products ``u_i v_j`` of dealiased samples in
+def _product_spectra(u_phys: np.ndarray, grid: TorusGrid, shifted: bool) -> np.ndarray:
+    """Fourier arrays of the products ``u_i u_j`` of dealiased samples in
     :func:`_product_slots` order, shaped ``(..., slots) + layout shape``,
     transformed in one stacked call.
 
-    With ``symmetric`` (``v`` is ``u``) only the products with ``i <= j``
-    are formed.  With ``shifted`` as well they are the products of
-    ``u (x) u - u_n**2 I``: the last slot ``u_n u_n`` is dropped and each
-    other diagonal slot holds ``u_k**2 - u_n**2``.
+    With ``shifted`` they are the products of ``u (x) u - u_n**2 I``: the
+    last slot ``u_n u_n`` is dropped and each other diagonal slot holds
+    ``u_k**2 - u_n**2``.
     """
     n = grid.dimension
     space = (slice(None),) * n
-    rows, cols = _product_slots(n, symmetric)
+    rows, cols = _product_slots(n)
     if shifted:
         rows, cols = rows[:-1], cols[:-1]
     # one multiply per pair into a stacked array (a fancy-indexed product
-    # would gather both operand stacks first)
+    # would gather the operand stack twice first)
     stack = u_phys.shape[: -(n + 1)] + (rows.size,) + grid.shape
-    products = np.empty(stack, dtype=np.result_type(u_phys, v_phys))
+    products = np.empty(stack, dtype=u_phys.dtype)
     slots = [products[(Ellipsis, k) + space] for k in range(rows.size)]
     if shifted and slots:
         # u_n**2 in the last slot, (n-1, n): the loop writes it after every diagonal one
         last = u_phys[(Ellipsis, n - 1) + space]
         np.multiply(last, last, out=slots[-1])
     for out, i, j in zip(slots, rows, cols):
-        np.multiply(u_phys[(Ellipsis, i) + space], v_phys[(Ellipsis, j) + space], out=out)
+        np.multiply(u_phys[(Ellipsis, i) + space], u_phys[(Ellipsis, j) + space], out=out)
         if shifted and i == j:
             out -= slots[-1]
     return _fourier_coefficients(products, grid)
@@ -831,67 +821,52 @@ def _contract(kernel: np.ndarray, products: np.ndarray, out: np.ndarray) -> None
     out *= 1j
 
 
-def _divergence_of_products(
-    u: _FieldOrStack, v: _FieldOrStack, shifted: bool = False
-) -> np.ndarray:
+def _divergence_of_products(u: _FieldOrStack, shifted: bool = False) -> np.ndarray:
     """The contraction (:func:`_contract`) of the dealiased product spectra
-    of ``u (x) v`` with the layout's divergence kernel, or, with ``shifted``
-    (``v`` is ``u``), of ``u (x) u - u_n**2 I`` with its forcing kernel.
+    of ``u (x) u`` with the layout's divergence kernel, or, with ``shifted``,
+    of ``u (x) u - u_n**2 I`` with its forcing kernel.
 
     The products are formed, transformed and contracted one node block at
     a time (:func:`_node_blocks`), each block into its rows of one output
     spectrum, so no product stack or product spectrum of a whole trajectory
-    exists.  When ``v`` is ``u`` itself it is not transformed again, and a
-    ``u`` inside the dealias mask gives blocks of its cached samples.
+    exists.  A ``u`` inside the dealias mask gives blocks of its cached
+    samples.
     """
-    u._check_compatible(v)
-    grid = u.grid
-    n = grid.dimension
-    if u.components != n:
+    if u.components != u.grid.dimension:
         raise ValueError("tensor divergence expects one component per dimension")
-    symmetric = v is u
-    # real samples give real products, whose spectra are half
-    half = _is_half(u.spectrum, grid) and _is_half(v.spectrum, grid)
-    lead = u.spectrum.shape[: -(n + 1)]
-    out = np.empty(lead + (n,) + (grid.half_shape if half else grid.shape), dtype=np.complex128)
-    layout = grid.layout(out)
-    if shifted:
-        kernel = layout.forcing_kernel
-    else:
-        kernel = layout.symmetric_divergence_kernel if symmetric else layout.divergence_kernel
-    if symmetric:
-        blocks = ((index, w, w) for index, w in _dealiased_blocks(u))
-    else:
-        pairs = zip(_dealiased_blocks(u, cached=False), _dealiased_blocks(v, cached=False))
-        blocks = ((index, wu, wv) for (index, wu), (_, wv) in pairs)
-    for index, u_phys, v_phys in blocks:
-        _contract(kernel, _product_spectra(u_phys, v_phys, grid, symmetric, shifted), out[index])
+    # real samples give real products, whose spectra are half: ``u``'s layout
+    out = np.empty(u.spectrum.shape, dtype=np.complex128)
+    layout = u.grid.layout(out)
+    kernel = layout.forcing_kernel if shifted else layout.divergence_kernel
+    for index, u_phys in _dealiased_blocks(u):
+        _contract(kernel, _product_spectra(u_phys, u.grid, shifted), out[index])
     return out
 
 
-def tensor_divergence(u: _FieldOrStack, v: _FieldOrStack) -> _FieldOrStack:
-    """``div(u (x) v)``, the vector with components ``sum_i d_i (u_i v_j)``.
+def tensor_divergence(u: _FieldOrStack) -> _FieldOrStack:
+    """``div(u (x) u)``, the vector with components ``sum_i d_i (u_i u_j)``.
 
     The tensor product is formed in physical space with dealiasing before
-    and after (:func:`_product_spectra`), then differentiated by one
-    contraction with the layout's divergence kernel, one node block at a
-    time (:func:`_divergence_of_products`).  The result is zero outside the
-    dealias mask.
+    and after (:func:`_product_spectra`; ``u_j u_i`` is ``u_i u_j``, so
+    only the products with ``i <= j`` are formed), then differentiated by
+    one contraction with the layout's divergence kernel, one node block at
+    a time (:func:`_divergence_of_products`).  The result is zero outside
+    the dealias mask.
     """
-    return replace(u, coefficients=_divergence_of_products(u, v))
+    return replace(u, coefficients=_divergence_of_products(u))
 
 
 def momentum_forcing(u: _FieldOrStack) -> _FieldOrStack:
     """The Navier–Stokes forcing ``-P div(u (x) u)``.
 
-    Equal to ``-helmholtz_project(tensor_divergence(u, u))`` up to rounding,
+    Equal to ``-helmholtz_project(tensor_divergence(u))`` up to rounding,
     in one contraction of the product spectra of ``u (x) u - u_n**2 I``
     (``P`` removes the gradient the shift adds, so one product fewer is
     transformed) with the layout's forcing kernel (dealias mask, ``i xi``,
     Leray projector and sign in one array).  The result is zero outside the
     dealias mask.
     """
-    return replace(u, coefficients=_divergence_of_products(u, u, shifted=True))
+    return replace(u, coefficients=_divergence_of_products(u, shifted=True))
 
 
 def pointwise_power_nonlinearity(

@@ -1,5 +1,7 @@
 """The stacked operators act on a trajectory exactly as on each of its nodes."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from maxreg_lab import (
 )
 from maxreg_lab import spectral
 from maxreg_lab.norms import _node_spatial_norms
+from test_picard_step import gather_tensor_divergence
 
 
 def random_trajectory(grid, rng, components, mean_free=False, nodes=3):
@@ -56,11 +59,9 @@ def grid(request):
 class TestStackedOperators:
     def test_vector_operators(self, grid, rng):
         u = random_trajectory(grid, rng, grid.dimension)
-        v = random_trajectory(grid, rng, grid.dimension)
         assert_nodewise(divergence, u)
         assert_nodewise(helmholtz_project, u)
-        assert_nodewise(lambda a: tensor_divergence(a, a), u)
-        assert_nodewise(tensor_divergence, u, v)
+        assert_nodewise(tensor_divergence, u)
 
     def test_scalar_operators(self, grid, rng):
         u = random_trajectory(grid, rng, 1)
@@ -120,6 +121,23 @@ class TestSharedConstructor:
         with pytest.raises(ValueError, match="different grids"):
             _ = a + b
 
+    @pytest.mark.parametrize(
+        "op",
+        [operator.add, operator.sub, operator.iadd, operator.isub],
+        ids=["add", "sub", "iadd", "isub"],
+    )
+    @pytest.mark.parametrize("field_first", [False, True], ids=["traj-field", "field-traj"])
+    def test_field_and_trajectory_do_not_mix(self, grid, rng, op, field_first):
+        """A field and a trajectory, in either order, are refused before
+        any arithmetic: the left operand is left as it was."""
+        traj = random_trajectory(grid, rng, grid.dimension)
+        field = traj.state(0)
+        left, right = (field, traj) if field_first else (traj, field)
+        before = left.spectrum.copy()
+        with pytest.raises(ValueError, match="different grids"):
+            op(left, right)
+        assert np.array_equal(left.spectrum, before)
+
     def test_component_axis_is_optional(self, grid2d, rng):
         coefficients = rng.standard_normal((3,) + grid2d.shape) + 0j
         u = Trajectory(uniform_time_grid(1.0, 3), grid2d, coefficients)
@@ -153,37 +171,25 @@ BLOCK = spectral._NODE_BLOCK
 NODE_COUNTS = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 
 MAPS = {
-    # (components: vector or scalar, map of two operands)
-    "momentum_forcing": ("vector", lambda u, v: momentum_forcing(u)),
-    "tensor_divergence-uu": ("vector", lambda u, v: tensor_divergence(u, u)),
-    "tensor_divergence-uv": ("vector", tensor_divergence),
-    "power-signed": ("scalar", lambda u, v: pointwise_power_nonlinearity(u, 2.5, "signed")),
-    "power-unsigned": ("scalar", lambda u, v: pointwise_power_nonlinearity(u, 3.0, "unsigned")),
+    # (components: vector or scalar, map)
+    "momentum_forcing": ("vector", momentum_forcing),
+    "tensor_divergence-uu": ("vector", tensor_divergence),
+    "power-signed": ("scalar", lambda u: pointwise_power_nonlinearity(u, 2.5, "signed")),
+    "power-unsigned": ("scalar", lambda u: pointwise_power_nonlinearity(u, 3.0, "unsigned")),
 }
 
 
-def map_operands(grid, rng, kind, nodes, band_limited):
-    """Two real trajectories of ``nodes`` nodes: random samples at every
-    node (the masked transform path) or a heat flow inside the dealias
-    mask (the cached samples path)."""
+def map_operand(grid, rng, kind, nodes, band_limited):
+    """A real trajectory of ``nodes`` nodes: random samples at every node
+    (the masked transform path) or a heat flow inside the dealias mask (the
+    cached samples path)."""
     components = grid.dimension if kind == "vector" else 1
     if not band_limited:
-        return [random_trajectory(grid, rng, components, nodes=nodes) for _ in range(2)]
-    time_grid = uniform_time_grid(0.5, nodes)
-    return [
-        heat_extension(
-            random_mean_free_field(
-                grid,
-                seed=3,
-                stream=s,
-                components=components,
-                band_limit=2,
-                divergence_free=kind == "vector",
-            ),
-            time_grid,
-        )
-        for s in range(2)
-    ]
+        return random_trajectory(grid, rng, components, nodes=nodes)
+    u0 = random_mean_free_field(
+        grid, seed=3, components=components, band_limit=2, divergence_free=kind == "vector"
+    )
+    return heat_extension(u0, uniform_time_grid(0.5, nodes))
 
 
 @pytest.mark.parametrize("band_limited", [False, True], ids=["rough", "band-limited"])
@@ -194,8 +200,7 @@ def test_maps_equal_their_nodes_at_every_block_count(grid, rng, name, nodes, ban
     single field, which has no node axis), stacked, bit for bit, whether
     the nodes fill their last block or not."""
     kind, op = MAPS[name]
-    u, v = map_operands(grid, rng, kind, nodes, band_limited)
-    assert_nodewise(op, u, v)
+    assert_nodewise(op, map_operand(grid, rng, kind, nodes, band_limited))
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
@@ -203,18 +208,18 @@ def test_maps_do_not_depend_on_the_block_size(grid3d, rng, name, monkeypatch):
     """One node per block, or every node in one block, gives the bits of
     the module's block size."""
     kind, op = MAPS[name]
-    u, v = map_operands(grid3d, rng, kind, 2 * BLOCK + 3, band_limited=False)
-    want = op(u, v).spectrum
+    u = map_operand(grid3d, rng, kind, 2 * BLOCK + 3, band_limited=False)
+    want = op(u).spectrum
     for size in (1, 4 * BLOCK):
         monkeypatch.setattr(spectral, "_NODE_BLOCK", size)
-        assert np.array_equal(op(u, v).spectrum, want)
+        assert np.array_equal(op(u).spectrum, want)
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_maps_hold_no_whole_trajectory_product_stack(grid3d, rng, name, monkeypatch):
     """Every product stack a map transforms holds at most one block of nodes."""
     kind, op = MAPS[name]
-    u, v = map_operands(grid3d, rng, kind, 2 * BLOCK + 3, band_limited=False)
+    u = map_operand(grid3d, rng, kind, 2 * BLOCK + 3, band_limited=False)
     sizes = []
     forward = spectral._fourier_coefficients
 
@@ -223,5 +228,17 @@ def test_maps_hold_no_whole_trajectory_product_stack(grid3d, rng, name, monkeypa
         return forward(values, grid)
 
     monkeypatch.setattr(spectral, "_fourier_coefficients", watched)
-    op(u, v)
+    op(u)
     assert sizes == [BLOCK, BLOCK, 3]
+
+
+@pytest.mark.parametrize("band_limited", [False, True], ids=["rough", "band-limited"])
+@pytest.mark.parametrize("nodes", NODE_COUNTS)
+def test_tensor_divergence_matches_all_pairs_at_every_block_count(grid, rng, nodes, band_limited):
+    """The ``n(n+1)/2`` products ``u_i u_j``, ``i <= j``, each standing for
+    ``u_j u_i`` too, give the divergence of all ``n**2`` products, whether
+    the nodes fill their last block or not."""
+    u = map_operand(grid, rng, "vector", nodes, band_limited)
+    expected = gather_tensor_divergence(u, u)
+    out = tensor_divergence(u).spectrum
+    assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))

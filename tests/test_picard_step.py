@@ -100,7 +100,7 @@ class TestContractionKernels:
     def test_forcing_equals_projected_divergence(self, grid, nodes, band_limited, rng):
         u = band_limited_stack(grid, nodes) if band_limited else rough_stack(grid, nodes, rng)
         forcing = momentum_forcing(u)
-        expected = -helmholtz_project(tensor_divergence(u, u)).spectrum
+        expected = -helmholtz_project(tensor_divergence(u)).spectrum
         assert max_rel(forcing.spectrum, expected) <= 1e-15
 
     def test_forcing_keeps_half_layout_and_mask(self, grid, nodes):
@@ -111,9 +111,8 @@ class TestContractionKernels:
 
     def test_two_operand_divergence_matches_gather(self, grid, nodes, rng):
         u = rough_stack(grid, nodes, rng)
-        v = rough_stack(grid, nodes, rng)
-        out = tensor_divergence(u, v).spectrum
-        assert max_rel(out, gather_tensor_divergence(u, v)) <= 1e-15
+        out = tensor_divergence(u).spectrum
+        assert max_rel(out, gather_tensor_divergence(u, u)) <= 1e-15
         assert not np.any(out[..., ~half_mask(grid)])
 
     def test_kernels_built_once_per_layout(self, grid, nodes):
@@ -128,11 +127,11 @@ class TestContractionKernels:
         """Every node block of a map reads the same read-only operand indices."""
         n = grid.dimension
         u = band_limited_stack(grid, nodes)
-        rows, cols = spectral._product_slots(n, True)
+        rows, cols = spectral._product_slots(n)
         built = []
         monkeypatch.setattr(np, "triu_indices", lambda *args: built.append(args))
         momentum_forcing(u)
-        assert not built and spectral._product_slots(n, True)[0] is rows
+        assert not built and spectral._product_slots(n)[0] is rows
         assert not rows.flags.writeable and not cols.flags.writeable
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
         assert list(zip(rows.tolist(), cols.tolist())) == pairs
@@ -148,7 +147,7 @@ def test_forcing_on_full_layout_at_four_points(n, rng):
     u = Trajectory(uniform_time_grid(1.0, 5), grid, coeff)
     assert u.spectrum.shape[2:] == grid.shape and np.iscomplexobj(u.samples)
     forcing = momentum_forcing(u)
-    expected = -helmholtz_project(tensor_divergence(u, u)).spectrum
+    expected = -helmholtz_project(tensor_divergence(u)).spectrum
     assert forcing.spectrum.shape == expected.shape
     assert max_rel(forcing.spectrum, expected) <= 1e-15
 
@@ -159,7 +158,7 @@ def test_forcing_in_one_dimension_is_zero(rng):
     grid = TorusGrid(1, 8)
     u = Trajectory(uniform_time_grid(1.0, 3), grid, rng.standard_normal((3, 1, 8)) + 0j)
     assert not np.any(momentum_forcing(u).spectrum)
-    assert not np.any(helmholtz_project(tensor_divergence(u, u)).spectrum[..., 1:])
+    assert not np.any(helmholtz_project(tensor_divergence(u)).spectrum[..., 1:])
 
 
 class TestStateEnergy:

@@ -331,12 +331,12 @@ class TestSampleFields:
         """The 2-D cellular flow's advection term is a pure gradient:
         after projection the nonlinearity vanishes identically."""
         u = taylor_green_field(grid2d)
-        b = helmholtz_project(tensor_divergence(u, u))
+        b = helmholtz_project(tensor_divergence(u))
         assert spatial_lq_norm(b, 2) < 1e-12
 
     def test_taylor_green_3d_is_not_steady(self, grid3d):
         u = taylor_green_field(grid3d)
-        b = helmholtz_project(tensor_divergence(u, u))
+        b = helmholtz_project(tensor_divergence(u))
         assert spatial_lq_norm(b, 2) > 1e-3
 
     def test_taylor_green_needs_flow_dimension(self, grid1d):

@@ -321,7 +321,7 @@ class TestNonlinearities:
         x, y = grid2d.coordinates
         u_phys = np.stack([np.sin(y), np.zeros_like(y)])
         u = SpectralField.from_physical(grid2d, u_phys)
-        w = tensor_divergence(u, u)
+        w = tensor_divergence(u)
         # component j: d_i (u_i u_j): u_x u_x depends only on y -> d_x kills it
         np.testing.assert_allclose(
             w.to_physical(), np.zeros((2,) + grid2d.shape), atol=1e-12
@@ -330,4 +330,4 @@ class TestNonlinearities:
     def test_tensor_divergence_shape_check(self, grid2d, rng):
         u = random_real_field(grid2d, rng, components=3)
         with pytest.raises(ValueError, match="one component per dimension"):
-            tensor_divergence(u, u)
+            tensor_divergence(u)
