@@ -925,8 +925,19 @@ def _taylor_green_type_field(
             divergence_free=True,
         )
         scale = norms.spatial_lq_norm(u0, 2) / norms.spatial_lq_norm(noise, 2)
-        u0 = u0 + noise * (perturbation * scale)
+        u0 = u0 + _scaled_field(noise, perturbation * scale, "params.perturbation")
     return u0
+
+
+def _scaled_field(u0: spectral.SpectralField, factor: float, key: str) -> spectral.SpectralField:
+    """``u0 * factor`` for a set-up field scaled by config key ``key``,
+    refused in the key's name when a coefficient leaves floating-point
+    range (``0 * inf`` included)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = u0 * factor
+    if not np.isfinite(scaled.spectrum).all():
+        raise ValueError(f"{key} scales the initial field out of floating-point range")
+    return scaled
 
 
 def _ns_exist(cfg: ExperimentConfig) -> _Run:
@@ -961,7 +972,7 @@ def _scaled_to_eta(
     eta = float(cfg.params["eta"])
     if not 0 < eta < math.inf:
         raise ValueError("params.eta must be positive and finite")
-    return u0 * (eta / norms.besov_heat_norm(u0, params))
+    return _scaled_field(u0, eta / norms.besov_heat_norm(u0, params), "params.eta")
 
 
 def _uniqueness(cfg: ExperimentConfig, prob: problems.NlheProblem | problems.NsProblem) -> _Run:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -227,14 +226,8 @@ def _member_profiles(
 
     indices = range(len(ensemble))
     if threads > 1:
-        raw = []
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            window: deque[Future] = deque()
-            for index in indices:
-                if len(window) == threads:  # gather in input order
-                    raw.append(window.popleft().result())
-                window.append(pool.submit(member, index))
-            raw.extend(future.result() for future in window)
+            raw = list(pool.map(member, indices))
     else:
         raw = [member(index) for index in indices]
     profiles = [m for m in raw if m is not None]

@@ -17,7 +17,7 @@ import copy
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -511,54 +511,22 @@ class ExistenceReport:
         return True
 
 
-def _sample_trajectory_pairs(
-    prob: _SemilinearProblem, *, seed: int = 0
-) -> Iterator[list[Trajectory]]:
-    """Four pairs of random heat-flow trajectories at a 10x range of
-    amplitudes in the problem's norm, each holding the samples its norm
-    cached.
-
-    The trajectories have the problem's component count and, for the
-    incompressible problem, are divergence-free.  The pairs are drawn one
-    at a time, so only the pair in use is held, and each comes as a
-    two-item list that the consumer may empty to release a trajectory
-    before the next pair is drawn.
-    """
+def _sampled_flow(prob: _SemilinearProblem, size: float, *, seed: int, stream: int) -> Trajectory:
+    """A random heat flow with the problem's component count (divergence-free
+    for the incompressible problem), scaled in place to ``size`` in the
+    problem's norm and holding the samples its norm cached."""
     grid = prob.u0.grid
-    for i, scale in enumerate(np.geomspace(0.1, 1.0, 4)):
-        fields = []
-        for j in range(2):
-            f = random_mean_free_field(
-                grid,
-                seed=seed,
-                stream=100 + 2 * i + j,
-                components=prob.u0.components,
-                band_limit=max(2, grid.points_per_axis // 8),
-                divergence_free=prob.divergence_free,
-            )
-            traj = heat_extension(f, prob.time_grid)
-            traj *= scale / prob.norm(traj)  # in the arrays the norm transformed
-            fields.append(traj)
-            del traj  # the list the consumer may empty holds the only reference
-        yield fields
-
-
-def _pair_denominator(
-    prob: NlheProblem | NsProblem, u: Trajectory, v: Trajectory
-) -> tuple[float, float] | None:
-    """The gate ratio's denominator ``||u - v|| (||u||**e + ||v||**e)`` on a
-    sampled pair and the pair's amplitude ``max(||u||, ||v||)``; ``None`` for
-    a degenerate pair.  ``||u - v||`` is taken from ``u.samples - v.samples``,
-    the samples ``u - v`` would carry, with no difference trajectory built."""
-    gap = _lq_magnitude(u.samples - v.samples, u.grid, prob.params.q)
-    diff = _time_lp(gap, u.time_grid.weights, prob.params.p)
-    if diff == 0.0:
-        return None
-    nu_, nv = prob.norm(u), prob.norm(v)
-    denom = diff * (nu_**prob.epsilon + nv**prob.epsilon)
-    if denom == 0.0:
-        return None
-    return denom, max(nu_, nv)
+    f = random_mean_free_field(
+        grid,
+        seed=seed,
+        stream=stream,
+        components=prob.u0.components,
+        band_limit=max(2, grid.points_per_axis // 8),
+        divergence_free=prob.divergence_free,
+    )
+    traj = heat_extension(f, prob.time_grid)
+    traj *= size / prob.norm(traj)  # in the arrays the norm transformed
+    return traj
 
 
 def measured_lipschitz_M(prob: NlheProblem | NsProblem, *, seed: int = 0) -> float:
@@ -572,34 +540,41 @@ def _sampled_constants(
 ) -> tuple[float, float]:
     """The Picard gate's constant ``M`` and, for a ``bootstrap_p``, the
     uniqueness bootstrap's sampled Lipschitz ratio ``c1`` (0 without one),
-    from one pass over the sampled pairs.
+    from one pass over four pairs of random heat flows at a 10x range of
+    sizes in the problem's norm; a pair whose gate denominator vanishes
+    is skipped.
 
     ``c1`` is measured on the same fields at the bootstrap's scale (see
     :func:`_bootstrap_denominator`), from the images the gate computed.
-    The pass holds only the pair in use: each field's part of both ratios
-    is taken before its image exists, each field goes once its image
-    exists, and both images go before the next pair is drawn.
+    Each field's nodal norms are taken once, after scaling, and no gap is
+    formed as a trajectory.  Only the pair in use is held: each field goes
+    once its image exists, and both images go before the next pair is drawn.
     """
+    p, q = prob.params.p, prob.params.q
+    weights = prob.time_grid.weights
     if bootstrap_p is not None:
-        amplitude = max(spatial_lq_norm(prob.u0, prob.params.q), 1e-3)
+        amplitude = max(spatial_lq_norm(prob.u0, q), 1e-3)
     ratios: list[float] = []
     amplitudes: list[float] = []
     c1 = 0.0
-    for pair in _sample_trajectory_pairs(prob, seed=seed):
-        u, v = pair
-        pair.clear()
-        scale = _pair_denominator(prob, u, v)
-        if scale is None:
+    for i, size in enumerate(np.geomspace(0.1, 1.0, 4)):
+        u = _sampled_flow(prob, size, seed=seed, stream=100 + 2 * i)
+        v = _sampled_flow(prob, size, seed=seed, stream=101 + 2 * i)
+        nodal = _node_spatial_norms(u, q), _node_spatial_norms(v, q)
+        gate = tuple(_time_lp(g, weights, p) for g in nodal)
+        gap = _time_lp(_lq_magnitude(u.samples - v.samples, u.grid, q), weights, p)
+        denom = gap * (gate[0] ** prob.epsilon + gate[1] ** prob.epsilon)
+        if gap == 0.0 or denom == 0.0:
             del u, v  # before the next pair is drawn
             continue
         if bootstrap_p is not None:
-            boot = _bootstrap_denominator(prob, bootstrap_p, amplitude, u, v)
+            boot = _bootstrap_denominator(prob, bootstrap_p, amplitude, u, v, nodal, gate)
         fu = prob.rhs(u)
         del u
         fv = prob.rhs(v)
         del v
-        ratios.append(prob.norm(fu - fv) / scale[0])
-        amplitudes.append(scale[1])
+        ratios.append(prob.norm(fu - fv) / denom)
+        amplitudes.append(max(gate))
         if bootstrap_p is not None:
             c1 = max(c1, _bootstrap_ratio(prob, bootstrap_p, fu, fv, boot))
         del fu, fv  # before the next pair is drawn
@@ -638,11 +613,14 @@ def _bootstrap_denominator(
     amplitude: float,
     u: Trajectory,
     v: Trajectory,
+    nodal: tuple[np.ndarray, np.ndarray],
+    gate: tuple[float, float],
 ) -> tuple[float, float, float] | None:
     """The pair's side of the bootstrap's Lipschitz ratio on a gate pair
-    brought to the bootstrap's scale: the ratio's denominator and the lifts
-    ``r_u**nu``, ``r_v**nu`` of the images; ``None`` when a power leaves
-    floating-point range (the ratio is then ``inf``).
+    brought to the bootstrap's scale, from each field's nodal ``L^q`` norms
+    and gate norm: the ratio's denominator and the lifts ``r_u**nu``,
+    ``r_v**nu`` of the images; ``None`` when a power leaves floating-point
+    range (the ratio is then ``inf``).
 
     The bootstrap samples each field at ``amplitude`` in the
     ``(bootstrap_p, q)`` norm: the gate's field ``w`` times
@@ -653,23 +631,16 @@ def _bootstrap_denominator(
     comes from the gate's images.  The gap's norm is taken from
     ``ru * u.samples - rv * v.samples``, with no trajectory built.
     """
-    nu, q = prob.nu, prob.params.q
-    scales, peaks = [], []
-    for traj in (u, v):
-        nodal = _node_spatial_norms(traj, q)
-        weights = traj.time_grid.weights
-        gate, own = _time_lp(nodal, weights, prob.params.p), _time_lp(nodal, weights, bootstrap_p)
-        r = amplitude * gate / own
-        scales.append(r)
-        peaks.append(float(r * np.max(nodal)))
-    ru, rv = scales
+    nu, weights = prob.nu, u.time_grid.weights
+    ru, rv = (amplitude * g / _time_lp(n, weights, bootstrap_p) for n, g in zip(nodal, gate))
+    peaks = float(ru * np.max(nodal[0])), float(rv * np.max(nodal[1]))
     try:
         powers = peaks[0] ** (nu - 1.0) + peaks[1] ** (nu - 1.0)
         lifts = ru**nu, rv**nu
     except OverflowError:
         return None
-    gap = _lq_magnitude(ru * u.samples - rv * v.samples, u.grid, q)
-    return _time_lp(gap, u.time_grid.weights, bootstrap_p) * powers, *lifts
+    gap = _lq_magnitude(ru * u.samples - rv * v.samples, u.grid, prob.params.q)
+    return _time_lp(gap, weights, bootstrap_p) * powers, *lifts
 
 
 def _bootstrap_ratio(

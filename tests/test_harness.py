@@ -604,8 +604,11 @@ class TestDomainChecks:
                 for name in names
             ),
             # the perturbed initial field overflows
-            ({"experiment": "ns-exist", "params": {"perturbation": 1e308}}, "initial field must have finite coefficients"),
-            ({"experiment": "ns-exist", "params": {"perturbation": math.inf}}, "initial field must have finite coefficients"),
+            *(
+                ({"experiment": "ns-exist", "params": {"perturbation": size}}, "params.perturbation scales the initial field out of")
+                for size in (1e308, -1e308, math.inf)
+            ),
+            ({"experiment": "nlhe-unique", "params": {"eta": 1e308}}, "params.eta scales the initial field out of"),
             # the node spacing horizon/(num_nodes - 1) is subnormal
             ({"experiment": "weighted-maxreg", "time": {"horizon": 1e-320}}, "node spacing"),
             ({"experiment": "ns-exist", "time": {"horizon": 1e-320}}, "node spacing"),
@@ -657,7 +660,7 @@ class TestDomainChecks:
             ),
         ]],
     )
-    def test_validate_and_run_exit_three(self, tmp_path, capsys, config, message):
+    def test_validate_and_run_exit_three(self, tmp_path, capsys, recwarn, config, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert cli.main(["validate", str(path)]) == 3
@@ -665,6 +668,7 @@ class TestDomainChecks:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("below", [(), ("sub", "deeper")], ids=["file", "under-file"])
     @pytest.mark.parametrize("from_option", [False, True], ids=["config", "option"])

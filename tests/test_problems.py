@@ -1,8 +1,10 @@
 """Tests for model problems, scaling checks, smoothing and the
 existence/uniqueness experiments at desk scale."""
 
+import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,10 +37,12 @@ from maxreg_lab import (
     uniform_time_grid,
     uniqueness_bootstrap,
 )
-from maxreg_lab import besov_heat_norm, bochner_mixed_norm, problems
+from maxreg_lab import besov_heat_norm, bochner_mixed_norm, norms, problems
 from maxreg_lab.harness import load_config, run_experiment
 from maxreg_lab.norms import _node_spatial_norms
 from maxreg_lab.problems import _lipschitz_bound
+
+_REPO = Path(__file__).resolve().parents[1]
 
 
 def scalar_data(grid, seed=0, band_limit=3):
@@ -424,7 +428,7 @@ class TestExistenceExperiments:
         def unreached(*args, **kwargs):
             raise AssertionError("sampled before the sizes were checked")
 
-        monkeypatch.setattr(problems, "_sample_trajectory_pairs", unreached)
+        monkeypatch.setattr(problems, "_sampled_flow", unreached)
         with pytest.raises(ValueError, match="sizes must be nonnegative"):
             existence_sweep(small_nlhe(grid2d), [0.1, -0.1])
 
@@ -500,7 +504,7 @@ class TestUniqueness:
         def unreached(*args, **kwargs):
             raise AssertionError("sampled before p was checked")
 
-        monkeypatch.setattr(problems, "_sample_trajectory_pairs", unreached)
+        monkeypatch.setattr(problems, "_sampled_flow", unreached)
         with pytest.raises(ValueError, match="p must exceed 1"):
             uniqueness_bootstrap(self.make_problem(grid2d), p=p)
 
@@ -583,54 +587,53 @@ class TestSharedSampling:
         assert c1 == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["signed", "ns"])
-    def test_sampler_holds_only_the_pair_in_use(self, grid2d, kind):
-        """While a pair is in use, the sampler's frame holds no other
-        trajectory (the unscaled heat extensions are gone)."""
-        pairs = problems._sample_trajectory_pairs(self.make_problem(kind, grid2d))
-        for pair in pairs:
-            held = []
-            for value in pairs.gi_frame.f_locals.values():
-                held += value if isinstance(value, list) else [value]
-            assert all(any(x is w for w in pair) for x in held if isinstance(x, Trajectory))
-
-    @pytest.mark.parametrize("kind", ["signed", "ns"])
-    def test_sampler_frees_the_fields_the_consumer_drops(self, grid2d, kind):
-        """Once the consumer empties a pair's list, both trajectories are gone
-        while the sampler waits to draw the next pair."""
-        pairs = problems._sample_trajectory_pairs(self.make_problem(kind, grid2d))
-        for pair in pairs:
-            refs = [weakref.ref(w) for w in pair]
-            pair.clear()
-            assert all(ref() is None for ref in refs)
-
-    @pytest.mark.parametrize("kind", ["signed", "ns"])
-    def test_sampled_pairs_are_scaled_extensions(self, grid2d, monkeypatch, kind):
-        """Each sampled trajectory, scaled in its own arrays by ``*=``, has the
-        spectrum and samples of ``heat_extension(f) * factor`` bit for bit."""
+    def test_sampled_flows_are_scaled_extensions(self, grid2d, monkeypatch, kind):
+        """The pass draws streams 100 to 107, two at each of four sizes, and
+        each field, scaled in its own arrays by ``*=``, has the spectrum and
+        samples of ``heat_extension(f) * factor`` bit for bit."""
         prob = self.make_problem(kind, grid2d)
-        got = [w for pair in problems._sample_trajectory_pairs(prob, seed=3) for w in pair]
-        monkeypatch.setattr(Trajectory, "__imul__", lambda self, scalar: self * scalar)
-        want = [w for pair in problems._sample_trajectory_pairs(prob, seed=3) for w in pair]
-        assert len(got) == len(want) == 8
-        for a, b in zip(got, want):
-            assert "_samples" in vars(a)
-            assert np.array_equal(a.spectrum, b.spectrum)
-            assert np.array_equal(a.samples, b.samples)
+        drawn = []
+        draw = problems._sampled_flow
+
+        def recorded(prob, size, **kwargs):
+            drawn.append((size, kwargs["stream"], draw(prob, size, **kwargs)))
+            return drawn[-1][2]
+
+        monkeypatch.setattr(problems, "_sampled_flow", recorded)
+        problems._sampled_constants(prob, 2.0, seed=3)
+        assert [stream for _, stream, _ in drawn] == list(range(100, 108))
+        assert [size for size, _, _ in drawn] == list(np.repeat(np.geomspace(0.1, 1.0, 4), 2))
+        vector = kind == "ns"
+        for size, stream, got in drawn:
+            f = random_mean_free_field(
+                grid2d,
+                seed=3,
+                stream=stream,
+                components=2 if vector else 1,
+                band_limit=max(2, grid2d.points_per_axis // 8),
+                divergence_free=vector,
+            )
+            h = heat_extension(f, prob.time_grid)
+            want = h * (size / prob.norm(h))
+            assert "_samples" in vars(got)
+            assert np.array_equal(got.spectrum, want.spectrum)
+            assert np.array_equal(got.samples, want.samples)
 
     @pytest.mark.parametrize("bootstrap_p", [None, 2.0])
     @pytest.mark.parametrize("kind", ["signed", "ns"])
     def test_gate_releases_each_field_once_mapped(self, grid2d, monkeypatch, kind, bootstrap_p):
         """While ``M`` is measured, alone or with the bootstrap's ``c1``, each
         sampled trajectory goes once its image exists: the map's first call
-        on a pair sees both fields alive, its second only the field it maps."""
+        on a pair sees both fields alive, its second only the field it maps,
+        and no field of an earlier pair."""
         prob = self.make_problem(kind, grid2d)
         drawn, alive = [], []
-        pairs = problems._sample_trajectory_pairs
+        draw = problems._sampled_flow
 
         def recorded(*args, **kwargs):
-            for pair in pairs(*args, **kwargs):
-                drawn.extend(weakref.ref(w) for w in pair)
-                yield pair
+            w = draw(*args, **kwargs)
+            drawn.append(weakref.ref(w))
+            return w
 
         name = "ns_rhs_map" if kind == "ns" else "nlhe_rhs_map"
         rhs = getattr(problems, name)
@@ -639,63 +642,109 @@ class TestSharedSampling:
             alive.append(sum(ref() is not None for ref in drawn))
             return rhs(u, p)
 
-        monkeypatch.setattr(problems, "_sample_trajectory_pairs", recorded)
+        monkeypatch.setattr(problems, "_sampled_flow", recorded)
         monkeypatch.setattr(problems, name, counted)
         if bootstrap_p is None:
             measured_lipschitz_M(prob, seed=3)
         else:
             problems._sampled_constants(prob, bootstrap_p, seed=3)
-        assert alive == [2, 1] * 4
+        assert len(drawn) == 8 and alive == [2, 1] * 4
 
+    @pytest.mark.parametrize("bootstrap_p", [None, 2.0, 3.0])
     @pytest.mark.parametrize("kind", ["signed", "ns"])
-    def test_gate_gap_norm_builds_no_trajectory(self, grid2d, monkeypatch, kind):
-        """The gate's denominator equals ``norm(u - v) (norm(u)**e +
-        norm(v)**e)`` bit for bit, and the call builds no trajectory."""
+    def test_ratios_match_trajectory_formulas(self, grid2d, monkeypatch, kind, bootstrap_p):
+        """The gate's ratios and amplitudes, and ``c1``, equal bit for bit
+        those with every gap formed as a trajectory and every norm taken by
+        ``bochner_mixed_norm``: ``norm(F(u) - F(v))`` over ``norm(u - v)
+        (norm(u)**e + norm(v)**e)``, and the bootstrap's ratio on the pair
+        scaled by ``r = amplitude * norm(w) / norm_boot(w)``."""
         prob = self.make_problem(kind, grid2d)
-        built = []
-        store = Trajectory.__post_init__
-        monkeypatch.setattr(
-            Trajectory, "__post_init__", lambda self, c: built.append(1) or store(self, c)
-        )
-        for u, v in problems._sample_trajectory_pairs(prob, seed=3):
-            built.clear()
-            denom, amplitude = problems._pair_denominator(prob, u, v)
-            assert len(built) == 0
-            norms = prob.norm(u), prob.norm(v)
-            expect = prob.norm(u - v) * (norms[0] ** prob.epsilon + norms[1] ** prob.epsilon)
-            assert denom == expect and amplitude == max(norms)
-
-    @pytest.mark.parametrize("kind", ["signed", "ns"])
-    @pytest.mark.parametrize("bootstrap_p", [2.0, 3.0])
-    def test_bootstrap_gap_norm_builds_no_trajectory(self, grid2d, monkeypatch, kind, bootstrap_p):
-        """The ratio equals the one with the scaled gap formed as a
-        trajectory, ``bochner_mixed_norm(u * ru - v * rv, boot)``, bit for
-        bit, and neither side of it builds a trajectory."""
-        prob = self.make_problem(kind, grid2d)
-        q, nu = prob.params.q, prob.nu
-        boot = MixedNormParams(bootstrap_p, q)
+        q, nu, e = prob.params.q, prob.nu, prob.epsilon
         amplitude = max(spatial_lq_norm(prob.u0, q), 1e-3)
-        built = []
-        store = Trajectory.__post_init__
+        ratios, amplitudes, c1 = [], [], 0.0
+        for i, size in enumerate(np.geomspace(0.1, 1.0, 4)):
+            u, v = (problems._sampled_flow(prob, size, seed=3, stream=100 + 2 * i + j) for j in range(2))
+            gate = prob.norm(u), prob.norm(v)
+            fu, fv = prob.rhs(u), prob.rhs(v)
+            ratios.append(prob.norm(fu - fv) / (prob.norm(u - v) * (gate[0] ** e + gate[1] ** e)))
+            amplitudes.append(max(gate))
+            if bootstrap_p is not None:
+                boot = MixedNormParams(bootstrap_p, q)
+                ru, rv = (amplitude * prob.norm(w) / bochner_mixed_norm(w, boot) for w in (u, v))
+                peaks = [r * float(np.max(_node_spatial_norms(w, q))) for r, w in zip((ru, rv), (u, v))]
+                denom = bochner_mixed_norm(u * ru - v * rv, boot) * sum(s ** (nu - 1.0) for s in peaks)
+                c1 = max(c1, bochner_mixed_norm(fu * ru**nu - fv * rv**nu, boot) / denom)
+        seen = []
+        bound = problems._lipschitz_bound
         monkeypatch.setattr(
-            Trajectory, "__post_init__", lambda self, c: built.append(1) or store(self, c)
+            problems, "_lipschitz_bound", lambda r, a: seen.append((list(r), list(a))) or bound(r, a)
         )
-        for pair in problems._sample_trajectory_pairs(prob, seed=3):
-            built.clear()
-            side = problems._bootstrap_denominator(prob, bootstrap_p, amplitude, *pair)
-            assert len(built) == 0
-            images = prob.rhs(pair[0]), prob.rhs(pair[1])
-            built.clear()
-            ratio = problems._bootstrap_ratio(prob, bootstrap_p, *images, side)
-            assert len(built) == 0
-            (u, v), (fu, fv) = pair, images
-            ru, rv = (
-                amplitude * bochner_mixed_norm(w, prob.params) / bochner_mixed_norm(w, boot)
-                for w in pair
-            )
-            peaks = [r * float(np.max(_node_spatial_norms(w, q))) for r, w in zip((ru, rv), pair)]
-            denom = bochner_mixed_norm(u * ru - v * rv, boot) * sum(s ** (nu - 1.0) for s in peaks)
-            assert ratio == bochner_mixed_norm(fu * ru**nu - fv * rv**nu, boot) / denom
+        M, got_c1 = problems._sampled_constants(prob, bootstrap_p, seed=3)
+        assert seen == [(ratios, amplitudes)]
+        assert M == _lipschitz_bound(ratios, amplitudes) and got_c1 == c1
+
+    @pytest.mark.parametrize("bootstrap_p", [None, 2.0])
+    @pytest.mark.parametrize("kind", ["signed", "ns"])
+    def test_gaps_build_no_difference_trajectory(self, grid2d, monkeypatch, kind, bootstrap_p):
+        """Outside the draws and the maps the pass builds one trajectory per
+        pair, the images' difference the gate norms: neither the gate's gap
+        ``u - v`` nor either gap of the bootstrap is formed as a trajectory."""
+        prob = self.make_problem(kind, grid2d)
+        built, inside = [0], [0]
+        store = Trajectory.__post_init__
+
+        def counted(self, coefficients):
+            built[0] += not inside[0]
+            store(self, coefficients)
+
+        def shielded(call):
+            def run(*args, **kwargs):
+                inside[0] += 1
+                try:
+                    return call(*args, **kwargs)
+                finally:
+                    inside[0] -= 1
+
+            return run
+
+        monkeypatch.setattr(Trajectory, "__post_init__", counted)
+        for name in ("_sampled_flow", "ns_rhs_map" if kind == "ns" else "nlhe_rhs_map"):
+            monkeypatch.setattr(problems, name, shielded(getattr(problems, name)))
+        problems._sampled_constants(prob, bootstrap_p, seed=3)
+        assert built[0] == 4
+
+    def test_sampling_pass_takes_each_fields_norms_once(self, monkeypatch):
+        """On the ``ns-unique`` benchmark workload the pass with the
+        bootstrap takes 33 nodal-norm stacks: per pair two for each field
+        (before and after scaling), the gate's gap, the images' gap and the
+        bootstrap's two gaps, and one for the data's ``L^q`` norm.  The pass
+        of an existence sweep, for ``M`` alone, takes 24."""
+        calls = [0]
+        lq = norms._lq_magnitude
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return lq(*args, **kwargs)
+
+        monkeypatch.setattr(norms, "_lq_magnitude", counted)
+        monkeypatch.setattr(problems, "_lq_magnitude", counted)
+        passes = []
+        sample = problems._sampled_constants
+
+        def recorded(prob, bootstrap_p, *, seed=0):
+            before = calls[0]
+            constants = sample(prob, bootstrap_p, seed=seed)
+            passes.append((calls[0] - before, prob, seed))
+            return constants
+
+        monkeypatch.setattr(problems, "_sampled_constants", recorded)
+        config = json.loads((_REPO / "perfbench" / "workloads" / "ns-unique.json").read_text())
+        assert run_experiment(load_config(config)).status == "pass"
+        (count, prob, seed), = passes
+        assert count == 33
+        before = calls[0]
+        sample(prob, None, seed=seed)
+        assert calls[0] - before == 24
 
     def test_ns_unique_run_draws_each_sample_field_once(self, monkeypatch):
         streams = []
