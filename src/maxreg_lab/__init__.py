@@ -22,7 +22,6 @@ from .spectral import (
     momentum_forcing,
     pointwise_power_nonlinearity,
     resolvent_scalar_multiplier,
-    sector_multiplier,
     tensor_divergence,
 )
 from .norms import (

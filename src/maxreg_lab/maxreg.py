@@ -33,7 +33,6 @@ from .norms import (
     WeightParams,
     _lq_magnitude,
     _node_spatial_norms,
-    _parseval_l2,
     _time_lp,
     _time_weights,
     spatial_lq_norm,
@@ -43,8 +42,8 @@ from .spectral import (
     FourierMultiplier,
     SpectralField,
     TorusGrid,
-    _is_half,
-    _on_layout,
+    _energy,
+    _half_symbol,
     apply_multiplier,
 )
 
@@ -98,9 +97,11 @@ def _scalar_symbol(op: FourierMultiplier, grid: TorusGrid) -> np.ndarray:
 
 
 def _accretive_symbol(op: FourierMultiplier, grid: TorusGrid) -> np.ndarray:
-    sym = _scalar_symbol(op, grid)
-    if np.min(sym.real) < -1e-12 * max(1.0, float(np.max(np.abs(sym)))):
-        raise ValueError("operator symbol must have nonnegative real part")
+    """The real, even symbol on the half spectrum's modes (:func:`_half_symbol`),
+    checked nonnegative."""
+    sym = _half_symbol(op, grid)
+    if np.min(sym) < -1e-12 * max(1.0, float(np.max(np.abs(sym)))):
+        raise ValueError("operator symbol must be nonnegative")
     return sym
 
 
@@ -116,8 +117,8 @@ def _real_nonnegative_symbol(op: FourierMultiplier, grid: TorusGrid, purpose: st
 class LinearProblem:
     """Forced problem ``u' + A u = f`` with zero initial state.
 
-    ``operator`` must act through a scalar symbol with nonnegative real
-    part on the forcing's grid.
+    ``operator`` must act through a real, even, nonnegative scalar symbol
+    on the forcing's grid.
     """
 
     operator: FourierMultiplier
@@ -132,12 +133,10 @@ def solve_linear_duhamel(prob: LinearProblem) -> Trajectory:
     mode for the piecewise-linear interpolant of the forcing samples.
 
     The recursion is second-order accurate in the node spacing for smooth
-    forcing and exact when the forcing really is piecewise linear.  A real
-    forcing and a symbol that maps real fields to real fields (the real
-    even ``|xi|**2``, say) keep the half spectrum.
+    forcing and exact when the forcing really is piecewise linear.
     """
     grid = prob.forcing.time_grid
-    lam, f = _on_layout(_accretive_symbol(prob.operator, prob.forcing.grid), prob.forcing)
+    lam, f = _accretive_symbol(prob.operator, prob.forcing.grid), prob.forcing.spectrum
     u = np.empty_like(f)
     u[0] = 0.0
     # one node's ``decay u_i`` and ``c0 f_i``, written in place at every step
@@ -213,15 +212,11 @@ def _member_profiles(
         del u  # with the samples its norm cached
         # The norm caches the forcing's samples on a local alias, so they go
         # with this member instead of living on in the ensemble; with those
-        # of ``A u`` they give the samples of ``f - A u`` without a transform.
-        # When both are half spectra no spectrum of ``f - A u`` is formed (a
-        # sector symbol gives a full-layout ``A u``, which takes ``f - A u``).
+        # of ``A u`` they give the samples of ``f - A u`` without a transform
+        # or a spectrum of ``f - A u``.
         f = replace(f_traj, coefficients=f_traj.spectrum)
         f_q, au_q = _node_spatial_norms(f, q), _node_spatial_norms(au, q)
-        if au.spectrum.shape == f.spectrum.shape and _is_half(f.spectrum, f.grid):
-            du_q = _lq_magnitude(f.samples - au.samples, f.grid, q)
-        else:
-            du_q = _node_spatial_norms(f - au, q)
+        du_q = _lq_magnitude(f.samples - au.samples, f.grid, q)
         return f_traj.time_grid, [u_q, du_q, au_q, f_q]
 
     indices = range(len(ensemble))
@@ -276,7 +271,13 @@ def estimate_maxreg_constant(
 
 @dataclass(frozen=True, eq=False)
 class ResolventProbe:
-    """Resolvent applied through time integration versus the exact symbol."""
+    """Resolvent applied through time integration versus the exact symbol.
+
+    ``value`` and ``exact`` hold the real part of the complex resolvent
+    field in their first ``m`` components and its imaginary part in the
+    last ``m`` (``x`` has ``m``), so the Euclidean ``L^2`` size of either is
+    that of the complex field.
+    """
 
     z: complex
     value: SpectralField
@@ -297,7 +298,9 @@ def resolvent_via_maxreg(
     Solves ``u' + A u = e^{z t} x`` on ``[0, 1/Re z]``, then evaluates
     ``Re(z) * int_0^inf e^{-z t} u(t) dt``; past the forcing support the
     solution decays by the exact semigroup and the tail integral is summed
-    in closed form.
+    in closed form.  ``A`` and ``x`` are real, so ``u = u_re + i u_im`` with
+    real ``u_re`` and ``u_im`` forced by ``Re(e^{z t}) x`` and
+    ``Im(e^{z t}) x``: one 2``m``-component forcing in one Duhamel solve.
     """
     z = complex(z)
     if z.real <= 0:
@@ -306,15 +309,24 @@ def resolvent_via_maxreg(
     t_star = 1.0 / z.real
     tgrid = uniform_time_grid(t_star, num_nodes)
     nodes = tgrid.nodes[(slice(None),) + (np.newaxis,) * (x.grid.dimension + 1)]
-    forcing = Trajectory(tgrid, x.grid, np.exp(z * nodes) * x.coefficients[np.newaxis])
-    u = solve_linear_duhamel(LinearProblem(operator, forcing))
-    lam_u, u_coeff = _on_layout(lam, u)
-    integral = np.tensordot(tgrid.weights, np.exp(-z * nodes) * u_coeff, axes=(0, 0))
+    e_zt = np.exp(z * nodes)
+    forcing = np.concatenate([e_zt.real * x.spectrum, e_zt.imag * x.spectrum], axis=1)
+    u = solve_linear_duhamel(LinearProblem(operator, Trajectory(tgrid, x.grid, forcing)))
+    u_re, u_im = np.split(u.spectrum, 2, axis=1)
     # after t* the forcing vanishes: u(t) = e^{-lam (t - t*)} u(t*), so the
     # remaining weighted integral is u(t*) e^{-z t*} / (z + lam) exactly
-    integral += u_coeff[-1] * np.exp(-z * t_star) / (z + lam_u)
-    value = SpectralField(x.grid, z.real * integral)
-    exact = SpectralField(x.grid, x.coefficients / (z + lam))
+    weights, tail = tgrid.weights * np.exp(-z * tgrid.nodes), np.exp(-z * t_star) / (z + lam)
+
+    def real_part(w: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """``Re(z) Re(int w (u_re + i u_im) + end (u_re + i u_im)(t*))``."""
+        integral = np.tensordot(w.real, u_re, axes=(0, 0)) - np.tensordot(w.imag, u_im, axes=(0, 0))
+        return z.real * (integral + end.real * u_re[-1] - end.imag * u_im[-1])
+
+    # the imaginary part is the real part of the integral times -i
+    value = np.concatenate([real_part(weights, tail), real_part(-1j * weights, -1j * tail)])
+    inverse = 1.0 / (z + lam)
+    exact = np.concatenate([inverse.real * x.spectrum, inverse.imag * x.spectrum])
+    value, exact = SpectralField(x.grid, value), SpectralField(x.grid, exact)
     deviation = spatial_lq_norm(value - exact, 2)
     x_norm = spatial_lq_norm(x, 2)
     bound = spatial_lq_norm(value, 2) * (1.0 + abs(z)) / x_norm if x_norm > 0 else 0.0
@@ -407,16 +419,14 @@ def de_simon_multiplier_solve(prob: LinearProblem, *, pad_factor: int = 4) -> Tr
     columns (uniform grid required) are zero-padded to at least
     ``pad_factor`` times their length, rounded up to a length with small
     prime factors (``scipy.fft.next_fast_len``), transformed in time,
-    multiplied modewise and transformed back.  A real forcing is
-    transformed as its half spectrum.  Independent of the time-stepping
-    route; agreement between the two validates both.
+    multiplied modewise and transformed back.  Independent of the
+    time-stepping route; agreement between the two validates both.
     """
     forcing = prob.forcing
     time_grid = forcing.time_grid
     if not time_grid.is_uniform:
         raise ValueError("multiplier route requires a uniform time grid")
-    lam = _real_nonnegative_symbol(prob.operator, forcing.grid, "multiplier route")
-    lam, f = _on_layout(lam, forcing)
+    lam, f = _accretive_symbol(prob.operator, forcing.grid), forcing.spectrum
     k1 = f.shape[0]
     if pad_factor < 2:
         raise ValueError("pad_factor must be at least 2")
@@ -501,6 +511,13 @@ def rbound_estimate(
     else:
         n_signs = 4096
 
+    # the sampled coefficient arrays are complex and full, not fields: each
+    # entry counts once in Parseval's sum
+    ones = np.ones(grid.points_per_axis)
+
+    def l2(coefficients: np.ndarray) -> np.ndarray:
+        return np.sqrt(grid.volume * _energy(coefficients, ones, 1))
+
     ratios = [uniform_bound]  # the largest worst-mode singleton
     field_shape = (1,) + grid.shape  # one scalar field per operator
     for trial in range(trials):
@@ -520,8 +537,8 @@ def rbound_estimate(
             sj = signs[:, j].reshape(shape)
             run_x = run_x + sj * fields[j][np.newaxis]
             run_t = run_t + sj * (symbols[j] * fields[j])[np.newaxis]
-            mean_x = float(np.mean(_parseval_l2(run_x, grid)))
-            mean_t = float(np.mean(_parseval_l2(run_t, grid)))
+            mean_x = float(np.mean(l2(run_x)))
+            mean_t = float(np.mean(l2(run_t)))
             if mean_x > 0:
                 ratios.append(mean_t / mean_x)
     return RBoundEstimate(

@@ -136,9 +136,9 @@ def log_time_grid(t_min: float, t_max: float, num_nodes: int = 513) -> TimeGrid:
 class Trajectory(_CoefficientArithmetic):
     """Time-indexed stack of spectral fields on a shared grid.
 
-    ``coefficients`` may be given in either layout, shaped
-    ``(num_nodes, m) + grid.shape`` or ``(num_nodes, m) + grid.half_shape``,
-    and is stored as :class:`SpectralField` stores it (``spectrum``).  The
+    ``coefficients`` is the half spectrum of every node, shaped
+    ``(num_nodes, m) + grid.half_shape``, and is stored as
+    :class:`SpectralField` stores it (``spectrum``).  The
     linear operations mirror :class:`SpectralField` so trajectories can be
     fed to generic fixed-point iterations.  A trajectory is immutable: its
     derived views ``samples`` and ``max_divergence`` are computed at most
@@ -147,8 +147,7 @@ class Trajectory(_CoefficientArithmetic):
 
     time_grid: TimeGrid
     grid: TorusGrid
-    # No default: the inherited read-only ``coefficients`` view is not one.
-    coefficients: InitVar[np.ndarray] = dataclasses.field()
+    coefficients: InitVar[np.ndarray]
     spectrum: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self, coefficients: np.ndarray) -> None:
@@ -160,10 +159,7 @@ class Trajectory(_CoefficientArithmetic):
             raise ValueError("one field per time node required")
         for f in fields[1:]:
             fields[0]._check_compatible(f)
-        arrays = [f.spectrum for f in fields]
-        if len({a.shape for a in arrays}) > 1:  # mixed layouts are stacked in full
-            arrays = [f.coefficients for f in fields]
-        return cls(time_grid, fields[0].grid, np.stack(arrays))
+        return cls(time_grid, fields[0].grid, np.stack([f.spectrum for f in fields]))
 
     @classmethod
     def zeros(cls, time_grid: TimeGrid, grid: TorusGrid, components: int = 1) -> "Trajectory":
@@ -262,8 +258,6 @@ def _lq_magnitude(values: np.ndarray, grid: TorusGrid, q: float) -> np.ndarray:
     other ``q`` that is decided from its largest power, before the sum.
     """
     n = grid.dimension
-    if np.iscomplexobj(values):
-        values = np.abs(values)
     flat = values.reshape(values.shape[:-n] + (-1,))
     with np.errstate(over="ignore", under="ignore"):
         if q == 2:
@@ -325,11 +319,11 @@ def _scaled_lp(terms: np.ndarray, weights: np.ndarray | float, p: float) -> np.n
 
 
 def _parseval_l2(stored: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """``L^2`` norms by Parseval over the last ``n + 1`` axes of a stored array
-    ``(..., m) + layout shape``; a half spectrum's columns count as often as
+    """``L^2`` norms by Parseval over the last ``n + 1`` axes of a stored half
+    spectrum ``(..., m) + grid.half_shape``; its columns count as often as
     they occur in the full spectrum."""
     lead = stored.ndim - grid.dimension - 1
-    return np.sqrt(grid.volume * _energy(stored, grid.layout(stored).weights, lead))
+    return np.sqrt(grid.volume * _energy(stored, grid.layout.weights, lead))
 
 
 def spatial_lq_norm(field: SpectralField, q: float) -> float:
@@ -388,20 +382,18 @@ def heat_extension(u0: SpectralField, time_grid: TimeGrid) -> Trajectory:
 
 def _heat_damping(time_grid: TimeGrid, u0: SpectralField) -> np.ndarray:
     """``exp(-t |xi|**2)`` on the nodes of ``time_grid`` and the modes of
-    ``u0``'s layout, shaped ``(num_nodes,) + layout shape``, read-only.
+    ``u0``'s half spectrum, shaped ``(num_nodes,) + grid.half_shape``, read-only.
 
-    The time grid keeps the last table it was built for (keyed by grid and
-    layout), so the heat extensions of one sweep build it once, and it goes
-    when the time grid does.
+    The time grid keeps the last table it was built for (keyed by the
+    spatial grid), so the heat extensions of one sweep build it once, and
+    it goes when the time grid does.
     """
-    xi_sq = u0.grid.layout(u0.spectrum).xi_sq
-    key = (u0.grid, xi_sq.shape)
     cached = vars(time_grid).get("_heat_damping")
-    if cached is not None and cached[0] == key:
+    if cached is not None and cached[0] == u0.grid:
         return cached[1]
-    damp = np.exp(-np.multiply.outer(time_grid.nodes, xi_sq))
+    damp = np.exp(-np.multiply.outer(time_grid.nodes, u0.grid.layout.xi_sq))
     damp.flags.writeable = False
-    vars(time_grid)["_heat_damping"] = (key, damp)
+    vars(time_grid)["_heat_damping"] = (u0.grid, damp)
     return damp
 
 
@@ -453,7 +445,7 @@ def besov_heat_norm(
         raise ValueError("heat-extension norm over (0, inf) requires a mean-free field")
     stored = u0.spectrum
     columns = np.sum(np.abs(stored), axis=tuple(range(stored.ndim - 1)))
-    amp = float(columns @ u0.grid.layout(stored).weights)  # sum |c_k| over the full spectrum
+    amp = float(columns @ u0.grid.layout.weights)  # sum |c_k| over the full spectrum
     if amp == 0.0:
         grid = log_time_grid(t_min, 2 * t_min, 3)
         return BesovHeatResult(0.0, 0.0, grid) if details else 0.0

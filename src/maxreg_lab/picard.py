@@ -48,6 +48,9 @@ class FixedPointProblem:
     epsilon: float
     #: ``norm(map_F(0))``, measured once on construction
     drift: float = field(init=False, repr=False)
+    #: ``norm(base)`` as the first gate of :func:`run_picard` measured it, for
+    #: a later gate beside a ``start``; :meth:`with_base` clears it
+    _base_norm: float | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:  # NaN included
@@ -69,6 +72,7 @@ class FixedPointProblem:
         """
         prob = copy.copy(self)
         object.__setattr__(prob, "base", base)
+        object.__setattr__(prob, "_base_norm", None)
         prob._check_drift()
         return prob
 
@@ -144,13 +148,18 @@ def run_picard(
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = prob.base
-    # The gate measures a shallow copy of the base, with or without a
-    # ``start``: what its norm caches (a trajectory's samples) goes with
-    # that copy and is never kept on the caller's base, so the residual's
-    # ``u - a`` forms no samples.  Without a ``start`` the copy is the
-    # first iterate, which the first step replaces.
-    first = copy.copy(a)
-    a_norm = prob.norm(first)
+    # The gate measures a shallow copy of the base: what its norm caches (a
+    # trajectory's samples) goes with that copy and is never kept on the
+    # caller's base, so the residual's ``u - a`` forms no samples.  Without
+    # a ``start`` the copy is the first iterate, which the first step
+    # replaces; beside a ``start`` the norm an earlier gate measured is
+    # reused, and no copy is made.
+    first = None
+    a_norm = None if start is None else prob._base_norm
+    if a_norm is None:
+        first = copy.copy(a)
+        a_norm = prob.norm(first)
+        object.__setattr__(prob, "_base_norm", a_norm)
     delta, small_ok = smallness_gate(lipschitz_M, prob.epsilon, a_norm)
     if start is None and a_norm == 0.0 and prob.drift == 0.0:
         if iterate_callback is not None:

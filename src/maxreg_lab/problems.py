@@ -780,7 +780,7 @@ def _mollify_by_cutoff(
     a choice exists.
     """
     grid = u0.grid
-    mags = np.sqrt(grid.layout(u0.spectrum).xi_sq)
+    mags = np.sqrt(grid.layout.xi_sq)
     radii = np.unique(mags)
     full = spatial_lq_norm(u0, q) ** (nu - 1.0)
     for radius in radii:

@@ -2,23 +2,20 @@
 
 Everything downstream (norms, linear solves, nonlinear fixed-point runs)
 works on Fourier coefficients of functions on the torus ``[0, L)^n``.  The
-coefficient ``c_k`` multiplies ``exp(i <2*pi*k/L, x>)``, so a physical
-sample array ``u`` and its coefficients are related by
-``c = fftn(u) / N**n``.  With this normalisation a single mode has unit
-coefficient and Parseval reads ``||u||_L2 = L**(n/2) * ||c||_2``.
+coefficient ``c_k`` multiplies ``exp(i <2*pi*k/L, x>)``, so the coefficients
+of a physical sample array ``u`` are its discrete Fourier transform divided
+by ``N**n``.  With this normalisation a single mode has unit coefficient
+and Parseval reads ``||u||_L2 = L**(n/2) * ||c||_2``.
 
-A field stores one of two layouts, and the stored array's last axis says
-which.  A real field (conjugate-symmetric coefficients) stores its half
-spectrum, the ``rfftn`` layout ``(..., m, N, ..., N//2 + 1)``: its samples
-come from one ``irfftn`` and are real.  Any other field stores the full
-FFT layout ``(..., m, N, ..., N)`` and has complex samples.  Each operator
-is written once over the stored array and the per-mode arrays of its
-layout (:meth:`TorusGrid.layout`: wavevectors, dealias mask, Parseval
-weights).  Conjugate symmetry is checked once, when a full array enters a
-constructor, and an operator that does not map real fields to real
-fields (a symbol with ``a(-xi) != conj(a(xi))``, a complex scalar, an odd
-derivative of a field with energy on a Nyquist row) gives a full-layout
-field.  The full array stays readable as ``coefficients``.
+Every field is real and stores its half spectrum, the ``rfftn`` layout
+``(..., m, N, ..., N//2 + 1)``: its samples come from one ``irfftn``.  Each
+operator is written once over the stored array and the per-mode arrays of
+:attr:`TorusGrid.layout` (wavevectors, dealias mask, Parseval weights), and
+every operator maps real fields to real fields: a symbol must be real and
+even, a scalar real, and an odd derivative takes the Nyquist wavenumber
+as 0 (the usual spectral convention; ``|xi|**2`` keeps ``(N/2)**2``).  A
+constructor given a full FFT array, ``from_physical`` given complex
+samples, and a multiple by a complex scalar raise ``ValueError``.
 
 Products (tensor divergence, momentum forcing, pointwise powers) are
 formed in physical space with two-thirds dealiasing applied before and
@@ -50,7 +47,6 @@ __all__ = [
     "SpectralField",
     "FourierMultiplier",
     "laplacian_multiplier",
-    "sector_multiplier",
     "constant_multiplier",
     "resolvent_scalar_multiplier",
     "apply_multiplier",
@@ -61,14 +57,6 @@ __all__ = [
     "momentum_forcing",
     "pointwise_power_nonlinearity",
 ]
-
-#: Relative tolerance of the conjugate-symmetry check a full coefficient
-#: array (or a symbol) passes to count as real.
-_REALITY_TOL = 1e-10
-
-#: Number of coefficients the conjugate-symmetry check compares per block
-#: (1 MB of complex128: a block and its mirror stay in cache).
-_HERMITIAN_BLOCK = 1 << 16
 
 #: Relative ``l^2`` size of the coefficients outside the dealias mask up to
 #: which a field counts as dealiased already (the rounding of a band-limited
@@ -97,15 +85,17 @@ def _product_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Layout:
-    """Per-mode arrays of one storage layout, shaped like its spatial axes.
+    """Per-mode arrays of the half spectrum, shaped like its spatial axes.
 
     The contraction kernels are built on first use and kept with the layout,
-    so each grid builds each one once per layout.
+    so each grid builds each one once.
     """
 
+    #: wavevectors of the odd derivatives: 0 on a Nyquist row of their axis
     xi: np.ndarray
+    #: ``|xi|**2`` of the Laplacian: ``(N/2)**2`` on a Nyquist row
     xi_sq: np.ndarray
-    #: ``1/|xi|**2``, zero at the zero mode
+    #: ``1/|xi|**2`` of the odd-derivative ``xi``, zero where it is zero
     inv_xi_sq: np.ndarray
     dealias_mask: np.ndarray
     #: block of the last axis the 2/3 rule drops
@@ -246,37 +236,30 @@ class TorusGrid:
         x1 = np.linspace(0.0, self.period, self.points_per_axis, endpoint=False)
         return np.stack(np.meshgrid(*([x1] * self.dimension), indexing="ij"))
 
-    def layout(self, stored: np.ndarray) -> _Layout:
-        """Per-mode arrays matching a stored array, read from its last axis's length."""
-        if stored.shape[-1] == self.points_per_axis:
-            return self._full_layout
-        return self._half_layout
-
     @cached_property
-    def _full_layout(self) -> _Layout:
-        return self._columns(self.points_per_axis)
+    def layout(self) -> _Layout:
+        """Per-mode arrays of the half spectrum, the first ``N//2 + 1``
+        columns of the last axis.
 
-    @cached_property
-    def _half_layout(self) -> _Layout:
-        return self._columns(self.points_per_axis // 2 + 1)
-
-    def _columns(self, count: int) -> _Layout:
-        """The layout keeping the first ``count`` columns of the last axis.
-
-        The half layout's Nyquist column keeps the full layout's ``-N/2``
-        wavenumber, so both give the same numbers on the modes they share.
+        On a Nyquist row the wavenumbers ``N/2`` and ``-N/2`` meet, so ``i xi``
+        would not map real fields to real fields there: the odd derivatives'
+        ``xi`` takes it as 0, the usual spectral convention, while the
+        Laplacian's ``xi_sq`` keeps ``(N/2)**2``.
         """
+        N, count = self.points_per_axis, self.points_per_axis // 2 + 1
         cut = (Ellipsis, slice(0, count))
-        xi_sq = np.ascontiguousarray(self.xi_sq[cut])
-        inv_xi_sq = np.zeros_like(xi_sq)
-        np.divide(1.0, xi_sq, out=inv_xi_sq, where=xi_sq > 0)
-        weights = np.ones(count)
-        if count < self.points_per_axis:
-            weights[1:-1] = 2.0  # k and -k; the k = 0 and Nyquist columns occur once
+        odd = self.wavenumbers.copy()
+        odd[N // 2] = 0.0
+        xi = np.stack(np.meshgrid(*([odd] * (self.dimension - 1) + [odd[:count]]), indexing="ij"))
+        odd_sq = np.sum(xi**2, axis=0)
+        inv_xi_sq = np.zeros_like(odd_sq)
+        np.divide(1.0, odd_sq, out=inv_xi_sq, where=odd_sq > 0)
+        weights = np.full(count, 2.0)
+        weights[[0, -1]] = 1.0  # k and -k; the k = 0 and Nyquist columns occur once
         dropped = self._dealias_dropped
         return _Layout(
-            xi=np.ascontiguousarray(self.xi[cut]),
-            xi_sq=xi_sq,
+            xi=xi,
+            xi_sq=np.ascontiguousarray(self.xi_sq[cut]),
             inv_xi_sq=inv_xi_sq,
             dealias_mask=np.ascontiguousarray(self.dealias_mask[cut]),
             dealias_last=slice(dropped.start, min(dropped.stop, count)),
@@ -284,93 +267,25 @@ class TorusGrid:
         )
 
 
-def _is_half(stored: np.ndarray, grid: TorusGrid) -> bool:
-    """Whether ``stored`` is a half spectrum (the layout of a real field)."""
-    return stored.shape[-1] != grid.points_per_axis
-
-
 def _spatial_axes(grid: TorusGrid) -> tuple[int, ...]:
     return tuple(range(-grid.dimension, 0))
 
 
 def _physical_values(stored: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Physical samples of a stored array: real from a half spectrum, complex
-    from a full one."""
-    if _is_half(stored, grid):
-        return scipy.fft.irfftn(stored, s=grid.shape, axes=_spatial_axes(grid), norm="forward")
-    return scipy.fft.ifftn(stored, axes=_spatial_axes(grid), norm="forward")
+    """Real physical samples of a stored half spectrum."""
+    return scipy.fft.irfftn(stored, s=grid.shape, axes=_spatial_axes(grid), norm="forward")
 
 
 def _fourier_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Inverse of :func:`_physical_values`: real samples give the half spectrum,
-    complex ones the full array."""
-    if np.iscomplexobj(values):
-        return scipy.fft.fftn(values, axes=_spatial_axes(grid), norm="forward")
+    """Inverse of :func:`_physical_values`: the half spectrum of real samples."""
     return scipy.fft.rfftn(values, axes=_spatial_axes(grid), norm="forward")
 
 
-def _negate_leading(a: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """``a`` at the indices ``-k mod N`` of every spatial axis but the last."""
-    for axis in range(-grid.dimension, -1):
-        a = np.roll(np.flip(a, axis), 1, axis)
-    return a
-
-
-def _is_hermitian(full: np.ndarray, grid: TorusGrid) -> bool:
-    """Whether ``full[..., -k] = conj(full[..., k])`` over the last ``n`` axes,
-    up to ``_REALITY_TOL`` against ``max(1, max |c|)`` over the half
-    spectrum (which holds the largest ``|c|`` of a conjugate-symmetric array).
-
-    The array is read in blocks of whole spatial slices: one pass finds the
-    global scale, a second compares block by block and stops at the first
-    block that breaks symmetry.  The answer is the one a single comparison
-    of the whole array gives.
-    """
-    N = grid.points_per_axis
-    slices = full.reshape((-1,) + full.shape[full.ndim - grid.dimension :])
-    step = max(1, _HERMITIAN_BLOCK // slices[0].size)
-    blocks = [slices[i : i + step] for i in range(0, len(slices), step)]
-    peaks = [np.max(np.abs(b[..., : N // 2 + 1])) for b in blocks]
-    tol = _REALITY_TOL * max(1.0, float(np.max(peaks)))
-    for block in blocks:
-        # conj(block[..., -k]) for the half-spectrum columns k = 0 .. N/2
-        last = np.concatenate([block[..., :1], block[..., N - 1 : N // 2 - 1 : -1]], axis=-1)
-        mirror = _negate_leading(last, grid)  # a new array: conjugated in place
-        np.conjugate(mirror, out=mirror)
-        mirror -= block[..., : N // 2 + 1]
-        if np.max(np.abs(mirror)) > tol:
-            return False
-    return True
-
-
-def _stored(coefficients: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """The array a container keeps for coefficients in either layout: a full
-    array that is conjugate symmetric as its half spectrum (a copy), any
-    other array as it is."""
-    if not _is_half(coefficients, grid) and _is_hermitian(coefficients, grid):
-        return coefficients[..., : grid.points_per_axis // 2 + 1].copy()
-    return coefficients
-
-
-def _full_spectrum(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """The full array of a half spectrum: column ``N - j`` is the conjugate of
-    column ``j`` at the negated indices of the other axes."""
-    tail = np.conjugate(_negate_leading(half[..., grid.points_per_axis // 2 - 1 : 0 : -1], grid))
-    return np.concatenate([half, tail], axis=-1)
-
-
-def _on_layout(symbol: np.ndarray, u: _FieldOrStack) -> tuple[np.ndarray, np.ndarray]:
-    """A symbol evaluated on the full grid, and ``u``'s Fourier array, in one layout.
-
-    A real ``u`` stays in its half spectrum when the symbol maps real fields
-    to real fields (``a(-xi) = conj(a(xi))``); otherwise both are full.
-    """
-    stored = u.spectrum
-    if not _is_half(stored, u.grid):
-        return symbol, stored
-    if _is_hermitian(symbol, u.grid):
-        return symbol[..., : stored.shape[-1]], stored
-    return symbol, u.coefficients
+def _real_scalar(scalar: float) -> float:
+    """``scalar``, which must be real: a complex multiple of a real field is not real."""
+    if not isinstance(scalar, numbers.Real):
+        raise ValueError(f"scalar {scalar!r} is not real: fields are real, so are their multiples")
+    return scalar
 
 
 def _xi_dot(xi: np.ndarray, stored: np.ndarray) -> np.ndarray:
@@ -387,34 +302,35 @@ def _with_component_axis(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 class _CoefficientArithmetic:
     """Storage, linear structure and derived views of an immutable dataclass
-    holding ``grid`` and the stored Fourier array ``spectrum``.
+    holding ``grid`` and the stored half spectrum ``spectrum``.
 
     Shared by :class:`SpectralField` and ``norms.Trajectory``, which adds a
     leading time axis.  The linear operations carry ``samples`` through
-    when every operand already holds it and the operands and the result
-    share a layout, so a sum, difference or real multiple of transformed
-    states needs no transform of its own.
+    when every operand already holds it, so a sum, difference or real
+    multiple of transformed states needs no transform of its own.
     ``dataclasses.replace`` builds an instance without it.  Like numpy's,
-    ``+=`` and ``-=`` write into the state they are given when both
-    operands are half spectra of one shape, and ``*=`` when the state is a
-    half spectrum and the scalar real; each writes the spectrum and the
-    cached samples and drops every other cached view the write would leave
-    stale.  The package applies them only to a state it has just built,
-    before it is handed out.
+    ``+=``, ``-=`` and ``*=`` write into the state they are given; each
+    writes the spectrum and the cached samples and drops every other cached
+    view the write would leave stale.  The package applies them only to a
+    state it has just built, before it is handed out.
     """
 
     def _store(self, coefficients: np.ndarray, lead: tuple[int, ...]) -> None:
-        """Keep ``coefficients``, shaped ``lead + (m,) + grid shape`` in either
-        layout (without the ``m`` axis for ``m = 1``), as ``spectrum``."""
+        """Keep ``coefficients``, the half spectrum shaped ``lead + (m,) +
+        grid.half_shape`` (without the ``m`` axis for ``m = 1``), as ``spectrum``."""
         coeff = np.asarray(coefficients, dtype=np.complex128)
         grid, k = self.grid, len(lead)
         if coeff.ndim == k + grid.dimension:
             coeff = np.expand_dims(coeff, k)
-        if coeff.shape[:k] != lead or coeff.shape[k + 1 :] not in (grid.shape, grid.half_shape):
+        if coeff.shape[:k] != lead or coeff.shape[k + 1 :] != grid.half_shape:
+            cause = ""
+            if coeff.shape[k + 1 :] == grid.shape:
+                cause = ": a full FFT array, but fields are real and store the half spectrum"
             raise ValueError(
-                f"coefficient shape {coeff.shape} incompatible with {lead} + grid shape {grid.shape}"
+                f"coefficient shape {coeff.shape} incompatible with {lead} + half shape"
+                f" {grid.half_shape}{cause}"
             )
-        object.__setattr__(self, "spectrum", _stored(coeff, grid))
+        object.__setattr__(self, "spectrum", coeff)
 
     @property
     def components(self) -> int:
@@ -432,24 +348,12 @@ class _CoefficientArithmetic:
             raise ValueError("operands live on different grids or component counts")
 
     @property
-    def coefficients(self) -> np.ndarray:
-        """The full Fourier array ``(..., m) + grid.shape``, read-only.
-
-        A real field rebuilds it from its half spectrum on every access.
-        """
-        stored = self.spectrum
-        full = _full_spectrum(stored, self.grid) if _is_half(stored, self.grid) else stored.view()
-        full.flags.writeable = False
-        return full
-
-    @property
     def samples(self) -> np.ndarray:
-        """Physical samples, computed once.
+        """Real float64 physical samples that own their memory, computed once.
 
-        Real float64 samples that own their memory for a real field (half
-        layout), complex ones otherwise.  Not a ``functools.cached_property``:
-        before Python 3.12 its lock is shared by every instance, which would
-        serialise the transforms of an ensemble's worker threads.
+        Not a ``functools.cached_property``: before Python 3.12 its lock is
+        shared by every instance, which would serialise the transforms of an
+        ensemble's worker threads.
         """
         samples = vars(self).get("_samples")
         if samples is None:
@@ -464,24 +368,17 @@ class _CoefficientArithmetic:
         energy = vars(self).get("_energy")
         if energy is None:
             stored, grid = self.spectrum, self.grid
-            lead = stored.ndim - grid.dimension - 1
-            energy = _energy(stored, grid.layout(stored).weights, lead)
+            energy = _energy(stored, grid.layout.weights, stored.ndim - grid.dimension - 1)
             vars(self)["_energy"] = energy
         return energy
 
     def _linear(self, op: Callable[..., np.ndarray], *others):
-        """``op`` of the Fourier arrays, and of the samples when every operand
-        holds them and the result keeps their layout; operands in different
-        layouts are combined in full."""
+        """``op`` of the spectra, and of the samples when every operand holds them."""
         operands = (self, *others)
-        if all(x.spectrum.shape == self.spectrum.shape for x in operands):
-            out = replace(self, coefficients=op(*(x.spectrum for x in operands)))
-            # full operands may give a real result, stored half: its samples are real
-            same_layout = out.spectrum.shape == self.spectrum.shape
-            if same_layout and all("_samples" in vars(x) for x in operands):
-                vars(out)["_samples"] = op(*(x.samples for x in operands))
-            return out
-        return replace(self, coefficients=op(*(x.coefficients for x in operands)))
+        out = replace(self, coefficients=op(*(x.spectrum for x in operands)))
+        if all("_samples" in vars(x) for x in operands):
+            vars(out)["_samples"] = op(*(x.samples for x in operands))
+        return out
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -492,30 +389,21 @@ class _CoefficientArithmetic:
         return self._linear(operator.sub, other)
 
     def _in_place(self, op: np.ufunc, other):
-        """``op(self, other)``, for a state or a real scalar ``other``, written
-        into this state's arrays when this state is a half spectrum and
-        ``other`` a scalar or a half spectrum of its shape; a new state
-        otherwise (a full-layout result may be stored half by the
-        constructor).
+        """``op(self, other)``, for a compatible state or a real scalar
+        ``other``, written into this state's arrays.
 
         Its samples are combined with ``other``'s (or the scalar) when both
-        hold them and are dropped otherwise, as ``+``, ``-`` and real ``*``
-        carry them; every other cached view (the node energy, a trajectory's
+        hold them and are dropped otherwise, as ``+``, ``-`` and ``*`` carry
+        them; every other cached view (the node energy, a trajectory's
         ``max_divergence``) is dropped.
         """
-        real = isinstance(other, numbers.Real)  # a real multiple keeps the layout
-        if not real:
-            self._check_compatible(other)
-            if other.spectrum.shape != self.spectrum.shape:
-                return self._linear(op, other)
-        if not _is_half(self.spectrum, self.grid):
-            return self._linear(lambda c: op(c, other)) if real else self._linear(op, other)
         cached = vars(self)
         # both read before the drop: ``other`` may be this state
         samples = cached.get("_samples")
-        if real:
+        if isinstance(other, numbers.Real):
             operand = other_samples = other
         else:
+            self._check_compatible(other)
             operand, other_samples = other.spectrum, vars(other).get("_samples")
         for name in set(cached) - {f.name for f in dataclasses.fields(self)}:
             del cached[name]
@@ -531,15 +419,12 @@ class _CoefficientArithmetic:
     def __isub__(self, other):
         return self._in_place(np.subtract, other)
 
-    def __imul__(self, scalar: complex):
-        if isinstance(scalar, numbers.Real):
-            return self._in_place(np.multiply, scalar)
-        return self * scalar  # a complex multiple is full: a new state
+    def __imul__(self, scalar: float):
+        return self._in_place(np.multiply, _real_scalar(scalar))
 
-    def __mul__(self, scalar: complex):
-        if isinstance(scalar, numbers.Real):
-            return self._linear(lambda c: c * scalar)
-        return replace(self, coefficients=self.coefficients * scalar)
+    def __mul__(self, scalar: float):
+        scalar = _real_scalar(scalar)
+        return self._linear(lambda c: c * scalar)
 
     __rmul__ = __mul__
 
@@ -549,18 +434,14 @@ class _CoefficientArithmetic:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField(_CoefficientArithmetic):
-    """Fourier-side representation of an ``m``-component field.
+    """Fourier-side representation of a real ``m``-component field.
 
-    ``coefficients`` may be given in either layout: the full array
-    ``(m,) + grid.shape`` or the half spectrum ``(m,) + grid.half_shape``.
-    A full array that is conjugate symmetric (up to ``_REALITY_TOL``) is
-    stored as its half spectrum, so the check runs once, here; ``spectrum``
-    is the stored array and ``coefficients`` the full one, read-only.
+    ``coefficients`` is its half spectrum, shaped ``(m,) + grid.half_shape``
+    (the ``rfftn`` layout), and is stored as ``spectrum``.
     """
 
     grid: TorusGrid
-    # No default: the inherited read-only ``coefficients`` view is not one.
-    coefficients: InitVar[np.ndarray] = dataclasses.field()
+    coefficients: InitVar[np.ndarray]
     spectrum: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self, coefficients: np.ndarray) -> None:
@@ -570,9 +451,10 @@ class SpectralField(_CoefficientArithmetic):
 
     @classmethod
     def from_physical(cls, grid: TorusGrid, values: np.ndarray) -> "SpectralField":
-        """Build a field from physical samples on ``grid``; real samples give
-        the half spectrum directly."""
+        """Build a field from real physical samples on ``grid``."""
         values = np.asarray(values)
+        if np.iscomplexobj(values):
+            raise ValueError("complex samples: fields are real")
         if values.ndim == grid.dimension:
             values = values[np.newaxis]
         if values.shape[1:] != grid.shape:
@@ -586,8 +468,7 @@ class SpectralField(_CoefficientArithmetic):
         return cls(grid, np.zeros((components,) + grid.half_shape, dtype=np.complex128))
 
     def to_physical(self) -> np.ndarray:
-        """Physical samples, freshly transformed: real for a real field,
-        complex otherwise."""
+        """Real physical samples, freshly transformed."""
         return _physical_values(self.spectrum, self.grid)
 
 
@@ -619,14 +500,6 @@ def laplacian_multiplier() -> FourierMultiplier:
     return FourierMultiplier(lambda xi: np.sum(xi**2, axis=0), "minus-laplacian")
 
 
-def sector_multiplier(theta: float) -> FourierMultiplier:
-    """Rotated Laplacian symbol ``|xi|**2 * exp(i*theta)``."""
-    phase = np.exp(1j * theta)
-    return FourierMultiplier(
-        lambda xi: np.sum(xi**2, axis=0) * phase, f"sector(theta={theta})"
-    )
-
-
 def constant_multiplier(value: complex) -> FourierMultiplier:
     """Scalar multiple of the identity, constant symbol ``value``."""
     return FourierMultiplier(
@@ -651,49 +524,65 @@ def resolvent_scalar_multiplier(sigma: float) -> FourierMultiplier:
 # -- operations --------------------------------------------------------
 
 
+def _half_symbol(op: FourierMultiplier, grid: TorusGrid) -> np.ndarray:
+    """``op``'s symbol on the half spectrum's modes, as a real array.
+
+    A symbol maps real fields to real fields only if it is real and even
+    (``a(-xi) = a(xi)``); any other is rejected.
+    """
+    sym = op.evaluate(grid)
+    if np.iscomplexobj(sym) and np.any(sym.imag):
+        raise ValueError(f"symbol {op.descriptor} is not real, so it does not keep fields real")
+    sym = np.asarray(sym.real, dtype=np.float64)
+    mirrored = np.roll(np.flip(sym), 1, axis=tuple(range(grid.dimension)))  # a(-xi)
+    if not np.array_equal(sym, mirrored, equal_nan=True):
+        raise ValueError(f"symbol {op.descriptor} is not even, so it does not keep fields real")
+    return sym[..., : grid.half_shape[-1]]
+
+
 def apply_multiplier(u: _FieldOrStack, op: FourierMultiplier) -> _FieldOrStack:
     """Apply a Fourier multiplier modewise to a field or to every state of a
     trajectory.
 
-    The scalar symbol broadcasts over components.  A symbol that does not
-    map real fields to real fields gives a full-layout result.
+    The scalar symbol broadcasts over components; it must be real and even
+    (:func:`_half_symbol`).
     """
-    sym, coeff = _on_layout(op.evaluate(u.grid), u)
-    return replace(u, coefficients=coeff * sym)
+    return replace(u, coefficients=u.spectrum * _half_symbol(op, u.grid))
 
 
 def heat_semigroup_apply(u: _FieldOrStack, t: float) -> _FieldOrStack:
     """``exp(t*Laplacian)`` applied to ``u``; contraction for ``t >= 0``."""
     if t < 0:
         raise ValueError("heat semigroup time must be nonnegative")
-    damp = np.exp(-t * u.grid.layout(u.spectrum).xi_sq)
+    damp = np.exp(-t * u.grid.layout.xi_sq)
     return replace(u, coefficients=u.spectrum * damp)
 
 
 def helmholtz_project(field: _FieldOrStack) -> _FieldOrStack:
     """Leray projection onto divergence-free fields.
 
-    Modewise ``P = I - xi xi^T / |xi|**2``; the zero mode (spatial mean)
-    passes through unchanged.
+    Modewise ``P = I - xi xi^T / |xi|**2`` with the odd derivatives' ``xi``
+    (:attr:`TorusGrid.layout`); where that ``xi`` is zero (the spatial mean,
+    a mode whose only nonzero wavenumbers are Nyquist ones) ``u`` passes
+    through unchanged.
     """
     grid = field.grid
     if field.components != grid.dimension:
         raise ValueError(
             f"projection needs {grid.dimension} components, field has {field.components}"
         )
-    coeff = _odd_input(field)
-    layout = grid.layout(coeff)
+    coeff, layout = field.spectrum, grid.layout
     xi_dot_u = _xi_dot(layout.xi, coeff)
     out = coeff - layout.xi * _with_component_axis(xi_dot_u * layout.inv_xi_sq, grid)
     return replace(field, coefficients=out)
 
 
 def divergence(field: _FieldOrStack) -> _FieldOrStack:
-    """Divergence of a vector field: ``i * sum_j xi_j c_j``."""
+    """Divergence of a vector field: ``i * sum_j xi_j c_j``, with the odd
+    derivatives' ``xi`` (0 on a Nyquist row, :attr:`TorusGrid.layout`)."""
     if field.components != field.grid.dimension:
         raise ValueError("divergence expects one component per dimension")
-    coeff = _odd_input(field)
-    out = 1j * _xi_dot(field.grid.layout(coeff).xi, coeff)
+    out = 1j * _xi_dot(field.grid.layout.xi, field.spectrum)
     return replace(field, coefficients=_with_component_axis(out, field.grid))
 
 
@@ -719,31 +608,12 @@ def _negligible(u: _FieldOrStack, blocks: list[tuple[int, int | slice]]) -> bool
     """
     grid, stored = u.grid, u.spectrum
     n = grid.dimension
-    weights = grid.layout(stored).weights
+    weights = grid.layout.weights
     part = 0.0
     for axis, index in blocks:
         block = stored[(Ellipsis, index) + (slice(None),) * (n - 1 - axis)]
         part += float(_energy(block, weights[index] if axis == n - 1 else weights))
     return part == 0.0 or part <= _MASK_TOL**2 * float(np.sum(u._node_energy))
-
-
-def _odd_input(u: _FieldOrStack) -> np.ndarray:
-    """``u``'s Fourier array in the layout an odd-order derivative keeps.
-
-    On a Nyquist row (``k_d = N/2`` along any axis, the last one's Nyquist
-    column included) the wavenumber is ``-N/2`` at ``k`` and at ``-k``, so
-    ``i xi`` is not conjugate symmetric there.  A half spectrum carrying
-    more than ``_MASK_TOL`` of its ``l^2`` size on such a row is therefore
-    differentiated in full, as a field that is not real; any other keeps
-    its layout.
-    """
-    grid = u.grid
-    N, n = grid.points_per_axis, grid.dimension
-    # a slice on the last axis, so that ``_negligible`` keeps its weights an array
-    rows = [(axis, N // 2) for axis in range(n - 1)] + [(n - 1, slice(N // 2, N // 2 + 1))]
-    if not _is_half(u.spectrum, grid) or _negligible(u, rows):
-        return u.spectrum
-    return u.coefficients
 
 
 def _node_blocks(stored: np.ndarray, grid: TorusGrid) -> list[tuple[slice, ...]]:
@@ -763,9 +633,8 @@ def _dealiased_blocks(u: _FieldOrStack) -> Iterator[tuple[tuple[slice, ...], np.
     at a time.  The dropped modes are the union over the axes of the slab
     where that axis runs through the dropped block.
     """
-    grid = u.grid
-    stored = u.spectrum
-    layout = grid.layout(stored)
+    grid, stored = u.grid, u.spectrum
+    layout = grid.layout
     n = grid.dimension
     slabs = [(axis, grid._dealias_dropped) for axis in range(n - 1)] + [(n - 1, layout.dealias_last)]
     samples = u.samples if _negligible(u, slabs) else None
@@ -834,9 +703,8 @@ def _divergence_of_products(u: _FieldOrStack, shifted: bool = False) -> np.ndarr
     """
     if u.components != u.grid.dimension:
         raise ValueError("tensor divergence expects one component per dimension")
-    # real samples give real products, whose spectra are half: ``u``'s layout
     out = np.empty(u.spectrum.shape, dtype=np.complex128)
-    layout = u.grid.layout(out)
+    layout = u.grid.layout
     kernel = layout.forcing_kernel if shifted else layout.divergence_kernel
     for index, u_phys in _dealiased_blocks(u):
         _contract(kernel, _product_spectra(u_phys, u.grid, shifted), out[index])
@@ -875,8 +743,7 @@ def pointwise_power_nonlinearity(
     """Dealiased pointwise power of a real scalar field.
 
     ``signed`` produces ``|u|**(nu-1) * u`` and ``unsigned`` produces
-    ``|u|**nu``.  A field stored in the full layout is not real and is
-    rejected; one inside the dealias mask gives its cached samples.  The
+    ``|u|**nu``.  A field inside the dealias mask gives its cached samples.  The
     powers are formed, transformed and masked one node block at a time
     (:func:`_dealiased_blocks`), each block into its rows of one output
     spectrum.
@@ -888,10 +755,8 @@ def pointwise_power_nonlinearity(
     if variant not in ("signed", "unsigned"):
         raise ValueError(f"unknown variant {variant!r}; use 'signed' or 'unsigned'")
     grid = u.grid
-    if not _is_half(u.spectrum, grid):
-        raise ValueError("field is not real: conjugate symmetry is broken")
     out = np.empty(u.spectrum.shape, dtype=np.complex128)
-    mask = grid.layout(out).dealias_mask
+    mask = grid.layout.dealias_mask
     for index, values in _dealiased_blocks(u):
         if variant == "signed":
             w = np.abs(values) ** (nu - 1.0) * values

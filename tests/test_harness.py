@@ -248,8 +248,8 @@ class TestSyntheticEnsemble:
         a = synthetic_forcing_ensemble(grid, tg, 3, seed=4)
         b = synthetic_forcing_ensemble(grid, tg, 3, seed=4)
         for ta, tb in zip(a, b):
-            np.testing.assert_array_equal(ta.coefficients, tb.coefficients)
-        assert np.any(a[0].coefficients != a[1].coefficients)
+            np.testing.assert_array_equal(ta.spectrum, tb.spectrum)
+        assert np.any(a[0].spectrum != a[1].spectrum)
 
     def test_members_are_real_and_band_limited(self):
         grid = TorusGrid(dimension=2, points_per_axis=16)
@@ -258,7 +258,7 @@ class TestSyntheticEnsemble:
         assert member.state(3).to_physical().dtype == np.float64  # a real field's samples
         k = np.fft.fftfreq(16, d=1 / 16)
         outside = np.abs(k) > 2
-        assert np.all(member.coefficients[:, 0][:, outside, :] == 0)
+        assert np.all(member.spectrum[:, 0][:, outside, :] == 0)
 
     def test_degenerate_draws_rejected(self):
         """``band_limit`` 0 leaves only the excluded zero mode to draw (the
@@ -279,7 +279,7 @@ class TestSyntheticEnsemble:
         (coarse,) = synthetic_forcing_ensemble(grid, coarse_tg, 1, seed=2)
         (fine,) = synthetic_forcing_ensemble(grid, fine_tg, 1, seed=2)
         np.testing.assert_allclose(
-            fine.coefficients[::2], coarse.coefficients, atol=1e-15
+            fine.spectrum[::2], coarse.spectrum, atol=1e-15
         )
 
 

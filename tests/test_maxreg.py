@@ -24,7 +24,6 @@ from maxreg_lab import (
     rbound_estimate,
     resolvent_scalar_multiplier,
     resolvent_via_maxreg,
-    sector_multiplier,
     solve_linear_duhamel,
     synthetic_forcing_ensemble,
     uniform_time_grid,
@@ -32,12 +31,18 @@ from maxreg_lab import (
 from maxreg_lab import maxreg
 
 
+def sector_multiplier(theta):
+    """The rotated Laplacian ``|xi|**2 exp(i theta)``: complex, so not real."""
+    return FourierMultiplier(lambda xi: np.sum(xi**2, axis=0) * np.exp(1j * theta), "sector")
+
+
 def cosine_forcing(grid, time_grid, envelope):
     """Trajectory envelope(t) * cos(x_1)."""
-    coeff = np.zeros((1,) + grid.shape, dtype=complex)
+    coeff = np.zeros((1,) + grid.half_shape, dtype=complex)
     idx0 = (0,) * (grid.dimension - 1)
     coeff[(0, 1) + idx0] = 0.5
-    coeff[(0, -1 % grid.points_per_axis) + idx0] = 0.5
+    if grid.dimension > 1:  # in one dimension the half spectrum holds k >= 0 only
+        coeff[(0, -1 % grid.points_per_axis) + idx0] = 0.5
     stacked = envelope[(slice(None),) + (np.newaxis,) * (grid.dimension + 1)] * coeff
     return Trajectory(time_grid, grid, stacked)
 
@@ -45,7 +50,7 @@ def cosine_forcing(grid, time_grid, envelope):
 def mode_amplitude(traj, node):
     """Coefficient of e^{i x_1} at a time node (real for cosine data)."""
     idx0 = (0,) * (traj.grid.dimension - 1)
-    return traj.coefficients[(node, 0, 1) + idx0]
+    return traj.spectrum[(node, 0, 1) + idx0]
 
 
 class TestDuhamelSolver:
@@ -93,7 +98,7 @@ class TestDuhamelSolver:
     def test_nonaccretive_operator_rejected(self, grid1d):
         tg = uniform_time_grid(1.0, 9)
         forcing = cosine_forcing(grid1d, tg, np.ones(9))
-        with pytest.raises(ValueError, match="nonnegative real part"):
+        with pytest.raises(ValueError, match="must be nonnegative"):
             LinearProblem(constant_multiplier(-1.0), forcing)
 
     def test_matrix_symbol_rejected(self, grid1d):
@@ -104,13 +109,14 @@ class TestDuhamelSolver:
         with pytest.raises(ValueError, match="does not match grid shape"):
             LinearProblem(matrix, forcing)
 
-    def test_sectorial_rotation_allowed_up_to_boundary(self, grid1d):
-        """Rotations with Re e^{i theta} >= 0 stay admissible."""
+    @pytest.mark.parametrize("theta", [0.4, 1.5, 1.8])
+    def test_rotated_symbol_rejected(self, grid1d, theta):
+        """A rotated Laplacian, accretive or not, is not real: it would not
+        keep a real forcing's solution real, so the solver refuses it."""
         tg = uniform_time_grid(1.0, 9)
         forcing = cosine_forcing(grid1d, tg, np.ones(9))
-        LinearProblem(sector_multiplier(1.5), forcing)  # ~85.9 degrees: fine
-        with pytest.raises(ValueError, match="nonnegative real part"):
-            LinearProblem(sector_multiplier(1.8), forcing)
+        with pytest.raises(ValueError, match="not real"):
+            solve_linear_duhamel(LinearProblem(sector_multiplier(theta), forcing))
 
 
 class TestMaxRegEstimate:
@@ -136,12 +142,11 @@ class TestMaxRegEstimate:
         assert serial.C_estimate == pooled.C_estimate
         assert [m.ratio for m in serial.members] == [m.ratio for m in pooled.members]
 
-    @pytest.mark.parametrize("operator", [laplacian_multiplier(), sector_multiplier(0.5)])
+    @pytest.mark.parametrize("operator", [laplacian_multiplier(), constant_multiplier(2.0)])
     def test_derivative_profile_is_that_of_the_difference(self, grid2d, operator):
-        """The nodal norms of ``u' = f - A u`` are those of the trajectory
-        ``f - A u`` formed after the norms of ``f`` and ``A u``, bit for bit:
-        from the samples when ``A u`` keeps the half layout, from the
-        difference when a sector symbol makes it full."""
+        """The nodal norms of ``u' = f - A u``, taken from the samples of
+        ``f`` and ``A u``, are those of the trajectory ``f - A u`` formed
+        after the norms of ``f`` and ``A u``, bit for bit."""
         tg = uniform_time_grid(1.0, 9)
         ensemble = synthetic_forcing_ensemble(grid2d, tg, 2, seed=4)
         profiles = maxreg._member_profiles(operator, 3.0, ensemble, threads=1)
@@ -239,9 +244,22 @@ class TestResolventProbe:
         for z in (1.0, 1.0 + 10.0j, 100.0):
             probe = resolvent_via_maxreg(laplacian_multiplier(), z, x)
             assert probe.deviation < 1e-6
-            np.testing.assert_allclose(
-                probe.value.coefficients, probe.exact.coefficients, atol=1e-7
-            )
+            np.testing.assert_allclose(probe.value.spectrum, probe.exact.spectrum, atol=1e-7)
+
+    @pytest.mark.parametrize("z", [1.0, 1.0 + 10.0j, 2.0 - 3.0j])
+    def test_real_and_imaginary_parts_match_dense_resolvent(self, grid2d, rng, z):
+        """``value`` holds the real and imaginary parts of ``(z + A)^{-1} x``
+        as two real components: together they are the complex resolvent of
+        a dense reference, and their Euclidean ``L^2`` size is its size."""
+        values = rng.standard_normal((1,) + grid2d.shape)
+        x = SpectralField.from_physical(grid2d, values)
+        probe = resolvent_via_maxreg(laplacian_multiplier(), z, x, num_nodes=4097)
+        assert probe.value.components == probe.exact.components == 2
+        dense = np.fft.ifft2(np.fft.fft2(values[0]) / (z + grid2d.xi_sq))
+        for field in (probe.value, probe.exact):
+            np.testing.assert_allclose(field.samples[0] + 1j * field.samples[1], dense, atol=1e-7)
+        size = np.sqrt(np.sum(np.abs(dense) ** 2) * grid2d.cell_volume)
+        assert maxreg.spatial_lq_norm(probe.exact, 2) == pytest.approx(size, rel=1e-12)
 
     def test_sectorial_bound(self, grid1d, rng):
         """||R_z x|| (1 + |z|) / ||x|| stays order one on the right half-plane."""
@@ -315,8 +333,8 @@ class TestDeSimonRoute:
         prob = LinearProblem(laplacian_multiplier(), forcing)
         au_fourier = de_simon_multiplier_solve(prob)
         au_time = apply_multiplier(solve_linear_duhamel(prob), laplacian_multiplier())
-        num = np.sqrt(np.sum(np.abs(au_fourier.coefficients - au_time.coefficients) ** 2))
-        den = np.sqrt(np.sum(np.abs(au_time.coefficients) ** 2))
+        num = np.sqrt(np.sum(np.abs(au_fourier.spectrum - au_time.spectrum) ** 2))
+        den = np.sqrt(np.sum(np.abs(au_time.spectrum) ** 2))
         assert num / den < 2e-6
 
     def test_requires_uniform_grid(self, grid1d):

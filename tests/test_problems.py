@@ -37,7 +37,7 @@ from maxreg_lab import (
     uniform_time_grid,
     uniqueness_bootstrap,
 )
-from maxreg_lab import besov_heat_norm, bochner_mixed_norm, norms, problems
+from maxreg_lab import besov_heat_norm, bochner_mixed_norm, norms, problems, spectral
 from maxreg_lab.harness import load_config, run_experiment
 from maxreg_lab.norms import _node_spatial_norms
 from maxreg_lab.problems import _lipschitz_bound
@@ -162,7 +162,7 @@ class TestRhsMaps:
 
         zero = Trajectory.zeros(prob.time_grid, grid2d)
         out = nlhe_rhs_map(zero, prob)
-        assert float(np.max(np.abs(out.coefficients))) == 0.0
+        assert float(np.max(np.abs(out.spectrum))) == 0.0
 
     def test_nlhe_map_is_homogeneous(self, grid2d):
         """Signed power with nu = 2: F(c u) = c^2 F(u) for c > 0."""
@@ -171,7 +171,7 @@ class TestRhsMaps:
         f1 = nlhe_rhs_map(u, prob)
         f2 = nlhe_rhs_map(u * 2.0, prob)
         np.testing.assert_allclose(
-            f2.coefficients, 4.0 * f1.coefficients, atol=1e-12
+            f2.spectrum, 4.0 * f1.spectrum, atol=1e-12
         )
 
     def test_nlhe_map_needs_scalar_trajectory(self, grid2d):
@@ -306,18 +306,18 @@ class TestSmoothing:
 class TestSampleFields:
     def test_random_field_is_mean_free_and_deterministic(self, grid2d):
         f = random_mean_free_field(grid2d, seed=3, stream=1)
-        assert f.coefficients[(0,) + (0,) * 2] == 0.0
+        assert f.spectrum[(0,) + (0,) * 2] == 0.0
         g = random_mean_free_field(grid2d, seed=3, stream=1)
-        np.testing.assert_array_equal(f.coefficients, g.coefficients)
+        np.testing.assert_array_equal(f.spectrum, g.spectrum)
         h = random_mean_free_field(grid2d, seed=3, stream=2)
-        assert np.any(f.coefficients != h.coefficients)
+        assert np.any(f.spectrum != h.spectrum)
 
     def test_band_limit_empties_high_modes(self, grid2d):
         f = random_mean_free_field(grid2d, band_limit=2)
         k = np.fft.fftfreq(16, d=1 / 16)
         outside = np.abs(k) > 2
-        assert np.all(f.coefficients[0][outside, :] == 0)
-        assert np.all(f.coefficients[0][:, outside] == 0)
+        assert np.all(f.spectrum[0][outside, :] == 0)
+        assert np.all(f.spectrum[0][:, outside[: grid2d.half_shape[-1]]] == 0)
 
     def test_band_limit_zero_rejected(self, grid2d):
         """Only the mean mode has ``|k| <= 0``, and it is removed: the field
@@ -760,15 +760,48 @@ class TestSharedSampling:
         assert record.metrics["segments"] > 0  # the bootstrap ran
         assert sorted(s for s in streams if s >= 100) == list(range(100, 108))
 
+    @staticmethod
+    def tiny_ns_unique():
+        """The default ns-unique problem on an 8^3 grid with 17 nodes: eta 3, p 2, q 3."""
+        grid, params = TorusGrid(dimension=3, points_per_axis=8), MixedNormParams(p=2.0, q=3.0)
+        u0 = taylor_green_field(grid)
+        u0 = u0 * (3.0 / besov_heat_norm(u0, params))
+        return NsProblem(params=params, u0=u0, time_grid=uniform_time_grid(2.0, 17))
+
+    def test_base_transformed_and_measured_once_per_use(self, monkeypatch):
+        """One ``uniqueness_bootstrap`` call transforms its base ``a`` twice,
+        for route one's gate (whose copy is route one's first iterate) and
+        for route two's inflated start, and measures it once: route two's
+        gate reuses route one's base norm."""
+        bases, transformed, measured = [], [], []
+        picard, physical, norm = problems.run_picard, spectral._physical_values, NsProblem.norm
+        prob = self.tiny_ns_unique()
+
+        def recorded(fp, *args, **kwargs):
+            bases.append(fp.base)
+            return picard(fp, *args, **kwargs)
+
+        def counted(stored, grid):
+            transformed.append(any(stored is a.spectrum for a in bases))
+            return physical(stored, grid)
+
+        def counted_norm(self, traj):
+            measured.append(any(traj.spectrum is a.spectrum for a in bases))
+            return norm(self, traj)
+
+        monkeypatch.setattr(problems, "run_picard", recorded)
+        monkeypatch.setattr(spectral, "_physical_values", counted)
+        monkeypatch.setattr(NsProblem, "norm", counted_norm)
+        report = uniqueness_bootstrap(prob, p=2.0, tol=1e-9, max_iter=60, seed=0)
+        assert report.status == "complete" and len(bases) == 2 and bases[0] is bases[1]
+        assert sum(transformed) == 2
+        assert sum(measured) == 1
+
     def test_public_call_maps_and_draws_once(self, monkeypatch):
         """One ``uniqueness_bootstrap`` call on the tiny ``ns-unique`` problem
         maps each of the 8 sampled fields once, zero once (the drift check)
         and each route's iterates plus its residual: 25 calls."""
-        # the default ns-unique problem on an 8^3 grid with 17 nodes: eta 3, p 2, q 3
-        grid, params = TorusGrid(dimension=3, points_per_axis=8), MixedNormParams(p=2.0, q=3.0)
-        u0 = taylor_green_field(grid)
-        u0 = u0 * (3.0 / besov_heat_norm(u0, params))
-        prob = NsProblem(params=params, u0=u0, time_grid=uniform_time_grid(2.0, 17))
+        prob = self.tiny_ns_unique()
         maps, streams = [], []
         rhs, draw = problems.ns_rhs_map, problems.random_mean_free_field
         monkeypatch.setattr(problems, "ns_rhs_map", lambda u, prob: maps.append(1) or rhs(u, prob))

@@ -18,7 +18,6 @@ from maxreg_lab import (
     pointwise_power_nonlinearity,
     random_mean_free_field,
     resolvent_scalar_multiplier,
-    sector_multiplier,
     spatial_lq_norm,
     tensor_divergence,
 )
@@ -86,31 +85,35 @@ class TestSpectralField:
         np.testing.assert_allclose(f.to_physical(), values, atol=1e-12)
 
     def test_normalized_coefficient_convention(self, grid1d):
-        """A plain cosine has two coefficients of exactly 1/2."""
+        """A plain cosine has two coefficients of exactly 1/2, at ``k = 1`` and
+        at ``k = -1``, which the half spectrum's weights count."""
         x = grid1d.coordinates[0]
         f = SpectralField.from_physical(grid1d, np.cos(x)[np.newaxis])
-        c = f.coefficients[0]
+        c = f.spectrum[0]
         assert c[1] == pytest.approx(0.5)
-        assert c[-1] == pytest.approx(0.5)
-        assert np.sum(np.abs(c)) == pytest.approx(1.0)
+        assert np.sum(np.abs(c) * grid1d.layout.weights) == pytest.approx(1.0)
 
     def test_mean_free_detection(self, grid1d):
-        coeff = np.zeros((1, 16), dtype=complex)
+        coeff = np.zeros((1, 9), dtype=complex)
         coeff[0, 0] = 0.3
         assert not SpectralField(grid1d, coeff).is_mean_free()
         coeff[0, 0] = 0.0
-        coeff[0, 2] = coeff[0, -2] = 0.5
+        coeff[0, 2] = 0.5
         assert SpectralField(grid1d, coeff).is_mean_free()
 
-    def test_broken_symmetry_gives_complex_samples(self, grid1d):
-        """A lone positive-frequency mode is not a real field: its samples
-        are the complex exponential ``exp(3ix)``."""
-        coeff = np.zeros((1, 16), dtype=complex)
-        coeff[0, 3] = 1.0
-        values = SpectralField(grid1d, coeff).to_physical()
-        assert np.iscomplexobj(values)
+    def test_full_array_rejected(self, grid1d):
+        """Fields are real and store their half spectrum: a full FFT array,
+        even one of a real field, is refused and named."""
         x = grid1d.coordinates[0]
-        np.testing.assert_allclose(values[0], np.exp(3j * x), atol=1e-13)
+        full = np.fft.fft(np.cos(3 * x))[np.newaxis] / 16
+        with pytest.raises(ValueError, match="a full FFT array"):
+            SpectralField(grid1d, full)
+
+    def test_complex_samples_rejected(self, grid1d):
+        """``exp(3ix)`` is not a real field: its samples are refused."""
+        x = grid1d.coordinates[0]
+        with pytest.raises(ValueError, match="complex samples"):
+            SpectralField.from_physical(grid1d, np.exp(3j * x)[np.newaxis])
 
     def test_arithmetic_matches_physical_space(self, grid2d, rng):
         f = random_real_field(grid2d, rng)
@@ -118,6 +121,18 @@ class TestSpectralField:
         lhs = (f + g - f * 0.5).to_physical()
         rhs = f.to_physical() * 0.5 + g.to_physical()
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    def test_complex_scalar_rejected(self, grid1d, rng):
+        """A complex multiple of a real field is not real: ``*`` and ``*=``
+        refuse it and leave the field as it was."""
+        u = random_real_field(grid1d, rng)
+        before = u.spectrum.copy()
+        for scale in (1j, 1 + 0j, np.complex128(2.0)):
+            with pytest.raises(ValueError, match="is not real"):
+                _ = u * scale
+            with pytest.raises(ValueError, match="is not real"):
+                u *= scale
+        assert np.array_equal(u.spectrum, before)
 
     def test_incompatible_fields_raise(self, grid1d, grid2d, rng):
         f = random_real_field(grid1d, rng)
@@ -133,7 +148,7 @@ class TestSpectralField:
         rng = np.random.default_rng(seed)
         f = random_real_field(grid, rng)
         lhs = spatial_lq_norm(f, 2)
-        rhs = grid.period * np.linalg.norm(f.coefficients)
+        rhs = grid.period * np.sqrt(np.sum(np.abs(f.spectrum) ** 2 * grid.layout.weights))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -141,30 +156,29 @@ class TestMultipliers:
     def test_identity_leaves_field_alone(self, grid2d, rng):
         f = random_real_field(grid2d, rng)
         g = apply_multiplier(f, constant_multiplier(1.0))
-        np.testing.assert_array_equal(f.coefficients, g.coefficients)
+        np.testing.assert_array_equal(f.spectrum, g.spectrum)
 
     def test_laplacian_symbol_on_single_mode(self, grid2d):
-        """-Laplacian multiplies mode (1, 2) by 1 + 4 = 5."""
-        coeff = np.zeros((1,) + grid2d.shape, dtype=complex)
+        """-Laplacian multiplies mode (1, 2), and so (-1, -2), by 1 + 4 = 5."""
+        coeff = np.zeros((1,) + grid2d.half_shape, dtype=complex)
         coeff[0, 1, 2] = 1.0
-        coeff[0, -1, -2] = 1.0
         f = SpectralField(grid2d, coeff)
         g = apply_multiplier(f, laplacian_multiplier())
-        np.testing.assert_allclose(g.coefficients, 5.0 * coeff)
+        np.testing.assert_allclose(g.spectrum, 5.0 * coeff)
 
     def test_heat_multiplier_zero_time_is_identity(self, grid2d, rng):
         f = random_real_field(grid2d, rng)
         g = heat_semigroup_apply(f, 0.0)
-        np.testing.assert_allclose(g.coefficients, f.coefficients)
+        np.testing.assert_allclose(g.spectrum, f.spectrum)
 
     def test_heat_decay_rate_per_mode(self, grid1d):
         """e^{-t(-Laplacian)} damps mode k by exp(-k^2 t)."""
-        coeff = np.zeros((1, 16), dtype=complex)
-        coeff[0, 3] = coeff[0, -3] = 0.5
+        coeff = np.zeros((1, 9), dtype=complex)
+        coeff[0, 3] = 0.5
         f = SpectralField(grid1d, coeff)
         g = heat_semigroup_apply(f, 0.25)
         np.testing.assert_allclose(
-            g.coefficients, coeff * np.exp(-9 * 0.25), atol=1e-15
+            g.spectrum, coeff * np.exp(-9 * 0.25), atol=1e-15
         )
 
     def test_heat_semigroup_property(self, grid2d, rng):
@@ -172,29 +186,39 @@ class TestMultipliers:
         f = random_real_field(grid2d, rng)
         twice = heat_semigroup_apply(heat_semigroup_apply(f, 0.2), 0.3)
         once = heat_semigroup_apply(f, 0.5)
-        np.testing.assert_allclose(twice.coefficients, once.coefficients, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(twice.spectrum, once.spectrum, rtol=0, atol=1e-15)
 
     def test_negative_heat_time_rejected(self, grid1d, rng):
         with pytest.raises(ValueError, match="nonnegative"):
             heat_semigroup_apply(random_real_field(grid1d, rng), -0.1)
 
-    def test_sector_multiplier_rotates_symbol(self, grid1d):
-        theta = 0.3
-        sym = sector_multiplier(theta).evaluate(grid1d)
-        np.testing.assert_allclose(sym, grid1d.xi_sq * np.exp(1j * theta))
+    @pytest.mark.parametrize(
+        "op, cause",
+        [
+            (FourierMultiplier(lambda xi: np.sum(xi**2, axis=0) * np.exp(0.3j), "sector"), "not real"),
+            (constant_multiplier(1j), "not real"),
+            (FourierMultiplier(lambda xi: np.sin(xi[0]) + 2.0, "odd part"), "not even"),
+        ],
+        ids=["sector", "imaginary", "odd"],
+    )
+    def test_symbol_that_breaks_reality_rejected(self, grid2d, rng, op, cause):
+        """A symbol maps real fields to real fields only if it is real and
+        even; any other is refused, with its cause named."""
+        with pytest.raises(ValueError, match=cause):
+            apply_multiplier(random_real_field(grid2d, rng), op)
 
     def test_constant_multiplier_scales(self, grid2d, rng):
         f = random_real_field(grid2d, rng)
         g = apply_multiplier(f, constant_multiplier(2.5))
-        np.testing.assert_allclose(g.coefficients, 2.5 * f.coefficients)
+        np.testing.assert_allclose(g.spectrum, 2.5 * f.spectrum)
 
-    def test_resolvent_inverts_shifted_laplacian(self, grid2d, rng):
-        """``w = i sigma (i sigma + A)^{-1} f`` solves ``i sigma w + A w = i sigma f``."""
+    def test_resolvent_inverts_shifted_laplacian(self, grid2d):
+        """The symbol ``i sigma (i sigma + |xi|^2)^{-1}`` solves
+        ``(i sigma + |xi|^2) a = i sigma``; it is complex, so it is read as a
+        symbol array and not applied to a field."""
         sigma = 1.5
-        f = random_real_field(grid2d, rng)
-        w = apply_multiplier(f, resolvent_scalar_multiplier(sigma))
-        lhs = w * (1j * sigma) + apply_multiplier(w, laplacian_multiplier())
-        np.testing.assert_allclose(lhs.coefficients, 1j * sigma * f.coefficients, atol=1e-13)
+        sym = resolvent_scalar_multiplier(sigma).evaluate(grid2d)
+        np.testing.assert_allclose((1j * sigma + grid2d.xi_sq) * sym, 1j * sigma, atol=1e-13)
 
     def test_matrix_symbol_rejected(self, grid2d, rng):
         """Symbols are scalar: an ``(m, m)`` matrix symbol does not match the grid."""
@@ -217,7 +241,7 @@ class TestMultipliers:
         op = laplacian_multiplier()
         lhs = apply_multiplier(f * a + g * b, op)
         rhs = apply_multiplier(f, op) * a + apply_multiplier(g, op) * b
-        np.testing.assert_allclose(lhs.coefficients, rhs.coefficients, atol=1e-10)
+        np.testing.assert_allclose(lhs.spectrum, rhs.spectrum, atol=1e-10)
 
 
 class TestVectorCalculus:
@@ -241,18 +265,18 @@ class TestVectorCalculus:
         grad = np.stack([np.cos(x) * np.cos(2 * y), -2 * np.sin(x) * np.sin(2 * y)])
         u = SpectralField.from_physical(grid2d, grad)
         np.testing.assert_allclose(divergence(u).to_physical()[0], -5 * phi, atol=1e-12)
-        assert np.max(np.abs(helmholtz_project(u).coefficients)) < 1e-14
+        assert np.max(np.abs(helmholtz_project(u).spectrum)) < 1e-14
 
     def test_helmholtz_output_is_divergence_free(self, grid2d, rng):
         u = helmholtz_project(random_real_field(grid2d, rng, components=2))
         div = divergence(u)
-        assert np.max(np.abs(div.coefficients)) < 1e-12
+        assert np.max(np.abs(div.spectrum)) < 1e-12
 
     def test_helmholtz_is_idempotent(self, grid2d, rng):
         u = random_real_field(grid2d, rng, components=2)
         once = helmholtz_project(u)
         twice = helmholtz_project(once)
-        np.testing.assert_allclose(once.coefficients, twice.coefficients, atol=1e-13)
+        np.testing.assert_allclose(once.spectrum, twice.spectrum, atol=1e-13)
 
     def test_helmholtz_plus_gradient_recovers_field(self, grid2d, rng):
         """Leray projection and a gradient part decompose the field."""
@@ -260,8 +284,9 @@ class TestVectorCalculus:
         sol = helmholtz_project(u)
         residual = u - sol
         # the remainder is curl-free: in 2-D, d_x r_y - d_y r_x = 0
-        rx, ry = residual.coefficients
-        curl = 1j * (grid2d.xi[0] * ry - grid2d.xi[1] * rx)
+        rx, ry = residual.spectrum
+        xi = grid2d.layout.xi  # the projection's xi: 0 on a Nyquist row
+        curl = 1j * (xi[0] * ry - xi[1] * rx)
         assert np.max(np.abs(curl)) < 1e-12
 
     def test_helmholtz_dimension_check(self, grid2d, rng):
@@ -286,21 +311,21 @@ class TestNonlinearities:
         w_pos = pointwise_power_nonlinearity(u, 1.5, variant="signed")
         w_neg = pointwise_power_nonlinearity(-u, 1.5, variant="signed")
         np.testing.assert_allclose(
-            w_neg.coefficients, -w_pos.coefficients, atol=1e-12
+            w_neg.spectrum, -w_pos.spectrum, atol=1e-12
         )
 
     def test_unsigned_variant_is_even(self, grid2d):
         u = random_mean_free_field(grid2d, seed=2, band_limit=5)
         w_pos = pointwise_power_nonlinearity(u, 1.5, variant="unsigned")
         w_neg = pointwise_power_nonlinearity(-u, 1.5, variant="unsigned")
-        np.testing.assert_allclose(w_neg.coefficients, w_pos.coefficients, atol=1e-12)
+        np.testing.assert_allclose(w_neg.spectrum, w_pos.spectrum, atol=1e-12)
 
     def test_power_homogeneity(self, grid2d):
         """F(c u) = c^nu F(u) for c > 0: exact degree-nu homogeneity."""
         u = random_mean_free_field(grid2d, seed=3, band_limit=5)
         w1 = pointwise_power_nonlinearity(u * 3.0, 2.0)
         w2 = pointwise_power_nonlinearity(u, 2.0) * 9.0
-        np.testing.assert_allclose(w1.coefficients, w2.coefficients, rtol=1e-12)
+        np.testing.assert_allclose(w1.spectrum, w2.spectrum, rtol=1e-12)
 
     def test_rejects_bad_exponent_and_variant(self, grid1d, rng):
         u = random_real_field(grid1d, rng)
@@ -308,13 +333,6 @@ class TestNonlinearities:
             pointwise_power_nonlinearity(u, 1.0)
         with pytest.raises(ValueError, match="unknown variant"):
             pointwise_power_nonlinearity(u, 2.0, variant="absolute")
-
-    def test_rejects_field_with_broken_symmetry(self, grid1d):
-        """The power of a field that is not real is refused."""
-        coeff = np.zeros((1, 16), dtype=complex)
-        coeff[0, 3] = 1.0
-        with pytest.raises(ValueError, match="conjugate symmetry is broken"):
-            pointwise_power_nonlinearity(SpectralField(grid1d, coeff), 2.0)
 
     def test_tensor_divergence_matches_hand_computation(self, grid2d):
         """div(u (x) u) for u = (sin y, 0): pure y-transport of sin y."""

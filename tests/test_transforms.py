@@ -66,15 +66,15 @@ class TestDeSimonPadding:
         params = MixedNormParams(p=2.0, q=2.0)
         coarse = de_simon_multiplier_solve(problem, pad_factor=4)
         fine = de_simon_multiplier_solve(problem, pad_factor=8)
-        assert coarse.coefficients.shape == fine.coefficients.shape
-        assert fine.coefficients.shape == problem.forcing.coefficients.shape
+        assert coarse.spectrum.shape == fine.spectrum.shape
+        assert fine.spectrum.shape == problem.forcing.spectrum.shape
         ratio = bochner_mixed_norm(coarse, params) / bochner_mixed_norm(fine, params)
         assert ratio == pytest.approx(1.0, rel=1e-6)
 
     def test_result_owns_its_rows(self, problem):
         """``A u`` holds its own rows, not a view that keeps the padded buffer alive."""
         au = de_simon_multiplier_solve(problem)
-        assert au.coefficients.base is None
+        assert au.spectrum.base is None
 
     def test_only_forced_columns_transformed(self, problem, monkeypatch):
         """One solve transforms ``n_pad`` points per spatial column the
@@ -121,7 +121,7 @@ class TestOneTransformBackend:
 
         ns = NsProblem(params=params, u0=taylor_green_field(grid2d), time_grid=tg)
         u = heat_extension(ns.u0, tg)
-        assert ns_rhs_map(u, ns).coefficients.shape == u.coefficients.shape
+        assert ns_rhs_map(u, ns).spectrum.shape == u.spectrum.shape
         assert bochner_mixed_norm(u, params) > 0
 
         u0 = random_mean_free_field(grid2d, seed=1, band_limit=3)
@@ -130,12 +130,12 @@ class TestOneTransformBackend:
 
         (forcing,) = synthetic_forcing_ensemble(grid2d, tg, 1)
         au = de_simon_multiplier_solve(LinearProblem(laplacian_multiplier(), forcing))
-        assert au.coefficients.shape == forcing.coefficients.shape
+        assert au.spectrum.shape == forcing.spectrum.shape
 
 
 def assert_fresh_samples(traj):
     """``traj.samples`` matches a fresh transform of its coefficients."""
-    fresh = _physical_values(traj.coefficients, traj.grid)
+    fresh = _physical_values(traj.spectrum, traj.grid)
     assert np.max(np.abs(traj.samples - fresh)) <= 1e-15 * np.max(np.abs(fresh))
 
 
@@ -164,7 +164,7 @@ class TestCachedSamples:
         u = random_vector_trajectory(grid, rng)
         v = random_vector_trajectory(grid, rng)
         u.samples
-        combinations = (u + v, v - u, u * 1j)
+        combinations = (u + v, v - u, v * 0.5)
         calls = count_transforms(monkeypatch, grid, nodes=4)
         for w in combinations:
             w.samples
@@ -176,21 +176,26 @@ class TestCachedSamples:
     def test_replace_carries_no_stale_samples(self, grid, rng):
         u = random_vector_trajectory(grid, rng)
         u.samples
-        w = replace(u, coefficients=2.0 * u.coefficients)
+        w = replace(u, coefficients=2.0 * u.spectrum)
         assert_fresh_samples(w)
 
     def test_complex_trajectory_keeps_its_imaginary_part(self, grid, rng):
+        """A complex trajectory's full array is refused; stored as its real
+        and imaginary parts, two real components, it has the mixed norm of
+        its modulus."""
         tg = uniform_time_grid(1.0, 3)
         values = rng.standard_normal((3, 1) + grid.shape) + 1j * rng.standard_normal((3, 1) + grid.shape)
-        u = Trajectory(tg, grid, scipy.fft.fftn(values, axes=tuple(range(2, 2 + grid.dimension)), norm="forward"))
-        assert np.iscomplexobj(u.samples)
-        np.testing.assert_allclose(u.samples, values, rtol=0, atol=1e-14)
+        axes = tuple(range(2, 2 + grid.dimension))
+        with pytest.raises(ValueError, match="a full FFT array"):
+            Trajectory(tg, grid, scipy.fft.fftn(values, axes=axes, norm="forward"))
+        parts = np.concatenate([values.real, values.imag], axis=1)
+        u = Trajectory(tg, grid, scipy.fft.rfftn(parts, axes=axes, norm="forward"))
+        np.testing.assert_allclose(u.samples, parts, rtol=0, atol=1e-14)
         params = MixedNormParams(p=2.0, q=3.0)
         direct = (np.sum(np.abs(values) ** 3, axis=tuple(range(1, 2 + grid.dimension))) * grid.cell_volume) ** (1 / 3)
         expected = np.sum(tg.weights * direct**2) ** 0.5
         assert bochner_mixed_norm(u, params) == pytest.approx(expected, rel=1e-13)
         w = u * 0.5 + u
-        assert np.iscomplexobj(w.samples)
         assert_fresh_samples(w)
 
 
@@ -201,8 +206,8 @@ class TestDealiasedInput:
     def test_outside_mask_tensor_divergence_unchanged(self, grid, rng):
         u = random_vector_trajectory(grid, rng)
         u.samples
-        w = replace(u, coefficients=u.coefficients.copy())
-        assert np.array_equal(tensor_divergence(u).coefficients, tensor_divergence(w).coefficients)
+        w = replace(u, coefficients=u.spectrum.copy())
+        assert np.array_equal(tensor_divergence(u).spectrum, tensor_divergence(w).spectrum)
 
     def test_outside_mask_power_unchanged(self, grid, rng):
         fields = [SpectralField.from_physical(grid, rng.standard_normal(grid.shape)) for _ in range(3)]
@@ -217,33 +222,36 @@ class TestDealiasedInput:
 
     def test_inside_mask_reads_the_cache(self, grid, rng, monkeypatch):
         u = dealias_trajectory(random_vector_trajectory(grid, rng))
-        w = replace(u, coefficients=u.coefficients.copy())
+        w = replace(u, coefficients=u.spectrum.copy())
         with monkeypatch.context() as patch:  # the masked transform of an input outside the mask
             patch.setattr(spectral, "_negligible", lambda *args: False)
-            expected = tensor_divergence(w).coefficients
+            expected = tensor_divergence(w).spectrum
         assert "_samples" not in vars(w)
         u.samples
         calls = count_transforms(monkeypatch, grid, nodes=4)
-        out = tensor_divergence(u).coefficients
+        out = tensor_divergence(u).spectrum
         assert calls == [grid.dimension * (grid.dimension + 1) // 2]
         assert np.array_equal(out, expected)
 
     def test_complex_input_to_power_rejected(self, grid):
-        tg = uniform_time_grid(1.0, 2)
-        u = Trajectory(tg, grid, np.zeros((2, 1) + grid.shape, dtype=complex))
-        coeff = u.coefficients.copy()
-        coeff[(Ellipsis,) + (1,) * grid.dimension] = 1.0  # e^{ix}: complex, inside the mask
-        with pytest.raises(ValueError, match="not real"):
-            pointwise_power_nonlinearity(replace(u, coefficients=coeff), 2.0)
+        """``e^{ix}``, complex and inside the mask, never reaches the power:
+        neither its samples nor its full array make a field."""
+        values = np.exp(1j * grid.coordinates.sum(axis=0))[np.newaxis]
+        with pytest.raises(ValueError, match="complex samples"):
+            SpectralField.from_physical(grid, values)
+        coeff = np.zeros((1,) + grid.shape, dtype=complex)
+        coeff[(0,) + (1,) * grid.dimension] = 1.0
+        with pytest.raises(ValueError, match="a full FFT array"):
+            SpectralField(grid, coeff)
 
 
 def dealias_trajectory(u):
-    return replace(u, coefficients=u.coefficients * u.grid.dealias_mask)
+    return replace(u, coefficients=u.spectrum * u.grid.layout.dealias_mask)
 
 
 def count_transforms(monkeypatch, grid, nodes):
     """Record the number of components each spatial transform call covers
-    on a stack of ``nodes`` time nodes, in either storage layout."""
+    on a stack of ``nodes`` time nodes."""
     calls = []
     for name in ("ifftn", "fftn", "irfftn", "rfftn"):
         original = getattr(scipy.fft, name)
